@@ -16,20 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mrlrc.constructions import ConstraintViolated, plan_field  # noqa: E402
 from mrlrc.topology import make_topology  # noqa: E402
-from mrlrc.verify import BoundInputs, lower_bound_field  # noqa: E402
-
-
-def bound_or_none(topo, kind, h):
-    try:
-        if kind == "gen":
-            plan = plan_field(topo, kind, k=topo.max_dimension() - h)
-        else:
-            plan = plan_field(topo, kind, h=h)
-    except (ConstraintViolated, ValueError):
-        return None
-    return plan.bound_value
+from mrlrc.verify import table1_row  # noqa: E402
 
 
 def main() -> int:
@@ -51,17 +39,17 @@ def main() -> int:
                 mode = "availability" if t <= args.delta - 1 else "plain"
                 topo = make_topology(r, args.delta, t, g, args.N, mode=mode)
                 for h in range(1, min(r, topo.max_dimension()) + 1):
-                    cells = {kind: bound_or_none(topo, kind, h)
+                    row = table1_row(topo, h=h)
+                    cells = {kind: row[kind].get("bound_value")
                              for kind in ("gen", "pc1", "pc2")}
                     present = {k: v for k, v in cells.items() if v is not None}
                     if not present:
                         continue
                     winner = min(present, key=present.get)
                     wins[winner] += 1
-                    lb = lower_bound_field(BoundInputs(
-                        r=r, delta=args.delta, t=t, g=g, N=args.N, h=h))
-                    lb_cell = ("-" if lb.regime == "none"
-                               else f"{lb.floor}({lb.regime})")
+                    lb = row["lower_bound"]
+                    lb_cell = ("-" if lb["regime"] == "none"
+                               else f"{lb['floor']}({lb['regime']})")
                     fmt = lambda v: "-" if v is None else str(v)
                     print(f"{r:>2} {t:>2} {g:>2} {h:>2} "
                           f"{fmt(cells['gen']):>14} {fmt(cells['pc1']):>14} "

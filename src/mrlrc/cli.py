@@ -186,7 +186,12 @@ def _read_symbols(path: str, allow_erasures: bool):
                 raise SystemExit(EXIT_USAGE)
             out.append(None)
         else:
-            out.append(int(tok))
+            try:
+                out.append(int(tok))
+            except ValueError:
+                print(f"error: {path}: {tok!r} is not an integer symbol",
+                      file=sys.stderr)
+                raise SystemExit(EXIT_USAGE)
     return out
 
 

@@ -46,7 +46,7 @@ from math import comb
 from .ff import FieldTower, make_tower, is_prime_power, next_prime_power
 from .matrix import MatrixF, RankDeficient, block_diag, map_entries, read_srmat, write_srmat
 from .localmds import MdsSpec, band_rows, structured_mds, vandermonde_columns
-from .sumrank import SumRankPartition, lrs_generator
+from .sumrank import SumRankPartition, frobenius_rows, lrs_generator
 from .topology import Topology, heavy_parity_count, make_topology
 
 KINDS = ("gen", "pc1", "pc2")
@@ -228,25 +228,6 @@ def _local_parity_block(topo: Topology, b: MatrixF, c: MatrixF) -> MatrixF:
     return MatrixF(ctx, rows, cols=width)
 
 
-def _heavy_rows(tower: FieldTower, beta: tuple, a: tuple, h: int) -> MatrixF:
-    """(Q_1 | ... | Q_g) with Q_i rows beta_j^(q^l) a_i^(1+q+...+q^(l-1))."""
-    top = tower.top
-    g = len(a)
-    width = len(beta)
-    rows = []
-    beta_l = list(beta)
-    a_l = [1] * g
-    for l in range(h):
-        if l > 0:
-            beta_l = [tower.frobenius(x, 1) for x in beta_l]
-            a_l = [top.mul(tower.frobenius(x, 1), ai) for x, ai in zip(a_l, a)]
-        row = []
-        for i in range(g):
-            row.extend(top.mul(x, a_l[i]) for x in beta_l)
-        rows.append(row)
-    return MatrixF(top, rows, cols=g * width)
-
-
 def _check_code(code: MrLrcCode) -> None:
     """Construction invariants: duality, ranks, and the local property."""
     g_mat, h_mat = code.G, code.H
@@ -259,33 +240,37 @@ def _check_code(code: MrLrcCode) -> None:
         raise AssertionError("generator rank must be k")
     if not g_mat.mul(h_mat.transpose()).is_zero():
         raise AssertionError("G H^T != 0")
-    _check_local_property(code)
+    violations = local_property_violations(code)
+    if violations:
+        raise AssertionError(violations[0][1])
 
 
-def _check_local_property(code: MrLrcCode) -> None:
-    """Every codeword restricted to any repair set lies in a distance->=delta
-    MDS code; checked on the generator rows against the local ingredients."""
+def local_property_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
+    """(repair set, detail) for every repair set R on which a codeword can
+    leave the distance->=delta local MDS code; checked on the generator
+    rows against the local ingredients."""
     topo = code.topo
     tower = code.tower
-    base = tower.base
+    out = []
     if code.kind == "gen":
-        a_loc = local_generator(topo, "gen", base)
+        a_loc = local_generator(topo, "gen", tower.base)
         a_emb = map_entries(a_loc, tower.top, tower.embed)
         rank_a = a_emb.rank()
-        for sets in topo.repair:
-            for rs in sets:
-                sub = code.G.restrict_columns(sorted(rs))
+    else:
+        a_loc = local_generator(topo, "pc2", tower.base)  # A' = [I_t B; 0 C]
+        a_t = map_entries(a_loc, tower.top, tower.embed).transpose()
+    for i, sets in enumerate(topo.repair, start=1):
+        for j, rs in enumerate(sets, start=1):
+            rs = tuple(sorted(rs))
+            sub = code.G.restrict_columns(rs)
+            if code.kind == "gen":
                 stacked = MatrixF(tower.top, a_emb.data + sub.data)
                 if stacked.rank() != rank_a:
-                    raise AssertionError("row outside the local MDS code")
-    else:
-        a_loc = local_generator(topo, "pc2", base)  # A' = [I_t B; 0 C]
-        a_emb = map_entries(a_loc, tower.top, tower.embed).transpose()
-        for sets in topo.repair:
-            for rs in sets:
-                sub = code.G.restrict_columns(sorted(rs))
-                if not sub.mul(a_emb).is_zero():
-                    raise AssertionError("local parities violated on a repair set")
+                    out.append((rs, f"restriction to R_({i},{j}) leaves "
+                                    "the local MDS code"))
+            elif not sub.mul(a_t).is_zero():
+                out.append((rs, f"local parities violated on R_({i},{j})"))
+    return out
 
 
 def construct_gen(topo: Topology, k: int) -> MrLrcCode:
@@ -319,18 +304,7 @@ def construct_gen(topo: Topology, k: int) -> MrLrcCode:
         tower.from_base_coords(d_mat.column(cidx)) for cidx in range(width)
     )
     a = tower.distinct_norm_elements(topo.g)
-    rows = []
-    gamma_l = list(gamma)
-    a_l = [1] * topo.g
-    for l in range(k):
-        if l > 0:
-            gamma_l = [tower.frobenius(x, 1) for x in gamma_l]
-            a_l = [top.mul(tower.frobenius(x, 1), ai) for x, ai in zip(a_l, a)]
-        row = []
-        for i in range(topo.g):
-            row.extend(top.mul(x, a_l[i]) for x in gamma_l)
-        rows.append(row)
-    g_mat = MatrixF(top, rows, cols=topo.n)
+    g_mat = frobenius_rows(tower, gamma, a, k)
     h_mat = parity_from_generator(g_mat) if k else MatrixF.identity(top, topo.n)
     code = MrLrcCode(topo=topo, kind="gen", tower=tower, k=k, h=h,
                      G=g_mat, H=h_mat, a=a, beta=beta, plan=plan)
@@ -421,7 +395,7 @@ def construct_pc2(topo: Topology, h: int) -> MrLrcCode:
         for j in range(width)
     )
     a = tower.distinct_norm_elements(topo.g)
-    heavy = _heavy_rows(tower, beta, a, h)
+    heavy = frobenius_rows(tower, beta, a, h)
     h_mat = block_diag([p_emb] * topo.g)
     if h:
         h_mat = h_mat.vstack(heavy)

@@ -1,0 +1,92 @@
+"""Gaussian elimination over any field object.
+
+A field here is any object whose ``add``, ``mul``, ``neg`` and ``inv``
+methods act on its elements, with zero and one encoded as the integers 0
+and 1: a ff.FieldCtx, including GF(p) for the tower coordinate maps.
+Every rank, determinant, solve, inverse and kernel in mrlrc runs through
+reduce_rows.  This module imports nothing from mrlrc, so ff can use it
+without importing matrix and the layering stays one-way.
+
+Pivots are the first nonzero entry at or below the current row, scanning
+top to bottom, so every result is identical across runs.
+"""
+
+from __future__ import annotations
+
+
+def reduce_rows(rows: list, field, stop: int | None = None,
+                reduced: bool = False) -> tuple[list[int], int]:
+    """Row-reduce a list of row lists in place, pivoting in columns < stop.
+
+    Forward mode clears below each pivot and leaves the pivot rows
+    unscaled, which is all rank and det need.  Reduced mode scales each
+    pivot to 1 and clears above it too, leaving the reduced row echelon
+    form on the first stop columns (default: all of them).
+
+    Returns (pivots, factor): the 0-based pivot columns, and -1 to the
+    number of row swaps times the product of the pivots as found.  For a
+    square matrix of full rank the factor is its determinant.
+    """
+    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
+    nrows = len(rows)
+    if stop is None:
+        stop = len(rows[0]) if rows else 0
+    pivots = []
+    factor = 1
+    r = 0
+    for c in range(stop):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            factor = neg(factor)
+        piv = rows[r][c]
+        f = 1
+        if piv != 1:
+            factor = mul(factor, piv)
+            f = inv(piv)
+            if reduced:
+                rows[r] = [mul(f, v) for v in rows[r]]
+                f = 1
+        prow = rows[r]
+        # forward mode folds 1/pivot into each row's multiplier instead
+        for i in range(0 if reduced else r + 1, nrows):
+            x = rows[i][c]
+            if x and i != r:
+                g = neg(x) if f == 1 else neg(mul(f, x))
+                rows[i] = [add(v, mul(g, w)) for v, w in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return pivots, factor
+
+
+def kernel_basis(rows: list, ncols: int, field) -> list[list[int]]:
+    """Basis of {x : A x = 0} for the matrix A given by rows, one list per
+    vector, in increasing order of its free column; reduces rows in place."""
+    pivots, _ = reduce_rows(rows, field, reduced=True)
+    pivot_set = set(pivots)
+    neg = field.neg
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = neg(rows[i][fc])
+        basis.append(vec)
+    return basis
+
+
+def inverse(rows, field) -> list[list[int]] | None:
+    """Rows of the inverse of the square matrix given by rows, or None
+    when it is singular."""
+    n = len(rows)
+    aug = [list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
+    pivots, _ = reduce_rows(aug, field, stop=n, reduced=True)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in aug]

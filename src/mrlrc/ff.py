@@ -27,6 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 
+from .elim import inverse, kernel_basis
+
 ORDER_LIMIT = 1 << 40
 LOG_TABLE_LIMIT = 1 << 16
 
@@ -466,7 +468,7 @@ class FieldTower:
             img = top.pow(p ** j if j else 1, self.q)
             diff = top.sub(img, p ** j if j else 1)
             cols.append(top.coeffs(diff))
-        basis = _gfp_kernel_basis(cols, p, n)
+        basis = kernel_basis([list(r) for r in zip(*cols)], n, field_ctx(p))
         out = []
         for combo in itertools.product(range(p), repeat=len(basis)):
             v = [0] * n
@@ -589,14 +591,14 @@ class FieldTower:
         # invert the GF(p)-matrix taking (c_0, ..., c_{m-1}) in GF(q)^m to
         # sum embed(c_j) X^j; column (j, u) is embed(B^u) X^j where B is the
         # base-field generator
-        top, p, n = self.top, self.top.p, self.top.e
+        top = self.top
         basis = self.polynomial_basis
         cols = []
         for j in range(self.m):
             for u in range(self.s):
                 elt = top.mul(self.embed(self.base.p ** u if u else 1), basis[j])
                 cols.append(top.coeffs(elt))
-        self._coord_solver = _gfp_invert_columns(cols, p, n)
+        self._coord_solver = inverse(list(zip(*cols)), field_ctx(top.p))
 
     def __eq__(self, other) -> bool:
         return (
@@ -616,57 +618,3 @@ class FieldTower:
 def make_tower(p: int, s: int, m: int) -> FieldTower:
     """Cached tower GF(p^s) <= GF(p^(s*m)) with all canonical choices."""
     return FieldTower(p, s, m)
-
-
-# ---------------------------------------------------------------------------
-# tiny GF(p) elimination, local to this module to keep layering one-way
-
-
-def _gfp_kernel_basis(cols, p: int, n: int) -> list[list[int]]:
-    """Kernel basis of the n x len(cols) matrix whose columns are given."""
-    ncols = len(cols)
-    rows = [[cols[j][i] for j in range(ncols)] for i in range(n)]
-    pivots, free = [], []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, n) if rows[i][c]), None)
-        if pr is None:
-            free.append(c)
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-rows[i][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def _gfp_invert_columns(cols, p: int, n: int) -> list[list[int]]:
-    """Inverse of the n x n matrix whose columns are given, as a row list."""
-    if len(cols) != n:
-        raise ValueError("matrix must be square")
-    aug = [[cols[j][i] for j in range(n)] + [int(i == k) for k in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c]), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = pow(aug[c][c], p - 2, p)
-        aug[c] = [(v * inv) % p for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .elim import reduce_rows
 from .ff import FieldCtx
 from .matrix import MatrixF
 
@@ -120,26 +121,11 @@ def structured_mds(spec: MdsSpec, t: int, split: tuple[int, ...],
         raise ValueError(f"first band must have at least t = {t} rows")
     if t > k:
         raise ValueError(f"t = {t} exceeds k = {k}")
-    g = extended_rs_generator(spec)
-    if t == 0:
-        a = g
-    else:
-        ctx = spec.ctx
-        # top-left t x t block is Vandermonde on distinct points: invertible
-        top_rows = MatrixF(ctx, g.data[:t], cols=n)
-        tinv = top_rows.restrict_columns(range(1, t + 1)).invert()
-        new_top = tinv.mul(top_rows)
-        rows = [list(r) for r in new_top.data]
-        mul, add, neg = ctx.mul, ctx.add, ctx.neg
-        for i in range(t, k):
-            row = list(g.data[i])
-            for j in range(t):
-                c = row[j]
-                if c:
-                    f = neg(c)
-                    row = [add(v, mul(f, w)) for v, w in zip(row, rows[j])]
-            rows.append(row)
-        a = MatrixF(ctx, rows)
+    # the leading minors of the Vandermonde block on the first t columns
+    # are nonzero, so the pivots of the first t columns are the first t rows
+    rows = [list(r) for r in extended_rs_generator(spec).data]
+    reduce_rows(rows, spec.ctx, stop=t, reduced=True)
+    a = MatrixF(spec.ctx, rows, cols=n)
     if check_prefix is not None:
         prefix = MatrixF(spec.ctx, a.data[:check_prefix], cols=n)
         if not is_mds(prefix):

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over a FieldCtx.
 
 Matrices are immutable (tuple-of-tuples storage); every operation returns
-a new matrix.  Elimination pivots on the first nonzero entry scanning
+a new matrix.  Rank, det, solve, inverse and kernel run through
+elim.reduce_rows, which pivots on the first nonzero entry scanning
 top-to-bottom, so echelon forms are identical across runs.
 
 Index conventions: plain Python 0-based indexing for raw entry access,
@@ -17,6 +18,7 @@ by the canonical choice in ff, so round-trips are bit-exact.
 
 from __future__ import annotations
 
+from .elim import inverse, kernel_basis, reduce_rows
 from .ff import FieldCtx, field_ctx
 
 
@@ -170,66 +172,18 @@ class MatrixF:
         rows[i][j] = value
         return MatrixF(self.ctx, rows)
 
-    # -- elimination core
-
-    def _echelon(self, data: list[list[int]], limit_cols: int | None = None):
-        """In-place reduced row echelon; returns pivot column list (0-based)."""
-        ctx = self.ctx
-        mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        stop = ncols if limit_cols is None else limit_cols
-        pivots = []
-        r = 0
-        for c in range(stop):
-            pr = next((i for i in range(r, nrows) if data[i][c]), None)
-            if pr is None:
-                continue
-            data[r], data[pr] = data[pr], data[r]
-            f = inv(data[r][c])
-            if f != 1:
-                data[r] = [mul(f, v) for v in data[r]]
-            prow = data[r]
-            for i in range(nrows):
-                if i != r and data[i][c]:
-                    g = neg(data[i][c])
-                    row = data[i]
-                    data[i] = [add(v, mul(g, w)) for v, w in zip(row, prow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return pivots
+    # -- elimination (all of it in elim.reduce_rows)
 
     def rank(self) -> int:
-        data = [list(r) for r in self.data]
-        return len(self._echelon(data))
+        pivots, _ = reduce_rows([list(r) for r in self.data], self.ctx)
+        return len(pivots)
 
     def det(self) -> int:
-        """Determinant by elimination (forward only, tracking row swaps)."""
+        """Determinant by forward elimination."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of non-square matrix")
-        ctx = self.ctx
-        mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
-        n = self.rows
-        data = [list(r) for r in self.data]
-        det = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if data[i][c]), None)
-            if pr is None:
-                return 0
-            if pr != c:
-                data[c], data[pr] = data[pr], data[c]
-                det = neg(det)
-            piv = data[c][c]
-            det = mul(det, piv)
-            f = inv(piv)
-            prow = data[c]
-            for i in range(c + 1, n):
-                if data[i][c]:
-                    g = neg(mul(f, data[i][c]))
-                    data[i] = [add(v, mul(g, w)) for v, w in zip(data[i], prow)]
-        return det
+        pivots, factor = reduce_rows([list(r) for r in self.data], self.ctx)
+        return factor if len(pivots) == self.rows else 0
 
     def solve_unique(self, b) -> tuple[int, ...] | None:
         """The unique x with M x = b, or None when no unique solution exists.
@@ -244,7 +198,7 @@ class MatrixF:
         data = [list(r) + [bv] for r, bv in zip(self.data, b)]
         if not data:
             return () if self.cols == 0 else None
-        pivots = self._echelon(data, limit_cols=self.cols)
+        pivots, _ = reduce_rows(data, self.ctx, stop=self.cols, reduced=True)
         if len(pivots) < self.cols:
             return None
         # consistency: rows beyond the pivots must have zero RHS
@@ -265,31 +219,17 @@ class MatrixF:
     def invert(self) -> "MatrixF":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square matrix")
-        n = self.rows
-        data = [list(r) + [int(i == k) for k in range(n)]
-                for i, r in enumerate(self.data)]
-        pivots = self._echelon(data, limit_cols=n) if n else []
-        if len(pivots) < n:
+        rows = inverse(self.data, self.ctx)
+        if rows is None:
             raise Singular("matrix is singular")
-        return MatrixF(self.ctx, [row[n:] for row in data])
+        return MatrixF(self.ctx, rows)
 
     def right_kernel(self) -> "MatrixF":
         """Basis of {x : Mx = 0} as columns; cols - rank of them."""
-        data = [list(r) for r in self.data]
-        pivots = self._echelon(data)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        neg = self.ctx.neg
-        basis_cols = []
-        for fc in free:
-            vec = [0] * self.cols
-            vec[fc] = 1
-            for i, pc in enumerate(pivots):
-                vec[pc] = neg(data[i][fc])
-            basis_cols.append(vec)
-        if not basis_cols:
+        basis = kernel_basis([list(r) for r in self.data], self.cols, self.ctx)
+        if not basis:
             return MatrixF.zeros(self.ctx, self.cols, 0)
-        return MatrixF(self.ctx, [list(col) for col in zip(*basis_cols)])
+        return MatrixF(self.ctx, list(zip(*basis)))
 
     def systematic_form(self, pivot_cols_1based) -> "MatrixF":
         """Row-equivalent matrix that is the identity on the given columns.

@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from .elim import reduce_rows
 from .ff import FieldCtx, FieldTower, make_tower
 from .matrix import MatrixF, block_diag, map_entries, read_srmat, write_srmat
 from . import localmds
@@ -73,28 +74,9 @@ class LrsCode:
 
 def _block_rank(entries, tower: FieldTower) -> int:
     """GF(q)-rank of the coordinate expansion of a block of top-field entries."""
-    base = tower.base
-    add, mul, inv = base.add, base.mul, base.inv
-    rows = [list(tower.base_coords(c)) for c in entries]  # r rows of length m
-    rank = 0
-    ncols = tower.m
-    pivot_col = 0
-    while rows and pivot_col < ncols:
-        pr = next((i for i, row in enumerate(rows) if row[pivot_col]), None)
-        if pr is None:
-            pivot_col += 1
-            continue
-        prow = rows.pop(pr)
-        f = inv(prow[pivot_col])
-        prow = [mul(f, v) for v in prow]
-        rows = [
-            [add(v, mul(base.neg(row[pivot_col]), w)) for v, w in zip(row, prow)]
-            if row[pivot_col] else row
-            for row in rows
-        ]
-        rank += 1
-        pivot_col += 1
-    return rank
+    pivots, _ = reduce_rows([list(tower.base_coords(c)) for c in entries],
+                            tower.base)
+    return len(pivots)
 
 
 def sum_rank_weight(v, part: SumRankPartition) -> int:
@@ -130,23 +112,26 @@ def lrs_generator(part: SumRankPartition, k: int) -> LrsCode:
     beta = tower.polynomial_basis[:r]
     if _block_rank(beta, tower) != r:
         raise AssertionError("polynomial basis prefix not independent")
-    top = tower.top
-    # beta_pows[l][j] = beta_j^(q^l);  a_pows[l][i] = a_i^(1+q+...+q^(l-1))
-    beta_pows = [list(beta)]
-    a_pows = [[1] * g]
-    for _ in range(1, k):
-        beta_pows.append([tower.frobenius(b, 1) for b in beta_pows[-1]])
-        a_pows.append([top.mul(tower.frobenius(x, 1), ai)
-                       for x, ai in zip(a_pows[-1], a)])
-    rows = []
-    for l in range(k):
-        row = []
-        for i in range(g):
-            ae = a_pows[l][i]
-            row.extend(top.mul(b, ae) for b in beta_pows[l])
-        rows.append(row)
-    gmat = MatrixF(top, rows, cols=part.n)
+    gmat = frobenius_rows(tower, beta, a, k)
     return LrsCode(partition=part, k=k, a=a, beta=beta, generator=gmat)
+
+
+def frobenius_rows(tower: FieldTower, beta, a, k: int) -> MatrixF:
+    """The k x (len(a) len(beta)) matrix whose row l holds, in block i, the
+    entries beta_j^(q^l) * a_i^((q^l-1)/(q-1)) for every j."""
+    top = tower.top
+    rows = []
+    beta_l = list(beta)
+    a_l = [1] * len(a)
+    for l in range(k):
+        if l > 0:
+            beta_l = [tower.frobenius(x, 1) for x in beta_l]
+            a_l = [top.mul(tower.frobenius(x, 1), ai) for x, ai in zip(a_l, a)]
+        row = []
+        for ai in a_l:
+            row.extend(top.mul(x, ai) for x in beta_l)
+        rows.append(row)
+    return MatrixF(top, rows, cols=len(a) * len(beta))
 
 
 def _as_generator(code) -> MatrixF:

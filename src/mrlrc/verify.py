@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
-from .matrix import MatrixF, map_entries
-from .constructions import MrLrcCode, local_generator, plan_field
+from .matrix import MatrixF
+from .constructions import MrLrcCode, local_property_violations, plan_field
 from .topology import (
     Topology, enumerate_maximal_patterns, is_mr_correctable_pattern,
     per_group_maximal_sets,
@@ -67,7 +66,6 @@ class MrReport:
     ell_exact: int | None = None
     bound_values: dict | None = None
     prng: dict | None = None
-    wall_time: float = 0.0  # excluded from JSON to keep reports byte-stable
 
     @property
     def passed(self) -> bool:
@@ -100,35 +98,6 @@ def code_id(code: MrLrcCode) -> str:
             f"-k{code.k}-h{code.h}")
 
 
-def _local_property_failures(code: MrLrcCode) -> list[MrFailure]:
-    """Check d(C|_R) >= delta on every repair set via the local ingredients."""
-    topo = code.topo
-    tower = code.tower
-    out = []
-    if code.kind == "gen":
-        a_loc = local_generator(topo, "gen", tower.base)
-        a_emb = map_entries(a_loc, tower.top, tower.embed)
-        rank_a = a_emb.rank()
-        for i, sets in enumerate(topo.repair, start=1):
-            for j, rs in enumerate(sets, start=1):
-                sub = code.G.restrict_columns(sorted(rs))
-                stacked = MatrixF(tower.top, a_emb.data + sub.data)
-                if stacked.rank() != rank_a:
-                    out.append(MrFailure(tuple(sorted(rs)),
-                                         f"restriction to R_({i},{j}) leaves "
-                                         "the local MDS code"))
-    else:
-        a_prime = local_generator(topo, "pc2", tower.base)
-        a_t = map_entries(a_prime, tower.top, tower.embed).transpose()
-        for i, sets in enumerate(topo.repair, start=1):
-            for j, rs in enumerate(sets, start=1):
-                sub = code.G.restrict_columns(sorted(rs))
-                if not sub.mul(a_t).is_zero():
-                    out.append(MrFailure(tuple(sorted(rs)),
-                                         f"local parities violated on R_({i},{j})"))
-    return out
-
-
 def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                          pattern_cap: int = 10 ** 6,
                          check_local: bool = True,
@@ -147,7 +116,6 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     """
     if side not in ("generator", "parity"):
         raise ValueError("side must be 'generator' or 'parity'")
-    start = time.monotonic()
     topo = code.topo
     failures = []
     if not code.G.mul(code.H.transpose()).is_zero():
@@ -157,15 +125,15 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     if code.H.rank() != code.n - code.k:
         failures.append(MrFailure((), f"rank(H) != n - k = {code.n - code.k}"))
     if check_local:
-        failures.extend(_local_property_failures(code))
+        failures.extend(MrFailure(rs, detail)
+                        for rs, detail in local_property_violations(code))
     g_mat, h_mat = code.G, code.H
     n = topo.n
     checked = 0
     if failures and fail_fast:
         return MrReport(code_id=code_id(code), mode="exhaustive",
                         patterns_checked=0, failures=failures,
-                        bound_values=_bound_row(code),
-                        wall_time=time.monotonic() - start)
+                        bound_values=_bound_row(code))
     for pat in enumerate_maximal_patterns(topo, cap=pattern_cap):
         checked += 1
         erased = set(pat.coords)
@@ -193,11 +161,9 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                     break
         if failures and fail_fast:
             break
-    report = MrReport(code_id=code_id(code), mode="exhaustive",
-                      patterns_checked=checked, failures=failures,
-                      bound_values=_bound_row(code),
-                      wall_time=time.monotonic() - start)
-    return report
+    return MrReport(code_id=code_id(code), mode="exhaustive",
+                    patterns_checked=checked, failures=failures,
+                    bound_values=_bound_row(code))
 
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
@@ -205,7 +171,6 @@ def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     most h extra erasures; checks rank(H|_E) = |E|."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    start = time.monotonic()
     topo = code.topo
     rng = Xoshiro256(seed)
     per_group = per_group_maximal_sets(topo)
@@ -227,8 +192,7 @@ def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     return MrReport(code_id=code_id(code), mode="sampled",
                     patterns_checked=trials, failures=failures,
                     bound_values=_bound_row(code),
-                    prng={"algorithm": ALGORITHM, "seed": seed},
-                    wall_time=time.monotonic() - start)
+                    prng={"algorithm": ALGORITHM, "seed": seed})
 
 
 def _bound_row(code: MrLrcCode) -> dict:
@@ -277,11 +241,13 @@ def decode_erasures(code: MrLrcCode, word):
         if any(rhs):
             raise InvalidInput("word is not a codeword")
         return tuple(word)
-    sub = h_mat.restrict_columns(erased)
-    if sub.rank() < len(erased):
+    if len(erased) > h_mat.rows:
         return None
+    sub = h_mat.restrict_columns(erased)
     x = sub.solve_unique(rhs)
     if x is None:
+        if sub.rank() < len(erased):
+            return None
         raise InvalidInput("unerased symbols are inconsistent with the code")
     for pos, v in zip(erased, x):
         word[pos - 1] = v

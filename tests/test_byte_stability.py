@@ -1,0 +1,84 @@
+"""Byte-stability gate: the artifacts of the five reference codes of
+scripts/build_verify_simulate.py hash to recorded SHA-256 digests.
+
+The determinism tests compare two runs of the same code; this one pins
+the bytes across changes to the library.  Rank, determinant, reduced
+echelon form and unique solutions do not depend on how elimination is
+carried out, so a refactor that moves any digest has changed a result.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from mrlrc.constructions import write_bundle
+from mrlrc.simulate import SimConfig, run_simulation
+from mrlrc.verify import code_id, verify_mr_exhaustive
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_verify_simulate.py"
+_spec = importlib.util.spec_from_file_location("build_verify_simulate", SCRIPT)
+bvs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bvs)
+
+# "verify" is the report of both exhaustive routes, which serialize alike;
+# "simulate" is 1000 adversarial_maximal trials at seed 2024
+DIGESTS = {
+    "gen-r2-d2-t1-g2-N2-k5-h1": {
+        "bundle.json": "be986ee0f9993081c79a7c0247ecdeae10aba0a71b54659c15f1d935cb7d9b6f",
+        "bundle.G.srmat": "991d75c66c34162b545dcc57bc13ece4802533efe40d9ae5e32678c2b6d1dbab",
+        "bundle.H.srmat": "ddc80c4c834a7d4c4736de5cc94387d57979f03214b3708217c6bc1d39857caf",
+        "verify": "87dc696a8b7f393225ae14203621e5c8a1dfbfb199296bb719658f263414ed6c",
+        "simulate": "4f51adb64fe39c2aab907cc2a769d926a01ab5a76dcfce69d17a03bb1c68cc2d",
+    },
+    "gen-r2-d3-t1-g2-N1-k3-h1": {
+        "bundle.json": "c0aa709f8f18cad59da96a3fec4602d4c463f62d110bb3435c4fc70cd9e1b212",
+        "bundle.G.srmat": "fbf33c88a2387d91095fed18616aaffbcd0efad2c43a8acd71671413071c84a4",
+        "bundle.H.srmat": "4ce3954902abb7230279902a05bfed368c88ccdd26252250fc83a8048d674a94",
+        "verify": "bc13ab8407428312e21ea7bcb055edab95eae9de6f6374df3cb5b364952e8c4c",
+        "simulate": "1e54516be1211076d3ff7f1bf57dbf78c2d86d2b1cced0f35fb2b459157f0810",
+    },
+    "gen-r3-d2-t2-g2-N2-k6-h2": {
+        "bundle.json": "26aa4eccc9b38c8251250d41e1b79833fe7f74320798df8158330364b0acd2c3",
+        "bundle.G.srmat": "c6ac53bf5d0ceafecd54773c3a770f52eb28ec9387fd202a656e87778b17f9f1",
+        "bundle.H.srmat": "068c7938edb8ff313dcc57d31fe529d518ae25028f3211e3ca528a11b8ef7a4d",
+        "verify": "393c369b88289326f1ca1334e6300a1153b80f397882e34edb87b7f01ac903c1",
+        "simulate": "26d22958a7f691d434e62aa024b4186a6be87fceb5092cc89828705d5ab22bc9",
+    },
+    "pc1-r2-d2-t1-g2-N2-k4-h2": {
+        "bundle.json": "872b20b629a2fa262c6cf9b5aee4473357d12856d74aadde2fae31b428ead056",
+        "bundle.G.srmat": "ac454a96887c75bc37bf9ced02bec2e2c187c64a7d7b42d5263d726d278d40bf",
+        "bundle.H.srmat": "5507641355885416acd0faea426e95e3cf911bdf2450ef69c9111a16905c4eb8",
+        "verify": "3b90e1ff201a9c31af485eac43f5cf1d709fa51ccf51a221157e3033f27d7632",
+        "simulate": "8719de78c905d24db4cb9d57cd3a5efb41d6d46ba47ce2c07b0716e449c5f1b2",
+    },
+    "pc2-r2-d2-t1-g2-N1-k3-h1": {
+        "bundle.json": "5841fcf652d88a37541097add961610d744443af0c2c249bf5454859aed3b87d",
+        "bundle.G.srmat": "5dfe0dc1849fb2adb5b19f41ac48abbdef45def449841fca5da3cb788fb2e0e7",
+        "bundle.H.srmat": "01175026867186bd22c7a96290244563e300dc1d168017fbd231d1254d73808e",
+        "verify": "9c38b4a95a2c4a77898c2fcf7677a053f61917e8c3ee1af0cd3d038bd66cfb70",
+        "simulate": "0db66d3219fb9673abdcf341d8e0a42c822927fc4cc6dbea41044a9ac063676d",
+    },
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("spec", bvs.REFERENCE_CODES,
+                         ids=[f"{k}{p}" for k, p, _ in bvs.REFERENCE_CODES])
+def test_reference_artifacts_match_recorded_digests(spec, tmp_path):
+    code = bvs.build(*spec)
+    expected = DIGESTS[code_id(code)]
+    write_bundle(code, tmp_path)
+    got = {name: sha256((tmp_path / name).read_bytes())
+           for name in ("bundle.json", "bundle.G.srmat", "bundle.H.srmat")}
+    for side in ("generator", "parity"):
+        got["verify"] = sha256(verify_mr_exhaustive(code, side=side).to_json().encode())
+        assert got["verify"] == expected["verify"], side
+    sim = run_simulation(code, SimConfig(trials=1000, model="adversarial_maximal",
+                                         seed=2024))
+    got["simulate"] = sha256(sim.to_json().encode())
+    assert got == expected

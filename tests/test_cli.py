@@ -105,6 +105,22 @@ def test_encode_message_length_checked(bundle, tmp_path):
     assert main(["encode", str(bundle), str(msg)]) == 1
 
 
+def test_encode_non_integer_symbol_is_usage_error(bundle, tmp_path, capsys):
+    msg = tmp_path / "msg.txt"
+    msg.write_text("1 2 x 4 5\n")
+    assert main(["encode", str(bundle), str(msg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x'" in err
+
+
+def test_decode_non_integer_symbol_is_usage_error(bundle, tmp_path, capsys):
+    word = tmp_path / "word.txt"
+    word.write_text("? ? 1.5 0 0 0 0 0 0 0\n")
+    assert main(["decode", str(bundle), str(word)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'1.5'" in err
+
+
 def test_simulate_report(bundle, tmp_path, capsys):
     rep = tmp_path / "sim.json"
     rc = main(["simulate", str(bundle), "--trials", "100", "--seed", "7",

@@ -125,6 +125,28 @@ def test_tower_embed_is_homomorphism():
         assert t.embed(1) == 1
 
 
+@pytest.mark.parametrize("p,s,m", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2),
+                                   (2, 2, 4), (3, 1, 3)])
+def test_subfield_elements_match_brute_force(p, s, m):
+    t = make_tower(p, s, m)
+    fixed = [x for x in t.top.elements() if t.top.pow(x, t.q) == x]
+    assert sorted(t._subfield_elements()) == fixed
+
+
+def test_subfield_of_generic_top_field():
+    # GF(4) <= GF(2^20): the top field has no tables, so the embedding
+    # root comes from the Frobenius fixed space
+    t = make_tower(2, 2, 10)
+    sub = t._subfield_elements()
+    assert len(set(sub)) == t.q == 4
+    assert all(t.frobenius(x) == x for x in sub)
+    assert {t.embed(a) for a in t.base.elements()} == set(sub)
+    for a in t.base.elements():
+        for b in t.base.elements():
+            assert t.embed(t.base.mul(a, b)) == t.top.mul(t.embed(a), t.embed(b))
+            assert t.embed(t.base.add(a, b)) == t.top.add(t.embed(a), t.embed(b))
+
+
 def test_gf9_in_gf81_generator_order():
     t = make_tower(3, 2, 2)
     img = t.embed(t.base.primitive)

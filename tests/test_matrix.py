@@ -1,5 +1,6 @@
 """Exact dense linear algebra over field contexts."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ F2 = field_ctx(2)
 F3 = field_ctx(3)
 F4 = field_ctx(2, 2)
 F9 = field_ctx(3, 2)
+F25 = field_ctx(5, 2)
 
 
 def random_matrix(ctx, rows, cols, rnd):
@@ -150,6 +152,47 @@ def test_det_matches_rank():
         n = rnd.randrange(1, 5)
         m = random_matrix(F4, n, n, rnd)
         assert (m.det() != 0) == (m.rank() == n)
+
+
+def leibniz_det(ctx, rows):
+    """Sum over permutations of the signed products: the elimination-free oracle."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = ctx.mul(term, rows[i][j])
+        odd = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2)) % 2
+        total = ctx.add(total, ctx.neg(term) if odd else term)
+    return total
+
+
+def sparse_matrix(ctx, n, rnd):
+    # zeros on half the entries force row swaps and singular matrices
+    return MatrixF(ctx, [[rnd.randrange(ctx.order) if rnd.random() < 0.5 else 0
+                          for _ in range(n)] for _ in range(n)], cols=n)
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F25], ids=repr)
+def test_det_matches_leibniz(ctx):
+    # odd characteristic: neg is not the identity, so a lost swap sign shows
+    rnd = random.Random(ctx.order)
+    for n in range(5):
+        for _ in range(40):
+            m = (sparse_matrix(ctx, n, rnd) if rnd.random() < 0.5
+                 else random_matrix(ctx, n, n, rnd) if n else MatrixF.zeros(ctx, 0, 0))
+            assert m.det() == leibniz_det(ctx, m.data)
+    swap = MatrixF(ctx, [[0, 1], [1, 0]])
+    assert swap.det() == ctx.neg(1) != 1
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F25], ids=repr)
+def test_det_is_multiplicative(ctx):
+    rnd = random.Random(7 * ctx.order)
+    for _ in range(60):
+        n = rnd.randrange(1, 5)
+        a, b = sparse_matrix(ctx, n, rnd), random_matrix(ctx, n, n, rnd)
+        assert a.mul(b).det() == ctx.mul(a.det(), b.det())
 
 
 def test_mul_shapes_and_mixed_fields():

@@ -89,6 +89,16 @@ def test_decode_rejects_non_codeword(gen_code):
         decode_erasures(gen_code, cw)
 
 
+def test_decode_rejects_inconsistent_kept_symbols(gen_code):
+    # the erased set is decodable, but no codeword has these kept symbols
+    from mrlrc.constructions import encode
+
+    cw = list(encode(gen_code, (1, 2, 3, 4, 5)))
+    cw[-1] = (cw[-1] + 1) % 27
+    with pytest.raises(InvalidInput):
+        decode_erasures(gen_code, [None] + cw[1:])
+
+
 def test_decode_single_repair_set_erasure(gen_code):
     from mrlrc.constructions import encode
 
