@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _topology_args(sub, with_mode: bool = False):
+def _topology_args(sub):
     sub.add_argument("--r", type=int, required=True, help="locality")
     sub.add_argument("--delta", type=int, required=True,
                      help="local distance parameter")

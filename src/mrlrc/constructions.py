@@ -4,7 +4,11 @@ the MRLRC v1 bundle format.
 All three constructions share the same skeleton: a small field GF(q) with
 q >= max{g+1, r+delta-1} supplies the local MDS codes, and an extension
 GF(q^m) supplies the sum-rank-metric outer ingredient built from
-norm-distinct units a_1..a_g and Frobenius powers.
+norm-distinct units a_1..a_g and Frobenius powers.  Each kind places the
+rows of a banded local generator on a group, contracts the columns of one
+GF(q) matrix against the polynomial basis of GF(q^m) into elements
+gamma_c, and takes every global row from the Frobenius rows
+gamma_c^(q^l) a_i^((q^l-1)/(q-1)).
 
   kind "gen":  generator-side.  An outer linearized RS code of dimension
                k over the partition (g, t+N(r-t)) is expanded by the
@@ -16,7 +20,12 @@ norm-distinct units a_1..a_g and Frobenius powers.
                set, built from A = [I_t B; 0 C; 0 D] with the top
                delta-1 rows spanning an MDS code) are stacked over heavy
                rows (G_1 Q | ... | G_g Q), with (G_i) an h-dimensional
-               linearized RS generator for the partition (g, hN).
+               linearized RS generator for the partition (g, hN) and Q
+               the D band placed on the repair segments.  The heavy block
+               is computed as the Frobenius rows of Q's contracted
+               columns gamma_c = sum_j beta_j Q[j, c]: x -> x^(q^l) is
+               GF(q)-linear and Q has entries in GF(q), so
+               (G_i Q)[l, c] = a_i^((q^l-1)/(q-1)) gamma_c^(q^l).
                Extension degree m = hN; requires h <= r.
 
   kind "pc2":  parity-check side with an l-wise independent set.  Local
@@ -45,8 +54,8 @@ from math import comb
 
 from .ff import FieldTower, make_tower, is_prime_power, next_prime_power
 from .matrix import MatrixF, RankDeficient, block_diag, map_entries, read_srmat, write_srmat
-from .localmds import MdsSpec, band_rows, structured_mds, vandermonde_columns
-from .sumrank import SumRankPartition, frobenius_rows, lrs_generator
+from .localmds import MdsSpec, structured_mds, vandermonde_columns
+from .sumrank import frobenius_rows
 from .topology import Topology, heavy_parity_count, make_topology
 
 KINDS = ("gen", "pc1", "pc2")
@@ -174,18 +183,14 @@ class MrLrcCode:
         return MatrixF(self.H.ctx, self.H.data[:rows], cols=self.H.cols)
 
 
-def generator_from_parity(h_mat: MatrixF) -> MatrixF:
-    """Basis of the right kernel, transposed: G with G H^T = 0."""
-    if h_mat.rank() != h_mat.rows:
-        raise RankDeficient("parity-check matrix must have full row rank")
-    return h_mat.right_kernel().transpose()
+def dual_matrix(mat: MatrixF) -> MatrixF:
+    """Basis of the dual code, one codeword per row: M' with M M'^T = 0.
 
-
-def parity_from_generator(g_mat: MatrixF) -> MatrixF:
-    """Parity-check of the code generated by g_mat (full-rank input)."""
-    if g_mat.rank() != g_mat.rows:
-        raise RankDeficient("generator matrix must have full row rank")
-    return g_mat.right_kernel().transpose()
+    Turns a parity-check matrix into a generator and back; the input must
+    have full row rank."""
+    if mat.rank() != mat.rows:
+        raise RankDeficient("matrix must have full row rank")
+    return mat.right_kernel().transpose()
 
 
 def local_generator(topo: Topology, kind: str, ctx) -> MatrixF:
@@ -205,27 +210,30 @@ def _pc1_local(topo: Topology, h: int, ctx) -> MatrixF:
                           (t, delta - 1 - t, h), check_prefix=delta - 1)
 
 
-def _local_parity_block(topo: Topology, b: MatrixF, c: MatrixF) -> MatrixF:
-    """P_0: N(delta-1) x (t + N seg) over GF(q), one band per repair set.
+def _place(topo: Topology, band, segment_sets) -> list[list[int]]:
+    """Lay rows of a banded local generator over one group of width t + N seg.
 
-    Band j enforces the A' = [I_t B; 0 C] parities on repair set R_(i,j):
-    rows [I_t | 0 .. B at segment j .. 0] and [0 | 0 .. C at segment j .. 0].
+    For each set of repair segments (0-based j) in turn, every row of band
+    gives one row: its first t entries on the core T, its last seg entries
+    on each segment of the set, zeros elsewhere.  Builds gen's D (B rows on
+    all segments at once, C rows one segment at a time), P_0 and pc1's Q.
     """
-    ctx = b.ctx
-    t, N, seg = topo.t, topo.N, topo.seg
-    width = topo.group_width
-    rows = []
-    for j in range(N):
-        for local_row in range(t):
-            row = [0] * width
-            row[local_row] = 1
-            row[t + j * seg:t + (j + 1) * seg] = b.data[local_row]
-            rows.append(row)
-        for local_row in range(c.rows):
-            row = [0] * width
-            row[t + j * seg:t + (j + 1) * seg] = c.data[local_row]
-            rows.append(row)
-    return MatrixF(ctx, rows, cols=width)
+    t, seg = topo.t, topo.seg
+    out = []
+    for segments in segment_sets:
+        for src in band:
+            row = [0] * topo.group_width
+            row[:t] = src[:t]
+            for j in segments:
+                row[t + j * seg:t + (j + 1) * seg] = src[t:]
+            out.append(row)
+    return out
+
+
+def _contract(tower: FieldTower, columns) -> tuple:
+    """The GF(q^m) elements whose polynomial-basis coordinates are the
+    given GF(q) columns."""
+    return tuple(tower.from_base_coords(col) for col in columns)
 
 
 def _check_code(code: MrLrcCode) -> None:
@@ -278,85 +286,50 @@ def construct_gen(topo: Topology, k: int) -> MrLrcCode:
     plan = plan_field(topo, "gen", k=k)
     h = heavy_parity_count(topo, k)
     tower = make_tower(plan.p, plan.s, plan.m)
-    base, top = tower.base, tower.top
-    t, N, seg = topo.t, topo.N, topo.seg
-    a_loc = local_generator(topo, "gen", base)
-    b, c = band_rows(a_loc, (t, topo.r - t))
-    b_cols = [row[t:] for row in b.data]
-    c_cols = [row[t:] for row in c.data]
+    t, r, N = topo.t, topo.r, topo.N
+    a_loc = local_generator(topo, "gen", tower.base).data
     # D: [I_t | B B .. B] over [0 | diag(C, .., C)]
-    width = topo.group_width
-    d_rows = []
-    for i in range(t):
-        row = [0] * width
-        row[i] = 1
-        for j in range(N):
-            row[t + j * seg:t + (j + 1) * seg] = b_cols[i]
-        d_rows.append(row)
-    for j in range(N):
-        for i in range(topo.r - t):
-            row = [0] * width
-            row[t + j * seg:t + (j + 1) * seg] = c_cols[i]
-            d_rows.append(row)
-    d_mat = MatrixF(base, d_rows, cols=width)
-    beta = tower.polynomial_basis
-    gamma = tuple(
-        tower.from_base_coords(d_mat.column(cidx)) for cidx in range(width)
-    )
+    d_rows = (_place(topo, a_loc[:t], [range(N)])
+              + _place(topo, a_loc[t:r], [(j,) for j in range(N)]))
     a = tower.distinct_norm_elements(topo.g)
-    g_mat = frobenius_rows(tower, gamma, a, k)
-    h_mat = parity_from_generator(g_mat) if k else MatrixF.identity(top, topo.n)
+    g_mat = frobenius_rows(tower, _contract(tower, zip(*d_rows)), a, k)
+    h_mat = dual_matrix(g_mat) if k else MatrixF.identity(tower.top, topo.n)
     code = MrLrcCode(topo=topo, kind="gen", tower=tower, k=k, h=h,
-                     G=g_mat, H=h_mat, a=a, beta=beta, plan=plan)
+                     G=g_mat, H=h_mat, a=a, beta=tower.polynomial_basis,
+                     plan=plan)
+    _check_code(code)
+    return code
+
+
+def _parity_check_code(topo: Topology, plan: FieldPlan, tower: FieldTower,
+                       h: int, a_loc, gamma, beta) -> MrLrcCode:
+    """pc1/pc2 assembly: H is diag(P_0, .., P_0) over the h Frobenius rows
+    of gamma, where P_0 places the top delta-1 rows of a_loc on each
+    repair segment; G is its dual."""
+    embed = tower.embed
+    p0 = _place(topo, a_loc[:topo.delta - 1], [(j,) for j in range(topo.N)])
+    p_emb = MatrixF(tower.top, [[embed(v) for v in row] for row in p0])
+    a = tower.distinct_norm_elements(topo.g)
+    h_mat = block_diag([p_emb] * topo.g).vstack(frobenius_rows(tower, gamma, a, h))
+    code = MrLrcCode(topo=topo, kind=plan.kind, tower=tower,
+                     k=topo.max_dimension() - h, h=h, G=dual_matrix(h_mat),
+                     H=h_mat, a=a, beta=beta, plan=plan, ell=plan.ell)
     _check_code(code)
     return code
 
 
 def construct_pc1(topo: Topology, h: int) -> MrLrcCode:
-    """First parity-check construction; k = g(t+N(r-t)) - h, requires h <= r."""
+    """First parity-check construction; k = g(t+N(r-t)) - h, requires h <= r.
+
+    The heavy rows (G_1 Q | .. | G_g Q) are the Frobenius rows of Q's
+    contracted columns (see the module docstring)."""
     plan = plan_field(topo, "pc1", h=h)
-    k = topo.max_dimension() - h
     tower = make_tower(plan.p, plan.s, plan.m)
-    base, top = tower.base, tower.top
-    t, N, seg, delta = topo.t, topo.N, topo.seg, topo.delta
-    a_loc = _pc1_local(topo, h, base)
-    b, c, d = band_rows(a_loc, (t, delta - 1 - t, h))
-    b_strip = MatrixF(base, [row[t:] for row in b.data], cols=seg)
-    c_strip = MatrixF(base, [row[t:] for row in c.data], cols=seg)
-    d_strip = MatrixF(base, [row[t:] for row in d.data], cols=seg)
-    p0 = _local_parity_block(topo, b_strip, c_strip)
-    width = topo.group_width
-    q_rows = []
-    for j in range(N):
-        for i in range(h):
-            row = [0] * width
-            row[t + j * seg:t + (j + 1) * seg] = d_strip.data[i]
-            q_rows.append(row)
-    q_mat = MatrixF(base, q_rows, cols=width)
-    p_emb = map_entries(p0, top, tower.embed)
-    q_emb = map_entries(q_mat, top, tower.embed)
-    if h:
-        part = SumRankPartition(tower, topo.g, h * N)
-        lrs = lrs_generator(part, h)
-        a, beta = lrs.a, lrs.beta
-        heavy_blocks = []
-        for i in range(topo.g):
-            gi = lrs.generator.restrict_columns(
-                range(i * h * N + 1, (i + 1) * h * N + 1))
-            heavy_blocks.append(gi.mul(q_emb))
-        heavy = heavy_blocks[0]
-        for blk in heavy_blocks[1:]:
-            heavy = heavy.hstack(blk)
-        h_mat = block_diag([p_emb] * topo.g).vstack(heavy)
-    else:
-        a = tower.distinct_norm_elements(topo.g)
-        beta = ()
-        h_mat = block_diag([p_emb] * topo.g)
-    g_mat = generator_from_parity(h_mat)
-    code = MrLrcCode(topo=topo, kind="pc1", tower=tower, k=k, h=h,
-                     G=g_mat, H=h_mat, a=a, beta=beta, plan=plan)
-    _check_code(code)
-    return code
+    a_loc = _pc1_local(topo, h, tower.base).data
+    q_rows = _place(topo, a_loc[topo.delta - 1:], [(j,) for j in range(topo.N)])
+    beta = tower.polynomial_basis if h else ()
+    return _parity_check_code(topo, plan, tower, h, a_loc,
+                              _contract(tower, zip(*q_rows)), beta)
 
 
 def construct_pc2(topo: Topology, h: int) -> MrLrcCode:
@@ -368,41 +341,16 @@ def construct_pc2(topo: Topology, h: int) -> MrLrcCode:
     contracting against the polynomial basis of GF(q^m), m = s*l.
     """
     plan = plan_field(topo, "pc2", h=h)
-    k = topo.max_dimension() - h
     tower = make_tower(plan.p, plan.s, plan.m)
-    base, top = tower.base, tower.top
-    t, delta = topo.t, topo.delta
-    width = topo.group_width
-    ell, sub_s = plan.ell, plan.sub_s
-    a_loc = local_generator(topo, "pc2", base)
-    b, c = band_rows(a_loc, (t, delta - 1 - t))
-    b_strip = MatrixF(base, [row[t:] for row in b.data], cols=topo.seg)
-    c_strip = MatrixF(base, [row[t:] for row in c.data], cols=topo.seg)
-    p0 = _local_parity_block(topo, b_strip, c_strip)
-    p_emb = map_entries(p0, top, tower.embed)
+    a_loc = local_generator(topo, "pc2", tower.base).data
     # tall RS evaluation matrix over GF(q^sub_s): any min(ell, n/g) columns
-    # are independent; expand its entries column-wise into GF(q) rows
-    sub_tower = make_tower(plan.p, plan.s, sub_s)
-    h_tilde = vandermonde_columns(sub_tower.top, ell, width)
-    expanded_rows = [[0] * width for _ in range(sub_s * ell)]
-    for i in range(ell):
-        for j in range(width):
-            for u, coord in enumerate(sub_tower.base_coords(h_tilde[i, j])):
-                expanded_rows[i * sub_s + u][j] = coord
-    alpha = tower.polynomial_basis  # m = sub_s * ell elements
-    beta = tuple(
-        tower.from_base_coords([expanded_rows[v][j] for v in range(sub_s * ell)])
-        for j in range(width)
-    )
-    a = tower.distinct_norm_elements(topo.g)
-    heavy = frobenius_rows(tower, beta, a, h)
-    h_mat = block_diag([p_emb] * topo.g)
-    if h:
-        h_mat = h_mat.vstack(heavy)
-    g_mat = generator_from_parity(h_mat)
-    code = MrLrcCode(topo=topo, kind="pc2", tower=tower, k=k, h=h,
-                     G=g_mat, H=h_mat, a=a, beta=beta, plan=plan, ell=ell)
-    _check_code(code)
+    # are independent; each column expands into GF(q) coordinates
+    sub_tower = make_tower(plan.p, plan.s, plan.sub_s)
+    h_tilde = vandermonde_columns(sub_tower.top, plan.ell, topo.group_width)
+    beta = _contract(tower, (
+        [c for x in h_tilde.column(j) for c in sub_tower.base_coords(x)]
+        for j in range(topo.group_width)))
+    code = _parity_check_code(topo, plan, tower, h, a_loc, beta, beta)
     _check_ell_wise_independent(code)
     return code
 
@@ -546,7 +494,7 @@ def read_bundle(path) -> MrLrcCode:
     h_mat = read_srmat(os.path.join(base_dir, doc["matrices"]["H"]))
     g_path = doc["matrices"].get("G")
     g_mat = (read_srmat(os.path.join(base_dir, g_path)) if g_path
-             else generator_from_parity(h_mat))
+             else dual_matrix(h_mat))
     if g_mat.ctx != tower.top or h_mat.ctx != tower.top:
         raise ValueError("matrix field does not match the bundle tower")
     n = topo.n

@@ -197,7 +197,7 @@ class FieldCtx:
         "_exp", "_log", "_zech", "_neg", "_primitive",
     )
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if e < 1:
@@ -207,9 +207,7 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.order = p ** e
-        self.modulus = least_irreducible(p, e) if modulus is None else modulus
-        if len(self.modulus) != e + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
+        self.modulus = least_irreducible(p, e)
         self._exp = self._log = self._zech = self._neg = None
         self._primitive = None
         if self.order <= LOG_TABLE_LIMIT:
@@ -309,9 +307,6 @@ class FieldCtx:
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         """a^n by square-and-multiply; n must be a non-negative integer."""

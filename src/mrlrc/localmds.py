@@ -1,6 +1,6 @@
-"""Local MDS ingredient codes: extended Reed-Solomon generators and the
-structured band shapes [I_t B; 0 C] and [I_t B; 0 C; 0 D] that the global
-constructions consume.
+"""Local MDS ingredient codes: extended Reed-Solomon generators and their
+banded forms [I_t B; 0 C] and [I_t B; 0 C; 0 D], whose rows the global
+constructions place on each group.
 
 The canonical generator of the (n, k) extended Reed-Solomon code is the
 k x n matrix whose column at the field point x is (1, x, x^2, ..., x^(k-1));
@@ -106,8 +106,8 @@ def structured_mds(spec: MdsSpec, t: int, split: tuple[int, ...],
 
     The result is row-equivalent to extended_rs_generator(spec) and has
     first t columns equal to [I_t; 0].  split gives the row-band sizes
-    (first band >= t); bands below the first are read off as the C / D
-    blocks of the global constructions.
+    (first band >= t) and must partition k_loc; the rows of the bands below
+    the first are the C / D rows of the global constructions.
 
     The row reduction pivots only on the first t rows, so the span of any
     prefix of rows is the corresponding lower-degree RS subcode.  When
@@ -133,12 +133,3 @@ def structured_mds(spec: MdsSpec, t: int, split: tuple[int, ...],
                 f"top {check_prefix} rows do not span an MDS code")
     return a
 
-
-def band_rows(a: MatrixF, split: tuple[int, ...]) -> list[MatrixF]:
-    """Slice a banded generator into its row bands."""
-    out = []
-    r0 = 0
-    for size in split:
-        out.append(MatrixF(a.ctx, a.data[r0:r0 + size], cols=a.cols))
-        r0 += size
-    return out

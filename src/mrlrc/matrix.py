@@ -75,14 +75,6 @@ class MatrixF:
     def identity(ctx: FieldCtx, n: int) -> "MatrixF":
         return MatrixF(ctx, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def row_vector(ctx: FieldCtx, values) -> "MatrixF":
-        return MatrixF(ctx, [tuple(values)])
-
-    @staticmethod
-    def column_vector(ctx: FieldCtx, values) -> "MatrixF":
-        return MatrixF(ctx, [(v,) for v in values])
-
     # -- basics
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -135,21 +127,6 @@ class MatrixF:
                 out_r.append(acc)
             out.append(out_r)
         return MatrixF(ctx, out, cols=other.cols)
-
-    def scale(self, c: int) -> "MatrixF":
-        mul = self.ctx.mul
-        return MatrixF(self.ctx, [[mul(c, v) for v in r] for r in self.data])
-
-    def add(self, other: "MatrixF") -> "MatrixF":
-        if self.ctx != other.ctx:
-            raise MixedFields("matrix sum over different fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in sum")
-        add = self.ctx.add
-        return MatrixF(self.ctx, [
-            [add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ])
 
     def vstack(self, other: "MatrixF") -> "MatrixF":
         if self.ctx != other.ctx:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .constructions import MrLrcCode
 from .rng import ALGORITHM, Xoshiro256
-from .topology import per_group_maximal_sets
+from .topology import draw_maximal_pattern, group_witnesses, per_group_maximal_sets
 from .verify import decode_erasures
 
 MODELS = ("uniform_nodes", "per_group_burst", "adversarial_maximal")
@@ -104,50 +104,34 @@ class SimReport:
 def _draw_pattern(code: MrLrcCode, cfg: SimConfig, rng: Xoshiro256,
                   per_group) -> set:
     topo = code.topo
-    n = topo.n
     if cfg.model == "uniform_nodes":
-        return set(rng.sample(range(1, n + 1), min(cfg.failures, n)))
+        return set(rng.sample(range(1, topo.n + 1), cfg.failures))
     if cfg.model == "per_group_burst":
         out = set()
         for i in range(topo.g):
             j = rng.randrange(topo.N)
             out.update(rng.sample(sorted(topo.repair[i][j]), topo.delta - 1))
         return out
-    # adversarial_maximal
-    out = set()
-    width = topo.group_width
-    for i in range(topo.g):
-        cs, _w = per_group[rng.randrange(len(per_group))]
-        out.update(c + i * width for c in cs)
     cap = code.h if cfg.extra is None else cfg.extra
-    extra = rng.randrange(cap + 1)
-    if extra:
-        rest = [c for c in range(1, n + 1) if c not in out]
-        out.update(rng.sample(rest, min(extra, len(rest))))
-    return out
+    return draw_maximal_pattern(topo, per_group, cap, rng)
 
 
 def _local_repair(code: MrLrcCode, erased: set):
     """(fully_repaired, reads, repaired, parallel_width) of the local phase."""
     topo = code.topo
-    r, d1 = topo.r, topo.delta - 1
+    r = topo.r
     reads = repaired = width = 0
     remaining = set(erased)
     for i in range(topo.g):
         group_erased = remaining & topo.groups[i]
         if not group_erased:
             continue
+        witnesses, _tight = group_witnesses(topo, i + 1, group_erased)
+        if not witnesses:
+            continue
+        witness = witnesses[0] - 1
         core = topo.cores[i]
         sets = topo.repair[i]
-        witness = None
-        for j in range(topo.N):
-            if len(group_erased & sets[j]) <= d1 and all(
-                    len((sets[l] - core) & group_erased) <= d1
-                    for l in range(topo.N) if l != j):
-                witness = j
-                break
-        if witness is None:
-            continue
         in_witness = group_erased & sets[witness]
         if in_witness:
             reads += r
@@ -168,6 +152,11 @@ def _local_repair(code: MrLrcCode, erased: set):
 
 
 def run_simulation(code: MrLrcCode, cfg: SimConfig) -> SimReport:
+    """Run cfg.trials seeded trials; raises ValueError when uniform_nodes
+    asks for more failures than the code has nodes."""
+    if cfg.model == "uniform_nodes" and cfg.failures > code.n:
+        raise ValueError(f"uniform_nodes needs failures <= n: "
+                         f"failures = {cfg.failures} > n = {code.n}")
     rng = Xoshiro256(cfg.seed)
     per_group = (per_group_maximal_sets(code.topo)
                  if cfg.model == "adversarial_maximal" else None)

@@ -170,24 +170,25 @@ def _validate_coords(topo: Topology, coords) -> frozenset:
     return e
 
 
-def _group_witnesses(topo: Topology, i: int, e: frozenset):
-    """(witnesses, tight_witnesses) for group i (1-based) of pattern e."""
+def group_witnesses(topo: Topology, i: int, e):
+    """(witnesses, tight_witnesses) for group i (1-based) of pattern e.
+
+    Both are lists of 1-based repair-set indices j; e is a set of
+    coordinates.  R_(i,j) is a witness when it holds at most delta-1
+    erasures and every other R_(i,l) holds at most delta-1 outside the
+    core; a repair set holds at least as many as its own part outside the
+    core, so one overloaded part leaves the group without witnesses.  The
+    group's erasures split into those of R_(i,j) and those of the other
+    parts, so a witness is tight (every inequality an equality) exactly
+    when the group holds N(delta-1) erasures: all witnesses or none are."""
     d1 = topo.delta - 1
-    core = topo.cores[i - 1]
-    sets = topo.repair[i - 1]
-    counts = [len(e & rs) for rs in sets]
-    out_counts = [len((rs - core) & e) for rs in sets]
-    witnesses, tight = [], []
-    for j in range(topo.N):
-        if counts[j] > d1:
-            continue
-        others = [out_counts[l] for l in range(topo.N) if l != j]
-        if any(c > d1 for c in others):
-            continue
-        witnesses.append(j + 1)
-        if counts[j] == d1 and all(c == d1 for c in others):
-            tight.append(j + 1)
-    return witnesses, tight
+    in_core = len(e & topo.cores[i - 1])
+    counts = [len(e & rs) for rs in topo.repair[i - 1]]
+    if max(counts) - in_core > d1:
+        return [], []
+    witnesses = [j for j, c in enumerate(counts, 1) if c <= d1]
+    in_group = sum(counts) - (topo.N - 1) * in_core
+    return witnesses, (witnesses if in_group == topo.N * d1 else [])
 
 
 def classify_pattern(topo: Topology, coords) -> PatternClass:
@@ -197,7 +198,7 @@ def classify_pattern(topo: Topology, coords) -> PatternClass:
     all_local = True
     all_tight = True
     for i in range(1, topo.g + 1):
-        witnesses, tight = _group_witnesses(topo, i, e)
+        witnesses, tight = group_witnesses(topo, i, e)
         if not witnesses:
             return PatternClass(False, False, None)
         all_tight = all_tight and bool(tight)
@@ -230,6 +231,24 @@ def per_group_maximal_sets(topo: Topology):
     return sorted(found.items())
 
 
+def draw_maximal_pattern(topo: Topology, per_group, cap: int, rng) -> set:
+    """A seeded maximal pattern plus up to cap extra erasures.
+
+    Each group takes an entry of per_group (per_group_maximal_sets(topo))
+    by rng.randrange; then rng.randrange(cap + 1) extra coordinates are
+    sampled from the rest of [n]."""
+    out = set()
+    width = topo.group_width
+    for i in range(topo.g):
+        cs, _w = per_group[rng.randrange(len(per_group))]
+        out.update(c + i * width for c in cs)
+    extra = rng.randrange(cap + 1)
+    if extra:
+        rest = [c for c in range(1, topo.n + 1) if c not in out]
+        out.update(rng.sample(rest, min(extra, len(rest))))
+    return out
+
+
 def count_maximal_patterns(topo: Topology) -> int:
     return len(per_group_maximal_sets(topo)) ** topo.g
 
@@ -256,12 +275,12 @@ def enumerate_maximal_patterns(topo: Topology, cap: int = DEFAULT_PATTERN_CAP):
 def _group_deficiency(topo: Topology, i: int, group_coords: frozenset,
                       budget: int) -> int | None:
     """Minimum removals making group i locally correctable, or None if > budget."""
-    if _group_witnesses(topo, i, group_coords)[0]:
+    if group_witnesses(topo, i, group_coords)[0]:
         return 0
     coords = sorted(group_coords)
     for size in range(1, min(len(coords), budget) + 1):
         for removal in itertools.combinations(coords, size):
-            if _group_witnesses(topo, i, group_coords - set(removal))[0]:
+            if group_witnesses(topo, i, group_coords - set(removal))[0]:
                 return size
     return None
 

@@ -26,7 +26,7 @@ from math import comb, floor
 from .matrix import MatrixF
 from .constructions import MrLrcCode, local_property_violations, plan_field
 from .topology import (
-    Topology, enumerate_maximal_patterns, is_mr_correctable_pattern,
+    Topology, draw_maximal_pattern, enumerate_maximal_patterns,
     per_group_maximal_sets,
 )
 from .rng import ALGORITHM, Xoshiro256
@@ -100,7 +100,6 @@ def code_id(code: MrLrcCode) -> str:
 
 def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                          pattern_cap: int = 10 ** 6,
-                         check_local: bool = True,
                          fail_fast: bool = False) -> MrReport:
     """Sweep every maximal locally correctable pattern.
 
@@ -110,9 +109,9 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     complement; equivalent, implemented as an independent route.
 
     The local-distance premise (d >= delta on every repair set) is checked
-    first unless check_local is False: the pattern criterion certifies
-    maximal recoverability only for codes that are LRCs of the stated
-    type.  With fail_fast the sweep stops at the first failure.
+    first: the pattern criterion certifies maximal recoverability only for
+    codes that are LRCs of the stated type.  With fail_fast the sweep
+    stops at the first failure.
     """
     if side not in ("generator", "parity"):
         raise ValueError("side must be 'generator' or 'parity'")
@@ -124,9 +123,8 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
         failures.append(MrFailure((), f"rank(G) != k = {code.k}"))
     if code.H.rank() != code.n - code.k:
         failures.append(MrFailure((), f"rank(H) != n - k = {code.n - code.k}"))
-    if check_local:
-        failures.extend(MrFailure(rs, detail)
-                        for rs, detail in local_property_violations(code))
+    failures.extend(MrFailure(rs, detail)
+                    for rs, detail in local_property_violations(code))
     g_mat, h_mat = code.G, code.H
     n = topo.n
     checked = 0
@@ -174,19 +172,10 @@ def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     topo = code.topo
     rng = Xoshiro256(seed)
     per_group = per_group_maximal_sets(topo)
-    width = topo.group_width
     h_mat = code.H
     failures = []
     for _ in range(trials):
-        coords = set()
-        for i in range(topo.g):
-            cs, _w = per_group[rng.randrange(len(per_group))]
-            coords.update(c + i * width for c in cs)
-        extra = rng.randrange(code.h + 1)
-        if extra:
-            rest = [c for c in range(1, topo.n + 1) if c not in coords]
-            coords.update(rng.sample(rest, extra))
-        coords = sorted(coords)
+        coords = sorted(draw_maximal_pattern(topo, per_group, code.h, rng))
         if h_mat.restrict_columns(coords).rank() != len(coords):
             failures.append(MrFailure(tuple(coords), "rank defect"))
     return MrReport(code_id=code_id(code), mode="sampled",
@@ -381,7 +370,7 @@ def _asymptotic(b: BoundInputs) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# cross-route helpers used by tests and the CLI
+# the field-size summary of the CLI and the comparison script
 
 
 def table1_row(topo: Topology, k: int | None = None, h: int | None = None) -> dict:
@@ -414,21 +403,3 @@ def table1_row(topo: Topology, k: int | None = None, h: int | None = None) -> di
                     N=topo.N, h=h)).to_json_dict()
     return row
 
-
-def decodable_patterns_agree(code: MrLrcCode, max_size: int | None = None) -> bool:
-    """Exhaustively cross-check: a pattern is decodable iff it splits into
-    a locally correctable part plus at most h extra erasures.
-
-    Both inclusions are tested; the pattern sizes range over all subsets
-    up to max_size (default n - k, beyond which nothing is decodable)."""
-    topo = code.topo
-    n = topo.n
-    limit = n - code.k if max_size is None else max_size
-    for size in range(0, n + 1):
-        for sel in itertools.combinations(range(1, n + 1), size):
-            claimed = is_mr_correctable_pattern(topo, code.h, sel)
-            decodable = (size <= limit and
-                         erasure_rank_defect(code, sel) == 0)
-            if claimed != decodable:
-                return False
-    return True

@@ -15,7 +15,7 @@ import pytest
 
 from mrlrc.constructions import write_bundle
 from mrlrc.simulate import SimConfig, run_simulation
-from mrlrc.verify import code_id, verify_mr_exhaustive
+from mrlrc.verify import code_id, verify_mr_exhaustive, verify_mr_sampled
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_verify_simulate.py"
 _spec = importlib.util.spec_from_file_location("build_verify_simulate", SCRIPT)
@@ -23,7 +23,9 @@ bvs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bvs)
 
 # "verify" is the report of both exhaustive routes, which serialize alike;
-# "simulate" is 1000 adversarial_maximal trials at seed 2024
+# "simulate" is 1000 adversarial_maximal trials at seed 2024; "sampled",
+# "uniform_nodes" (h + delta - 1 failures) and "per_group_burst" are 300
+# trials at seed 2024
 DIGESTS = {
     "gen-r2-d2-t1-g2-N2-k5-h1": {
         "bundle.json": "be986ee0f9993081c79a7c0247ecdeae10aba0a71b54659c15f1d935cb7d9b6f",
@@ -31,6 +33,9 @@ DIGESTS = {
         "bundle.H.srmat": "ddc80c4c834a7d4c4736de5cc94387d57979f03214b3708217c6bc1d39857caf",
         "verify": "87dc696a8b7f393225ae14203621e5c8a1dfbfb199296bb719658f263414ed6c",
         "simulate": "4f51adb64fe39c2aab907cc2a769d926a01ab5a76dcfce69d17a03bb1c68cc2d",
+        "sampled": "9dc48a87dfeb867fdcd5615db0af85ef5645a1915a205e73f6ee269d9110cd66",
+        "uniform_nodes": "f5d0df391f324e3ab79a31cd9d40a00999193ba3da216ad24b9e8bc15d69777e",
+        "per_group_burst": "2f5b84268fab11187d45f9c72efd7ac1c770fe364139a87f560c42033feb56c0",
     },
     "gen-r2-d3-t1-g2-N1-k3-h1": {
         "bundle.json": "c0aa709f8f18cad59da96a3fec4602d4c463f62d110bb3435c4fc70cd9e1b212",
@@ -38,6 +43,9 @@ DIGESTS = {
         "bundle.H.srmat": "4ce3954902abb7230279902a05bfed368c88ccdd26252250fc83a8048d674a94",
         "verify": "bc13ab8407428312e21ea7bcb055edab95eae9de6f6374df3cb5b364952e8c4c",
         "simulate": "1e54516be1211076d3ff7f1bf57dbf78c2d86d2b1cced0f35fb2b459157f0810",
+        "sampled": "b895ac210a3fda946150899a9ad877789629d51fe7cd8f5f9879fff95194dec7",
+        "uniform_nodes": "9eb065f9b207a34a30c397a5980ad2be414585d84d6b7ec9825cac657b48604e",
+        "per_group_burst": "01711ae2fafb3cc313245fb8ec0ec94ace197318d243273e0b43c4ffb3a9c04f",
     },
     "gen-r3-d2-t2-g2-N2-k6-h2": {
         "bundle.json": "26aa4eccc9b38c8251250d41e1b79833fe7f74320798df8158330364b0acd2c3",
@@ -45,6 +53,9 @@ DIGESTS = {
         "bundle.H.srmat": "068c7938edb8ff313dcc57d31fe529d518ae25028f3211e3ca528a11b8ef7a4d",
         "verify": "393c369b88289326f1ca1334e6300a1153b80f397882e34edb87b7f01ac903c1",
         "simulate": "26d22958a7f691d434e62aa024b4186a6be87fceb5092cc89828705d5ab22bc9",
+        "sampled": "fce953d66f3214fc54a681c27d5a65f1a72d79ff1eff2cce0ef0890f605fab38",
+        "uniform_nodes": "12225cafbd28e976502ae0e1a445833368eb509fdb444061a6f8299715939181",
+        "per_group_burst": "57de7dff55d0f947cb9f6a2ac348ac747428b97c8dd5e5a4ad28588db5197e7f",
     },
     "pc1-r2-d2-t1-g2-N2-k4-h2": {
         "bundle.json": "872b20b629a2fa262c6cf9b5aee4473357d12856d74aadde2fae31b428ead056",
@@ -52,6 +63,9 @@ DIGESTS = {
         "bundle.H.srmat": "5507641355885416acd0faea426e95e3cf911bdf2450ef69c9111a16905c4eb8",
         "verify": "3b90e1ff201a9c31af485eac43f5cf1d709fa51ccf51a221157e3033f27d7632",
         "simulate": "8719de78c905d24db4cb9d57cd3a5efb41d6d46ba47ce2c07b0716e449c5f1b2",
+        "sampled": "9793327c6acd5c6ab0e2fdf5746180cc0064310de43852dbcfff68800d26bcc2",
+        "uniform_nodes": "d62d321ff41f5c55e811cad61e5e8f281feac517d7f0e07da6ab451dd8dabd29",
+        "per_group_burst": "e130049e9779a989318bf0a04a4fffe67d07e22e9c71c7e49aaf54ea114e7fff",
     },
     "pc2-r2-d2-t1-g2-N1-k3-h1": {
         "bundle.json": "5841fcf652d88a37541097add961610d744443af0c2c249bf5454859aed3b87d",
@@ -59,6 +73,9 @@ DIGESTS = {
         "bundle.H.srmat": "01175026867186bd22c7a96290244563e300dc1d168017fbd231d1254d73808e",
         "verify": "9c38b4a95a2c4a77898c2fcf7677a053f61917e8c3ee1af0cd3d038bd66cfb70",
         "simulate": "0db66d3219fb9673abdcf341d8e0a42c822927fc4cc6dbea41044a9ac063676d",
+        "sampled": "1e39e2527140fbf90eced3f23bc2bdd87e86153648df94ca28ae6cd321c99935",
+        "uniform_nodes": "bb9d1fa337d06e347aa33af25199d642c381d06998c83e6d89c6189ab96f4b19",
+        "per_group_burst": "0ab612878b82bf983b3c475bcd68662abeb20b1b439ec4ec3a4cb659323140b0",
     },
 }
 
@@ -81,4 +98,10 @@ def test_reference_artifacts_match_recorded_digests(spec, tmp_path):
     sim = run_simulation(code, SimConfig(trials=1000, model="adversarial_maximal",
                                          seed=2024))
     got["simulate"] = sha256(sim.to_json().encode())
+    got["sampled"] = sha256(verify_mr_sampled(code, 300, 2024).to_json().encode())
+    for model in ("uniform_nodes", "per_group_burst"):
+        failures = code.h + code.topo.delta - 1 if model == "uniform_nodes" else None
+        rep = run_simulation(code, SimConfig(trials=300, model=model, seed=2024,
+                                             failures=failures))
+        got[model] = sha256(rep.to_json().encode())
     assert got == expected

@@ -140,6 +140,14 @@ def test_simulate_deterministic_bytes(bundle, tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_simulate_failures_beyond_n_is_usage_error(bundle, capsys):
+    rc = main(["simulate", str(bundle), "--trials", "5", "--model",
+               "uniform_nodes", "--failures", "11"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "failures = 11 > n = 10" in err
+
+
 def test_bounds_fig1(capsys):
     rc = main(["bounds", "--r", "3", "--delta", "3", "--t", "2", "--g", "8",
                "--N", "2", "--k", "16"])

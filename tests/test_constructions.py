@@ -7,8 +7,8 @@ import pytest
 from mrlrc.matrix import MatrixF, RankDeficient, map_entries
 from mrlrc.constructions import (
     ConstraintViolated, construct, construct_gen,
-    construct_pc1, construct_pc2, encode, generator_from_parity,
-    local_generator, parity_from_generator, plan_field, read_bundle,
+    construct_pc1, construct_pc2, dual_matrix, encode,
+    local_generator, plan_field, read_bundle,
     systematic_info_placement, write_bundle,
 )
 from mrlrc.topology import heavy_parity_count, make_topology
@@ -111,6 +111,44 @@ def test_gen_equals_outer_times_diag():
     assert product == code.G
 
 
+PC1_SWEEP = [
+    ((r, delta, t, g, n_avail), h)
+    for r in (1, 2, 3) for delta in (2, 3) for t in (1, 2)
+    if t <= min(delta - 1, r)
+    for g in (1, 2, 3) for n_avail in (1, 2) for h in range(1, r + 1)
+]
+
+
+@pytest.mark.parametrize("params,h", PC1_SWEEP, ids=[
+    "r{}-d{}-t{}-g{}-N{}".format(*params) + f"-h{h}" for params, h in PC1_SWEEP])
+def test_pc1_heavy_rows_equal_lrs_blocks_times_q(params, h):
+    # the heavy rows are (G_1 Q | ... | G_g Q), with (G_i) the blocks of
+    # the h-dimensional LRS generator for the partition (g, hN) and Q the
+    # D band of the local generator placed on the repair segments
+    from mrlrc.constructions import _pc1_local
+    from mrlrc.sumrank import SumRankPartition, lrs_generator
+
+    topo = make(*params)
+    code = construct_pc1(topo, h)
+    tower = code.tower
+    t, seg, hn = topo.t, topo.seg, h * topo.N
+    d_band = _pc1_local(topo, h, tower.base).data[topo.delta - 1:]
+    q_rows = []
+    for j in range(topo.N):
+        for src in d_band:
+            row = [0] * topo.group_width
+            row[t + j * seg:t + (j + 1) * seg] = src[t:]
+            q_rows.append(row)
+    q_emb = map_entries(MatrixF(tower.base, q_rows), tower.top, tower.embed)
+    lrs = lrs_generator(SumRankPartition(tower, topo.g, hn), h)
+    heavy = lrs.generator.restrict_columns(range(1, hn + 1)).mul(q_emb)
+    for i in range(1, topo.g):
+        gi = lrs.generator.restrict_columns(range(i * hn + 1, (i + 1) * hn + 1))
+        heavy = heavy.hstack(gi.mul(q_emb))
+    assert code.H.data[topo.local_parity_count():] == heavy.data
+    assert (code.a, code.beta) == (lrs.a, lrs.beta)
+
+
 def test_gen_h0_square_restrictions():
     from mrlrc.topology import enumerate_maximal_patterns
 
@@ -175,7 +213,7 @@ def test_pc1_heavy_row_count():
     topo = make(2, 2, 1, 2, 2)
     code = construct_pc1(topo, 1)
     assert code.H.rows == topo.local_parity_count() + 1
-    g2 = generator_from_parity(code.H)
+    g2 = dual_matrix(code.H)
     assert g2.rows == code.k
 
 
@@ -221,12 +259,12 @@ def test_gen_vs_pc1_same_verification_suite():
 def test_round_trip_generator_parity():
     topo = make(2, 2, 1, 2, 1)
     code = construct_gen(topo, 3)
-    h2 = parity_from_generator(code.G)
-    g2 = generator_from_parity(h2)
+    h2 = dual_matrix(code.G)
+    g2 = dual_matrix(h2)
     stacked = MatrixF(code.G.ctx, code.G.data + g2.data)
     assert stacked.rank() == code.k  # same row space
     with pytest.raises(RankDeficient):
-        generator_from_parity(MatrixF(code.G.ctx, [[0] * code.n]))
+        dual_matrix(MatrixF(code.G.ctx, [[0] * code.n]))
 
 
 def test_parity_from_identity_block():
@@ -234,7 +272,7 @@ def test_parity_from_identity_block():
 
     f3 = field_ctx(3)
     h = MatrixF(f3, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    g = generator_from_parity(h)
+    g = dual_matrix(h)
     stacked = MatrixF(f3, list(g.data) + [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert g.rows == 2 and stacked.rank() == 2
 

@@ -6,7 +6,7 @@ import pytest
 
 from mrlrc.ff import field_ctx
 from mrlrc.localmds import (
-    ColumnCapExceeded, LengthExceedsField, MdsSpec, band_rows,
+    ColumnCapExceeded, LengthExceedsField, MdsSpec,
     extended_rs_generator, is_mds, structured_mds, vandermonde_columns,
 )
 from mrlrc.matrix import MatrixF
@@ -78,7 +78,7 @@ def test_structured_example_gf4():
     # shape [1 B; 0 C]
     assert a.data[0][0] == 1
     assert a.data[1][0] == 0 and a.data[2][0] == 0
-    c_band = band_rows(a, (1, 2))[1]
+    c_band = MatrixF(F4, a.data[1:3])
     assert is_mds(c_band.restrict_columns([2, 3, 4]))
 
 

@@ -26,6 +26,17 @@ def test_config_validation():
         SimConfig(trials=5, model="uniform_nodes", seed=1)
 
 
+def test_uniform_nodes_failures_beyond_n_rejected(code):
+    # n = 10: all nodes may fail, one more is refused instead of clipped
+    n = code.n
+    rep = run_simulation(code, SimConfig(trials=5, model="uniform_nodes",
+                                         seed=2, failures=n))
+    assert rep.data_loss == 5
+    with pytest.raises(ValueError, match=f"failures = {n + 1} > n = {n}"):
+        run_simulation(code, SimConfig(trials=5, model="uniform_nodes",
+                                       seed=2, failures=n + 1))
+
+
 def test_outcomes_sum_to_trials(code):
     cfg = SimConfig(trials=300, model="uniform_nodes", seed=4, failures=3)
     rep = run_simulation(code, cfg)

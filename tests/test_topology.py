@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from mrlrc.topology import (
     BadParams, DimensionTooLarge, EnumerationCapExceeded, IndexOutOfRange,
     classify_pattern, count_maximal_patterns, enumerate_maximal_patterns,
-    heavy_parity_count, is_mr_correctable_pattern, make_topology,
-    per_group_maximal_sets,
+    group_witnesses, heavy_parity_count, is_mr_correctable_pattern,
+    make_topology, per_group_maximal_sets,
 )
 
 
@@ -135,6 +135,27 @@ def test_enumeration_matches_brute_force():
     }
     enumerated = {p.coords for p in enumerate_maximal_patterns(topo)}
     assert brute == enumerated
+
+
+@pytest.mark.parametrize("params", [(2, 2, 1, 1, 2), (2, 3, 1, 1, 1),
+                                    (3, 3, 1, 1, 2), (2, 3, 2, 1, 3),
+                                    (1, 2, 1, 1, 3)])
+def test_group_witnesses_match_definition(params):
+    # every subset of a group, against the witness conditions as stated
+    topo = make_topology(*params)
+    d1 = topo.delta - 1
+    core, sets = topo.cores[0], topo.repair[0]
+    for size in range(topo.group_width + 1):
+        for sel in itertools.combinations(sorted(topo.groups[0]), size):
+            e = set(sel)
+            witnesses = [j + 1 for j in range(topo.N)
+                         if len(e & sets[j]) <= d1 and all(
+                             len((sets[l] - core) & e) <= d1
+                             for l in range(topo.N) if l != j)]
+            tight = [j for j in witnesses if len(e & sets[j - 1]) == d1
+                     and all(len((sets[l] - core) & e) == d1
+                             for l in range(topo.N) if l != j - 1)]
+            assert group_witnesses(topo, 1, e) == (witnesses, tight)
 
 
 def test_enumeration_cap():

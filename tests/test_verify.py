@@ -12,7 +12,7 @@ from mrlrc.constructions import construct_gen, construct_pc1, construct_pc2
 from mrlrc.topology import enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
     BoundInputs, InvalidInput, TooLargeToEnumerate, WrongKind,
-    construction3_pattern_check, decodable_patterns_agree, decode_erasures,
+    construction3_pattern_check, decode_erasures,
     ell_bounds, ell_exact, erasure_rank_defect, lower_bound_field,
     verify_mr_exhaustive, verify_mr_sampled,
 )
@@ -144,6 +144,25 @@ def test_decode_determinism(gen_code):
     cw = encode(gen_code, (9, 9, 9, 1, 2))
     word = [None, None] + list(cw[2:])
     assert decode_erasures(gen_code, word) == decode_erasures(gen_code, word)
+
+
+def decodable_patterns_agree(code, max_size=None) -> bool:
+    """Exhaustively cross-check: a pattern is decodable iff it splits into
+    a locally correctable part plus at most h extra erasures.
+
+    Both inclusions are tested; the pattern sizes range over all subsets
+    up to max_size (default n - k, beyond which nothing is decodable)."""
+    topo = code.topo
+    n = topo.n
+    limit = n - code.k if max_size is None else max_size
+    for size in range(0, n + 1):
+        for sel in itertools.combinations(range(1, n + 1), size):
+            claimed = is_mr_correctable_pattern(topo, code.h, sel)
+            decodable = (size <= limit and
+                         erasure_rank_defect(code, sel) == 0)
+            if claimed != decodable:
+                return False
+    return True
 
 
 def test_correctable_set_matches_decodable_set(gen_code):
