@@ -46,7 +46,6 @@ realized size equals the bound.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -237,20 +236,26 @@ def _contract(tower: FieldTower, columns) -> tuple:
 
 
 def _check_code(code: MrLrcCode) -> None:
-    """Construction invariants: duality, ranks, and the local property."""
-    g_mat, h_mat = code.G, code.H
-    n = code.n
-    if g_mat.rows != code.k or g_mat.cols != n or h_mat.cols != n:
+    """Construction invariants: the shapes, then premise_violations."""
+    if code.G.rows != code.k or code.G.cols != code.n or code.H.cols != code.n:
         raise AssertionError("matrix shapes do not match the parameters")
-    if h_mat.rows < n - code.k or h_mat.rank() != n - code.k:
-        raise AssertionError("parity-check rank must be n - k")
-    if code.k and g_mat.rank() != code.k:
-        raise AssertionError("generator rank must be k")
-    if not g_mat.mul(h_mat.transpose()).is_zero():
-        raise AssertionError("G H^T != 0")
-    violations = local_property_violations(code)
+    violations = premise_violations(code)
     if violations:
         raise AssertionError(violations[0][1])
+
+
+def premise_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
+    """(pattern, detail) for every broken premise of the pattern criterion
+    for maximal recoverability: G H^T = 0, rank(G) = k, rank(H) = n - k
+    (each with pattern ()), then the local property on every repair set."""
+    out = []
+    if not code.G.mul(code.H.transpose()).is_zero():
+        out.append(((), "G H^T != 0"))
+    if code.G.rank() != code.k:
+        out.append(((), f"rank(G) != k = {code.k}"))
+    if code.H.rank() != code.n - code.k:
+        out.append(((), f"rank(H) != n - k = {code.n - code.k}"))
+    return out + local_property_violations(code)
 
 
 def local_property_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
@@ -369,10 +374,9 @@ def _check_ell_wise_independent(code: MrLrcCode, subset_cap: int = 2000) -> None
     if full.rank() < size:
         raise AssertionError("beta multipliers are not ell-wise independent")
     if comb(len(cols), size) <= subset_cap:
-        for sel in itertools.combinations(range(1, len(cols) + 1), size):
-            if full.restrict_columns(sel).rank() != size:
-                raise AssertionError(
-                    f"beta subset {sel} is GF(q)-linearly dependent")
+        sel = full.first_dependent(range(1, len(cols) + 1), size)
+        if sel is not None:
+            raise AssertionError(f"beta subset {sel} is GF(q)-linearly dependent")
 
 
 def construct(topo: Topology, kind: str, k: int | None = None,
@@ -411,22 +415,18 @@ def systematic_info_placement(code: MrLrcCode) -> MrLrcCode:
     if code.k > topo.g * topo.t:
         raise ConstraintViolated(
             f"k <= gt violated: k = {code.k} > {topo.g * topo.t}")
-    t_coords = sorted(c for core in topo.cores for c in core)
-    sub = code.G.restrict_columns(t_coords)
     # greedy leftmost independent columns of G|_T
     pivots = []
-    for idx, coord in enumerate(t_coords):
-        trial = pivots + [idx + 1]
-        if sub.restrict_columns(trial).rank() == len(trial):
-            pivots.append(idx + 1)
+    for coord in sorted(c for core in topo.cores for c in core):
+        if code.G.rank(pivots + [coord]) == len(pivots) + 1:
+            pivots.append(coord)
         if len(pivots) == code.k:
             break
     if len(pivots) < code.k:
         raise NotInformationAvailable(
             f"rank of G restricted to T is {len(pivots)} < k = {code.k}")
-    pivot_coords = [t_coords[i - 1] for i in pivots]
-    g_sys = code.G.systematic_form(pivot_coords)
-    return replace(code, G=g_sys, info_pivots=tuple(pivot_coords))
+    g_sys = code.G.systematic_form(pivots)
+    return replace(code, G=g_sys, info_pivots=tuple(pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +472,27 @@ def write_bundle(code: MrLrcCode, out_dir, name: str = "bundle") -> str:
 def read_bundle(path) -> MrLrcCode:
     """Load an MRLRC v1 bundle.
 
-    Validates the format only (shapes, field, canonical modulus); semantic
+    Validates the format only (k + h, shapes, field, canonical modulus); semantic
     properties of tampered matrices are the verify command's job, so that
     a corrupted bundle still loads and then fails verification with a
     concrete witness.
     """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "MRLRC v1":
+    if not isinstance(doc, dict) or doc.get("format") != "MRLRC v1":
         raise ValueError("not an MRLRC v1 bundle")
+    k, h = doc["k"], doc["h"]
+    if type(k) is not int or type(h) is not int:
+        raise ValueError(f"k and h must be integers, got k = {k!r}, h = {h!r}")
     kind = doc["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     mode = "availability" if doc["t"] <= doc["delta"] - 1 else "plain"
     topo = make_topology(doc["r"], doc["delta"], doc["t"], doc["g"], doc["N"],
                          mode=mode)
+    if k + h != topo.max_dimension():
+        raise ValueError(f"k + h = {k + h} differs from g(t+N(r-t)) = "
+                         f"{topo.max_dimension()}")
     tower = make_tower(doc["p"], doc["s"], doc["m"])
     if list(tower.top.modulus) != doc["modulus"]:
         raise ValueError("bundle modulus differs from the canonical choice")
@@ -498,13 +504,10 @@ def read_bundle(path) -> MrLrcCode:
     if g_mat.ctx != tower.top or h_mat.ctx != tower.top:
         raise ValueError("matrix field does not match the bundle tower")
     n = topo.n
-    if g_mat.cols != n or h_mat.cols != n or g_mat.rows != doc["k"]:
+    if g_mat.cols != n or h_mat.cols != n or g_mat.rows != k:
         raise ValueError("matrix shapes do not match the bundle parameters")
-    if kind == "gen":
-        plan = plan_field(topo, kind, k=doc["k"])
-    else:
-        plan = plan_field(topo, kind, h=doc["h"])
-    return MrLrcCode(topo=topo, kind=kind, tower=tower, k=doc["k"],
-                     h=doc["h"], G=g_mat, H=h_mat, a=tuple(doc["a"]),
-                     beta=tuple(doc["beta"]), plan=plan,
+    plan = (plan_field(topo, kind, k=k) if kind == "gen"
+            else plan_field(topo, kind, h=h))
+    return MrLrcCode(topo=topo, kind=kind, tower=tower, k=k, h=h, G=g_mat,
+                     H=h_mat, a=tuple(doc["a"]), beta=tuple(doc["beta"]), plan=plan,
                      ell=plan.ell if kind == "pc2" else None)

@@ -17,7 +17,6 @@ banded generator span an MDS code on their own.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .elim import reduce_rows
@@ -92,12 +91,7 @@ def is_mds(g: MatrixF, column_cap: int = IS_MDS_COLUMN_CAP) -> bool:
         raise ValueError("is_mds needs rows <= cols")
     if g.cols > column_cap:
         raise ColumnCapExceeded(f"{g.cols} columns exceed the cap {column_cap}")
-    if g.rows == 0:
-        return True
-    for sel in itertools.combinations(range(1, g.cols + 1), g.rows):
-        if g.restrict_columns(sel).det() == 0:
-            return False
-    return True
+    return g.first_dependent(range(1, g.cols + 1), g.rows) is None
 
 
 def structured_mds(spec: MdsSpec, t: int, split: tuple[int, ...],

@@ -6,9 +6,9 @@ elim.reduce_rows, which pivots on the first nonzero entry scanning
 top-to-bottom, so echelon forms are identical across runs.
 
 Index conventions: plain Python 0-based indexing for raw entry access,
-but the column-set operations (restrict_columns, systematic_form) take
-1-based sorted index sets, matching the coordinate sets [n] used by the
-code-topology layer and all file formats.
+but the column-set operations (restrict_columns, rank, first_dependent,
+systematic_form) take 1-based index sets, matching the coordinate sets
+[n] used by the code-topology layer and all file formats.
 
 The "SRMAT v1" text format serializes a matrix as a header line
 ``srmat p=<p> e=<e> rows=<r> cols=<c>`` followed by one line per row of
@@ -17,6 +17,8 @@ by the canonical choice in ff, so round-trips are bit-exact.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .elim import inverse, kernel_basis, reduce_rows
 from .ff import FieldCtx, field_ctx
@@ -151,9 +153,26 @@ class MatrixF:
 
     # -- elimination (all of it in elim.reduce_rows)
 
-    def rank(self) -> int:
-        pivots, _ = reduce_rows([list(r) for r in self.data], self.ctx)
+    def rank(self, cols_1based=None) -> int:
+        """Rank, or that of the columns at the given 1-based indices."""
+        if cols_1based is None:
+            rows = [list(r) for r in self.data]
+        else:
+            idx = self._column_indices(cols_1based)
+            rows = [[r[j] for j in idx] for r in self.data]
+        pivots, _ = reduce_rows(rows, self.ctx)
         return len(pivots)
+
+    def first_dependent(self, pool, size: int, base=()) -> tuple | None:
+        """The first size-subset F of pool, in itertools.combinations order,
+        with rank(sorted(base + F)) < len(base) + size, or None: the one
+        subset-independence sweep (MR routes, is_mds, l-wise check)."""
+        base = tuple(base)
+        need = len(base) + size
+        for extra in itertools.combinations(pool, size):
+            if self.rank(sorted(base + extra)) < need:
+                return extra
+        return None
 
     def det(self) -> int:
         """Determinant by forward elimination."""
@@ -186,12 +205,17 @@ class MatrixF:
 
     def restrict_columns(self, cols_1based) -> "MatrixF":
         """Column submatrix, in the order given; indices are 1-based."""
+        idx = self._column_indices(cols_1based)
+        return MatrixF(self.ctx, [tuple(r[j] for j in idx) for r in self.data],
+                       cols=len(idx))
+
+    def _column_indices(self, cols_1based) -> list[int]:
+        """0-based positions of 1-based column indices, checked in range."""
         idx = list(cols_1based)
         for j in idx:
             if not 1 <= j <= self.cols:
                 raise IndexOutOfRange(f"column {j} outside [1, {self.cols}]")
-        return MatrixF(self.ctx, [tuple(r[j - 1] for j in idx) for r in self.data],
-                       cols=len(idx))
+        return [j - 1 for j in idx]
 
     def invert(self) -> "MatrixF":
         if self.rows != self.cols:

@@ -224,11 +224,7 @@ def invertible_matrices(ctx: FieldCtx, r: int) -> list[MatrixF]:
         m = MatrixF(ctx, [flat[i * r:(i + 1) * r] for i in range(r)])
         if m.rank() == r:
             out.append(m)
-    expected = 1
-    q = ctx.order
-    for i in range(r):
-        expected *= q ** r - q ** i
-    if len(out) != expected:
+    if len(out) != gl_order(ctx.order, r):
         raise AssertionError("GL enumeration does not match the order formula")
     return out
 

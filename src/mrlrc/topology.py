@@ -195,7 +195,6 @@ def classify_pattern(topo: Topology, coords) -> PatternClass:
     """Decide locally correctable / maximal, with per-group witnesses."""
     e = _validate_coords(topo, coords)
     chosen = []
-    all_local = True
     all_tight = True
     for i in range(1, topo.g + 1):
         witnesses, tight = group_witnesses(topo, i, e)
@@ -205,7 +204,7 @@ def classify_pattern(topo: Topology, coords) -> PatternClass:
         chosen.append(tight[0] if tight else witnesses[0])
     if all_tight and len(e) != topo.local_parity_count():
         raise AssertionError("maximal pattern with unexpected size")
-    return PatternClass(all_local, all_tight, tuple(chosen))
+    return PatternClass(True, all_tight, tuple(chosen))
 
 
 def per_group_maximal_sets(topo: Topology):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, floor
 
 from .matrix import MatrixF
-from .constructions import MrLrcCode, local_property_violations, plan_field
+from .constructions import MrLrcCode, plan_field, premise_violations
 from .topology import (
     Topology, draw_maximal_pattern, enumerate_maximal_patterns,
     per_group_maximal_sets,
@@ -116,17 +116,7 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     if side not in ("generator", "parity"):
         raise ValueError("side must be 'generator' or 'parity'")
     topo = code.topo
-    failures = []
-    if not code.G.mul(code.H.transpose()).is_zero():
-        failures.append(MrFailure((), "G H^T != 0"))
-    if code.G.rank() != code.k:
-        failures.append(MrFailure((), f"rank(G) != k = {code.k}"))
-    if code.H.rank() != code.n - code.k:
-        failures.append(MrFailure((), f"rank(H) != n - k = {code.n - code.k}"))
-    failures.extend(MrFailure(rs, detail)
-                    for rs, detail in local_property_violations(code))
-    g_mat, h_mat = code.G, code.H
-    n = topo.n
+    failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
     checked = 0
     if failures and fail_fast:
         return MrReport(code_id=code_id(code), mode="exhaustive",
@@ -134,29 +124,15 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                         bound_values=_bound_row(code))
     for pat in enumerate_maximal_patterns(topo, cap=pattern_cap):
         checked += 1
-        erased = set(pat.coords)
-        comp = [c for c in range(1, n + 1) if c not in erased]
+        comp = sorted(set(range(1, topo.n + 1)) - set(pat.coords))
         if side == "generator":
-            sub = g_mat.restrict_columns(comp)
-            if code.k == 0:
-                continue
-            for sel in itertools.combinations(range(len(comp)), code.k):
-                cols = [sel_i + 1 for sel_i in sel]
-                if sub.restrict_columns(cols).det() == 0:
-                    failures.append(MrFailure(
-                        pat.coords,
-                        "singular minor on surviving columns "
-                        f"{[comp[i] for i in sel]}"))
-                    break
+            found = code.G.first_dependent(comp, code.k)
+            detail = "singular minor on surviving columns"
         else:
-            for extra in itertools.combinations(comp, code.h):
-                coords = sorted(erased | set(extra))
-                sub = h_mat.restrict_columns(coords)
-                if sub.rank() != len(coords):
-                    failures.append(MrFailure(
-                        pat.coords,
-                        f"rank defect after adding erasures {list(extra)}"))
-                    break
+            found = code.H.first_dependent(comp, code.h, pat.coords)
+            detail = "rank defect after adding erasures"
+        if found is not None:
+            failures.append(MrFailure(pat.coords, f"{detail} {list(found)}"))
         if failures and fail_fast:
             break
     return MrReport(code_id=code_id(code), mode="exhaustive",
@@ -176,7 +152,7 @@ def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     failures = []
     for _ in range(trials):
         coords = sorted(draw_maximal_pattern(topo, per_group, code.h, rng))
-        if h_mat.restrict_columns(coords).rank() != len(coords):
+        if h_mat.rank(coords) != len(coords):
             failures.append(MrFailure(tuple(coords), "rank defect"))
     return MrReport(code_id=code_id(code), mode="sampled",
                     patterns_checked=trials, failures=failures,
@@ -248,7 +224,7 @@ def erasure_rank_defect(code: MrLrcCode, coords) -> int:
     coords = sorted(set(coords))
     if not coords:
         return 0
-    return len(coords) - code.H.restrict_columns(coords).rank()
+    return len(coords) - code.H.rank(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +246,7 @@ def ell_exact(p_mat: MatrixF, h: int, n_cap: int = 20) -> int:
     start = min(n, p_mat.rank() + h)
     for size in range(start, -1, -1):
         for sel in itertools.combinations(range(1, n + 1), size):
-            if size - p_mat.restrict_columns(sel).rank() <= h:
+            if size - p_mat.rank(sel) <= h:
                 return size
     return 0
 
@@ -292,7 +268,7 @@ def construction3_pattern_check(code: MrLrcCode, coords) -> bool:
     if not coords:
         return True
     p_mat = code.local_parity_matrix()
-    defect = len(coords) - p_mat.restrict_columns(coords).rank()
+    defect = len(coords) - p_mat.rank(coords)
     return defect <= code.h
 
 

@@ -9,6 +9,7 @@ carried out, so a refactor that moves any digest has changed a result.
 
 import hashlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,31 @@ DIGESTS = {
     },
 }
 
+# the exhaustive reports, concatenated in the order of `mutants`, of the
+# eight one-entry copies of each reference code, on each route
+MUTANT_DIGESTS = {
+    "gen-r2-d2-t1-g2-N2-k5-h1": {
+        "generator": "ad63c00ee0faa8c6813fbac4a778a72ed2fd958e616b7f982bc48d9219ecb40e",
+        "parity": "58a3d1099c8aa17f910a29aedf8521f265029c82f9bef338bd8a4a29fc41a8eb",
+    },
+    "gen-r2-d3-t1-g2-N1-k3-h1": {
+        "generator": "4523e24af268331f6018418ced462d8f2d227d2defc0705296b8bfd27e31d46a",
+        "parity": "a6b023f1a6cc9b5ac86703953179513c1547e21e8d5f29f740a7f128fc2385f5",
+    },
+    "gen-r3-d2-t2-g2-N2-k6-h2": {
+        "generator": "7a695fda101dc446764d67f23bd4370b3a1bead414e43418366bafa7bd822790",
+        "parity": "41b6f85b833af198f42ada47d2d171763039cc95a18ac340f2f3c244cd33079a",
+    },
+    "pc1-r2-d2-t1-g2-N2-k4-h2": {
+        "generator": "e5314b362be0df902845d73b35fea1d5d1e0e13255c99fb286ea336f0d34cf5d",
+        "parity": "bd70f12fdca9dc2e14e36486282910c2f70a450e28089f48de6e166204b19c83",
+    },
+    "pc2-r2-d2-t1-g2-N1-k3-h1": {
+        "generator": "b70e8b2851e8f7298b970f924b270d25ba767431764f5d0a4b41a2e1bc7b601a",
+        "parity": "5e90f9bb31c7bd35cfb6c435abad622b72fb80611d59f21b14a92a0f130ee632",
+    },
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -105,3 +131,27 @@ def test_reference_artifacts_match_recorded_digests(spec, tmp_path):
                                              failures=failures))
         got[model] = sha256(rep.to_json().encode())
     assert got == expected
+
+
+def mutants(code):
+    """Copies of code with one entry of G, then of H, zeroed (or set to 1
+    where it is already 0): at (0, 0) and at the first, middle and last
+    column of the last row."""
+    for which in ("G", "H"):
+        m = getattr(code, which)
+        last = m.rows - 1
+        for i, j in ((0, 0), (last, 0), (last, m.cols // 2), (last, m.cols - 1)):
+            yield replace(code, **{which: m.with_entry(i, j, 0 if m[i, j] else 1)})
+
+
+@pytest.mark.parametrize("spec", bvs.REFERENCE_CODES,
+                         ids=[f"{k}{p}" for k, p, _ in bvs.REFERENCE_CODES])
+def test_mutant_failure_reports_match_recorded_digests(spec):
+    code = bvs.build(*spec)
+    muts = list(mutants(code))
+    got = {}
+    for side in ("generator", "parity"):
+        reports = [verify_mr_exhaustive(m, side=side) for m in muts]
+        assert not any(r.passed for r in reports), side
+        got[side] = sha256("".join(r.to_json() for r in reports).encode())
+    assert got == MUTANT_DIGESTS[code_id(code)]

@@ -69,6 +69,15 @@ def test_verify_corrupted_srmat_fails(bundle, capsys):
     assert "FAIL" in out and "witness" in out
 
 
+def test_verify_rejects_bundle_with_wrong_h(bundle, capsys):
+    doc = json.loads(bundle.read_text())
+    for bad in ({**doc, "h": 0}, {**doc, "h": "x"}, [1, 2]):
+        bundle.write_text(json.dumps(bad))
+        assert main(["verify", str(bundle), "--side", "parity"]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot load bundle" in err and "Traceback" not in err
+
+
 def test_encode_decode_round_trip(bundle, tmp_path, capsys):
     msg = tmp_path / "msg.txt"
     msg.write_text("1 2 3 4 5\n")

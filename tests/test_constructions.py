@@ -352,6 +352,22 @@ def test_bundle_rejects_tampered_modulus(tmp_path):
         read_bundle(path)
 
 
+def test_bundle_rejects_untrusted_k_and_h(tmp_path):
+    import json
+
+    path = write_bundle(construct_gen(make(2, 2, 1, 2, 2), 5), tmp_path)
+    doc = json.loads(open(path).read())
+    for bad in ({"h": 0}, {"h": 2}, {"k": 4}, {"h": "x"}, {"k": 5.0}, {"h": True}):
+        with open(path, "w") as fh:
+            json.dump({**doc, **bad}, fh)
+        with pytest.raises(ValueError):
+            read_bundle(path)
+    with open(path, "w") as fh:
+        json.dump([1, 2], fh)
+    with pytest.raises(ValueError, match="not an MRLRC v1 bundle"):
+        read_bundle(path)
+
+
 def test_local_property_enforced_at_build():
     # direct check: generator rows restricted to a repair set obey the
     # local parities (pc kinds) / live in the local code (gen kind)

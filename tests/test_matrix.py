@@ -146,6 +146,58 @@ def test_restriction_rank_monotone():
         assert m.restrict_columns(cols).rank() <= m.rank()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rank_on_columns_matches_restriction(data):
+    ctx = data.draw(st.sampled_from([F2, F3, F4, F9]))
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 6))
+    entry = st.integers(0, ctx.order - 1)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    m = MatrixF(ctx, data.draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+    # any order, repeats allowed, as restrict_columns takes them
+    sel = data.draw(st.lists(st.integers(1, cols), max_size=cols + 2))
+    assert m.rank(sel) == m.restrict_columns(sel).rank()
+    for bad in (0, cols + 1):
+        with pytest.raises(IndexOutOfRange):
+            m.rank([bad])
+
+
+def first_dependent_oracle(m, pool, size, base=()):
+    """The per-minor sweep first_dependent replaces: a new matrix per
+    column set, tested by det when it is square and by rank otherwise."""
+    for extra in itertools.combinations(pool, size):
+        sub = m.restrict_columns(sorted(base + extra))
+        if sub.rows == sub.cols:
+            if sub.det() == 0:
+                return extra
+        elif sub.rank() < sub.cols:
+            return extra
+    return None
+
+
+def test_first_dependent_matches_per_minor_oracle():
+    rnd = random.Random(7)
+    for ctx in (F2, F3, F4):
+        for _ in range(120):
+            rows, cols = rnd.randrange(1, 5), rnd.randrange(1, 8)
+            m = random_matrix(ctx, rows, cols, rnd)
+            nbase = rnd.randrange(0, min(rows, cols) + 1)
+            base = tuple(sorted(rnd.sample(range(1, cols + 1), nbase)))
+            pool = [c for c in range(1, cols + 1) if c not in base]
+            for size in range(0, min(rows - len(base), len(pool)) + 1):
+                assert (m.first_dependent(pool, size, base)
+                        == first_dependent_oracle(m, pool, size, base))
+            # square minors, as in the generator-side sweep
+            if rows <= cols:
+                assert (m.first_dependent(range(1, cols + 1), rows)
+                        == first_dependent_oracle(m, range(1, cols + 1), rows))
+    ident = MatrixF.identity(F3, 3)
+    assert ident.first_dependent([1, 2, 3], 2) is None
+    assert ident.first_dependent([1, 2, 3], 0, (1, 2)) is None
+    m = MatrixF(F3, [[1, 2, 0], [0, 0, 1]])
+    assert m.first_dependent([1, 2, 3], 2) == (1, 2)
+
+
 def test_det_matches_rank():
     rnd = random.Random(41)
     for _ in range(200):
