@@ -469,21 +469,42 @@ def write_bundle(code: MrLrcCode, out_dir, name: str = "bundle") -> str:
     return path
 
 
+_BUNDLE_INTS = ("r", "delta", "t", "g", "N", "k", "h", "p", "s", "m")
+_BUNDLE_INT_LISTS = ("modulus", "a", "beta")
+
+
+def _check_bundle_fields(doc) -> None:
+    """Raise ValueError unless doc is an MRLRC v1 object whose fields have
+    their JSON types: ints, lists of ints, and a matrices object with a
+    string H and an optional string G."""
+    if not isinstance(doc, dict) or doc.get("format") != "MRLRC v1":
+        raise ValueError("not an MRLRC v1 bundle")
+    for key in _BUNDLE_INTS:
+        if type(doc.get(key)) is not int:
+            raise ValueError(f"{key} must be an integer, got {doc.get(key)!r}")
+    for key in _BUNDLE_INT_LISTS:
+        val = doc.get(key)
+        if type(val) is not list or any(type(x) is not int for x in val):
+            raise ValueError(f"{key} must be a list of integers, got {val!r}")
+    mats = doc.get("matrices")
+    if (type(mats) is not dict or type(mats.get("H")) is not str
+            or type(mats.get("G", "")) is not str):
+        raise ValueError(f"matrices must be an object with a string H and an "
+                         f"optional string G, got {mats!r}")
+
+
 def read_bundle(path) -> MrLrcCode:
     """Load an MRLRC v1 bundle.
 
-    Validates the format only (k + h, shapes, field, canonical modulus); semantic
-    properties of tampered matrices are the verify command's job, so that
-    a corrupted bundle still loads and then fails verification with a
-    concrete witness.
+    Validates the format only (field types, k + h, shapes, field, canonical
+    modulus); semantic properties of tampered matrices are the verify
+    command's job, so that a corrupted bundle still loads and then fails
+    verification with a concrete witness.
     """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "MRLRC v1":
-        raise ValueError("not an MRLRC v1 bundle")
+    _check_bundle_fields(doc)
     k, h = doc["k"], doc["h"]
-    if type(k) is not int or type(h) is not int:
-        raise ValueError(f"k and h must be integers, got k = {k!r}, h = {h!r}")
     kind = doc["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")

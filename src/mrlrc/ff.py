@@ -13,7 +13,13 @@ identical fields and identical matrices:
   * primitive element: the smallest element (in integer encoding) of
     multiplicative order p^e - 1;
   * subfield embedding: the base-field generator X goes to the smallest
-    root of the base modulus inside the top field.
+    root of the base modulus among the q elements {0} u <w> of the
+    subfield, w = gamma^((q^m-1)/(q-1)) for the top primitive gamma; one
+    search serves every tower, s = 1 (root 0) and m = 1 (root X) included.
+
+In a tower, embed, its inverse and the coordinates over 1, X, ...,
+X^(m-1) all read one GF(p)-linear bijection GF(q)^m -> GF(q^m) and its
+inverse, two GF(p) matrices computed once per tower.
 
 Fields up to order 2^40 work through generic polynomial arithmetic.
 Fields of order at most 2^16 additionally get exp/log/Zech tables, which
@@ -27,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .elim import inverse, kernel_basis
+from .elim import inverse
 
 ORDER_LIMIT = 1 << 40
 LOG_TABLE_LIMIT = 1 << 16
@@ -395,112 +401,111 @@ def field_ctx(p: int, e: int = 1) -> FieldCtx:
 # tower GF(p) <= GF(q) <= GF(q^m)
 
 
+def _apply(cols, vec, p: int) -> list[int]:
+    """The GF(p) product of the matrix with the given columns and vec,
+    vec read as if zero-padded (or cut) to the number of columns; a zero
+    entry of vec costs nothing."""
+    out = [0] * len(cols[0])
+    for v, col in zip(vec, cols):
+        if v:
+            out = [o + v * c for o, c in zip(out, col)]
+    return [o % p for o in out]
+
+
 class FieldTower:
     """The pair GF(q) <= GF(q^m), q = p^s, both realized over GF(p).
 
     The top field is GF(p)[X]/(M) for the canonical modulus M of degree s*m.
     The base field GF(q) has its own canonical modulus of degree s and is
-    embedded by sending its generator to the smallest root of that modulus
-    inside the top field.  Immutable and safe to share across threads.
+    embedded by sending its generator B to the smallest (in integer
+    encoding) root of that modulus among the q elements of the subfield
+    {0} u <w>, w = gamma^((q^m-1)/(q-1)) for the top primitive gamma.
+
+    Every map between the two fields reads one GF(p)-linear bijection
+    GF(q)^m -> GF(q^m), (c_0, ..., c_{m-1}) -> sum embed(c_j) X^j, and its
+    inverse: `_to_top` lists the columns of its matrix on the GF(p)-bases
+    (B^u) of GF(q) and (X^i) of GF(q^m), column (j, u) holding the digits
+    of embed(B)^u X^j, and `_from_top` those of the inverse matrix.
+    `from_base_coords` and `embed` apply the first, `base_coords` and
+    `embed_inv` the second.
+    `polynomial_basis` is the GF(q)-basis 1, X, ..., X^(m-1).  Immutable
+    apart from the `base_coords` memo, and safe to share across threads.
     """
 
     __slots__ = (
-        "base", "top", "s", "m", "q",
-        "_root_powers", "_embed_cache", "_embed_inv",
-        "_coord_solver", "_coords_cache",
+        "base", "top", "s", "m", "q", "polynomial_basis",
+        "_to_top", "_from_top", "_coords_cache",
     )
 
     def __init__(self, p: int, s: int, m: int):
         if s < 1 or m < 1:
             raise ValueError("extension degrees must be positive")
         self.base = field_ctx(p, s)
-        self.top = field_ctx(p, s * m)
+        self.top = top = field_ctx(p, s * m)
         self.s = s
         self.m = m
         self.q = self.base.order
-        if s == 1:
-            root = 0
-        elif m == 1:
-            root = self.top.p  # base modulus = top modulus, X is a root
-        else:
-            root = self._least_subfield_root()
-        top = self.top
-        powers = [1]
+        basis = [1]
+        for _ in range(m - 1):
+            basis.append(top.mul(basis[-1], p))
+        self.polynomial_basis = tuple(basis)
+        root = self._least_subfield_root()
+        root_powers = [1]
         for _ in range(s - 1):
-            powers.append(top.mul(powers[-1], root))
-        self._root_powers = tuple(powers)
-        self._embed_cache: dict[int, int] = {}
-        self._embed_inv: dict[int, int] | None = None
-        self._coord_solver = None
+            root_powers.append(top.mul(root_powers[-1], root))
+        self._to_top = [top.coeffs(top.mul(rp, x))
+                        for x in basis for rp in root_powers]
+        rows = [list(row) for row in zip(*self._to_top)]
+        self._from_top = list(zip(*inverse(rows, field_ctx(p))))
         self._coords_cache: dict[int, tuple[int, ...]] = {}
 
-    # -- embedding
+    # -- the coordinate map
 
     def _least_subfield_root(self) -> int:
-        """Smallest root of the base modulus in the top field."""
-        base_mod = self.base.modulus
+        """Smallest root of the base modulus among the subfield's q elements."""
         top = self.top
-        if top.order <= LOG_TABLE_LIMIT:
-            candidates = top.elements()
-        else:
-            candidates = sorted(self._subfield_elements())
-        for x in candidates:
+        w = top.pow(top.primitive, (top.order - 1) // (self.q - 1))
+        sub = [0, 1]
+        for _ in range(self.q - 2):
+            sub.append(top.mul(sub[-1], w))
+        for x in sorted(sub):
             # Horner; base-modulus coefficients are GF(p) scalars, which
             # encode identically in the top field.
             acc = 0
-            for c in reversed(base_mod):
+            for c in reversed(self.base.modulus):
                 acc = top.add(top.mul(acc, x), c)
             if acc == 0:
                 return x
-        raise AssertionError("base modulus has no root in the top field")
+        raise AssertionError("base modulus has no root in the subfield")
 
-    def _subfield_elements(self) -> list[int]:
-        """All elements fixed by x -> x^q, via the Frobenius fixed space over GF(p)."""
-        top, p, n = self.top, self.top.p, self.top.e
-        # columns of (Frob^s - I) on the GF(p)-basis 1, X, ..., X^(n-1)
-        cols = []
-        for j in range(n):
-            img = top.pow(p ** j if j else 1, self.q)
-            diff = top.sub(img, p ** j if j else 1)
-            cols.append(top.coeffs(diff))
-        basis = kernel_basis([list(r) for r in zip(*cols)], n, field_ctx(p))
-        out = []
-        for combo in itertools.product(range(p), repeat=len(basis)):
-            v = [0] * n
-            for c, vec in zip(combo, basis):
-                if c:
-                    for i in range(n):
-                        v[i] = (v[i] + c * vec[i]) % p
-            out.append(top.from_coeffs(v))
-        return out
+    def from_base_coords(self, cofs) -> int:
+        """sum embed(c_j) X^j: the element with the given GF(q) coordinates."""
+        digits = [d for c in cofs for d in self.base.coeffs(c)]
+        return self.top.from_coeffs(_apply(self._to_top, digits, self.top.p))
+
+    def base_coords(self, y: int) -> tuple[int, ...]:
+        """Coordinates of y over the canonical GF(q)-basis, as base-field elements."""
+        cached = self._coords_cache.get(y)
+        if cached is None:
+            s = self.s
+            sol = _apply(self._from_top, self.top.coeffs(y), self.top.p)
+            cached = tuple(self.base.from_coeffs(sol[j * s:(j + 1) * s])
+                           for j in range(self.m))
+            self._coords_cache[y] = cached
+        return cached
 
     def embed(self, a: int) -> int:
         """Field homomorphism GF(q) -> GF(q^m)."""
-        if self.s == 1 or self.top is self.base:
-            return a
-        cached = self._embed_cache.get(a)
-        if cached is not None:
-            return cached
-        top = self.top
-        out = 0
-        for c, rp in zip(self.base.coeffs(a), self._root_powers):
-            if c:
-                out = top.add(out, top.mul(c, rp))
-        self._embed_cache[a] = out
-        return out
+        return self.from_base_coords((a,))
 
     def embed_inv(self, x: int) -> int:
         """Inverse of embed; raises ValueError if x is not in the subfield."""
-        if self.s == 1 or self.top is self.base:
-            if not self.base.is_element(x):
-                raise ValueError(f"{x} not in the base field")
-            return x
-        if self._embed_inv is None:
-            self._embed_inv = {self.embed(a): a for a in self.base.elements()}
-        try:
-            return self._embed_inv[x]
-        except KeyError:
-            raise ValueError(f"{x} is not in the embedded subfield") from None
+        if not self.top.is_element(x):
+            raise ValueError(f"{x} is not an element of {self.top!r}")
+        a, *rest = self.base_coords(x)
+        if any(rest):
+            raise ValueError(f"{x} is not in the embedded subfield")
+        return a
 
     # -- tower operations
 
@@ -534,66 +539,6 @@ class FieldTower:
         if len(norms) != g:
             raise AssertionError("norms of primitive powers collided")
         return tuple(out)
-
-    # -- GF(q)-linear structure of the top field
-
-    @property
-    def polynomial_basis(self) -> tuple[int, ...]:
-        """The canonical GF(q)-basis 1, X, X^2, ..., X^(m-1) of GF(q^m)."""
-        t = self.top
-        out = [1]
-        x = self.top.p if self.top.e > 1 else 1
-        for _ in range(self.m - 1):
-            out.append(t.mul(out[-1], x))
-        return tuple(out)
-
-    def base_coords(self, y: int) -> tuple[int, ...]:
-        """Coordinates of y over the canonical GF(q)-basis, as base-field elements."""
-        cached = self._coords_cache.get(y)
-        if cached is not None:
-            return cached
-        if self.m == 1:
-            out = (self.embed_inv(y),)
-            self._coords_cache[y] = out
-            return out
-        if self._coord_solver is None:
-            self._build_coord_solver()
-        p, n = self.top.p, self.top.e
-        digits = self.top.coeffs(y)
-        sol = [0] * n
-        for i, row in enumerate(self._coord_solver):
-            acc = 0
-            for d, c in zip(digits, row):
-                acc += d * c
-            sol[i] = acc % p
-        out = tuple(
-            self.base.from_coeffs(sol[j * self.s:(j + 1) * self.s])
-            for j in range(self.m)
-        )
-        self._coords_cache[y] = out
-        return out
-
-    def from_base_coords(self, cofs) -> int:
-        """Inverse of base_coords: sum of embed(c_j) * X^j."""
-        t = self.top
-        out = 0
-        for c, b in zip(cofs, self.polynomial_basis):
-            if c:
-                out = t.add(out, t.mul(self.embed(c), b))
-        return out
-
-    def _build_coord_solver(self):
-        # invert the GF(p)-matrix taking (c_0, ..., c_{m-1}) in GF(q)^m to
-        # sum embed(c_j) X^j; column (j, u) is embed(B^u) X^j where B is the
-        # base-field generator
-        top = self.top
-        basis = self.polynomial_basis
-        cols = []
-        for j in range(self.m):
-            for u in range(self.s):
-                elt = top.mul(self.embed(self.base.p ** u if u else 1), basis[j])
-                cols.append(top.coeffs(elt))
-        self._coord_solver = inverse(list(zip(*cols)), field_ctx(top.p))
 
     def __eq__(self, other) -> bool:
         return (

@@ -51,6 +51,8 @@ class SimConfig:
         if self.model == "uniform_nodes" and (self.failures is None
                                               or self.failures < 0):
             raise ValueError("uniform_nodes needs failures >= 0")
+        if self.extra is not None and self.extra < 0:
+            raise ValueError(f"extra must be >= 0, got {self.extra}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Byte-stability gate: the artifacts of the five reference codes of
-scripts/build_verify_simulate.py hash to recorded SHA-256 digests.
+scripts/build_verify_simulate.py, and the bundles of four codes whose top
+field is too large for log tables, hash to recorded SHA-256 digests.
 
 The determinism tests compare two runs of the same code; this one pins
 the bytes across changes to the library.  Rank, determinant, reduced
@@ -80,6 +81,38 @@ DIGESTS = {
     },
 }
 
+# the bundles of the four codes of the benchmark's generic_field workload,
+# whose top fields are above the 2^16 table limit; the last is the one
+# tower there with a base field larger than GF(p)
+GENERIC_CODES = (
+    ("pc2", (2, 2, 1, 2, 2), {"h": 1}),     # GF(3) <= GF(3^14)
+    ("pc2", (3, 3, 1, 2, 1), {"h": 1}),     # GF(5) <= GF(5^7)
+    ("gen", (4, 2, 1, 1, 2), {"k": 7}),     # GF(5) <= GF(5^7)
+    ("pc2", (1, 2, 1, 3, 2), {"h": 1}),     # GF(2^2) <= GF(2^20)
+)
+GENERIC_DIGESTS = {
+    "pc2-r2-d2-t1-g2-N2-k5-h1": {
+        "bundle.json": "3318e65e75df9757d73c947a7824fa7b4b2e515f0d62fecbcbcd12d36b9fd9bf",
+        "bundle.G.srmat": "671a911fe037eb8dde7ffb010ebc6183d115442bd6429e5c711493e9b78b615e",
+        "bundle.H.srmat": "e6fd26fed1f345ca0e528a2e1f3733d674a3cfd9f4d15599c5d63e56137b90f0",
+    },
+    "pc2-r3-d3-t1-g2-N1-k5-h1": {
+        "bundle.json": "9f3d6e410a356702a4612b3f07f3a6a672861bf247d9c4d06134e634407506d1",
+        "bundle.G.srmat": "7101d84c4d0906650bf0913c6e2ca1f95c4164a5c35bb687ef22baf6cb115828",
+        "bundle.H.srmat": "f3bfad1de7c751112c114a70fbc4420f918339fa9e934f12f597955490afe039",
+    },
+    "gen-r4-d2-t1-g1-N2-k7-h0": {
+        "bundle.json": "268f366f933ff034c8df555483a9d5116922c0e9589398b540ea06649e4c3e7e",
+        "bundle.G.srmat": "518a1d0d5d58e51952b3f49aaa7d2d6bcb61ffe6f518a8e8d877c01d7d6bc014",
+        "bundle.H.srmat": "f820bc306828f2f5d573b4a169a39c614800e06d3f20fd244f3314fb3fbfd9ac",
+    },
+    "pc2-r1-d2-t1-g3-N2-k2-h1": {
+        "bundle.json": "0c75ca488175b0c0a55a9f58577cd9e26a83f330307c3b177ac7fe2286946073",
+        "bundle.G.srmat": "f9aeda85a1c5b76472ff79fcca0c62ba52533fe7d9c56921748ff3e6fae1c718",
+        "bundle.H.srmat": "44430e054b25c6cbf0d50b69e1f3d063e56f22ec8694742d037bc0231fda9706",
+    },
+}
+
 # the exhaustive reports, concatenated in the order of `mutants`, of the
 # eight one-entry copies of each reference code, on each route
 MUTANT_DIGESTS = {
@@ -131,6 +164,16 @@ def test_reference_artifacts_match_recorded_digests(spec, tmp_path):
                                              failures=failures))
         got[model] = sha256(rep.to_json().encode())
     assert got == expected
+
+
+@pytest.mark.parametrize("spec", GENERIC_CODES,
+                         ids=[f"{k}{p}" for k, p, _ in GENERIC_CODES])
+def test_generic_field_bundles_match_recorded_digests(spec, tmp_path):
+    code = bvs.build(*spec)
+    write_bundle(code, tmp_path)
+    got = {name: sha256((tmp_path / name).read_bytes())
+           for name in ("bundle.json", "bundle.G.srmat", "bundle.H.srmat")}
+    assert got == GENERIC_DIGESTS[code_id(code)]
 
 
 def mutants(code):

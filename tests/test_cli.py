@@ -78,6 +78,19 @@ def test_verify_rejects_bundle_with_wrong_h(bundle, capsys):
         assert "error: cannot load bundle" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [{"a": 5}, {"beta": None}, {"matrices": []},
+                                  {"matrices": {"H": 5}}, {"p": "2"}],
+                         ids=["a-int", "beta-null", "matrices-list",
+                              "matrices-H-int", "p-str"])
+def test_verify_rejects_bundle_with_mistyped_field(bundle, capsys, edit):
+    doc = json.loads(bundle.read_text())
+    bundle.write_text(json.dumps({**doc, **edit}))
+    assert main(["verify", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot load bundle" in err and "Traceback" not in err
+    assert next(iter(edit)) in err
+
+
 def test_encode_decode_round_trip(bundle, tmp_path, capsys):
     msg = tmp_path / "msg.txt"
     msg.write_text("1 2 3 4 5\n")
@@ -155,6 +168,14 @@ def test_simulate_failures_beyond_n_is_usage_error(bundle, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "failures = 11 > n = 10" in err
+
+
+def test_simulate_negative_extra_is_usage_error(bundle, capsys):
+    rc = main(["simulate", str(bundle), "--trials", "5", "--model",
+               "adversarial_maximal", "--extra", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "extra" in err
 
 
 def test_bounds_fig1(capsys):

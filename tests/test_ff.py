@@ -129,22 +129,49 @@ def test_tower_embed_is_homomorphism():
                                    (2, 2, 4), (3, 1, 3)])
 def test_subfield_elements_match_brute_force(p, s, m):
     t = make_tower(p, s, m)
-    fixed = [x for x in t.top.elements() if t.top.pow(x, t.q) == x]
-    assert sorted(t._subfield_elements()) == fixed
+    fixed = {x for x in t.top.elements() if t.top.pow(x, t.q) == x}
+    assert {t.embed(a) for a in t.base.elements()} == fixed
 
 
 def test_subfield_of_generic_top_field():
-    # GF(4) <= GF(2^20): the top field has no tables, so the embedding
-    # root comes from the Frobenius fixed space
+    # GF(4) <= GF(2^20): the top field has no tables
     t = make_tower(2, 2, 10)
-    sub = t._subfield_elements()
-    assert len(set(sub)) == t.q == 4
+    sub = {t.embed(a) for a in t.base.elements()}
+    assert len(sub) == t.q == 4
     assert all(t.frobenius(x) == x for x in sub)
-    assert {t.embed(a) for a in t.base.elements()} == set(sub)
     for a in t.base.elements():
+        assert t.embed_inv(t.embed(a)) == a
         for b in t.base.elements():
             assert t.embed(t.base.mul(a, b)) == t.top.mul(t.embed(a), t.embed(b))
             assert t.embed(t.base.add(a, b)) == t.top.add(t.embed(a), t.embed(b))
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 1),
+                                   (3, 1, 3)])
+def test_embedded_generator_is_least_root_of_base_modulus(p, s, m):
+    # covers m = 1 (the root is X) and s = 1 (the root is 0) as well
+    t = make_tower(p, s, m)
+    top = t.top
+    generator = p if s > 1 else 0  # X in GF(q); GF(p) = GF(p)[X]/(X)
+
+    def is_root(x):
+        acc = 0
+        for c in reversed(t.base.modulus):
+            acc = top.add(top.mul(acc, x), c)
+        return acc == 0
+
+    roots = [x for x in top.elements() if top.pow(x, t.q) == x and is_root(x)]
+    assert len(roots) == s
+    assert t.embed(generator) == roots[0]
+
+
+@pytest.mark.parametrize("p,s,m", [(2, 2, 2), (2, 2, 10)])
+def test_embed_inv_rejects_non_subfield_elements(p, s, m):
+    t = make_tower(p, s, m)
+    outside = next(x for x in t.top.elements() if t.frobenius(x) != x)
+    for bad in (outside, t.top.order):
+        with pytest.raises(ValueError):
+            t.embed_inv(bad)
 
 
 def test_gf9_in_gf81_generator_order():

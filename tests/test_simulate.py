@@ -24,6 +24,9 @@ def test_config_validation():
         SimConfig(trials=5, model="asteroid", seed=1)
     with pytest.raises(ValueError):
         SimConfig(trials=5, model="uniform_nodes", seed=1)
+    with pytest.raises(ValueError, match="extra"):
+        SimConfig(trials=5, model="adversarial_maximal", seed=1, extra=-1)
+    SimConfig(trials=5, model="adversarial_maximal", seed=1, extra=0)
 
 
 def test_uniform_nodes_failures_beyond_n_rejected(code):
