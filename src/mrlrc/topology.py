@@ -155,13 +155,6 @@ class PatternClass:
     witnesses: tuple | None  # per-group witness repair-set index, 1-based
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
-    coords: tuple
-    maximal: bool
-    witnesses: tuple | None
-
-
 def _validate_coords(topo: Topology, coords) -> frozenset:
     e = frozenset(coords)
     for c in e:
@@ -208,17 +201,17 @@ def classify_pattern(topo: Topology, coords) -> PatternClass:
 
 
 def per_group_maximal_sets(topo: Topology):
-    """Distinct maximal per-group patterns of group 1, with a witness each.
+    """Distinct maximal per-group patterns of group 1.
 
-    Returns a sorted list of (coords_tuple, witness_j).  Witness choices
-    whose delta-1 erasures in R_(1,j) avoid the core produce the same
-    coordinate set for several j; those duplicates are merged here, before
-    the cross-group product is taken.
+    Returns a sorted list of coordinate tuples.  Witness choices whose
+    delta-1 erasures in R_(1,j) avoid the core produce the same coordinate
+    set for several j; those duplicates are merged here, before the
+    cross-group product is taken.
     """
     d1 = topo.delta - 1
     core = topo.cores[0]
     sets = topo.repair[0]
-    found: dict[tuple, int] = {}
+    found: set[tuple] = set()
     for j in range(topo.N):
         inside = sorted(sets[j])
         outside = [sorted(sets[l] - core) for l in range(topo.N) if l != j]
@@ -226,8 +219,8 @@ def per_group_maximal_sets(topo: Topology):
             for rest in itertools.product(
                     *(itertools.combinations(o, d1) for o in outside)):
                 coords = tuple(sorted(first + tuple(c for blk in rest for c in blk)))
-                found.setdefault(coords, j + 1)
-    return sorted(found.items())
+                found.add(coords)
+    return sorted(found)
 
 
 def draw_maximal_pattern(topo: Topology, per_group, cap: int, rng) -> set:
@@ -239,7 +232,7 @@ def draw_maximal_pattern(topo: Topology, per_group, cap: int, rng) -> set:
     out = set()
     width = topo.group_width
     for i in range(topo.g):
-        cs, _w = per_group[rng.randrange(len(per_group))]
+        cs = per_group[rng.randrange(len(per_group))]
         out.update(c + i * width for c in cs)
     extra = rng.randrange(cap + 1)
     if extra:
@@ -253,22 +246,15 @@ def count_maximal_patterns(topo: Topology) -> int:
 
 
 def enumerate_maximal_patterns(topo: Topology, cap: int = DEFAULT_PATTERN_CAP):
-    """Yield every maximal locally correctable pattern exactly once."""
-    per_group = per_group_maximal_sets(topo)
-    total = len(per_group) ** topo.g
+    """Yield every maximal locally correctable pattern exactly once, as a
+    sorted coordinate tuple."""
+    total = count_maximal_patterns(topo)
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} maximal patterns exceed the cap {cap}")
     width = topo.group_width
-    for combo in itertools.product(per_group, repeat=topo.g):
-        coords = []
-        witnesses = []
-        for i, (cs, w) in enumerate(combo):
-            off = i * width
-            coords.extend(c + off for c in cs)
-            witnesses.append(w)
-        yield ErasurePattern(coords=tuple(coords), maximal=True,
-                             witnesses=tuple(witnesses))
+    for combo in itertools.product(per_group_maximal_sets(topo), repeat=topo.g):
+        yield tuple(c + i * width for i, cs in enumerate(combo) for c in cs)
 
 
 def _group_deficiency(topo: Topology, i: int, group_coords: frozenset,

@@ -63,7 +63,6 @@ class MrReport:
     mode: str
     patterns_checked: int
     failures: list = field(default_factory=list)
-    ell_exact: int | None = None
     bound_values: dict | None = None
     prng: dict | None = None
 
@@ -80,8 +79,6 @@ class MrReport:
             "patterns_checked": self.patterns_checked,
             "failures": [f.to_json() for f in self.failures],
         }
-        if self.ell_exact is not None:
-            doc["ell_exact"] = self.ell_exact
         if self.bound_values is not None:
             doc["bound_values"] = self.bound_values
         if self.prng is not None:
@@ -124,15 +121,15 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                         bound_values=_bound_row(code))
     for pat in enumerate_maximal_patterns(topo, cap=pattern_cap):
         checked += 1
-        comp = sorted(set(range(1, topo.n + 1)) - set(pat.coords))
+        comp = sorted(set(range(1, topo.n + 1)) - set(pat))
         if side == "generator":
             found = code.G.first_dependent(comp, code.k)
             detail = "singular minor on surviving columns"
         else:
-            found = code.H.first_dependent(comp, code.h, pat.coords)
+            found = code.H.first_dependent(comp, code.h, pat)
             detail = "rank defect after adding erasures"
         if found is not None:
-            failures.append(MrFailure(pat.coords, f"{detail} {list(found)}"))
+            failures.append(MrFailure(pat, f"{detail} {list(found)}"))
         if failures and fail_fast:
             break
     return MrReport(code_id=code_id(code), mode="exhaustive",

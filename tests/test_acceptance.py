@@ -20,16 +20,16 @@ from mrlrc.constructions import (
     read_bundle, write_bundle,
 )
 from mrlrc.simulate import SimConfig, run_simulation
-from mrlrc.sumrank import (
-    SumRankPartition, gl_order, is_msrd, lrs_generator, min_sum_rank_distance,
-    msrd_mds_projection_check,
-)
+from mrlrc.sumrank import SumRankPartition, lrs_generator
 from mrlrc.topology import (
     heavy_parity_count, is_mr_correctable_pattern, make_topology,
 )
 from mrlrc.verify import (
     BoundInputs, construction3_pattern_check, decode_erasures, ell_bounds,
     ell_exact, lower_bound_field, verify_mr_exhaustive, verify_mr_sampled,
+)
+from msrd_oracle import (
+    gl_order, is_msrd, min_sum_rank_distance, msrd_mds_projection_check,
 )
 
 CONSTRUCTION1_PARAMS = [

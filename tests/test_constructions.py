@@ -157,7 +157,7 @@ def test_gen_h0_square_restrictions():
     code = construct_gen(topo, k)
     assert code.h == 0
     for pat in enumerate_maximal_patterns(topo):
-        comp = [c for c in topo.coords if c not in set(pat.coords)]
+        comp = [c for c in topo.coords if c not in set(pat)]
         sub = code.G.restrict_columns(comp)
         assert sub.rows == sub.cols == k
         assert sub.det() != 0

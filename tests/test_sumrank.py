@@ -6,10 +6,11 @@ import pytest
 
 from mrlrc.ff import field_ctx, make_tower
 from mrlrc.matrix import MatrixF
-from mrlrc.sumrank import (
-    BadParams, LengthMismatch, SumRankPartition, TooLargeToEnumerate,
-    gl_order, invertible_matrices, is_msrd, lrs_generator,
-    min_sum_rank_distance, msrd_mds_projection_check, sum_rank_weight,
+from mrlrc.sumrank import BadParams, SumRankPartition, lrs_generator
+from msrd_oracle import (
+    LengthMismatch, TooLargeToEnumerate, gl_order, invertible_matrices,
+    is_msrd, min_sum_rank_distance, msrd_mds_projection_check,
+    sum_rank_weight,
 )
 
 T32 = make_tower(3, 1, 2)   # GF(3) <= GF(9)
@@ -156,17 +157,3 @@ def test_lrs_is_msrd_small_sweep():
         code = lrs_generator(part, k)
         assert is_msrd(code, part), (p, s, g, r, m, k)
 
-
-def test_lrs_sidecar_round_trip(tmp_path):
-    from mrlrc.sumrank import read_lrs, write_lrs
-
-    part = SumRankPartition(T32, 2, 2)
-    code = lrs_generator(part, 2)
-    path = write_lrs(code, tmp_path)
-    loaded = read_lrs(path)
-    assert loaded.generator == code.generator
-    assert loaded.a == code.a and loaded.beta == code.beta
-    assert (loaded.partition.g, loaded.partition.r, loaded.k) == (2, 2, 2)
-    # byte determinism of the sidecar
-    p2 = write_lrs(lrs_generator(part, 2), tmp_path / "again")
-    assert open(path, "rb").read() == open(p2, "rb").read()

@@ -117,11 +117,11 @@ def test_per_group_maximal_counts():
     assert count_maximal_patterns(t2) == 64
     pats = list(enumerate_maximal_patterns(t2))
     assert len(pats) == 64
-    assert len({p.coords for p in pats}) == 64
+    assert len(set(pats)) == 64
     for p in pats:
-        cls = classify_pattern(t2, p.coords)
+        cls = classify_pattern(t2, p)
         assert cls.maximal
-        assert len(p.coords) == t2.local_parity_count()
+        assert len(p) == t2.local_parity_count()
 
 
 def test_enumeration_matches_brute_force():
@@ -133,7 +133,7 @@ def test_enumeration_matches_brute_force():
         for s in itertools.combinations(topo.coords, size)
         if classify_pattern(topo, s).maximal
     }
-    enumerated = {p.coords for p in enumerate_maximal_patterns(topo)}
+    enumerated = set(enumerate_maximal_patterns(topo))
     assert brute == enumerated
 
 
@@ -169,7 +169,7 @@ def test_subset_of_locally_correctable_is_locally_correctable():
     rnd = random.Random(0)
     pats = list(enumerate_maximal_patterns(topo))
     for _ in range(200):
-        base = rnd.choice(pats).coords
+        base = rnd.choice(pats)
         sub = [c for c in base if rnd.random() < 0.6]
         assert classify_pattern(topo, sub).locally_correctable
 
@@ -177,7 +177,7 @@ def test_subset_of_locally_correctable_is_locally_correctable():
 def test_is_mr_correctable_examples():
     topo = make_topology(2, 2, 1, 2, 2, mode="availability")
     pats = list(enumerate_maximal_patterns(topo))
-    first = pats[0].coords
+    first = pats[0]
     # locally correctable with E1 empty
     assert is_mr_correctable_pattern(topo, 0, first)
     assert is_mr_correctable_pattern(topo, 3, first)
@@ -193,7 +193,7 @@ def test_is_mr_correctable_saturated_repair_set():
     # maximal pattern plus h+1 coords inside one already-saturated repair set
     topo = make_topology(2, 2, 1, 2, 2, mode="availability")
     h = 1
-    pat = next(iter(enumerate_maximal_patterns(topo))).coords
+    pat = next(iter(enumerate_maximal_patterns(topo)))
     sat = next(rs for rs in topo.repair[0]
                if len(set(pat) & rs) == topo.delta - 1)
     extra = [c for c in sorted(sat) if c not in pat][:h + 1]

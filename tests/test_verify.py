@@ -115,7 +115,7 @@ def test_decode_every_codeword_every_maximal_pattern(gen_code):
 
     cw = encode(gen_code, (1, 5, 2, 0, 26))
     for pat in enumerate_maximal_patterns(gen_code.topo):
-        erased = set(pat.coords)
+        erased = set(pat)
         word = [None if (i + 1) in erased else v for i, v in enumerate(cw)]
         assert decode_erasures(gen_code, word) == cw
 
@@ -126,7 +126,7 @@ def test_decode_unrecoverable_beyond_envelope(gen_code):
     topo = gen_code.topo
     h = gen_code.h
     cw = encode(gen_code, (1, 1, 1, 1, 1))
-    pat = next(iter(enumerate_maximal_patterns(topo))).coords
+    pat = next(iter(enumerate_maximal_patterns(topo)))
     # overload one already-saturated repair set with h+1 extra erasures
     sat = next(rs for rs in topo.repair[0]
                if len(set(pat) & rs) == topo.delta - 1)
@@ -218,7 +218,7 @@ def test_construction3_pattern_check(gen_code):
     topo = make(2, 2, 1, 2, 1)
     code = construct_pc2(topo, 1)
     assert construction3_pattern_check(code, ())
-    pat = next(iter(enumerate_maximal_patterns(topo))).coords
+    pat = next(iter(enumerate_maximal_patterns(topo)))
     assert construction3_pattern_check(code, pat)
     # size gate: ell + 1 coordinates never qualify
     assert not construction3_pattern_check(code, tuple(range(1, code.ell + 2)))
