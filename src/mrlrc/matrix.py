@@ -165,8 +165,9 @@ class MatrixF:
 
     def first_dependent(self, pool, size: int, base=()) -> tuple | None:
         """The first size-subset F of pool, in itertools.combinations order,
-        with rank(sorted(base + F)) < len(base) + size, or None: the one
-        subset-independence sweep (MR routes, is_mds, l-wise check)."""
+        with rank(sorted(base + F)) < len(base) + size, or None: the
+        subset-independence sweep of is_mds, the l-wise check and the
+        parity route's projection."""
         base = tuple(base)
         need = len(base) + size
         for extra in itertools.combinations(pool, size):

@@ -248,12 +248,13 @@ def count_maximal_patterns(topo: Topology) -> int:
 def enumerate_maximal_patterns(topo: Topology, cap: int = DEFAULT_PATTERN_CAP):
     """Yield every maximal locally correctable pattern exactly once, as a
     sorted coordinate tuple."""
-    total = count_maximal_patterns(topo)
+    per_group = per_group_maximal_sets(topo)
+    total = len(per_group) ** topo.g
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} maximal patterns exceed the cap {cap}")
     width = topo.group_width
-    for combo in itertools.product(per_group_maximal_sets(topo), repeat=topo.g):
+    for combo in itertools.product(per_group, repeat=topo.g):
         yield tuple(c + i * width for i, cs in enumerate(combo) for c in cs)
 
 

@@ -4,12 +4,17 @@ bound evaluators.
 
 A code is maximally recoverable iff for every maximal locally correctable
 pattern E the restriction of the code to the complement of E is MDS of
-dimension k and length k + h.  verify_mr_exhaustive checks exactly that,
-either generator-side (every k x k minor of G restricted to the
-complement invertible) or parity-side (rank(H|_(E u F)) full for every
-h-subset F of the complement); both are implemented and agree.  The
-sweep also re-checks the local-distance premise on every repair set, so
-a mutilated bundle cannot pass by losing its locality.
+dimension k and length k + h.  verify_mr_exhaustive checks exactly that
+on one of two independent routes.  Generator-side, every k x k minor of
+G on the complement must be invertible; a k-subset of coordinates lies
+in the complement of many patterns, so each distinct one is ranked once
+per sweep.  Parity-side, rank(H|_(E u F)) = |E| + h for every h-subset F
+of the complement; H is eliminated on E once per pattern, which leaves an
+h x (k + h) projection that must be MDS.  Both routes name the first
+failing subset in itertools.combinations order, so they report what a
+subset-by-subset rank sweep reports.  The sweep also re-checks the
+local-distance premise on every repair set, so a mutilated bundle cannot
+pass by losing its locality.
 
 Reports serialize to JSON without timing fields, so two runs with the
 same seed produce byte-identical documents.
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
+from .elim import reduce_rows
 from .matrix import MatrixF
 from .constructions import MrLrcCode, plan_field, premise_violations
 from .topology import (
@@ -101,10 +107,15 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     """Sweep every maximal locally correctable pattern.
 
     side "generator": the restriction of G to the pattern complement must
-    be MDS of dimension k (every k x k minor invertible).
+    be MDS of dimension k (every k x k minor invertible); each distinct
+    k-subset of coordinates is ranked once per call.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
-    complement; equivalent, implemented as an independent route.
+    complement; H is eliminated on E once per pattern, and the h x (k + h)
+    projection left over must be MDS.  Neither route uses the other's
+    mechanism, so a fault in one does not hide in the other.
 
+    Each failure names the first failing subset in
+    itertools.combinations order, as a subset-by-subset rank sweep would.
     The local-distance premise (d >= delta on every repair set) is checked
     first: the pattern criterion certifies maximal recoverability only for
     codes that are LRCs of the stated type.  With fail_fast the sweep
@@ -119,14 +130,15 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
         return MrReport(code_id=code_id(code), mode="exhaustive",
                         patterns_checked=0, failures=failures,
                         bound_values=_bound_row(code))
+    memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
     for pat in enumerate_maximal_patterns(topo, cap=pattern_cap):
         checked += 1
         comp = sorted(set(range(1, topo.n + 1)) - set(pat))
         if side == "generator":
-            found = code.G.first_dependent(comp, code.k)
+            found = _first_singular_minor(code.G, comp, code.k, memo)
             detail = "singular minor on surviving columns"
         else:
-            found = code.H.first_dependent(comp, code.h, pat)
+            found = _first_rank_defect(code.H, pat, comp, code.h)
             detail = "rank defect after adding erasures"
         if found is not None:
             failures.append(MrFailure(pat, f"{detail} {list(found)}"))
@@ -135,6 +147,47 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     return MrReport(code_id=code_id(code), mode="exhaustive",
                     patterns_checked=checked, failures=failures,
                     bound_values=_bound_row(code))
+
+
+def _first_singular_minor(g_mat: MatrixF, comp, k: int,
+                          memo: dict[int, bool]) -> tuple | None:
+    """The first k-subset S of comp, in combinations order, with
+    rank(G|_S) < k, or None.
+
+    memo maps the bitmask of S to whether G|_S has rank k.  The subsets
+    are walked as tuples of bits 1 << c, so the bitmask of S is the sum of
+    its tuple and the coordinate of a bit is its bit_length - 1.
+    """
+    for bits in itertools.combinations([1 << c for c in comp], k):
+        key = sum(bits)
+        full = memo.get(key)
+        if full is None:
+            full = memo[key] = g_mat.rank(
+                [b.bit_length() - 1 for b in bits]) == k
+        if not full:
+            return tuple(b.bit_length() - 1 for b in bits)
+    return None
+
+
+def _first_rank_defect(h_mat: MatrixF, pat, comp, h: int) -> tuple | None:
+    """The first h-subset F of comp, in combinations order, with
+    rank(H|_(pat u F)) < |pat| + h, or None.
+
+    One forward elimination of H's columns ordered pat first, stopped
+    after the |pat| columns of pat, leaves the rows below its pivots zero
+    on pat; on comp they are the projection P, and
+    rank(H|_(pat u F)) = |pat| + rank(P|_F).  When H|_pat is itself
+    rank-deficient every F fails, the first being comp[:h].
+    """
+    e = len(pat)
+    order = [c - 1 for c in pat] + [c - 1 for c in comp]
+    rows = [[row[j] for j in order] for row in h_mat.data]
+    pivots, _ = reduce_rows(rows, h_mat.ctx, stop=e)
+    if len(pivots) < e:
+        return tuple(comp[:h])
+    proj = MatrixF(h_mat.ctx, [row[e:] for row in rows[e:]], cols=len(comp))
+    found = proj.first_dependent(range(1, len(comp) + 1), h)
+    return None if found is None else tuple(comp[j - 1] for j in found)
 
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrlrc import topology
 from mrlrc.topology import (
     BadParams, DimensionTooLarge, EnumerationCapExceeded, IndexOutOfRange,
     classify_pattern, count_maximal_patterns, enumerate_maximal_patterns,
@@ -160,8 +161,23 @@ def test_group_witnesses_match_definition(params):
 
 def test_enumeration_cap():
     topo = make_topology(2, 2, 1, 2, 2, mode="availability")
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^64 maximal patterns exceed the cap 10$"):
         list(enumerate_maximal_patterns(topo, cap=10))
+
+
+def test_enumeration_builds_group_sets_once(monkeypatch):
+    # the cap check and the product read one list of per-group sets
+    topo = make_topology(2, 2, 1, 2, 2, mode="availability")
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return per_group_maximal_sets(t)
+
+    monkeypatch.setattr(topology, "per_group_maximal_sets", counted)
+    assert len(list(enumerate_maximal_patterns(topo))) == 64
+    assert calls == [topo]
 
 
 def test_subset_of_locally_correctable_is_locally_correctable():

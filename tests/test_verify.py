@@ -8,14 +8,18 @@ import pytest
 
 from mrlrc.ff import field_ctx
 from mrlrc.matrix import MatrixF
-from mrlrc.constructions import construct_gen, construct_pc1, construct_pc2
+from mrlrc import verify
+from mrlrc.constructions import (
+    construct_gen, construct_pc1, construct_pc2, premise_violations,
+)
 from mrlrc.topology import enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
-    BoundInputs, InvalidInput, TooLargeToEnumerate, WrongKind,
-    construction3_pattern_check, decode_erasures,
-    ell_bounds, ell_exact, erasure_rank_defect, lower_bound_field,
-    verify_mr_exhaustive, verify_mr_sampled,
+    BoundInputs, InvalidInput, MrFailure, MrReport, TooLargeToEnumerate,
+    WrongKind, _bound_row, code_id, construction3_pattern_check,
+    decode_erasures, ell_bounds, ell_exact, erasure_rank_defect,
+    lower_bound_field, verify_mr_exhaustive, verify_mr_sampled,
 )
+from test_byte_stability import bvs, mutants
 
 
 def make(r, delta, t, g, n_avail):
@@ -50,6 +54,128 @@ def test_corrupted_entry_fails_with_witness(gen_code):
     # structural duality failure)
     assert any(f.pattern for f in rep.failures)
     assert "fail" in rep.to_json()
+
+
+# -- the exhaustive routes against the subset-by-subset sweep
+
+
+def oracle_report(code, side: str) -> str:
+    """The exhaustive report as a sweep that ranks every column subset of
+    every pattern from scratch: premise violations, then per pattern the
+    first dependent subset that MatrixF.first_dependent finds (k-subsets
+    of the complement in G, or h-subsets added to the pattern in H)."""
+    failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
+    checked = 0
+    for pat in enumerate_maximal_patterns(code.topo):
+        checked += 1
+        comp = sorted(set(range(1, code.n + 1)) - set(pat))
+        if side == "generator":
+            found = code.G.first_dependent(comp, code.k)
+            detail = "singular minor on surviving columns"
+        else:
+            found = code.H.first_dependent(comp, code.h, pat)
+            detail = "rank defect after adding erasures"
+        if found is not None:
+            failures.append(MrFailure(pat, f"{detail} {list(found)}"))
+    return MrReport(code_id=code_id(code), mode="exhaustive",
+                    patterns_checked=checked, failures=failures,
+                    bound_values=_bound_row(code)).to_json()
+
+
+# the reference codes, the n=9 pc2 code of the benchmark and a code with
+# no heavy parities (h = 0)
+ORACLE_CODES = tuple(bvs.REFERENCE_CODES) + (
+    ("pc2", (2, 2, 1, 3, 1), {"h": 1}),
+    ("gen", (2, 2, 1, 2, 2), {"k": 6}),
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_CODES,
+                         ids=[f"{k}{p}{a}" for k, p, a in ORACLE_CODES])
+def test_exhaustive_routes_match_subset_sweep_oracle(spec):
+    code = bvs.build(*spec)
+    for copy in (code, *mutants(code)):
+        for side in ("generator", "parity"):
+            assert (verify_mr_exhaustive(copy, side=side).to_json()
+                    == oracle_report(copy, side)), side
+
+
+def test_h0_code_routes():
+    code = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 6})
+    assert code.h == 0
+    for side in ("generator", "parity"):
+        assert verify_mr_exhaustive(code, side=side).passed
+    # a zero column of H makes H|_E singular on every pattern through it;
+    # with h = 0 the witness is the empty subset
+    bad = replace(code, H=MatrixF(code.H.ctx, [(0,) + r[1:] for r in code.H.data]))
+    rep = verify_mr_exhaustive(bad, side="parity")
+    sweep = [f for f in rep.failures if f.detail.startswith("rank defect")]
+    assert sweep and all(f.detail.endswith("[]") and 1 in f.pattern for f in sweep)
+    assert rep.to_json() == oracle_report(bad, "parity")
+
+
+def test_parity_route_rank_deficient_on_pattern():
+    # a zero column of H inside a pattern: H|_E is rank-deficient there, so
+    # every h-subset fails and the witness is the first h complement
+    # coordinates
+    code = bvs.build("pc1", (2, 2, 1, 2, 2), {"h": 2})
+    pats = list(enumerate_maximal_patterns(code.topo))
+    col = pats[0][0]
+    bad = replace(code, H=MatrixF(code.H.ctx, [
+        r[:col - 1] + (0,) + r[col:] for r in code.H.data]))
+    rep = verify_mr_exhaustive(bad, side="parity")
+    swept = {f.pattern: f.detail for f in rep.failures
+             if f.detail.startswith("rank defect")}
+    hit = [p for p in pats if col in p]
+    assert set(hit) <= set(swept)
+    for p in hit:
+        comp = sorted(set(range(1, code.n + 1)) - set(p))
+        assert swept[p] == f"rank defect after adding erasures {comp[:code.h]}"
+    assert rep.to_json() == oracle_report(bad, "parity")
+
+
+def test_generator_route_rank_deficient_on_complement():
+    # zeroing h + 1 columns of G in the complement of one pattern leaves
+    # G of rank below k there: the first k complement coordinates fail
+    code = bvs.build("gen", (3, 2, 2, 2, 2), {"k": 6})
+    pat = next(iter(enumerate_maximal_patterns(code.topo)))
+    comp = sorted(set(range(1, code.n + 1)) - set(pat))
+    zeroed = set(comp[:code.h + 1])
+    bad = replace(code, G=MatrixF(code.G.ctx, [
+        [0 if j + 1 in zeroed else v for j, v in enumerate(r)]
+        for r in code.G.data]))
+    assert bad.G.rank(comp) < code.k
+    rep = verify_mr_exhaustive(bad, side="generator")
+    assert MrFailure(pat, f"singular minor on surviving columns {comp[:code.k]}") \
+        in rep.failures
+    assert rep.to_json() == oracle_report(bad, "generator")
+
+
+def test_fail_fast_returns_first_failure(monkeypatch):
+    code = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 5})
+    muts = list(mutants(code))
+    for side in ("generator", "parity"):
+        for m in muts:
+            # a broken premise ends the call before the sweep
+            premise = premise_violations(m)
+            fast = verify_mr_exhaustive(m, side=side, fail_fast=True)
+            assert premise and fast.patterns_checked == 0
+            assert fast.failures == verify_mr_exhaustive(m, side=side).failures[:len(premise)]
+    # without the premise check the sweep itself stops at its first failure
+    monkeypatch.setattr(verify, "premise_violations", lambda code: [])
+    pats = list(enumerate_maximal_patterns(code.topo))
+    stopped = 0
+    for side in ("generator", "parity"):
+        for m in muts:
+            full = verify_mr_exhaustive(m, side=side)
+            fast = verify_mr_exhaustive(m, side=side, fail_fast=True)
+            if not full.failures:
+                assert fast.to_json() == full.to_json()
+                continue
+            stopped += 1
+            assert fast.failures == full.failures[:1]
+            assert fast.patterns_checked == pats.index(full.failures[0].pattern) + 1
+    assert stopped
 
 
 def test_report_json_is_seed_stable(gen_code):
