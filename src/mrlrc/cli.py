@@ -27,16 +27,21 @@ class _Parser(argparse.ArgumentParser):
     # verification failures, so remap usage problems to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _topology_args(sub):
+    """The topology flags, then exactly one of --k / --h."""
     sub.add_argument("--r", type=int, required=True, help="locality")
     sub.add_argument("--delta", type=int, required=True,
                      help="local distance parameter")
     sub.add_argument("--t", type=int, required=True, help="core size")
     sub.add_argument("--g", type=int, required=True, help="group count")
     sub.add_argument("--N", type=int, required=True, help="availability")
+    size = sub.add_mutually_exclusive_group(required=True)
+    size.add_argument("--k", type=int, help="dimension (alternative to --h)")
+    size.add_argument("--h", type=int,
+                      help="heavy parities (alternative to --k)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("construct", help="build a code bundle")
     p.add_argument("--kind", choices=constructions.KINDS, required=True)
     _topology_args(p)
-    p.add_argument("--k", type=int, help="dimension (alternative to --h)")
-    p.add_argument("--h", type=int, help="heavy parities (alternative to --k)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--name", default="bundle", help="bundle file prefix")
 
@@ -84,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bounds", help="field-size table and lower bound")
     _topology_args(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--h", type=int)
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     return parser
@@ -130,9 +131,6 @@ def _print_bounds_context(topo, k, h):
 def cmd_construct(args) -> int:
     try:
         topo = _make_topology(args)
-        if (args.k is None) == (args.h is None):
-            print("error: give exactly one of --k / --h", file=sys.stderr)
-            return EXIT_USAGE
         code = constructions.construct(topo, args.kind, k=args.k, h=args.h)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -258,9 +256,6 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     try:
         topo = _make_topology(args)
-        if (args.k is None) == (args.h is None):
-            print("error: give exactly one of --k / --h", file=sys.stderr)
-            return EXIT_USAGE
         row = table1_row(topo, k=args.k, h=args.h)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,7 @@ from .sumrank import frobenius_rows
 from .topology import Topology, heavy_parity_count, make_topology
 
 KINDS = ("gen", "pc1", "pc2")
+ELL_WISE_SUBSET_CAP = 2000
 
 
 class ConstraintViolated(ValueError):
@@ -197,16 +198,16 @@ def local_generator(topo: Topology, kind: str, ctx) -> MatrixF:
     r, delta, t = topo.r, topo.delta, topo.t
     n_loc = r + delta - 1
     if kind == "gen":
-        return structured_mds(MdsSpec(ctx, n_loc, r), t, (t, r - t))
+        return structured_mds(MdsSpec(ctx, n_loc, r), t)
     if kind == "pc1":
         raise ValueError("pc1 local generator depends on h; use _pc1_local")
-    return structured_mds(MdsSpec(ctx, n_loc, delta - 1), t, (t, delta - 1 - t))
+    return structured_mds(MdsSpec(ctx, n_loc, delta - 1), t)
 
 
 def _pc1_local(topo: Topology, h: int, ctx) -> MatrixF:
     r, delta, t = topo.r, topo.delta, topo.t
     return structured_mds(MdsSpec(ctx, r + delta - 1, h + delta - 1), t,
-                          (t, delta - 1 - t, h), check_prefix=delta - 1)
+                          check_prefix=delta - 1)
 
 
 def _place(topo: Topology, band, segment_sets) -> list[list[int]]:
@@ -260,29 +261,24 @@ def premise_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
 
 def local_property_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
     """(repair set, detail) for every repair set R on which a codeword can
-    leave the distance->=delta local MDS code; checked on the generator
-    rows against the local ingredients."""
+    leave the distance->=delta local MDS code: G|_R Pi^T != 0 for the local
+    parity rows Pi, the dual of gen's local generator or the top delta-1
+    band rows of the parity-check kinds, embedded once per code."""
     topo = code.topo
     tower = code.tower
-    out = []
     if code.kind == "gen":
-        a_loc = local_generator(topo, "gen", tower.base)
-        a_emb = map_entries(a_loc, tower.top, tower.embed)
-        rank_a = a_emb.rank()
+        pi = dual_matrix(local_generator(topo, "gen", tower.base))
+        detail = "restriction to R_({},{}) leaves the local MDS code"
     else:
-        a_loc = local_generator(topo, "pc2", tower.base)  # A' = [I_t B; 0 C]
-        a_t = map_entries(a_loc, tower.top, tower.embed).transpose()
+        pi = local_generator(topo, "pc2", tower.base)  # A' = [I_t B; 0 C]
+        detail = "local parities violated on R_({},{})"
+    pi_t = map_entries(pi, tower.top, tower.embed).transpose()
+    out = []
     for i, sets in enumerate(topo.repair, start=1):
         for j, rs in enumerate(sets, start=1):
             rs = tuple(sorted(rs))
-            sub = code.G.restrict_columns(rs)
-            if code.kind == "gen":
-                stacked = MatrixF(tower.top, a_emb.data + sub.data)
-                if stacked.rank() != rank_a:
-                    out.append((rs, f"restriction to R_({i},{j}) leaves "
-                                    "the local MDS code"))
-            elif not sub.mul(a_t).is_zero():
-                out.append((rs, f"local parities violated on R_({i},{j})"))
+            if not code.G.restrict_columns(rs).mul(pi_t).is_zero():
+                out.append((rs, detail.format(i, j)))
     return out
 
 
@@ -360,12 +356,13 @@ def construct_pc2(topo: Topology, h: int) -> MrLrcCode:
     return code
 
 
-def _check_ell_wise_independent(code: MrLrcCode, subset_cap: int = 2000) -> None:
+def _check_ell_wise_independent(code: MrLrcCode) -> None:
     """Any min(ell, n/g) of the beta multipliers must be GF(q)-independent.
 
     Guaranteed by the RS expansion; asserted anyway.  Exhausts all subsets
-    of size min(ell, n/g) up to subset_cap of them, and always checks that
-    the full set has the maximal possible rank."""
+    of size min(ell, n/g) when there are at most ELL_WISE_SUBSET_CAP of
+    them, and always checks that the full set has the maximal possible
+    rank."""
     tower = code.tower
     base = tower.base
     cols = [tower.base_coords(x) for x in code.beta]
@@ -373,7 +370,7 @@ def _check_ell_wise_independent(code: MrLrcCode, subset_cap: int = 2000) -> None
     size = min(code.ell, len(cols))
     if full.rank() < size:
         raise AssertionError("beta multipliers are not ell-wise independent")
-    if comb(len(cols), size) <= subset_cap:
+    if comb(len(cols), size) <= ELL_WISE_SUBSET_CAP:
         sel = full.first_dependent(range(1, len(cols) + 1), size)
         if sel is not None:
             raise AssertionError(f"beta subset {sel} is GF(q)-linearly dependent")

@@ -64,27 +64,8 @@ class TooManyBlocks(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2^40 order limit."""
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division; FieldCtx only asks it for p <= 2^40."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -204,12 +185,14 @@ class FieldCtx:
     )
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be positive, got {e}")
-        if p ** e > ORDER_LIMIT:
+        # p^41 > 2^40 for every p >= 2, so the exponent is cut at 41 before
+        # any work that p or e sizes: a huge e never builds p^e
+        if p ** min(e, 41) > ORDER_LIMIT:
             raise DegreeOverflow(f"p^e = {p}^{e} exceeds the {ORDER_LIMIT} limit")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p = p
         self.e = e
         self.order = p ** e

@@ -81,27 +81,27 @@ def extended_rs_generator(spec: MdsSpec) -> MatrixF:
     return vandermonde_columns(spec.ctx, spec.k_loc, spec.n_loc)
 
 
-def is_mds(g: MatrixF, column_cap: int = IS_MDS_COLUMN_CAP) -> bool:
+def is_mds(g: MatrixF) -> bool:
     """True iff every k x k column submatrix of the k x n generator is invertible.
 
-    Brute force over all C(n, k) choices; refuses to run beyond column_cap
-    columns, since this is a desk-scale verification tool.
+    Brute force over all C(n, k) choices; refuses to run beyond
+    IS_MDS_COLUMN_CAP columns, since this is a desk-scale verification tool.
     """
     if g.rows > g.cols:
         raise ValueError("is_mds needs rows <= cols")
-    if g.cols > column_cap:
-        raise ColumnCapExceeded(f"{g.cols} columns exceed the cap {column_cap}")
+    if g.cols > IS_MDS_COLUMN_CAP:
+        raise ColumnCapExceeded(
+            f"{g.cols} columns exceed the cap {IS_MDS_COLUMN_CAP}")
     return g.first_dependent(range(1, g.cols + 1), g.rows) is None
 
 
-def structured_mds(spec: MdsSpec, t: int, split: tuple[int, ...],
+def structured_mds(spec: MdsSpec, t: int,
                    check_prefix: int | None = None) -> MatrixF:
     """Generator of the canonical (n_loc, k_loc) RS code in banded form.
 
     The result is row-equivalent to extended_rs_generator(spec) and has
-    first t columns equal to [I_t; 0].  split gives the row-band sizes
-    (first band >= t) and must partition k_loc; the rows of the bands below
-    the first are the C / D rows of the global constructions.
+    first t columns equal to [I_t; 0]; the rows below the first t are the
+    C / D bands of the global constructions.
 
     The row reduction pivots only on the first t rows, so the span of any
     prefix of rows is the corresponding lower-degree RS subcode.  When
@@ -109,10 +109,6 @@ def structured_mds(spec: MdsSpec, t: int, split: tuple[int, ...],
     verified to span an MDS code (raising APrimeNotMds otherwise).
     """
     k, n = spec.k_loc, spec.n_loc
-    if sum(split) != k:
-        raise ValueError(f"split {split} does not partition k = {k}")
-    if not split or split[0] < t:
-        raise ValueError(f"first band must have at least t = {t} rows")
     if t > k:
         raise ValueError(f"t = {t} exceeds k = {k}")
     # the leading minors of the Vandermonde block on the first t columns

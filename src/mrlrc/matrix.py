@@ -83,9 +83,6 @@ class MatrixF:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
 
@@ -163,16 +160,13 @@ class MatrixF:
         pivots, _ = reduce_rows(rows, self.ctx)
         return len(pivots)
 
-    def first_dependent(self, pool, size: int, base=()) -> tuple | None:
+    def first_dependent(self, pool, size: int) -> tuple | None:
         """The first size-subset F of pool, in itertools.combinations order,
-        with rank(sorted(base + F)) < len(base) + size, or None: the
-        subset-independence sweep of is_mds, the l-wise check and the
-        parity route's projection."""
-        base = tuple(base)
-        need = len(base) + size
-        for extra in itertools.combinations(pool, size):
-            if self.rank(sorted(base + extra)) < need:
-                return extra
+        with rank(F) < size, or None: the subset-independence sweep of
+        is_mds, the l-wise check and the parity route's projection."""
+        for sel in itertools.combinations(pool, size):
+            if self.rank(sel) < size:
+                return sel
         return None
 
     def det(self) -> int:
@@ -277,7 +271,7 @@ def block_diag(blocks) -> MatrixF:
 
 def map_entries(m: MatrixF, ctx: FieldCtx, fn) -> MatrixF:
     """New matrix over ctx with fn applied to every entry."""
-    return MatrixF(ctx, [[fn(v) for v in r] for r in m.data])
+    return MatrixF(ctx, [[fn(v) for v in r] for r in m.data], cols=m.cols)
 
 
 # ---------------------------------------------------------------------------

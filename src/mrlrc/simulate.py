@@ -4,7 +4,11 @@ Each trial draws an erasure pattern from the configured failure model,
 then repairs: first locally, group by group (find a witness repair set,
 decode it from r survivors, then the remaining sets of the group, which
 are disjoint outside the core and can be read in parallel); if any group
-resists local repair the full word goes to the global erasure decoder.
+resists local repair the full word goes to the global erasure decoder,
+which succeeds exactly when H restricted to the erased coordinates has
+full column rank (verify.erasure_rank_defect is zero).  Trials carry no
+data: both phases are decided from the topology and the rank of H, and
+no symbol is computed.
 
 Cost accounting: every engaged repair set reads r symbols (the locality
 promise of an (r+delta-1, r) local MDS code); a global decode reads all
@@ -30,7 +34,7 @@ from fractions import Fraction
 from .constructions import MrLrcCode
 from .rng import ALGORITHM, Xoshiro256
 from .topology import draw_maximal_pattern, group_witnesses, per_group_maximal_sets
-from .verify import decode_erasures
+from .verify import erasure_rank_defect
 
 MODELS = ("uniform_nodes", "per_group_burst", "adversarial_maximal")
 
@@ -173,10 +177,8 @@ def run_simulation(code: MrLrcCode, cfg: SimConfig) -> SimReport:
             local += 1
         else:
             # global decode works on the original pattern, reading every survivor
-            word = [0 if i + 1 not in erased else None for i in range(n)]
             reads = n - len(erased)
-            decoded = decode_erasures(code, word)
-            if decoded is None:
+            if erasure_rank_defect(code, erased):
                 loss += 1
                 repaired = 0
             else:

@@ -63,12 +63,6 @@ class Topology:
     def coords(self) -> range:
         return range(1, self.n + 1)
 
-    def group_of(self, coord: int) -> int:
-        """1-based group index of a coordinate."""
-        if not 1 <= coord <= self.n:
-            raise IndexOutOfRange(f"coordinate {coord} outside [1, {self.n}]")
-        return (coord - 1) // self.group_width + 1
-
     def max_dimension(self) -> int:
         """g(t + N(r-t)): the dimension leaving zero heavy parities."""
         return self.g * (self.t + self.N * (self.r - self.t))

@@ -16,6 +16,13 @@ subset-by-subset rank sweep reports.  The sweep also re-checks the
 local-distance premise on every repair set, so a mutilated bundle cannot
 pass by losing its locality.
 
+An erasure pattern E is recoverable iff rank(H|_E) = |E|.  Sampled
+verification and erasure_rank_defect (which the simulator's global path
+and the decode command's unrecoverable message read) rank H|_E alone;
+decode_erasures reduces H|_E augmented by the syndrome of the kept
+symbols once, and reads off unrecoverable, inconsistent or the completed
+word from that one elimination.
+
 Reports serialize to JSON without timing fields, so two runs with the
 same seed produce byte-identical documents.
 """
@@ -38,6 +45,7 @@ from .topology import (
 from .rng import ALGORITHM, Xoshiro256
 
 SCHEMA_VERSION = 1
+ELL_EXACT_COLUMN_CAP = 20
 
 
 class WrongKind(ValueError):
@@ -102,7 +110,6 @@ def code_id(code: MrLrcCode) -> str:
 
 
 def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
-                         pattern_cap: int = 10 ** 6,
                          fail_fast: bool = False) -> MrReport:
     """Sweep every maximal locally correctable pattern.
 
@@ -119,7 +126,8 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     The local-distance premise (d >= delta on every repair set) is checked
     first: the pattern criterion certifies maximal recoverability only for
     codes that are LRCs of the stated type.  With fail_fast the sweep
-    stops at the first failure.
+    stops at the first failure.  Codes with more maximal patterns than
+    topology.DEFAULT_PATTERN_CAP raise EnumerationCapExceeded.
     """
     if side not in ("generator", "parity"):
         raise ValueError("side must be 'generator' or 'parity'")
@@ -131,7 +139,7 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                         patterns_checked=0, failures=failures,
                         bound_values=_bound_row(code))
     memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
-    for pat in enumerate_maximal_patterns(topo, cap=pattern_cap):
+    for pat in enumerate_maximal_patterns(topo):
         checked += 1
         comp = sorted(set(range(1, topo.n + 1)) - set(pat))
         if side == "generator":
@@ -226,46 +234,42 @@ def _bound_row(code: MrLrcCode) -> dict:
 # erasure decoding
 
 
-def erasure_positions(word) -> tuple[list, list]:
-    """Split a word with None erasure marks into (erased_1based, kept_1based)."""
-    erased = [i + 1 for i, v in enumerate(word) if v is None]
-    kept = [i + 1 for i, v in enumerate(word) if v is not None]
-    return erased, kept
-
-
 def decode_erasures(code: MrLrcCode, word):
     """Complete a codeword with erasures marked as None.
 
-    Returns the codeword tuple when H restricted to the erased columns has
-    full column rank, None when the pattern is unrecoverable, and raises
-    InvalidInput when the unerased symbols are consistent with no codeword.
+    One reduced elimination of [H|_E | -H w], w the word with its erasures
+    read as 0, pivoting on the |E| erased columns, answers all three
+    questions: fewer than |E| pivots (H|_E rank-deficient, which includes
+    |E| > rows of H) gives None; a nonzero last entry in a row below the
+    pivots means the kept symbols are consistent with no codeword and
+    raises InvalidInput; otherwise the last column of the pivot rows holds
+    the erased symbols and the completed codeword tuple is returned.
     """
     word = list(word)
     if len(word) != code.n:
         raise ValueError(f"word length must be n = {code.n}")
-    h_mat = code.H
     top = code.tower.top
-    erased, kept = erasure_positions(word)
-    syndrome_src = [word[i - 1] for i in kept]
-    kept_cols = h_mat.restrict_columns(kept)
-    rhs_vec = kept_cols.mul(MatrixF(top, [(v,) for v in syndrome_src],
-                                    cols=1)) if kept else \
-        MatrixF.zeros(top, h_mat.rows, 1)
-    rhs = [top.neg(v[0]) for v in rhs_vec.data]
-    if not erased:
-        if any(rhs):
-            raise InvalidInput("word is not a codeword")
-        return tuple(word)
-    if len(erased) > h_mat.rows:
+    for v in word:
+        if v is not None and not top.is_element(v):
+            raise ValueError(f"{v} is not an element of {top!r}")
+    add, mul = top.add, top.mul
+    erased = [j for j, v in enumerate(word) if v is None]
+    e = len(erased)
+    rows = []
+    for h_row in code.H.data:
+        acc = 0
+        for v, x in zip(word, h_row):
+            if v and x:
+                acc = add(acc, mul(v, x))
+        rows.append([h_row[j] for j in erased] + [top.neg(acc)])
+    pivots, _ = reduce_rows(rows, top, stop=e, reduced=True)
+    if len(pivots) < e:
         return None
-    sub = h_mat.restrict_columns(erased)
-    x = sub.solve_unique(rhs)
-    if x is None:
-        if sub.rank() < len(erased):
-            return None
-        raise InvalidInput("unerased symbols are inconsistent with the code")
-    for pos, v in zip(erased, x):
-        word[pos - 1] = v
+    if any(row[e] for row in rows[e:]):
+        raise InvalidInput("unerased symbols are inconsistent with the code"
+                           if erased else "word is not a codeword")
+    for j, row in zip(erased, rows):
+        word[j] = row[e]
     return tuple(word)
 
 
@@ -281,8 +285,9 @@ def erasure_rank_defect(code: MrLrcCode, coords) -> int:
 # the l(P, h) parameter
 
 
-def ell_exact(p_mat: MatrixF, h: int, n_cap: int = 20) -> int:
-    """max{|E| : |E| - rank(P|_E) <= h} by subset search.
+def ell_exact(p_mat: MatrixF, h: int) -> int:
+    """max{|E| : |E| - rank(P|_E) <= h} by subset search, refused beyond
+    ELL_EXACT_COLUMN_CAP columns.
 
     Sizes are scanned in decreasing order starting at min(n, rank(P) + h):
     the defect |E| - rank(P|_E) is monotone under inclusion and at least
@@ -291,8 +296,9 @@ def ell_exact(p_mat: MatrixF, h: int, n_cap: int = 20) -> int:
     if h < 0:
         raise ValueError("h must be non-negative")
     n = p_mat.cols
-    if n > n_cap:
-        raise TooLargeToEnumerate(f"n = {n} exceeds the cap {n_cap}")
+    if n > ELL_EXACT_COLUMN_CAP:
+        raise TooLargeToEnumerate(
+            f"n = {n} exceeds the cap {ELL_EXACT_COLUMN_CAP}")
     start = min(n, p_mat.rank() + h)
     for size in range(start, -1, -1):
         for sel in itertools.combinations(range(1, n + 1), size):

@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, file formats."""
 
 import json
+import time
 
 import pytest
 
@@ -33,9 +34,39 @@ def test_construct_rejects_bad_params(tmp_path, capsys):
     assert "h <= r" in capsys.readouterr().err
 
 
-def test_construct_usage_error(tmp_path):
+def test_construct_usage_error(tmp_path, capsys):
     assert main(["construct", "--kind", "gen", "--r", "2",
                  "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mrlrc construct")
+    assert "mrlrc construct: error: the following arguments are required" in err
+    assert "--delta" in err.split("error:")[1]
+
+
+BOUNDS_ARGS = ["bounds", "--r", "2", "--delta", "2", "--t", "1", "--g", "2",
+               "--N", "2"]
+
+
+def test_bounds_bad_integer_names_the_flag(capsys):
+    assert main(BOUNDS_ARGS + ["--k", "x"]) == 1
+    err = capsys.readouterr().err
+    assert "mrlrc bounds: error: argument --k: invalid int value: 'x'" in err
+
+
+@pytest.mark.parametrize("size", [[], ["--k", "4", "--h", "2"]],
+                         ids=["neither", "both"])
+@pytest.mark.parametrize("command", ["construct", "bounds"])
+def test_exactly_one_of_k_and_h(command, size, tmp_path, capsys):
+    if command == "construct":
+        argv = GEN_ARGS[:-2] + size + ["--out", str(tmp_path)]
+    else:
+        argv = BOUNDS_ARGS + size
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    reason = ("not allowed with argument" if size
+              else "one of the arguments --k --h is required")
+    assert f"mrlrc {command}: error: " in err and reason in err
+    assert not (tmp_path / "bundle.json").exists()
 
 
 def test_verify_exhaustive_pass(bundle, tmp_path, capsys):
@@ -76,6 +107,17 @@ def test_verify_rejects_bundle_with_wrong_h(bundle, capsys):
         assert main(["verify", str(bundle), "--side", "parity"]) == 1
         err = capsys.readouterr().err
         assert "error: cannot load bundle" in err and "Traceback" not in err
+
+
+def test_verify_rejects_bundle_with_huge_extension_degree(bundle, capsys):
+    # the order bound is checked before the field is sized
+    doc = json.loads(bundle.read_text())
+    bundle.write_text(json.dumps({**doc, "m": 10 ** 12}))
+    t0 = time.monotonic()
+    assert main(["verify", str(bundle)]) == 1
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "error: cannot load bundle" in err and "exceeds" in err
 
 
 @pytest.mark.parametrize("edit", [{"a": 5}, {"beta": None}, {"matrices": []},
@@ -119,6 +161,16 @@ def test_decode_rejects_wrong_length(bundle, tmp_path):
     word = tmp_path / "word.txt"
     word.write_text("1 2 3\n")
     assert main(["decode", str(bundle), str(word)]) == 1
+
+
+def test_decode_rejects_symbol_outside_the_field(bundle, tmp_path, capsys):
+    # GF(27): 27 is not a field element, whether or not the word decodes
+    word = tmp_path / "word.txt"
+    for text in ("? ? 27 0 0 0 0 0 0 0", "27 ? ? ? ? ? ? ? ? ?"):
+        word.write_text(text + "\n")
+        assert main(["decode", str(bundle), str(word)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 27 is not an element") and "Traceback" not in err
 
 
 def test_encode_message_length_checked(bundle, tmp_path):

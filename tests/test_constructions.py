@@ -383,6 +383,16 @@ def test_local_property_enforced_at_build():
             assert stacked.rank() == a_emb.rank()
 
 
+def test_gen_delta_one_has_no_local_parities():
+    # delta = 1: the local code is all of GF(q)^r, its dual has no rows,
+    # and the local-property product G|_R Pi^T has no columns to check
+    code = construct(make_topology(2, 1, 1, 2, 1), "gen", k=3)
+    assert (code.n, code.k, code.h) == (4, 3, 1)
+    assert dual_matrix(local_generator(code.topo, "gen", code.tower.base)).rows == 0
+    for side in ("generator", "parity"):
+        assert verify_mr_exhaustive(code, side=side).passed
+
+
 def test_gen_zero_dimension_edge():
     topo = make(2, 2, 1, 2, 1)
     code = construct_gen(topo, 0)

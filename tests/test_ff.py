@@ -1,6 +1,7 @@
 """Field contexts and towers: canonical choices, axioms, norms."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from mrlrc.ff import (
     DegreeOverflow, DivisionByZero, FieldCtx, NotPrime, TooManyBlocks,
-    ZeroNorm, field_ctx, is_prime_power, least_irreducible, make_tower,
-    next_prime_power,
+    ZeroNorm, field_ctx, is_prime, is_prime_power, least_irreducible,
+    make_tower, next_prime_power,
 )
 
 
@@ -41,6 +42,31 @@ def test_not_prime_and_overflow():
         make_tower(6, 1, 2)
     with pytest.raises(DegreeOverflow):
         FieldCtx(2, 41)
+
+
+def test_huge_degree_rejected_before_any_work():
+    # p^e is never built: 2^(10^12) would need a 125 GB integer
+    for build in (lambda: FieldCtx(2, 10 ** 12), lambda: make_tower(2, 1, 10 ** 12),
+                  lambda: FieldCtx(10 ** 40 + 1, 10 ** 12)):
+        t0 = time.monotonic()
+        with pytest.raises(DegreeOverflow):
+            build()
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_is_prime_matches_sieve():
+    limit = 5000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, limit):
+        if sieve[i]:
+            for j in range(i * i, limit, i):
+                sieve[j] = False
+    assert [n for n in range(-3, limit) if is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+    # the largest prime below the 2^40 order limit, and its neighbours
+    assert is_prime(2 ** 40 - 87)
+    assert not is_prime(2 ** 40 - 85) and not is_prime(2 ** 40 - 89)
 
 
 def test_prime_power_helpers():

@@ -67,14 +67,14 @@ def test_dual_of_mds_is_mds():
 
 def test_structured_single_band():
     # t = k: full systematic form [I_k | B]
-    a = structured_mds(MdsSpec(F4, 4, 2), 2, (2,))
+    a = structured_mds(MdsSpec(F4, 4, 2), 2)
     assert a.data[0][:2] == (1, 0)
     assert a.data[1][:2] == (0, 1)
     assert is_mds(a)
 
 
 def test_structured_example_gf4():
-    a = structured_mds(MdsSpec(F4, 4, 3), 1, (1, 2))
+    a = structured_mds(MdsSpec(F4, 4, 3), 1)
     # shape [1 B; 0 C]
     assert a.data[0][0] == 1
     assert a.data[1][0] == 0 and a.data[2][0] == 0
@@ -84,8 +84,7 @@ def test_structured_example_gf4():
 
 def test_structured_row_space_and_zero_pattern():
     for ctx, n, k, t in [(F3, 4, 3, 1), (F4, 4, 3, 2), (F9, 6, 4, 2)]:
-        split = (t, k - t)
-        a = structured_mds(MdsSpec(ctx, n, k), t, split)
+        a = structured_mds(MdsSpec(ctx, n, k), t)
         orig = extended_rs_generator(MdsSpec(ctx, n, k))
         stacked = MatrixF(ctx, orig.data + a.data)
         assert stacked.rank() == k == a.rank()
@@ -100,7 +99,7 @@ def test_structured_prefix_mds():
     # A = [I_t B; 0 C; 0 D] with the top delta-1 rows spanning an MDS code
     t, delta, h, r = 1, 2, 2, 2
     a = structured_mds(MdsSpec(F3, r + delta - 1, h + delta - 1), t,
-                       (t, delta - 1 - t, h), check_prefix=delta - 1)
+                       check_prefix=delta - 1)
     prefix = MatrixF(F3, a.data[:delta - 1], cols=a.cols)
     assert is_mds(prefix)
     assert is_mds(a)
@@ -109,8 +108,8 @@ def test_structured_prefix_mds():
 def test_structured_prefix_spans_low_degree_subcode():
     # the prefix rows span the same code as the lower-dimension generator
     spec_big = MdsSpec(F9, 6, 4)
-    a = structured_mds(spec_big, 2, (2, 1, 1), check_prefix=3)
-    low = structured_mds(MdsSpec(F9, 6, 3), 2, (2, 1))
+    a = structured_mds(spec_big, 2, check_prefix=3)
+    low = structured_mds(MdsSpec(F9, 6, 3), 2)
     stacked = MatrixF(F9, a.data[:3] + low.data)
     assert stacked.rank() == 3
 

@@ -1,6 +1,7 @@
 """MR verification sweeps, erasure decoding, ell computations, lower bounds."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from mrlrc.ff import field_ctx
 from mrlrc.matrix import MatrixF
 from mrlrc import verify
 from mrlrc.constructions import (
-    construct_gen, construct_pc1, construct_pc2, premise_violations,
+    construct_gen, construct_pc1, construct_pc2, encode, premise_violations,
 )
 from mrlrc.topology import enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
@@ -19,7 +20,7 @@ from mrlrc.verify import (
     decode_erasures, ell_bounds, ell_exact, erasure_rank_defect,
     lower_bound_field, verify_mr_exhaustive, verify_mr_sampled,
 )
-from test_byte_stability import bvs, mutants
+from test_byte_stability import GENERIC_CODES, bvs, mutants
 
 
 def make(r, delta, t, g, n_avail):
@@ -62,8 +63,9 @@ def test_corrupted_entry_fails_with_witness(gen_code):
 def oracle_report(code, side: str) -> str:
     """The exhaustive report as a sweep that ranks every column subset of
     every pattern from scratch: premise violations, then per pattern the
-    first dependent subset that MatrixF.first_dependent finds (k-subsets
-    of the complement in G, or h-subsets added to the pattern in H)."""
+    first dependent subset (k-subsets of the complement in G, found by
+    MatrixF.first_dependent, or h-subsets F of the complement with
+    rank(H|_(pattern u F)) < |pattern| + h)."""
     failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
     checked = 0
     for pat in enumerate_maximal_patterns(code.topo):
@@ -73,7 +75,9 @@ def oracle_report(code, side: str) -> str:
             found = code.G.first_dependent(comp, code.k)
             detail = "singular minor on surviving columns"
         else:
-            found = code.H.first_dependent(comp, code.h, pat)
+            need = len(pat) + code.h
+            found = next((sel for sel in itertools.combinations(comp, code.h)
+                          if code.H.rank(sorted(pat + sel)) < need), None)
             detail = "rank defect after adding erasures"
         if found is not None:
             failures.append(MrFailure(pat, f"{detail} {list(found)}"))
@@ -270,6 +274,112 @@ def test_decode_determinism(gen_code):
     cw = encode(gen_code, (9, 9, 9, 1, 2))
     word = [None, None] + list(cw[2:])
     assert decode_erasures(gen_code, word) == decode_erasures(gen_code, word)
+
+
+# -- decode_erasures against the route it replaces
+
+
+def oracle_decode(code, word):
+    """Erasure decoding as a syndrome product, solve_unique on H|_E, and a
+    separate rank of H|_E when no unique solution comes back."""
+    word = list(word)
+    if len(word) != code.n:
+        raise ValueError(f"word length must be n = {code.n}")
+    h_mat, top = code.H, code.tower.top
+    erased = [i + 1 for i, v in enumerate(word) if v is None]
+    kept = [i + 1 for i, v in enumerate(word) if v is not None]
+    rhs_vec = (h_mat.restrict_columns(kept).mul(
+        MatrixF(top, [(word[i - 1],) for i in kept], cols=1)) if kept
+        else MatrixF.zeros(top, h_mat.rows, 1))
+    rhs = [top.neg(v[0]) for v in rhs_vec.data]
+    if not erased:
+        if any(rhs):
+            raise InvalidInput("word is not a codeword")
+        return tuple(word)
+    if len(erased) > h_mat.rows:
+        return None
+    sub = h_mat.restrict_columns(erased)
+    x = sub.solve_unique(rhs)
+    if x is None:
+        if sub.rank() < len(erased):
+            return None
+        raise InvalidInput("unerased symbols are inconsistent with the code")
+    for pos, v in zip(erased, x):
+        word[pos - 1] = v
+    return tuple(word)
+
+
+def decode_outcome(fn, code, word):
+    """The returned value, or the class and message of the ValueError."""
+    try:
+        return fn(code, word)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def erase(cw, coords):
+    return [None if i + 1 in coords else v for i, v in enumerate(cw)]
+
+
+def bump(word, coord, order):
+    """word with the kept symbol at the 1-based coord moved by one."""
+    out = list(word)
+    out[coord - 1] = (out[coord - 1] + 1) % order
+    return out
+
+
+DECODE_CODES = tuple(bvs.REFERENCE_CODES) + (GENERIC_CODES[0],)
+
+
+@pytest.mark.parametrize("spec", DECODE_CODES,
+                         ids=[f"{k}{p}" for k, p, _ in DECODE_CODES])
+def test_decode_matches_solve_then_rank_oracle(spec):
+    code = bvs.build(*spec)
+    n, h, order = code.n, code.h, code.tower.top.order
+    rnd = random.Random(31)
+    cw = encode(code, [rnd.randrange(order) for _ in range(code.k)])
+
+    def case(name, word, expected):
+        got = decode_outcome(decode_erasures, code, word)
+        assert got == decode_outcome(oracle_decode, code, word), name
+        assert expected(got), (name, got)
+
+    is_cw = lambda got: got == cw  # noqa: E731
+    is_none = lambda got: got is None  # noqa: E731
+    inconsistent = (InvalidInput, "unerased symbols are inconsistent with the code")
+    pats = list(enumerate_maximal_patterns(code.topo))
+    bumped = 0
+    for pat in rnd.sample(pats, min(6, len(pats))):
+        comp = sorted(set(range(1, n + 1)) - set(pat))
+        for extra in range(h + 1):
+            erased = set(pat) | set(rnd.sample(comp, extra))
+            case(f"{pat}+{extra}", erase(cw, erased), is_cw)
+            # a kept symbol that no codeword can match with E erased
+            free = [c for c in comp if c not in erased
+                    and erasure_rank_defect(code, erased | {c}) == 0]
+            if free:
+                bumped += 1
+                case(f"{pat}+{extra} bumped", bump(erase(cw, erased), free[0], order),
+                     lambda got: got == inconsistent)
+        case(f"{pat}+{h + 1}", erase(cw, set(pat) | set(comp[:h + 1])), is_none)
+    case("all erased", [None] * n, is_none)
+    case("rows + 1 erased", erase(cw, set(range(1, code.H.rows + 2))), is_none)
+    # a rank-deficient H|_E of at most rows coordinates: None even though
+    # the bumped kept symbol is consistent with no codeword
+    deficient = next(sel for size in range(1, code.H.rows + 1)
+                     for sel in itertools.combinations(range(1, n + 1), size)
+                     if erasure_rank_defect(code, sel))
+    kept = next(c for c in range(1, n + 1) if c not in deficient)
+    case("deficient, bumped", bump(erase(cw, set(deficient)), kept, order), is_none)
+    case("no erasures", list(cw), is_cw)
+    case("no erasures, bumped", bump(cw, 1, order),
+         lambda got: got == (InvalidInput, "word is not a codeword"))
+    outside = f"{order} is not an element of {code.tower.top!r}"
+    case("outside the field", [order] + erase(cw, {1})[1:],
+         lambda got: got == (ValueError, outside))
+    case("outside the field, all else erased", [order] + [None] * (n - 1),
+         lambda got: got == (ValueError, outside))
+    assert bumped
 
 
 def decodable_patterns_agree(code, max_size=None) -> bool:
