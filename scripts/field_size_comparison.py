@@ -34,7 +34,7 @@ def main() -> int:
     print("-" * len(header))
     wins = {"gen": 0, "pc1": 0, "pc2": 0}
     for r in range(1, args.max_r + 1):
-        for t in range(1, min(args.delta - 1, r) + 1):
+        for t in range(1, r + 1):
             for g in range(1, args.max_g + 1):
                 mode = "availability" if t <= args.delta - 1 else "plain"
                 topo = make_topology(r, args.delta, t, g, args.N, mode=mode)

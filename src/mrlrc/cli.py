@@ -1,7 +1,9 @@
 """Command-line surface: construct, verify, encode, decode, simulate, bounds.
 
 Exit codes: 0 success / verification pass, 1 usage or I/O problem,
-2 verification failure (with the witness printed).  Word files use
+2 verification failure (with the witness printed).  Commands raise on
+bad input; ``main`` alone turns an exception into an ``error:`` line and
+exit 1, and argparse's usage errors exit 1 too.  Word files use
 whitespace-separated canonical integer encodings with '?' marking an
 erased symbol; message files are whitespace-separated integers.  All
 randomness flows from the --seed flag.
@@ -96,8 +98,7 @@ def _load_bundle(path: str):
     try:
         return constructions.read_bundle(path)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load bundle {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"cannot load bundle {path}: {exc}") from exc
 
 
 def _make_topology(args):
@@ -129,12 +130,8 @@ def _print_bounds_context(topo, k, h):
 
 
 def cmd_construct(args) -> int:
-    try:
-        topo = _make_topology(args)
-        code = constructions.construct(topo, args.kind, k=args.k, h=args.h)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    topo = _make_topology(args)
+    code = constructions.construct(topo, args.kind, k=args.k, h=args.h)
     path = constructions.write_bundle(code, args.out, name=args.name)
     print(f"wrote {path}")
     print(f"n={code.n} k={code.k} h={code.h} "
@@ -145,14 +142,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     code = _load_bundle(args.bundle)
-    try:
-        if args.mode == "exhaustive":
-            report = verify.verify_mr_exhaustive(code, side=args.side)
-        else:
-            report = verify.verify_mr_sampled(code, args.trials, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.mode == "exhaustive":
+        report = verify.verify_mr_exhaustive(code, side=args.side)
+    else:
+        report = verify.verify_mr_sampled(code, args.trials, args.seed)
     if args.report:
         with open(args.report, "w", encoding="ascii", newline="\n") as fh:
             fh.write(report.to_json())
@@ -169,27 +162,22 @@ def cmd_verify(args) -> int:
 
 
 def _read_symbols(path: str, allow_erasures: bool):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            toks = fh.read().split()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        raise ValueError(f"{path}: not an ASCII file")
     out = []
-    for tok in toks:
+    for tok in data.decode("ascii").split():
         if tok == "?":
             if not allow_erasures:
-                print("error: '?' is only valid in decode word files",
-                      file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
+                raise ValueError("'?' is only valid in decode word files")
             out.append(None)
         else:
             try:
                 out.append(int(tok))
             except ValueError:
-                print(f"error: {path}: {tok!r} is not an integer symbol",
-                      file=sys.stderr)
-                raise SystemExit(EXIT_USAGE)
+                raise ValueError(
+                    f"{path}: {tok!r} is not an integer symbol") from None
     return out
 
 
@@ -205,26 +193,14 @@ def _write_symbols(values, out_path: str | None) -> None:
 def cmd_encode(args) -> int:
     code = _load_bundle(args.bundle)
     msg = _read_symbols(args.message, allow_erasures=False)
-    try:
-        cw = constructions.encode(code, msg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _write_symbols(cw, args.out)
+    _write_symbols(constructions.encode(code, msg), args.out)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     code = _load_bundle(args.bundle)
     word = _read_symbols(args.word, allow_erasures=True)
-    try:
-        decoded = verify.decode_erasures(code, word)
-    except verify.InvalidInput as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    decoded = verify.decode_erasures(code, word)
     if decoded is None:
         erased = [i + 1 for i, v in enumerate(word) if v is None]
         defect = verify.erasure_rank_defect(code, erased)
@@ -236,14 +212,10 @@ def cmd_decode(args) -> int:
 
 def cmd_simulate(args) -> int:
     code = _load_bundle(args.bundle)
-    try:
-        cfg = simulate.SimConfig(trials=args.trials, model=args.model,
-                                 seed=args.seed, failures=args.failures,
-                                 extra=args.extra)
-        report = simulate.run_simulation(code, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = simulate.SimConfig(trials=args.trials, model=args.model,
+                             seed=args.seed, failures=args.failures,
+                             extra=args.extra)
+    report = simulate.run_simulation(code, cfg)
     if args.report:
         with open(args.report, "w", encoding="ascii", newline="\n") as fh:
             fh.write(report.to_json())
@@ -254,12 +226,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        topo = _make_topology(args)
-        row = table1_row(topo, k=args.k, h=args.h)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    topo = _make_topology(args)
+    row = table1_row(topo, k=args.k, h=args.h)
     if args.json:
         print(json.dumps(row, indent=2, sort_keys=False))
     else:
@@ -285,11 +253,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except OSError as exc:
+    except verify.InvalidInput as exc:
+        print(f"error: invalid input: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

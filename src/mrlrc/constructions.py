@@ -294,7 +294,7 @@ def construct_gen(topo: Topology, k: int) -> MrLrcCode:
               + _place(topo, a_loc[t:r], [(j,) for j in range(N)]))
     a = tower.distinct_norm_elements(topo.g)
     g_mat = frobenius_rows(tower, _contract(tower, zip(*d_rows)), a, k)
-    h_mat = dual_matrix(g_mat) if k else MatrixF.identity(tower.top, topo.n)
+    h_mat = dual_matrix(g_mat)
     code = MrLrcCode(topo=topo, kind="gen", tower=tower, k=k, h=h,
                      G=g_mat, H=h_mat, a=a, beta=tower.polynomial_basis,
                      plan=plan)
@@ -490,6 +490,13 @@ def _check_bundle_fields(doc) -> None:
                          f"optional string G, got {mats!r}")
 
 
+def _check_bundle_matrix(mat: MatrixF, ctx, rows: int, cols: int) -> None:
+    if mat.ctx != ctx:
+        raise ValueError("matrix field does not match the bundle tower")
+    if (mat.rows, mat.cols) != (rows, cols):
+        raise ValueError("matrix shapes do not match the bundle parameters")
+
+
 def read_bundle(path) -> MrLrcCode:
     """Load an MRLRC v1 bundle.
 
@@ -515,15 +522,15 @@ def read_bundle(path) -> MrLrcCode:
     if list(tower.top.modulus) != doc["modulus"]:
         raise ValueError("bundle modulus differs from the canonical choice")
     base_dir = os.path.dirname(os.path.abspath(path))
+    n = topo.n
+    # H is checked before G is derived from it: a mis-shaped H would
+    # otherwise size the dual's kernel
     h_mat = read_srmat(os.path.join(base_dir, doc["matrices"]["H"]))
+    _check_bundle_matrix(h_mat, tower.top, n - k, n)
     g_path = doc["matrices"].get("G")
     g_mat = (read_srmat(os.path.join(base_dir, g_path)) if g_path
              else dual_matrix(h_mat))
-    if g_mat.ctx != tower.top or h_mat.ctx != tower.top:
-        raise ValueError("matrix field does not match the bundle tower")
-    n = topo.n
-    if g_mat.cols != n or h_mat.cols != n or g_mat.rows != k:
-        raise ValueError("matrix shapes do not match the bundle parameters")
+    _check_bundle_matrix(g_mat, tower.top, k, n)
     plan = (plan_field(topo, kind, k=k) if kind == "gen"
             else plan_field(topo, kind, h=h))
     return MrLrcCode(topo=topo, kind=kind, tower=tower, k=k, h=h, G=g_mat,

@@ -280,9 +280,6 @@ class FieldCtx:
             return self._neg[a]
         return self._g_neg(a)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -71,7 +71,7 @@ class MatrixF:
 
     @staticmethod
     def zeros(ctx: FieldCtx, rows: int, cols: int) -> "MatrixF":
-        return MatrixF(ctx, [(0,) * cols] * rows, cols=cols)
+        return MatrixF(ctx, [(0,) * cols] * rows if rows else [], cols=cols)
 
     @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "MatrixF":

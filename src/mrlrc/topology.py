@@ -252,17 +252,18 @@ def enumerate_maximal_patterns(topo: Topology, cap: int = DEFAULT_PATTERN_CAP):
         yield tuple(c + i * width for i, cs in enumerate(combo) for c in cs)
 
 
-def _group_deficiency(topo: Topology, i: int, group_coords: frozenset,
-                      budget: int) -> int | None:
-    """Minimum removals making group i locally correctable, or None if > budget."""
-    if group_witnesses(topo, i, group_coords)[0]:
-        return 0
-    coords = sorted(group_coords)
-    for size in range(1, min(len(coords), budget) + 1):
-        for removal in itertools.combinations(coords, size):
-            if group_witnesses(topo, i, group_coords - set(removal))[0]:
-                return size
-    return None
+def _group_deficiency(topo: Topology, i: int, e: frozenset) -> int:
+    """Fewest erasures to remove from group i of e so that it has a witness.
+
+    Every repair segment outside the core must drop to delta-1 erasures,
+    which costs its excess; then the core plus the least-loaded segment
+    must drop to delta-1, which costs the excess of that sum."""
+    d1 = topo.delta - 1
+    core = topo.cores[i - 1]
+    in_core = len(e & core)
+    segs = [len(e & rs) - in_core for rs in topo.repair[i - 1]]
+    return (sum(max(0, c - d1) for c in segs)
+            + max(0, in_core + min(min(segs), d1) - d1))
 
 
 def is_mr_correctable_pattern(topo: Topology, h: int, coords) -> bool:
@@ -276,15 +277,5 @@ def is_mr_correctable_pattern(topo: Topology, h: int, coords) -> bool:
     e = _validate_coords(topo, coords)
     if h < 0:
         raise ValueError("h must be non-negative")
-    if len(e) > topo.local_parity_count() + h:
-        return False
-    budget = h
-    for i in range(1, topo.g + 1):
-        grp = e & topo.groups[i - 1]
-        if not grp:
-            continue
-        d = _group_deficiency(topo, i, grp, budget)
-        if d is None:
-            return False
-        budget -= d
-    return True
+    return sum(_group_deficiency(topo, i, e)
+               for i in range(1, topo.g + 1)) <= h

@@ -1,5 +1,6 @@
 """Field-size planner, the three constructions, conversions, bundles."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -400,6 +401,20 @@ def test_gen_zero_dimension_edge():
     assert code.H.rank() == code.n
     assert encode(code, ()) == (0,) * code.n
     assert verify_mr_exhaustive(code).passed
+
+
+def test_gen_zero_dimension_bundle_bytes(tmp_path):
+    # the dual of the 0 x n generator is I_n; these bytes were recorded
+    # when H = I_n was built by a special case
+    write_bundle(construct_gen(make(2, 2, 1, 2, 2), 0), tmp_path)
+    digests = {
+        "bundle.json": "8d7687ac76bc8200eba375d5ebafef9613f40a93756df5116766e9ab85900d91",
+        "bundle.G.srmat": "b01b643dfbf9910da1227c1b57258e809991fcc40afeb6557634f7b285ad8185",
+        "bundle.H.srmat": "aa4778b8872b3bbec8ac4e9e1dfe62dfc7933a8762f9e480903d009cee912088",
+    }
+    for name, digest in digests.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_pc2_needs_degree_two_subextension():

@@ -237,6 +237,31 @@ def test_is_mr_correctable_brute_force_agreement():
                     brute(h, coords), (h, coords)
 
 
+@pytest.mark.parametrize("params", [
+    (2, 2, 1, 2, 2), (2, 3, 1, 2, 3), (2, 1, 1, 2, 2), (3, 1, 2, 2, 3),
+    (3, 2, 2, 2, 1), (2, 2, 1, 2, 3), (3, 3, 2, 2, 2), (3, 2, 1, 2, 2),
+    (2, 3, 2, 2, 2), (1, 3, 1, 2, 3),
+])
+def test_group_deficiency_matches_search(params):
+    # oracle: the fewest removals from the group's erasures, found by
+    # trying removal subsets of growing size until a witness appears
+    r, delta, t, g, n_avail = params
+    mode = "availability" if t <= delta - 1 else "plain"
+    topo = make_topology(r, delta, t, g, n_avail, mode=mode)
+
+    def search(e):
+        for size in range(len(e) + 1):
+            for removal in itertools.combinations(sorted(e), size):
+                if group_witnesses(topo, g, e - set(removal))[0]:
+                    return size
+
+    coords = sorted(topo.groups[g - 1])
+    for size in range(len(coords) + 1):
+        for e in itertools.combinations(coords, size):
+            e = frozenset(e)
+            assert topology._group_deficiency(topo, g, e) == search(e), e
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 3), st.integers(1, 2))
 def test_layout_invariants_hypothesis(r, delta, g, n_avail):
