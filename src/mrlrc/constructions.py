@@ -117,14 +117,14 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
             raise ValueError("kind 'gen' plans from the dimension k")
         if not 0 <= k <= dim_cap:
             raise ConstraintViolated(
-                f"k <= g(t+N(r-t)) violated: k = {k}, bound = {dim_cap}")
+                f"0 <= k <= g(t+N(r-t)) violated: k = {k}, bound = {dim_cap}")
         h = dim_cap - k
     else:
         if h is None:
             raise ValueError(f"kind {kind!r} plans from the heavy-parity count h")
         if not 0 <= h <= dim_cap:
             raise ConstraintViolated(
-                f"h <= g(t+N(r-t)) violated: h = {h}, bound = {dim_cap}")
+                f"0 <= h <= g(t+N(r-t)) violated: h = {h}, bound = {dim_cap}")
         if kind == "pc1" and h > r:
             raise ConstraintViolated(f"h <= r violated: h = {h} > r = {r}")
     q_raw = max(g + 1, r + delta - 1)

@@ -21,11 +21,24 @@ In a tower, embed, its inverse and the coordinates over 1, X, ...,
 X^(m-1) all read one GF(p)-linear bijection GF(q)^m -> GF(q^m) and its
 inverse, two GF(p) matrices computed once per tower.
 
-Fields up to order 2^40 work through generic polynomial arithmetic.
-Fields of order at most 2^16 additionally get exp/log/Zech tables, which
-is what makes the exhaustive verification sweeps fast.  Irreducibility is
-tested by trial division against all monic polynomials of degree <= e/2;
-this is fine for the desk-scale degrees (e <= 12) this library targets.
+Fields of order at most 2^16 get exp/log/Zech tables, built with the
+generic mul, which is what makes the exhaustive verification sweeps fast.
+Larger fields, up to order 2^40, compute on the integer encoding itself
+and keep no per-element state:
+
+  * p = 2: the encoding packs one coefficient per bit.  add is XOR, mul a
+    carry-less shift/XOR product whose bits at X^e and above are folded
+    down through the modulus, inv extended Euclid on the packed ints;
+  * odd p: mul and inv spread the digits into bit slots wide enough that
+    no carry crosses a slot, so one integer product forms every
+    coefficient of a product (Kronecker substitution) and Euclid's long
+    divisions run on whole ints, reducing mod p only at the end; add sums
+    k digits at a time through a table of digit-wise chunk sums whose
+    size, at most SUM_TABLE_LIMIT entries, depends on p alone.
+
+Irreducibility is tested by trial division against all monic polynomials
+of degree <= e/2, on packed ints for p = 2, where the degree-33 modulus of
+GF(2^33) takes a fraction of a second.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from .elim import inverse
 
 ORDER_LIMIT = 1 << 40
 LOG_TABLE_LIMIT = 1 << 16
+SUM_TABLE_LIMIT = 1 << 12
 
 
 class NotPrime(ValueError):
@@ -117,17 +131,6 @@ def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
     return c[:i]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(tuple(out))
-
-
 def _poly_mod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
     # mod is monic
     a = list(a)
@@ -147,11 +150,24 @@ def _monic_polys(p: int, deg: int):
         yield tuple(reversed(lower)) + (1,)
 
 
+def _clmod(a: int, mod: int) -> int:
+    """a mod `mod` over GF(2), both packed one coefficient per bit."""
+    dm = mod.bit_length()
+    while (shift := a.bit_length() - dm) >= 0:
+        a ^= mod << shift
+    return a
+
+
 def is_irreducible(cofs: tuple[int, ...], p: int) -> bool:
     """Trial division by all monic polynomials of degree <= deg/2."""
     deg = len(cofs) - 1
     if deg < 1 or cofs[-1] != 1:
         return False
+    if p == 2:
+        # the packed monic polynomials of degree 1 .. deg/2 are the ints
+        # 2 .. 2^(deg/2 + 1) - 1
+        f = sum(c << i for i, c in enumerate(cofs))
+        return all(_clmod(f, div) for div in range(2, 2 << deg // 2))
     for d in range(1, deg // 2 + 1):
         for div in _monic_polys(p, d):
             if not _poly_mod(cofs, div, p):
@@ -181,6 +197,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "e", "order", "modulus",
+        "_taps", "_slot", "_inv_slot", "_inv_modulus", "_chunk", "_sums",
         "_exp", "_log", "_zech", "_neg", "_primitive",
     )
 
@@ -197,10 +214,44 @@ class FieldCtx:
         self.e = e
         self.order = p ** e
         self.modulus = least_irreducible(p, e)
+        self._init_generic()
         self._exp = self._log = self._zech = self._neg = None
         self._primitive = None
         if self.order <= LOG_TABLE_LIMIT:
             self._build_tables()
+
+    def _init_generic(self):
+        """Constants of the generic arithmetic; none is sized by the order."""
+        p, e = self.p, self.e
+        # X^e = sum of m X^j over the taps (j, m), the modulus's nonzero
+        # lower terms negated
+        self._taps = tuple((j, -c % p) for j, c in enumerate(self.modulus[:-1]) if c)
+        # odd p multiplies in slots of _slot bits, wide enough for a product
+        # coefficient (at most e digit products) through every fold of the
+        # terms at X^e and above into the taps
+        bound, excess = e * (p - 1) ** 2, e - 1
+        top_tap = max((j for j, _ in self._taps), default=0)
+        while excess > 0:
+            bound *= 1 + sum(m for _, m in self._taps)
+            excess -= e - top_tap
+        self._slot = bound.bit_length()
+        # inv runs Euclid from the modulus spread into _inv_slot-bit slots,
+        # wide enough for odd p (see _g_inv); for p = 2 a slot is one bit,
+        # and the spread modulus is the packed one
+        self._inv_slot = 1 if p == 2 else (p ** (2 * e + 1)).bit_length()
+        self._inv_modulus = self._spread(self.from_coeffs(self.modulus), self._inv_slot)
+        # odd p above the table limit adds _chunk = p^k at a time:
+        # _sums[x * _chunk + y] is the digit-wise sum of the k-digit chunks
+        # x and y, for the largest k whose table fits SUM_TABLE_LIMIT.  For
+        # p > 64 not even k = 1 does; those fields, and the table fields,
+        # whose own add is the Zech table, add digit by digit
+        self._chunk, self._sums = p, None
+        if p > 2 and self.order > LOG_TABLE_LIMIT and p * p <= SUM_TABLE_LIMIT:
+            while (self._chunk * p) ** 2 <= SUM_TABLE_LIMIT:
+                self._chunk *= p
+            digits = [self.coeffs(x) for x in range(self._chunk)]
+            self._sums = [self.from_coeffs(u + v for u, v in zip(dx, dy))
+                          for dx in digits for dy in digits]
 
     # -- representation helpers
 
@@ -225,18 +276,18 @@ class FieldCtx:
     def is_element(self, a) -> bool:
         return isinstance(a, int) and 0 <= a < self.order
 
-    # -- generic arithmetic (works up to ORDER_LIMIT)
+    # -- generic arithmetic (any order up to ORDER_LIMIT, on the encoding)
 
     def _g_add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
+        size, sums = self._chunk, self._sums
         out, shift = 0, 1
         while a or b:
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += ((ca + cb) % p) * shift
-            shift *= p
+            a, x = divmod(a, size)
+            b, y = divmod(b, size)
+            out += (sums[x * size + y] if sums else (x + y) % size) * shift
+            shift *= size
         return out
 
     def _g_neg(self, a: int) -> int:
@@ -250,9 +301,94 @@ class FieldCtx:
             shift *= p
         return out
 
+    def _spread(self, a: int, w: int) -> int:
+        """An int holding a's base-p digits in w-bit slots, low degree first."""
+        p = self.p
+        out = shift = 0
+        while a:
+            a, c = divmod(a, p)
+            out |= c << shift
+            shift += w
+        return out
+
+    def _unspread(self, v: int, w: int, scale: int = 1) -> int:
+        """The element whose digits are scale times the first e w-bit
+        slots of v, reduced mod p."""
+        p, mask = self.p, (1 << w) - 1
+        out = 0
+        for shift in range((self.e - 1) * w, -1, -w):
+            out = out * p + (v >> shift & mask) * scale % p
+        return out
+
     def _g_mul(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.from_coeffs(_poly_mod(prod, self.modulus, self.p) + (0,) * self.e)
+        e, taps = self.e, self._taps
+        if self.p == 2:
+            r = 0
+            while b:
+                low = b & -b
+                r ^= a * low  # a shifted up to b's lowest set bit
+                b ^= low
+            while high := r >> e:
+                r ^= high << e
+                for j, _ in taps:
+                    r ^= high << j
+            return r
+        # Kronecker substitution: one integer product holds every
+        # coefficient of the product polynomial, and folding the slots at
+        # X^e and above into the taps reduces it; no slot ever overflows
+        w = self._slot
+        ew = e * w
+        prod = self._spread(a, w) * self._spread(b, w)
+        while high := prod >> ew:
+            prod ^= high << ew
+            for j, m in taps:
+                prod += high * m << j * w
+        return self._unspread(prod, w)
+
+    def _g_inv(self, a: int) -> int:
+        # extended Euclid on a and the modulus
+        if self.p == 2:
+            # step the higher-degree of u and v down by the other, keeping
+            # g a = u and h a = v modulo the modulus
+            u, v, g, h = a, self._inv_modulus, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g, h = v, u, h, g
+                    j = -j
+                u ^= v << j
+                g ^= h << j
+            return g
+        # One long division r0 = q r1 + r per round, with s0 - q s1 formed
+        # alongside, so that s a = r modulo the modulus for each pair; r
+        # and s are spread into w-bit slots.  A quotient term c adds
+        # (p - c) times a shifted divisor, and no slot is reduced mod p
+        # until the end: a round with t quotient terms multiplies the
+        # largest slot by at most 1 + t (p - 1) <= p^t, the t of all rounds
+        # sum to at most 2e, so every slot stays below p^(2e + 1) < 2^w.
+        p, w = self.p, self._inv_slot
+        mask = (1 << w) - 1
+        r0, d0 = self._inv_modulus, self.e
+        r1 = self._spread(a, w)
+        d1 = (r1.bit_length() - 1) // w
+        s0, s1 = 0, 1
+        while d1:
+            lead = pow(r1 >> d1 * w, -1, p)
+            r, s = r0, s0
+            for i in range(d0, d1 - 1, -1):
+                c = (r >> i * w & mask) * lead % p
+                if c:
+                    shift = (i - d1) * w
+                    r += (p - c) * r1 << shift
+                    s += (p - c) * s1 << shift
+            # r now lies below degree d1: find its degree and drop the
+            # slots above it, which hold multiples of p
+            d = d1 - 1
+            while not (r >> d * w & mask) % p:
+                d -= 1
+            r0, d0, r1, d1 = r1, d1, r & ((1 << (d + 1) * w) - 1), d
+            s0, s1 = s1, s
+        return self._unspread(s1, w, pow(r1, -1, p))
 
     # -- public arithmetic
 
@@ -292,7 +428,7 @@ class FieldCtx:
             raise DivisionByZero("inverse of zero")
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
-        return self.pow(a, self.order - 2)
+        return self._g_inv(a)
 
     def pow(self, a: int, n: int) -> int:
         """a^n by square-and-multiply; n must be a non-negative integer."""

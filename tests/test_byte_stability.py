@@ -1,6 +1,7 @@
 """Byte-stability gate: the artifacts of the five reference codes of
-scripts/build_verify_simulate.py, and the bundles of four codes whose top
-field is too large for log tables, hash to recorded SHA-256 digests.
+scripts/build_verify_simulate.py, and the bundles and reports of four codes
+whose top field is too large for log tables, hash to recorded SHA-256
+digests.
 
 The determinism tests compare two runs of the same code; this one pins
 the bytes across changes to the library.  Rank, determinant, reduced
@@ -113,6 +114,33 @@ GENERIC_DIGESTS = {
     },
 }
 
+# the reports of the same four codes, recorded while their fields still
+# multiplied through digit tuples and inverted by a^(order - 2): "verify" is
+# both exhaustive routes, "sampled" 50 verify_mr_sampled trials and
+# "simulate" 100 adversarial_maximal trials, both at seed 2024
+GENERIC_REPORT_DIGESTS = {
+    "pc2-r2-d2-t1-g2-N2-k5-h1": {
+        "verify": "c8c5125a4f67e63e7b37211814ff4e92b63589eb73cb62d4adb7b6289ab29ff1",
+        "sampled": "7ae9fbd1dc62180f178cec61ee9eec9c0a8c9ed6ad1dfdcd556c028678ecf4b5",
+        "simulate": "12dc0fa8e5054965e9b45268af2c227fe168f034da965c00ad284b7eab23281f",
+    },
+    "pc2-r3-d3-t1-g2-N1-k5-h1": {
+        "verify": "53ae95480bd03e2009bc5261e76b0ea2eea2ee022bc0ca08a5fc0b66dfb38c06",
+        "sampled": "9ef013aa85db86aa52e550fc023f0f25b0b770e4d61593a2d3bf8561eb2bd926",
+        "simulate": "71e4eabdfcb02113bb7c28dd69eb26e99b4e3336089352fcd99ceac62df5575c",
+    },
+    "gen-r4-d2-t1-g1-N2-k7-h0": {
+        "verify": "281f71086e574cf86b165117588f8a21b878a4f1d67f123dcbcf8d726ee13e78",
+        "sampled": "a5f043f1d0fdf7b3744a6660810fac91a950dbfafa7c4c7cf231d97210b75175",
+        "simulate": "54c0cf33ec1f2e2b6a62e1759987ce99bdeaa942c74a6ee2dbc62abb4f269046",
+    },
+    "pc2-r1-d2-t1-g3-N2-k2-h1": {
+        "verify": "4d934320a06f80284d1ac13eb475273bede36c76b6ca991fb735c441ad907229",
+        "sampled": "d5d6dfb01546e6688047b14635eaf5cf556865eeca10f43aff0c3ede709d7291",
+        "simulate": "d14e08461db8616749252a03b9f2f1da909ab90e4084fb550dca66fb41258874",
+    },
+}
+
 # the exhaustive reports, concatenated in the order of `mutants`, of the
 # eight one-entry copies of each reference code, on each route
 MUTANT_DIGESTS = {
@@ -174,6 +202,22 @@ def test_generic_field_bundles_match_recorded_digests(spec, tmp_path):
     got = {name: sha256((tmp_path / name).read_bytes())
            for name in ("bundle.json", "bundle.G.srmat", "bundle.H.srmat")}
     assert got == GENERIC_DIGESTS[code_id(code)]
+
+
+@pytest.mark.parametrize("spec", GENERIC_CODES,
+                         ids=[f"{k}{p}" for k, p, _ in GENERIC_CODES])
+def test_generic_field_reports_match_recorded_digests(spec):
+    code = bvs.build(*spec)
+    expected = GENERIC_REPORT_DIGESTS[code_id(code)]
+    got = {}
+    for side in ("generator", "parity"):
+        got["verify"] = sha256(verify_mr_exhaustive(code, side=side).to_json().encode())
+        assert got["verify"] == expected["verify"], side
+    got["sampled"] = sha256(verify_mr_sampled(code, 50, 2024).to_json().encode())
+    sim = run_simulation(code, SimConfig(trials=100, model="adversarial_maximal",
+                                         seed=2024))
+    got["simulate"] = sha256(sim.to_json().encode())
+    assert got == expected
 
 
 def mutants(code):

@@ -34,6 +34,22 @@ def test_construct_rejects_bad_params(tmp_path, capsys):
     assert "h <= r" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,flag,message", [
+    ("gen", "--k", "0 <= k <= g(t+N(r-t)) violated: k = -1, bound = 6"),
+    ("pc1", "--h", "0 <= h <= g(t+N(r-t)) violated: h = -1, bound = 6"),
+])
+def test_construct_negative_dimension_states_both_bounds(tmp_path, capsys,
+                                                         kind, flag, message):
+    rc = main(["construct", "--kind", kind, "--r", "2", "--delta", "2",
+               "--t", "1", "--N", "2", "--g", "2", flag, "-1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_construct_usage_error(tmp_path, capsys):
     assert main(["construct", "--kind", "gen", "--r", "2",
                  "--out", str(tmp_path)]) == 1

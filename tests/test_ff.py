@@ -1,7 +1,10 @@
 """Field contexts and towers: canonical choices, axioms, norms."""
 
+import importlib.util
+import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,73 @@ from mrlrc.ff import (
     ZeroNorm, field_ctx, is_prime, is_prime_power, least_irreducible,
     make_tower, next_prime_power,
 )
+
+# the benchmark's reference field arithmetic, which imports nothing from mrlrc
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+
+# Tuple-polynomial oracles: coefficient tuples over GF(p), low degree first,
+# multiplied and reduced term by term; inverses by Fermat, a^(p^e - 2).
+
+
+def _trim(c):
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return c[:i]
+
+
+def poly_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(tuple(out))
+
+
+def poly_mod(a, mod, p):
+    # mod is monic
+    a = list(a)
+    dm = len(mod) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for j in range(dm):
+                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+    return _trim(tuple(a))
+
+
+def monic_polys(p, deg):
+    for lower in itertools.product(range(p), repeat=deg):
+        yield tuple(reversed(lower)) + (1,)
+
+
+def least_irreducible_by_tuples(p, e):
+    for cand in monic_polys(p, e):
+        if all(poly_mod(cand, div, p)
+               for d in range(1, e // 2 + 1) for div in monic_polys(p, d)):
+            return cand
+
+
+def tuple_mul(ctx, a, b):
+    prod = poly_mod(poly_mul(ctx.coeffs(a), ctx.coeffs(b), ctx.p), ctx.modulus, ctx.p)
+    return ctx.from_coeffs(prod)
+
+
+def fermat_inv(ctx, a):
+    out, n = 1, ctx.order - 2
+    while n:
+        if n & 1:
+            out = tuple_mul(ctx, out, a)
+        a = tuple_mul(ctx, a, a)
+        n >>= 1
+    return out
 
 
 def test_canonical_moduli():
@@ -90,15 +160,68 @@ def test_field_axioms_random(p, e):
 
 
 def test_generic_path_matches_tables():
-    # same field with and without tables must agree operation by operation
-    ctx = field_ctx(3, 4)
-    rnd = random.Random(7)
-    for _ in range(300):
-        x, y = rnd.randrange(81), rnd.randrange(81)
-        assert ctx.add(x, y) == ctx._g_add(x, y)
-        assert ctx.mul(x, y) == ctx._g_mul(x, y)
-    for x in range(1, 81):
-        assert ctx.mul(x, ctx.inv(x)) == 1
+    # table fields forced through the generic methods must agree with their
+    # tables operation by operation, and inverse by inverse
+    for p, e in [(2, 8), (3, 4), (5, 3)]:
+        ctx = field_ctx(p, e)
+        rnd = random.Random(7)
+        for _ in range(500):
+            x, y = rnd.randrange(ctx.order), rnd.randrange(ctx.order)
+            assert ctx._g_add(x, y) == ctx.add(x, y)
+            assert ctx._g_neg(x) == ctx.neg(x)
+            assert ctx._g_mul(x, y) == ctx.mul(x, y)
+        for x in range(1, ctx.order):
+            assert ctx._g_inv(x) == ctx.inv(x)
+
+
+def test_generic_path_matches_tuple_oracles():
+    # small fields of several characteristics through the generic methods,
+    # with every inverse checked
+    for p, e in [(2, 4), (3, 5), (5, 2), (7, 3), (2, 11), (3, 7)]:
+        ctx = field_ctx(p, e)
+        rnd = random.Random(11)
+        for _ in range(300):
+            x, y = rnd.randrange(ctx.order), rnd.randrange(ctx.order)
+            assert ctx._g_mul(x, y) == tuple_mul(ctx, x, y)
+        for x in range(1, ctx.order):
+            assert ctx.mul(x, ctx._g_inv(x)) == 1
+        for x in rnd.sample(range(1, ctx.order), min(20, ctx.order - 1)):
+            assert ctx._g_inv(x) == fermat_inv(ctx, x)
+
+
+@pytest.mark.parametrize("p,e", [(2, 20), (3, 14), (5, 7), (2, 33)])
+def test_big_fields_match_benchmark_oracle(p, e):
+    ctx = field_ctx(p, e)
+    assert ctx.order > 1 << 16   # no tables: the generic path throughout
+    ref = oracle.GF(p, ctx.modulus)
+    rnd = random.Random(2024)
+    edges = [1, p - 1, p, ctx.order - 1]   # 1, -1, X and the largest element
+    xs = edges + [rnd.randrange(1, ctx.order) for _ in range(200)]
+    for x in xs:
+        for y in edges + [rnd.randrange(ctx.order)]:
+            assert ctx.add(x, y) == ref.add(x, y)
+            assert ctx.mul(x, y) == ref.mul(x, y)
+        assert ctx.neg(x) == ref.neg(x)
+        inv = ctx.inv(x)
+        assert 0 < inv < ctx.order and ctx.mul(x, inv) == 1
+        assert ref.mul(x, inv) == 1
+    for x in edges + xs[-3:]:
+        assert ctx.inv(x) == ref.inv(x) == fermat_inv(ctx, x)
+    for x, y in zip(xs, reversed(xs)):
+        assert ctx.mul(x, y) == tuple_mul(ctx, x, y)
+
+
+@pytest.mark.parametrize("p,e", [(2, 20), (3, 14), (2, 8), (3, 4)])
+def test_inverse_of_zero_raises(p, e):
+    ctx = field_ctx(p, e)
+    with pytest.raises(DivisionByZero):
+        ctx.inv(0)
+
+
+def test_least_irreducible_matches_tuple_trial_division():
+    for p, top in [(2, 20), (3, 8)]:
+        for e in range(1, top + 1):
+            assert least_irreducible(p, e) == least_irreducible_by_tuples(p, e), (p, e)
 
 
 def test_big_field_generic_arithmetic():
