@@ -13,9 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mrlrc.constructions import (  # noqa: E402
-    construct_gen, construct_pc1, construct_pc2, write_bundle,
-)
+from mrlrc.constructions import construct, write_bundle  # noqa: E402
 from mrlrc.simulate import SimConfig, run_simulation  # noqa: E402
 from mrlrc.topology import make_topology  # noqa: E402
 from mrlrc.verify import code_id, verify_mr_exhaustive  # noqa: E402
@@ -32,12 +30,7 @@ REFERENCE_CODES = [
 def build(kind, params, arg):
     r, delta, t, g, n_avail = params
     mode = "availability" if t <= delta - 1 else "plain"
-    topo = make_topology(r, delta, t, g, n_avail, mode=mode)
-    if kind == "gen":
-        return construct_gen(topo, arg["k"])
-    if kind == "pc1":
-        return construct_pc1(topo, arg["h"])
-    return construct_pc2(topo, arg["h"])
+    return construct(make_topology(r, delta, t, g, n_avail, mode=mode), kind, **arg)
 
 
 def main() -> int:

@@ -7,8 +7,8 @@ from .ff import FieldCtx, FieldTower, field_ctx, make_tower
 from .matrix import MatrixF, block_diag
 from .topology import Topology, make_topology
 from .constructions import (
-    MrLrcCode, construct, construct_gen, construct_pc1, construct_pc2,
-    encode, plan_field, read_bundle, write_bundle,
+    MrLrcCode, construct, encode, plan_field, read_bundle, split_size,
+    write_bundle,
 )
 from .verify import (
     decode_erasures, lower_bound_field, verify_mr_exhaustive,
@@ -19,8 +19,8 @@ __all__ = [
     "FieldCtx", "FieldTower", "field_ctx", "make_tower",
     "MatrixF", "block_diag",
     "Topology", "make_topology",
-    "MrLrcCode", "construct", "construct_gen", "construct_pc1",
-    "construct_pc2", "encode", "plan_field", "read_bundle", "write_bundle",
+    "MrLrcCode", "construct", "encode", "plan_field", "read_bundle",
+    "split_size", "write_bundle",
     "decode_erasures", "lower_bound_field", "verify_mr_exhaustive",
     "verify_mr_sampled",
 ]

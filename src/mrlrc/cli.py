@@ -106,9 +106,8 @@ def _make_topology(args):
     return make_topology(args.r, args.delta, args.t, args.g, args.N, mode=mode)
 
 
-def _print_bounds_context(topo, k, h):
-    row = table1_row(topo, h=h)
-    print(f"field sizes for k={k}, h={h} (ascending):")
+def _print_bounds_context(row):
+    print(f"field sizes for k={row['k']}, h={row['h']} (ascending):")
     applicable = [(kind, row[kind]) for kind in ("gen", "pc1", "pc2")
                   if "inapplicable" not in row[kind]]
     for kind, cell in sorted(applicable, key=lambda kc: kc[1]["bound_value"]):
@@ -136,7 +135,7 @@ def cmd_construct(args) -> int:
     print(f"wrote {path}")
     print(f"n={code.n} k={code.k} h={code.h} "
           f"field GF({code.plan.q}^{code.plan.m}) of order {code.plan.field_size}")
-    _print_bounds_context(topo, code.k, code.h)
+    _print_bounds_context(table1_row(topo, h=code.h))
     return EXIT_OK
 
 
@@ -231,7 +230,7 @@ def cmd_bounds(args) -> int:
     if args.json:
         print(json.dumps(row, indent=2, sort_keys=False))
     else:
-        _print_bounds_context(topo, row["k"], row["h"])
+        _print_bounds_context(row)
     return EXIT_OK
 
 

@@ -55,7 +55,7 @@ from .ff import FieldTower, make_tower, is_prime_power, next_prime_power
 from .matrix import MatrixF, RankDeficient, block_diag, map_entries, read_srmat, write_srmat
 from .localmds import MdsSpec, structured_mds, vandermonde_columns
 from .sumrank import frobenius_rows
-from .topology import Topology, heavy_parity_count, make_topology
+from .topology import Topology, make_topology
 
 KINDS = ("gen", "pc1", "pc2")
 ELL_WISE_SUBSET_CAP = 2000
@@ -73,13 +73,16 @@ class NotInformationAvailable(ValueError):
 class FieldPlan:
     """Field-size plan for one construction kind on one topology.
 
-    q, p, s, m describe the realized tower GF(q=p^s) <= GF(q^m);
-    bound_value is the closed-form field-size bound for the kind;
+    k and h are the dimension and the heavy-parity count, k + h =
+    g(t+N(r-t)); q, p, s, m describe the realized tower GF(q=p^s) <=
+    GF(q^m); bound_value is the closed-form field-size bound for the kind;
     exact records whether q^m equals bound_value.  For pc2, ell is the
     independence level and sub_s the degree with q^sub_s >= n/g - 1.
     """
 
     kind: str
+    k: int
+    h: int
     q: int
     p: int
     s: int
@@ -94,12 +97,29 @@ class FieldPlan:
         return self.q ** self.m
 
 
+def split_size(topo: Topology, k: int | None = None,
+               h: int | None = None) -> tuple[int, int]:
+    """(k, h) with k + h = g(t+N(r-t)), from exactly one of them.
+
+    The generator-side construction is sized by k and the parity-check
+    ones by h; this is the one place that converts between them.  Raises
+    ConstraintViolated naming the given size when it lies outside
+    [0, g(t+N(r-t))].
+    """
+    if (k is None) == (h is None):
+        raise ValueError("give exactly one of k, h")
+    cap = topo.max_dimension()
+    name, size = ("k", k) if h is None else ("h", h)
+    if not 0 <= size <= cap:
+        raise ConstraintViolated(f"0 <= {name} <= g(t+N(r-t)) violated: "
+                                 f"{name} = {size}, bound = {cap}")
+    return (size, cap - size) if h is None else (cap - size, size)
+
+
 def plan_field(topo: Topology, kind: str, k: int | None = None,
                h: int | None = None) -> FieldPlan:
-    """Evaluate the field-size row for the given kind.
-
-    Exactly one of k (kind "gen") or h (kinds "pc1"/"pc2") is required;
-    raises ConstraintViolated naming any violated inequality.
+    """Evaluate the field-size row for the given kind, sized by exactly one
+    of k and h; raises ConstraintViolated naming any violated inequality.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -111,33 +131,20 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
     if kind != "gen" and t > min(delta - 1, r):
         raise ConstraintViolated(
             f"t <= min(delta-1, r) violated: t = {t}, delta-1 = {delta - 1}, r = {r}")
-    dim_cap = topo.max_dimension()
-    if kind == "gen":
-        if k is None:
-            raise ValueError("kind 'gen' plans from the dimension k")
-        if not 0 <= k <= dim_cap:
-            raise ConstraintViolated(
-                f"0 <= k <= g(t+N(r-t)) violated: k = {k}, bound = {dim_cap}")
-        h = dim_cap - k
-    else:
-        if h is None:
-            raise ValueError(f"kind {kind!r} plans from the heavy-parity count h")
-        if not 0 <= h <= dim_cap:
-            raise ConstraintViolated(
-                f"0 <= h <= g(t+N(r-t)) violated: h = {h}, bound = {dim_cap}")
-        if kind == "pc1" and h > r:
-            raise ConstraintViolated(f"h <= r violated: h = {h} > r = {r}")
+    k, h = split_size(topo, k, h)
+    if kind == "pc1" and h > r:
+        raise ConstraintViolated(f"h <= r violated: h = {h} > r = {r}")
     q_raw = max(g + 1, r + delta - 1)
     q = next_prime_power(q_raw)
     p, s = is_prime_power(q)
     if kind == "gen":
         m = t + N * (r - t)
         bound = q_raw ** m
-        return FieldPlan(kind, q, p, s, m, bound, exact=(q == q_raw))
+        return FieldPlan(kind, k, h, q, p, s, m, bound, exact=(q == q_raw))
     if kind == "pc1":
         m = max(1, h * N)
         bound = q_raw ** (h * N)
-        return FieldPlan(kind, q, p, s, m, bound,
+        return FieldPlan(kind, k, h, q, p, s, m, bound,
                          exact=(q == q_raw and h >= 1))
     # pc2
     ell = g * (N * (delta - 1) + t) + h
@@ -147,7 +154,7 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
         sub_s += 1
     m = sub_s * ell
     bound = target ** ell
-    return FieldPlan(kind, q, p, s, m, bound,
+    return FieldPlan(kind, k, h, q, p, s, m, bound,
                      exact=(q ** sub_s == target), ell=ell, sub_s=sub_s)
 
 
@@ -187,10 +194,11 @@ def dual_matrix(mat: MatrixF) -> MatrixF:
     """Basis of the dual code, one codeword per row: M' with M M'^T = 0.
 
     Turns a parity-check matrix into a generator and back; the input must
-    have full row rank."""
-    if mat.rank() != mat.rows:
+    have full row rank, which the kernel's size shows: cols - rank vectors."""
+    kernel = mat.right_kernel()
+    if kernel.cols != mat.cols - mat.rows:
         raise RankDeficient("matrix must have full row rank")
-    return mat.right_kernel().transpose()
+    return kernel.transpose()
 
 
 def local_generator(topo: Topology, kind: str, ctx) -> MatrixF:
@@ -282,67 +290,55 @@ def local_property_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
     return out
 
 
-def construct_gen(topo: Topology, k: int) -> MrLrcCode:
-    """Generator-side construction of dimension k; h = g(t+N(r-t)) - k."""
-    plan = plan_field(topo, "gen", k=k)
-    h = heavy_parity_count(topo, k)
-    tower = make_tower(plan.p, plan.s, plan.m)
+def _build_gen(topo: Topology, plan: FieldPlan, tower: FieldTower) -> MrLrcCode:
+    """Generator-side construction of dimension plan.k."""
     t, r, N = topo.t, topo.r, topo.N
     a_loc = local_generator(topo, "gen", tower.base).data
     # D: [I_t | B B .. B] over [0 | diag(C, .., C)]
     d_rows = (_place(topo, a_loc[:t], [range(N)])
               + _place(topo, a_loc[t:r], [(j,) for j in range(N)]))
     a = tower.distinct_norm_elements(topo.g)
-    g_mat = frobenius_rows(tower, _contract(tower, zip(*d_rows)), a, k)
-    h_mat = dual_matrix(g_mat)
-    code = MrLrcCode(topo=topo, kind="gen", tower=tower, k=k, h=h,
-                     G=g_mat, H=h_mat, a=a, beta=tower.polynomial_basis,
-                     plan=plan)
-    _check_code(code)
-    return code
+    g_mat = frobenius_rows(tower, _contract(tower, zip(*d_rows)), a, plan.k)
+    return MrLrcCode(topo=topo, kind="gen", tower=tower, k=plan.k, h=plan.h,
+                     G=g_mat, H=dual_matrix(g_mat), a=a,
+                     beta=tower.polynomial_basis, plan=plan)
 
 
 def _parity_check_code(topo: Topology, plan: FieldPlan, tower: FieldTower,
-                       h: int, a_loc, gamma, beta) -> MrLrcCode:
-    """pc1/pc2 assembly: H is diag(P_0, .., P_0) over the h Frobenius rows
-    of gamma, where P_0 places the top delta-1 rows of a_loc on each
+                       a_loc, gamma, beta) -> MrLrcCode:
+    """pc1/pc2 assembly: H is diag(P_0, .., P_0) over the plan.h Frobenius
+    rows of gamma, where P_0 places the top delta-1 rows of a_loc on each
     repair segment; G is its dual."""
     embed = tower.embed
     p0 = _place(topo, a_loc[:topo.delta - 1], [(j,) for j in range(topo.N)])
     p_emb = MatrixF(tower.top, [[embed(v) for v in row] for row in p0])
     a = tower.distinct_norm_elements(topo.g)
-    h_mat = block_diag([p_emb] * topo.g).vstack(frobenius_rows(tower, gamma, a, h))
-    code = MrLrcCode(topo=topo, kind=plan.kind, tower=tower,
-                     k=topo.max_dimension() - h, h=h, G=dual_matrix(h_mat),
-                     H=h_mat, a=a, beta=beta, plan=plan, ell=plan.ell)
-    _check_code(code)
-    return code
+    h_mat = block_diag([p_emb] * topo.g).vstack(frobenius_rows(tower, gamma, a, plan.h))
+    return MrLrcCode(topo=topo, kind=plan.kind, tower=tower, k=plan.k,
+                     h=plan.h, G=dual_matrix(h_mat), H=h_mat, a=a, beta=beta,
+                     plan=plan, ell=plan.ell)
 
 
-def construct_pc1(topo: Topology, h: int) -> MrLrcCode:
-    """First parity-check construction; k = g(t+N(r-t)) - h, requires h <= r.
+def _build_pc1(topo: Topology, plan: FieldPlan, tower: FieldTower) -> MrLrcCode:
+    """First parity-check construction; the plan enforces h <= r.
 
     The heavy rows (G_1 Q | .. | G_g Q) are the Frobenius rows of Q's
     contracted columns (see the module docstring)."""
-    plan = plan_field(topo, "pc1", h=h)
-    tower = make_tower(plan.p, plan.s, plan.m)
-    a_loc = _pc1_local(topo, h, tower.base).data
+    a_loc = _pc1_local(topo, plan.h, tower.base).data
     q_rows = _place(topo, a_loc[topo.delta - 1:], [(j,) for j in range(topo.N)])
-    beta = tower.polynomial_basis if h else ()
-    return _parity_check_code(topo, plan, tower, h, a_loc,
+    beta = tower.polynomial_basis if plan.h else ()
+    return _parity_check_code(topo, plan, tower, a_loc,
                               _contract(tower, zip(*q_rows)), beta)
 
 
-def construct_pc2(topo: Topology, h: int) -> MrLrcCode:
-    """Second parity-check construction; k = g(t+N(r-t)) - h.
+def _build_pc2(topo: Topology, plan: FieldPlan, tower: FieldTower) -> MrLrcCode:
+    """Second parity-check construction.
 
     The heavy-row multipliers beta_1..beta_(n/g) form an l-wise
     GF(q)-linearly independent set, l = g(N(delta-1)+t)+h, obtained by
     column-expanding a tall RS evaluation matrix over GF(q^s) and
     contracting against the polynomial basis of GF(q^m), m = s*l.
     """
-    plan = plan_field(topo, "pc2", h=h)
-    tower = make_tower(plan.p, plan.s, plan.m)
     a_loc = local_generator(topo, "pc2", tower.base).data
     # tall RS evaluation matrix over GF(q^sub_s): any min(ell, n/g) columns
     # are independent; each column expands into GF(q) coordinates
@@ -351,7 +347,7 @@ def construct_pc2(topo: Topology, h: int) -> MrLrcCode:
     beta = _contract(tower, (
         [c for x in h_tilde.column(j) for c in sub_tower.base_coords(x)]
         for j in range(topo.group_width)))
-    code = _parity_check_code(topo, plan, tower, h, a_loc, beta, beta)
+    code = _parity_check_code(topo, plan, tower, a_loc, beta, beta)
     _check_ell_wise_independent(code)
     return code
 
@@ -376,20 +372,17 @@ def _check_ell_wise_independent(code: MrLrcCode) -> None:
             raise AssertionError(f"beta subset {sel} is GF(q)-linearly dependent")
 
 
+_BUILDERS = {"gen": _build_gen, "pc1": _build_pc1, "pc2": _build_pc2}
+
+
 def construct(topo: Topology, kind: str, k: int | None = None,
               h: int | None = None) -> MrLrcCode:
-    """Dispatch to the requested construction from k or h."""
-    if kind == "gen":
-        if k is None:
-            k = topo.max_dimension() - h
-        return construct_gen(topo, k)
-    if h is None:
-        h = heavy_parity_count(topo, k)
-    if kind == "pc1":
-        return construct_pc1(topo, h)
-    if kind == "pc2":
-        return construct_pc2(topo, h)
-    raise ValueError(f"unknown kind {kind!r}")
+    """Build the code of the given kind, sized by exactly one of the
+    dimension k and the heavy-parity count h (see split_size)."""
+    plan = plan_field(topo, kind, k=k, h=h)
+    code = _BUILDERS[kind](topo, plan, make_tower(plan.p, plan.s, plan.m))
+    _check_code(code)
+    return code
 
 
 def encode(code: MrLrcCode, message) -> tuple:
@@ -531,8 +524,7 @@ def read_bundle(path) -> MrLrcCode:
     g_mat = (read_srmat(os.path.join(base_dir, g_path)) if g_path
              else dual_matrix(h_mat))
     _check_bundle_matrix(g_mat, tower.top, k, n)
-    plan = (plan_field(topo, kind, k=k) if kind == "gen"
-            else plan_field(topo, kind, h=h))
+    plan = plan_field(topo, kind, h=h)
     return MrLrcCode(topo=topo, kind=kind, tower=tower, k=k, h=h, G=g_mat,
                      H=h_mat, a=tuple(doc["a"]), beta=tuple(doc["beta"]), plan=plan,
-                     ell=plan.ell if kind == "pc2" else None)
+                     ell=plan.ell)

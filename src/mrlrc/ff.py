@@ -311,7 +311,7 @@ class FieldCtx:
             shift += w
         return out
 
-    def _unspread(self, v: int, w: int, scale: int = 1) -> int:
+    def _unspread(self, v: int, w: int, scale: int) -> int:
         """The element whose digits are scale times the first e w-bit
         slots of v, reduced mod p."""
         p, mask = self.p, (1 << w) - 1
@@ -343,7 +343,7 @@ class FieldCtx:
             prod ^= high << ew
             for j, m in taps:
                 prod += high * m << j * w
-        return self._unspread(prod, w)
+        return self._unspread(prod, w, 1)
 
     def _g_inv(self, a: int) -> int:
         # extended Euclid on a and the modulus
@@ -625,14 +625,9 @@ class FieldTower:
 
     # -- tower operations
 
-    def frobenius(self, x: int, i: int = 1) -> int:
-        """x^(q^i), the i-th power of the relative Frobenius."""
-        if i < 0:
-            raise ValueError("Frobenius power must be non-negative")
-        if x == 0 or i == 0:
-            return x
-        om1 = self.top.order - 1
-        return self.top.pow(x, pow(self.q, i, om1))
+    def frobenius(self, x: int) -> int:
+        """x^q, the relative Frobenius."""
+        return self.top.pow(x, self.q)
 
     def rel_norm(self, x: int) -> int:
         """Norm from GF(q^m) to GF(q): x^((q^m-1)/(q-1)), as a base-field element."""

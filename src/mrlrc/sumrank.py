@@ -90,8 +90,8 @@ def frobenius_rows(tower: FieldTower, beta, a, k: int) -> MatrixF:
     a_l = [1] * len(a)
     for l in range(k):
         if l > 0:
-            beta_l = [tower.frobenius(x, 1) for x in beta_l]
-            a_l = [top.mul(tower.frobenius(x, 1), ai) for x, ai in zip(a_l, a)]
+            beta_l = [tower.frobenius(x) for x in beta_l]
+            a_l = [top.mul(tower.frobenius(x), ai) for x, ai in zip(a_l, a)]
         row = []
         for ai in a_l:
             row.extend(top.mul(x, ai) for x in beta_l)

@@ -33,10 +33,6 @@ class IndexOutOfRange(IndexError):
     """A coordinate is outside [1, n]."""
 
 
-class DimensionTooLarge(ValueError):
-    """Requested dimension exceeds g(t + N(r-t))."""
-
-
 class EnumerationCapExceeded(ValueError):
     """Maximal-pattern enumeration would exceed the configured cap."""
 
@@ -130,14 +126,6 @@ def _check_layout(topo: Topology) -> None:
             raise AssertionError("repair sets do not intersect in the core")
     if all_coords != set(topo.coords):
         raise AssertionError("groups do not cover [n]")
-
-
-def heavy_parity_count(topo: Topology, k: int) -> int:
-    """h = g(t + N(r-t)) - k, the number of heavy (global) parities."""
-    cap = topo.max_dimension()
-    if k < 0 or k > cap:
-        raise DimensionTooLarge(f"k = {k} exceeds g(t+N(r-t)) = {cap}")
-    return cap - k
 
 
 @dataclass(frozen=True)
@@ -239,14 +227,15 @@ def count_maximal_patterns(topo: Topology) -> int:
     return len(per_group_maximal_sets(topo)) ** topo.g
 
 
-def enumerate_maximal_patterns(topo: Topology, cap: int = DEFAULT_PATTERN_CAP):
+def enumerate_maximal_patterns(topo: Topology):
     """Yield every maximal locally correctable pattern exactly once, as a
-    sorted coordinate tuple."""
+    sorted coordinate tuple; raises EnumerationCapExceeded when there are
+    more than DEFAULT_PATTERN_CAP of them."""
     per_group = per_group_maximal_sets(topo)
     total = len(per_group) ** topo.g
-    if total > cap:
+    if total > DEFAULT_PATTERN_CAP:
         raise EnumerationCapExceeded(
-            f"{total} maximal patterns exceed the cap {cap}")
+            f"{total} maximal patterns exceed the cap {DEFAULT_PATTERN_CAP}")
     width = topo.group_width
     for combo in itertools.product(per_group, repeat=topo.g):
         yield tuple(c + i * width for i, cs in enumerate(combo) for c in cs)

@@ -37,7 +37,9 @@ from math import comb, floor
 
 from .elim import reduce_rows
 from .matrix import MatrixF
-from .constructions import MrLrcCode, plan_field, premise_violations
+from .constructions import (
+    KINDS, MrLrcCode, plan_field, premise_violations, split_size,
+)
 from .topology import (
     Topology, draw_maximal_pattern, enumerate_maximal_patterns,
     per_group_maximal_sets,
@@ -406,18 +408,13 @@ def _asymptotic(b: BoundInputs) -> int | None:
 
 
 def table1_row(topo: Topology, k: int | None = None, h: int | None = None) -> dict:
-    """Field-size summary for all three kinds, marking inapplicable ones."""
-    if (k is None) == (h is None):
-        raise ValueError("give exactly one of k, h")
-    if k is not None:
-        h = topo.max_dimension() - k
-    else:
-        k = topo.max_dimension() - h
+    """Field-size summary for all three kinds, marking inapplicable ones;
+    raises ConstraintViolated on a size outside [0, g(t+N(r-t))]."""
+    k, h = split_size(topo, k, h)
     row: dict = {"k": k, "h": h}
-    for kind in ("gen", "pc1", "pc2"):
+    for kind in KINDS:
         try:
-            plan = (plan_field(topo, kind, k=k) if kind == "gen"
-                    else plan_field(topo, kind, h=h))
+            plan = plan_field(topo, kind, h=h)
             row[kind] = {
                 "q": plan.q, "m": plan.m,
                 "bound_value": plan.bound_value,

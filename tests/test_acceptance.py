@@ -16,14 +16,11 @@ import pytest
 from mrlrc.ff import is_prime_power, make_tower
 from mrlrc.matrix import srmat_dumps, srmat_loads
 from mrlrc.constructions import (
-    construct_gen, construct_pc1, construct_pc2, encode, plan_field,
-    read_bundle, write_bundle,
+    construct, encode, plan_field, read_bundle, split_size, write_bundle,
 )
 from mrlrc.simulate import SimConfig, run_simulation
 from mrlrc.sumrank import SumRankPartition, lrs_generator
-from mrlrc.topology import (
-    heavy_parity_count, is_mr_correctable_pattern, make_topology,
-)
+from mrlrc.topology import is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
     BoundInputs, construction3_pattern_check, decode_erasures, ell_bounds,
     ell_exact, lower_bound_field, verify_mr_exhaustive, verify_mr_sampled,
@@ -48,7 +45,7 @@ def topo_for(r, delta, t, g, n_avail):
 @pytest.fixture(scope="module")
 def c1_codes():
     return {
-        params: construct_gen(topo_for(*params[:5]), params[5])
+        params: construct(topo_for(*params[:5]), "gen", k=params[5])
         for params in CONSTRUCTION1_PARAMS
     }
 
@@ -56,12 +53,12 @@ def c1_codes():
 @pytest.fixture(scope="module")
 def c2_codes():
     topo = topo_for(2, 2, 1, 2, 2)
-    return {h: construct_pc1(topo, h) for h in (1, 2)}
+    return {h: construct(topo, "pc1", h=h) for h in (1, 2)}
 
 
 @pytest.fixture(scope="module")
 def c3_code():
-    return construct_pc2(topo_for(2, 2, 1, 2, 1), 1)
+    return construct(topo_for(2, 2, 1, 2, 1), "pc2", h=1)
 
 
 def report_line(num, text):
@@ -180,7 +177,7 @@ def test_criterion_5_arithmetic_reproduction():
     k = topo.g * topo.t
     assert topo.n == 64
     assert k == 16
-    h = heavy_parity_count(topo, k)
+    _, h = split_size(topo, k=k)
     assert k + h == 32
     local_parities = topo.local_parity_count()
     assert local_parities == 32
@@ -222,8 +219,7 @@ def test_criterion_6_table1_planner_closed_forms():
         # where the bound is realizable, the built tower matches it exactly
         for kind, expect in (("gen", expect_gen), ("pc1", expect_pc1),
                              ("pc2", expect_pc2)):
-            plan = (plan_field(topo, kind, k=k) if kind == "gen"
-                    else plan_field(topo, kind, h=h))
+            plan = plan_field(topo, kind, h=h)
             if plan.exact:
                 assert plan.field_size == expect
             else:
@@ -267,7 +263,7 @@ def test_criterion_7_lower_bound_consistency(c1_codes, c2_codes, c3_code):
 def test_criterion_8_determinism(c1_codes, tmp_path):
     code = c1_codes[(2, 2, 1, 2, 2, 5)]
     params = (2, 2, 1, 2, 2, 5)
-    rebuilt = construct_gen(topo_for(*params[:5]), params[5])
+    rebuilt = construct(topo_for(*params[:5]), "gen", k=params[5])
     p1 = write_bundle(code, tmp_path / "one")
     p2 = write_bundle(rebuilt, tmp_path / "two")
     for suffix in (".json", ".G.srmat", ".H.srmat"):

@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, file formats."""
 
 import json
+import re
 import time
 
 import pytest
@@ -37,11 +38,15 @@ def test_construct_rejects_bad_params(tmp_path, capsys):
 @pytest.mark.parametrize("kind,flag,message", [
     ("gen", "--k", "0 <= k <= g(t+N(r-t)) violated: k = -1, bound = 6"),
     ("pc1", "--h", "0 <= h <= g(t+N(r-t)) violated: h = -1, bound = 6"),
+    ("pc1", "--k", "0 <= k <= g(t+N(r-t)) violated: k = -1, bound = 6"),
+    ("gen", "--h", "0 <= h <= g(t+N(r-t)) violated: h = 9, bound = 6"),
 ])
 def test_construct_negative_dimension_states_both_bounds(tmp_path, capsys,
                                                          kind, flag, message):
+    # the size passed is the one the message names, whatever the kind
+    value = re.search(r"= (-?\d+),", message).group(1)
     rc = main(["construct", "--kind", kind, "--r", "2", "--delta", "2",
-               "--t", "1", "--N", "2", "--g", "2", flag, "-1",
+               "--t", "1", "--N", "2", "--g", "2", flag, value,
                "--out", str(tmp_path / "out")])
     assert rc == 1
     captured = capsys.readouterr()
@@ -67,6 +72,17 @@ def test_bounds_bad_integer_names_the_flag(capsys):
     assert main(BOUNDS_ARGS + ["--k", "x"]) == 1
     err = capsys.readouterr().err
     assert "mrlrc bounds: error: argument --k: invalid int value: 'x'" in err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--k", "100", "0 <= k <= g(t+N(r-t)) violated: k = 100, bound = 6"),
+    ("--h", "-3", "0 <= h <= g(t+N(r-t)) violated: h = -3, bound = 6"),
+])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bounds_out_of_range_size_exits_1(capsys, flag, value, message, json_flag):
+    assert main(BOUNDS_ARGS + [flag, value] + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("size", [[], ["--k", "4", "--h", "2"]],

@@ -4,15 +4,16 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrlrc.matrix import MatrixF, RankDeficient, map_entries
 from mrlrc.constructions import (
-    ConstraintViolated, construct, construct_gen,
-    construct_pc1, construct_pc2, dual_matrix, encode,
-    local_generator, plan_field, read_bundle,
+    KINDS, ConstraintViolated, construct, dual_matrix, encode,
+    local_generator, plan_field, read_bundle, split_size,
     systematic_info_placement, write_bundle,
 )
-from mrlrc.topology import heavy_parity_count, make_topology
+from mrlrc.topology import make_topology
 from mrlrc.verify import verify_mr_exhaustive, verify_mr_sampled
 
 
@@ -74,7 +75,7 @@ def test_plan_t_constraint_only_for_parity_kinds():
 
 def test_gen_desk_example():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_gen(topo, 3)
+    code = construct(topo, "gen", k=3)
     assert (code.n, code.h) == (6, 1)
     assert (code.plan.q, code.plan.m) == (3, 2)
     assert verify_mr_exhaustive(code).passed
@@ -87,7 +88,7 @@ def test_gen_equals_outer_times_diag():
 
     topo = make(2, 2, 1, 2, 2)
     k = 5
-    code = construct_gen(topo, k)
+    code = construct(topo, "gen", k=k)
     tower = code.tower
     part = SumRankPartition(tower, topo.g, tower.m)
     outer = lrs_generator(part, k)
@@ -130,7 +131,7 @@ def test_pc1_heavy_rows_equal_lrs_blocks_times_q(params, h):
     from mrlrc.sumrank import SumRankPartition, lrs_generator
 
     topo = make(*params)
-    code = construct_pc1(topo, h)
+    code = construct(topo, "pc1", h=h)
     tower = code.tower
     t, seg, hn = topo.t, topo.seg, h * topo.N
     d_band = _pc1_local(topo, h, tower.base).data[topo.delta - 1:]
@@ -155,7 +156,7 @@ def test_gen_h0_square_restrictions():
 
     topo = make(2, 2, 1, 2, 1)
     k = topo.max_dimension()
-    code = construct_gen(topo, k)
+    code = construct(topo, "gen", k=k)
     assert code.h == 0
     for pat in enumerate_maximal_patterns(topo):
         comp = [c for c in topo.coords if c not in set(pat)]
@@ -171,7 +172,7 @@ def test_gen_availability_parity_accounting():
     topo = make(2, 2, 1, 4, 2)
     k = topo.g * topo.t
     assert topo.local_parity_count() == k * topo.N
-    code = construct_gen(topo, k)
+    code = construct(topo, "gen", k=k)
     placed = systematic_info_placement(code)
     assert placed.info_pivots == tuple(sorted(c for core in topo.cores
                                               for c in core))
@@ -179,7 +180,7 @@ def test_gen_availability_parity_accounting():
 
 def test_gen_duality_invariants():
     topo = make(2, 3, 1, 2, 1)
-    code = construct_gen(topo, 3)
+    code = construct(topo, "gen", k=3)
     assert code.G.mul(code.H.transpose()).is_zero()
     assert code.G.rank() == code.k
     assert code.H.rank() == code.n - code.k
@@ -191,7 +192,7 @@ def test_gen_duality_invariants():
 
 def test_pc1_desk_example():
     topo = make(2, 2, 1, 2, 2)
-    code = construct_pc1(topo, 2)
+    code = construct(topo, "pc1", h=2)
     assert (code.n, code.k) == (10, 4)
     assert code.tower.top.order == 81
     assert verify_mr_exhaustive(code).passed
@@ -199,7 +200,7 @@ def test_pc1_desk_example():
 
 def test_pc1_h0_product_of_local_codes():
     topo = make(2, 2, 1, 2, 2)
-    code = construct_pc1(topo, 0)
+    code = construct(topo, "pc1", h=0)
     assert code.k == topo.max_dimension()
     assert code.H.rows == topo.local_parity_count()
     assert verify_mr_exhaustive(code).passed
@@ -207,12 +208,12 @@ def test_pc1_h0_product_of_local_codes():
 
 def test_pc1_h_too_large():
     with pytest.raises(ConstraintViolated, match="h <= r"):
-        construct_pc1(make(2, 2, 1, 2, 2), 3)
+        construct(make(2, 2, 1, 2, 2), "pc1", h=3)
 
 
 def test_pc1_heavy_row_count():
     topo = make(2, 2, 1, 2, 2)
-    code = construct_pc1(topo, 1)
+    code = construct(topo, "pc1", h=1)
     assert code.H.rows == topo.local_parity_count() + 1
     g2 = dual_matrix(code.H)
     assert g2.rows == code.k
@@ -220,7 +221,7 @@ def test_pc1_heavy_row_count():
 
 def test_pc2_desk_example():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_pc2(topo, 1)
+    code = construct(topo, "pc2", h=1)
     assert code.ell == 5
     assert code.tower.top.order == 3 ** 5
     assert verify_mr_exhaustive(code).passed
@@ -228,7 +229,7 @@ def test_pc2_desk_example():
 
 def test_pc2_beta_subsets_independent():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_pc2(topo, 1)
+    code = construct(topo, "pc2", h=1)
     tower = code.tower
     size = min(code.ell, len(code.beta))
     cols = [tower.base_coords(x) for x in code.beta]
@@ -239,7 +240,7 @@ def test_pc2_beta_subsets_independent():
 
 def test_pc2_h0():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_pc2(topo, 0)
+    code = construct(topo, "pc2", h=0)
     assert code.k == topo.max_dimension()
     assert verify_mr_exhaustive(code).passed
 
@@ -249,7 +250,7 @@ def test_gen_vs_pc1_same_verification_suite():
     topo = make(2, 2, 1, 2, 2)
     h = 1
     k = topo.max_dimension() - h
-    for code in (construct_gen(topo, k), construct_pc1(topo, h)):
+    for code in (construct(topo, "gen", k=k), construct(topo, "pc1", h=h)):
         for side in ("generator", "parity"):
             assert verify_mr_exhaustive(code, side=side).passed
 
@@ -259,7 +260,7 @@ def test_gen_vs_pc1_same_verification_suite():
 
 def test_round_trip_generator_parity():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_gen(topo, 3)
+    code = construct(topo, "gen", k=3)
     h2 = dual_matrix(code.G)
     g2 = dual_matrix(h2)
     stacked = MatrixF(code.G.ctx, code.G.data + g2.data)
@@ -280,14 +281,14 @@ def test_parity_from_identity_block():
 
 def test_info_placement_requires_small_k():
     topo = make(2, 2, 1, 2, 2)
-    code = construct_gen(topo, 5)  # k = 5 > gt = 2
+    code = construct(topo, "gen", k=5)  # k = 5 > gt = 2
     with pytest.raises(ConstraintViolated, match="k <= gt"):
         systematic_info_placement(code)
 
 
 def test_info_placement_fig1():
     topo = make(3, 3, 2, 8, 2)
-    code = construct_gen(topo, 16)  # k = gt
+    code = construct(topo, "gen", k=16)  # k = gt
     placed = systematic_info_placement(code)
     t_coords = tuple(sorted(c for core in topo.cores for c in core))
     assert placed.info_pivots == t_coords
@@ -298,9 +299,31 @@ def test_info_placement_fig1():
 def test_construct_dispatch():
     topo = make(2, 2, 1, 2, 2)
     by_k = construct(topo, "pc1", k=5)
-    assert by_k.h == heavy_parity_count(topo, 5)
+    assert by_k.h == split_size(topo, k=5)[1] == 1
     by_h = construct(topo, "gen", h=1)
     assert by_h.k == topo.max_dimension() - 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_construct_from_k_equals_construct_from_h(data):
+    # one size rule: k and h = g(t+N(r-t)) - k build the same code
+    r = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(1, r))
+    topo = make(r, data.draw(st.integers(2, 3)), t,
+                data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+    cap = topo.max_dimension()
+    k = data.draw(st.integers(0, cap))
+    for kind in KINDS:
+        try:
+            plan = plan_field(topo, kind, k=k)
+        except ConstraintViolated:
+            continue  # the kind does not apply to this topology and size
+        if plan.field_size > 2 ** 16:
+            continue  # keep the property fast: table fields only
+        by_k, by_h = construct(topo, kind, k=k), construct(topo, kind, h=cap - k)
+        assert (by_k.G, by_k.H, by_k.plan) == (by_h.G, by_h.H, by_h.plan)
+        assert (by_k.plan.k, by_k.plan.h) == (k, cap - k)
 
 
 # -- encode and bundles
@@ -308,7 +331,7 @@ def test_construct_dispatch():
 
 def test_encode_shape_and_membership():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_gen(topo, 3)
+    code = construct(topo, "gen", k=3)
     cw = encode(code, (1, 2, 3))
     assert len(cw) == code.n
     col = MatrixF(code.tower.top, [(v,) for v in cw], cols=1)
@@ -319,8 +342,8 @@ def test_encode_shape_and_membership():
 
 def test_bundle_round_trip(tmp_path):
     topo = make(2, 2, 1, 2, 2)
-    for code in (construct_gen(topo, 5), construct_pc1(topo, 2),
-                 construct_pc2(make(2, 2, 1, 2, 1), 1)):
+    for code in (construct(topo, "gen", k=5), construct(topo, "pc1", h=2),
+                 construct(make(2, 2, 1, 2, 1), "pc2", h=1)):
         path = write_bundle(code, tmp_path / code.kind)
         loaded = read_bundle(path)
         assert loaded.G == code.G and loaded.H == code.H
@@ -331,9 +354,9 @@ def test_bundle_round_trip(tmp_path):
 
 def test_bundle_bytes_deterministic(tmp_path):
     topo = make(2, 2, 1, 2, 2)
-    code = construct_gen(topo, 5)
+    code = construct(topo, "gen", k=5)
     p1 = write_bundle(code, tmp_path / "one")
-    p2 = write_bundle(construct_gen(topo, 5), tmp_path / "two")
+    p2 = write_bundle(construct(topo, "gen", k=5), tmp_path / "two")
     payload = lambda p: open(p, "rb").read()
     assert payload(p1) == payload(p2)
     for suffix in (".G.srmat", ".H.srmat"):
@@ -344,7 +367,7 @@ def test_bundle_rejects_tampered_modulus(tmp_path):
     import json
 
     topo = make(2, 2, 1, 2, 1)
-    path = write_bundle(construct_gen(topo, 3), tmp_path)
+    path = write_bundle(construct(topo, "gen", k=3), tmp_path)
     doc = json.loads(open(path).read())
     doc["modulus"] = [2, 1, 1]
     with open(path, "w") as fh:
@@ -356,7 +379,7 @@ def test_bundle_rejects_tampered_modulus(tmp_path):
 def test_bundle_rejects_untrusted_k_and_h(tmp_path):
     import json
 
-    path = write_bundle(construct_gen(make(2, 2, 1, 2, 2), 5), tmp_path)
+    path = write_bundle(construct(make(2, 2, 1, 2, 2), "gen", k=5), tmp_path)
     doc = json.loads(open(path).read())
     for bad in ({"h": 0}, {"h": 2}, {"k": 4}, {"h": "x"}, {"k": 5.0}, {"h": True}):
         with open(path, "w") as fh:
@@ -373,7 +396,7 @@ def test_local_property_enforced_at_build():
     # direct check: generator rows restricted to a repair set obey the
     # local parities (pc kinds) / live in the local code (gen kind)
     topo = make(2, 3, 1, 2, 1)
-    code = construct_gen(topo, 3)
+    code = construct(topo, "gen", k=3)
     tower = code.tower
     a_loc = local_generator(topo, "gen", tower.base)
     a_emb = map_entries(a_loc, tower.top, tower.embed)
@@ -396,7 +419,7 @@ def test_gen_delta_one_has_no_local_parities():
 
 def test_gen_zero_dimension_edge():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_gen(topo, 0)
+    code = construct(topo, "gen", k=0)
     assert code.k == 0 and code.h == topo.max_dimension()
     assert code.H.rank() == code.n
     assert encode(code, ()) == (0,) * code.n
@@ -406,7 +429,7 @@ def test_gen_zero_dimension_edge():
 def test_gen_zero_dimension_bundle_bytes(tmp_path):
     # the dual of the 0 x n generator is I_n; these bytes were recorded
     # when H = I_n was built by a special case
-    write_bundle(construct_gen(make(2, 2, 1, 2, 2), 0), tmp_path)
+    write_bundle(construct(make(2, 2, 1, 2, 2), "gen", k=0), tmp_path)
     digests = {
         "bundle.json": "8d7687ac76bc8200eba375d5ebafef9613f40a93756df5116766e9ab85900d91",
         "bundle.G.srmat": "b01b643dfbf9910da1227c1b57258e809991fcc40afeb6557634f7b285ad8185",
@@ -422,7 +445,7 @@ def test_pc2_needs_degree_two_subextension():
     topo = make(2, 2, 1, 1, 3)
     plan = plan_field(topo, "pc2", h=1)
     assert (plan.q, plan.sub_s, plan.ell, plan.m) == (3, 2, 5, 10)
-    code = construct_pc2(topo, 1)
+    code = construct(topo, "pc2", h=1)
     assert code.tower.top.order == 3 ** 10
     assert verify_mr_exhaustive(code).passed
 
@@ -430,7 +453,7 @@ def test_pc2_needs_degree_two_subextension():
 def test_pc1_single_availability_is_classical_pmds():
     # N = 1 reduces to disjoint (r, delta) groups with h heavy parities
     topo = make(3, 2, 1, 3, 1)
-    code = construct_pc1(topo, 2)
+    code = construct(topo, "pc1", h=2)
     assert code.tower.top.order == 16
     assert code.topo.group_width == topo.r + topo.delta - 1
     rep = verify_mr_exhaustive(code)
@@ -442,7 +465,7 @@ def test_gen_wide_local_distance_sampled():
     # pattern space is large, so verification is sampled here (the small
     # delta = 3 case is swept exhaustively elsewhere)
     topo = make(3, 3, 2, 2, 2)
-    code = construct_gen(topo, 6)
+    code = construct(topo, "gen", k=6)
     assert code.plan.field_size == 5 ** 4
     for seed in (9, 10):
         assert verify_mr_sampled(code, trials=300, seed=seed).passed

@@ -2,16 +2,18 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlrc import topology
+from mrlrc.constructions import ConstraintViolated, split_size
 from mrlrc.topology import (
-    BadParams, DimensionTooLarge, EnumerationCapExceeded, IndexOutOfRange,
+    BadParams, EnumerationCapExceeded, IndexOutOfRange,
     classify_pattern, count_maximal_patterns, enumerate_maximal_patterns,
-    group_witnesses, heavy_parity_count, is_mr_correctable_pattern,
+    group_witnesses, is_mr_correctable_pattern,
     make_topology, per_group_maximal_sets,
 )
 
@@ -19,7 +21,7 @@ from mrlrc.topology import (
 def test_layout_fig1_arithmetic():
     topo = make_topology(3, 3, 2, 8, 2, mode="availability")
     assert topo.n == 64
-    assert heavy_parity_count(topo, 16) == 16
+    assert split_size(topo, k=16) == (16, 16)
     assert topo.local_parity_count() == 32
     assert topo.max_dimension() == 32  # k + h
     # cores are the shared rows of the 8x8 arrangement
@@ -55,10 +57,22 @@ def test_classical_reduction():
 
 def test_heavy_parity_examples():
     topo = make_topology(2, 2, 1, 2, 2, mode="availability")
-    assert heavy_parity_count(topo, topo.max_dimension()) == 0
-    assert heavy_parity_count(topo, 5) == 1
-    with pytest.raises(DimensionTooLarge):
-        heavy_parity_count(topo, 7)
+    assert split_size(topo, k=topo.max_dimension()) == (6, 0)
+    assert split_size(topo, k=5) == (5, 1)
+    assert split_size(topo, h=6) == (0, 6)
+    for size, message in (({"k": 7}, "k = 7, bound = 6"),
+                          ({"k": -1}, "k = -1, bound = 6"),
+                          ({"h": 7}, "h = 7, bound = 6"),
+                          ({"h": -1}, "h = -1, bound = 6")):
+        with pytest.raises(ConstraintViolated, match=re.escape(message)):
+            split_size(topo, **size)
+
+
+@pytest.mark.parametrize("size", [{}, {"k": 4, "h": 2}], ids=["neither", "both"])
+def test_split_size_needs_exactly_one(size):
+    topo = make_topology(2, 2, 1, 2, 2)
+    with pytest.raises(ValueError, match=r"^give exactly one of k, h$"):
+        split_size(topo, **size)
 
 
 def test_classify_empty_and_bounds():
@@ -159,11 +173,12 @@ def test_group_witnesses_match_definition(params):
             assert group_witnesses(topo, 1, e) == (witnesses, tight)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     topo = make_topology(2, 2, 1, 2, 2, mode="availability")
+    monkeypatch.setattr(topology, "DEFAULT_PATTERN_CAP", 10)
     with pytest.raises(EnumerationCapExceeded,
                        match=r"^64 maximal patterns exceed the cap 10$"):
-        list(enumerate_maximal_patterns(topo, cap=10))
+        list(enumerate_maximal_patterns(topo))
 
 
 def test_enumeration_builds_group_sets_once(monkeypatch):

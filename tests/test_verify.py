@@ -10,9 +10,7 @@ import pytest
 from mrlrc.ff import field_ctx
 from mrlrc.matrix import MatrixF
 from mrlrc import verify
-from mrlrc.constructions import (
-    construct_gen, construct_pc1, construct_pc2, encode, premise_violations,
-)
+from mrlrc.constructions import construct, encode, premise_violations
 from mrlrc.topology import enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
     BoundInputs, InvalidInput, MrFailure, MrReport, TooLargeToEnumerate,
@@ -30,7 +28,7 @@ def make(r, delta, t, g, n_avail):
 
 @pytest.fixture(scope="module")
 def gen_code():
-    return construct_gen(make(2, 2, 1, 2, 2), 5)
+    return construct(make(2, 2, 1, 2, 2), "gen", k=5)
 
 
 def test_exhaustive_pass_counts(gen_code):
@@ -444,7 +442,7 @@ def test_ell_bounds_examples():
 
 def test_ell_exact_within_bounds_pc2():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_pc2(topo, 1)
+    code = construct(topo, "pc2", h=1)
     le = ell_exact(code.local_parity_matrix(), 1)
     lo, hi = ell_bounds(topo, 1)
     assert lo <= le <= hi
@@ -452,7 +450,7 @@ def test_ell_exact_within_bounds_pc2():
 
 def test_construction3_pattern_check(gen_code):
     topo = make(2, 2, 1, 2, 1)
-    code = construct_pc2(topo, 1)
+    code = construct(topo, "pc2", h=1)
     assert construction3_pattern_check(code, ())
     pat = next(iter(enumerate_maximal_patterns(topo)))
     assert construction3_pattern_check(code, pat)
@@ -464,7 +462,7 @@ def test_construction3_pattern_check(gen_code):
 
 def test_construction3_check_implies_decode():
     topo = make(2, 2, 1, 2, 1)
-    code = construct_pc2(topo, 1)
+    code = construct(topo, "pc2", h=1)
     n = code.n
     for size in range(code.ell + 1):
         for sel in itertools.combinations(range(1, n + 1), size):
@@ -520,9 +518,9 @@ def test_lower_bound_regime_selection_matches_inequalities():
 
 
 def test_lower_bound_consistency_on_built_codes():
-    for code in (construct_gen(make(2, 2, 1, 2, 2), 5),
-                 construct_pc1(make(2, 2, 1, 2, 2), 2),
-                 construct_pc2(make(2, 2, 1, 2, 1), 1)):
+    for code in (construct(make(2, 2, 1, 2, 2), "gen", k=5),
+                 construct(make(2, 2, 1, 2, 2), "pc1", h=2),
+                 construct(make(2, 2, 1, 2, 1), "pc2", h=1)):
         t = code.topo
         lb = lower_bound_field(BoundInputs(r=t.r, delta=t.delta, t=t.t,
                                            g=t.g, N=t.N, h=code.h))
