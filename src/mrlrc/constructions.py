@@ -202,14 +202,12 @@ def dual_matrix(mat: MatrixF) -> MatrixF:
 
 
 def local_generator(topo: Topology, kind: str, ctx) -> MatrixF:
-    """The banded local-code generator A for the given kind, over GF(q)."""
-    r, delta, t = topo.r, topo.delta, topo.t
-    n_loc = r + delta - 1
-    if kind == "gen":
-        return structured_mds(MdsSpec(ctx, n_loc, r), t)
-    if kind == "pc1":
-        raise ValueError("pc1 local generator depends on h; use _pc1_local")
-    return structured_mds(MdsSpec(ctx, n_loc, delta - 1), t)
+    """The banded local-code generator A of gen or pc2, over GF(q)."""
+    if kind not in ("gen", "pc2"):
+        raise ValueError(f"local generator of kind {kind!r}: "
+                         "only 'gen' and 'pc2' have one")
+    k_loc = topo.r if kind == "gen" else topo.delta - 1
+    return structured_mds(MdsSpec(ctx, topo.r + topo.delta - 1, k_loc), topo.t)
 
 
 def _pc1_local(topo: Topology, h: int, ctx) -> MatrixF:

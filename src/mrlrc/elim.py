@@ -63,6 +63,63 @@ def reduce_rows(rows: list, field, stop: int | None = None,
     return pivots, factor
 
 
+def first_dependent(rows: list, field, size: int) -> tuple | None:
+    """The first size-subset of column positions, in itertools.combinations
+    order, whose columns are linearly dependent, or None.  rows must have
+    at least size columns; they are not modified.
+
+    A depth-first walk over the columns keeps, for each independent prefix
+    of j columns, the rows below its j pivots restricted to the columns
+    after the last chosen one; every other row is never read again.
+    Adding column c pivots on the first of those rows nonzero in c, as
+    reduce_rows does, and the child clears c in the others.  When no row
+    is nonzero in c, prefix + c and each of its completions is dependent,
+    so the first failing subset is prefix + c + the next size - j - 1
+    positions.  A leaf (j + 1 = size) needs only that nonzero test.
+    """
+    if size < 1:
+        return None
+    if size > len(rows):
+        return tuple(range(size))
+    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
+    ncols = len(rows[0])
+
+    def walk(node, start, j):
+        # node[i][c - start] is the entry of row i in column c >= start
+        stop = ncols - start - (size - j - 1)
+        if j + 1 == size:
+            # the first column, in range, that is zero in every row
+            mask = node[0] if len(node) == 1 else [any(col) for col in zip(*node)]
+            try:
+                return (start + mask.index(0, 0, stop),)
+            except ValueError:
+                return None
+        for k in range(stop):
+            for pr, prow in enumerate(node):
+                if prow[k]:
+                    break
+            else:
+                return tuple(range(start + k, start + k + size - j))
+            tail = prow[k + 1:]
+            f = neg(inv(prow[k]))
+            child = []
+            for i, row in enumerate(node):
+                if i != pr:
+                    x = row[k]
+                    if x:
+                        g = mul(f, x)
+                        child.append([add(v, mul(g, w))
+                                      for v, w in zip(row[k + 1:], tail)])
+                    else:
+                        child.append(row[k + 1:])
+            found = walk(child, start + k + 1, j + 1)
+            if found is not None:
+                return (start + k,) + found
+        return None
+
+    return walk(rows, 0, 0)
+
+
 def kernel_basis(rows: list, ncols: int, field) -> list[list[int]]:
     """Basis of {x : A x = 0} for the matrix A given by rows, one list per
     vector, in increasing order of its free column; reduces rows in place."""

@@ -21,8 +21,9 @@ In a tower, embed, its inverse and the coordinates over 1, X, ...,
 X^(m-1) all read one GF(p)-linear bijection GF(q)^m -> GF(q^m) and its
 inverse, two GF(p) matrices computed once per tower.
 
-Fields of order at most 2^16 get exp/log/Zech tables, built with the
-generic mul, which is what makes the exhaustive verification sweeps fast.
+Fields of order at most 2^16 get exp/log tables, and Zech tables for odd
+p, built with the generic mul, which is what makes the exhaustive
+verification sweeps fast.  Every p = 2 field adds by XOR.
 Larger fields, up to order 2^40, compute on the integer encoding itself
 and keep no per-element state:
 
@@ -243,8 +244,9 @@ class FieldCtx:
         # odd p above the table limit adds _chunk = p^k at a time:
         # _sums[x * _chunk + y] is the digit-wise sum of the k-digit chunks
         # x and y, for the largest k whose table fits SUM_TABLE_LIMIT.  For
-        # p > 64 not even k = 1 does; those fields, and the table fields,
-        # whose own add is the Zech table, add digit by digit
+        # p > 64 not even k = 1 does; those fields add digit by digit.
+        # add never comes here for p = 2 (XOR) or for a table field of odd
+        # p (its Zech table)
         self._chunk, self._sums = p, None
         if p > 2 and self.order > LOG_TABLE_LIMIT and p * p <= SUM_TABLE_LIMIT:
             while (self._chunk * p) ** 2 <= SUM_TABLE_LIMIT:
@@ -279,8 +281,6 @@ class FieldCtx:
     # -- generic arithmetic (any order up to ORDER_LIMIT, on the encoding)
 
     def _g_add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         size, sums = self._chunk, self._sums
         out, shift = 0, 1
         while a or b:
@@ -393,6 +393,8 @@ class FieldCtx:
     # -- public arithmetic
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self._zech is None:
             return self._g_add(a, b)
         if a == 0:
@@ -481,13 +483,15 @@ class FieldCtx:
             x = self._g_mul(x, gamma)
         if x != 1:
             raise AssertionError("primitive element has wrong order")
-        # Zech logarithms: zech[i] = log(1 + gamma^i), -1 when 1 + gamma^i = 0
-        zech = [0] * om1
-        for i in range(om1):
-            y = self._g_add(1, exp[i])
-            zech[i] = log[y] if y else -1
-        self._exp, self._log, self._zech = exp, log, zech
+        self._exp, self._log = exp, log
         if self.p != 2:
+            # Zech logarithms: zech[i] = log(1 + gamma^i), -1 when
+            # 1 + gamma^i = 0; p = 2 adds by XOR
+            zech = [0] * om1
+            for i in range(om1):
+                y = self._g_add(1, exp[i])
+                zech[i] = log[y] if y else -1
+            self._zech = zech
             self._neg = [self._g_neg(a) for a in range(self.order)]
 
     # -- identity

@@ -84,8 +84,10 @@ def extended_rs_generator(spec: MdsSpec) -> MatrixF:
 def is_mds(g: MatrixF) -> bool:
     """True iff every k x k column submatrix of the k x n generator is invertible.
 
-    Brute force over all C(n, k) choices; refuses to run beyond
-    IS_MDS_COLUMN_CAP columns, since this is a desk-scale verification tool.
+    MatrixF.first_dependent walks the C(n, k) choices as a prefix tree,
+    so choices that share leading columns share their elimination; refuses
+    to run beyond IS_MDS_COLUMN_CAP columns, since this is a desk-scale
+    verification tool.
     """
     if g.rows > g.cols:
         raise ValueError("is_mds needs rows <= cols")

@@ -3,7 +3,9 @@
 Matrices are immutable (tuple-of-tuples storage); every operation returns
 a new matrix.  Rank, det, solve, inverse and kernel run through
 elim.reduce_rows, which pivots on the first nonzero entry scanning
-top-to-bottom, so echelon forms are identical across runs.
+top-to-bottom, so echelon forms are identical across runs;
+first_dependent walks column subsets as a prefix tree in
+elim.first_dependent, with the same pivot rule.
 
 Index conventions: plain Python 0-based indexing for raw entry access,
 but the column-set operations (restrict_columns, rank, first_dependent,
@@ -18,9 +20,7 @@ by the canonical choice in ff, so round-trips are bit-exact.
 
 from __future__ import annotations
 
-import itertools
-
-from .elim import inverse, kernel_basis, reduce_rows
+from .elim import first_dependent, inverse, kernel_basis, reduce_rows
 from .ff import FieldCtx, field_ctx
 
 
@@ -163,11 +163,16 @@ class MatrixF:
     def first_dependent(self, pool, size: int) -> tuple | None:
         """The first size-subset F of pool, in itertools.combinations order,
         with rank(F) < size, or None: the subset-independence sweep of
-        is_mds, the l-wise check and the parity route's projection."""
-        for sel in itertools.combinations(pool, size):
-            if self.rank(sel) < size:
-                return sel
-        return None
+        is_mds, the l-wise check and the parity route's projection.  The
+        columns of pool are restricted once and walked as a prefix tree by
+        elim.first_dependent."""
+        pool = list(pool)
+        idx = self._column_indices(pool)
+        if size > len(pool):
+            return None
+        found = first_dependent([[r[j] for j in idx] for r in self.data],
+                                self.ctx, size)
+        return None if found is None else tuple(pool[i] for i in found)
 
     def det(self) -> int:
         """Determinant by forward elimination."""

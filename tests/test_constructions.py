@@ -407,6 +407,12 @@ def test_local_property_enforced_at_build():
             assert stacked.rank() == a_emb.rank()
 
 
+def test_local_generator_serves_gen_and_pc2_only():
+    code = construct(make(2, 2, 1, 2, 2), "gen", k=5)
+    with pytest.raises(ValueError, match="'gen' and 'pc2'"):
+        local_generator(code.topo, "pc1", code.tower.base)
+
+
 def test_gen_delta_one_has_no_local_parities():
     # delta = 1: the local code is all of GF(q)^r, its dual has no rows,
     # and the local-property product G|_R Pi^T has no columns to check

@@ -174,6 +174,23 @@ def test_generic_path_matches_tables():
             assert ctx._g_inv(x) == ctx.inv(x)
 
 
+def test_p2_table_add_is_digitwise_sum_mod_2():
+    # p = 2 table fields add by XOR, with no Zech table behind it
+    def digit_sum(ctx, x, y):
+        return ctx.from_coeffs(
+            (a + b) % 2 for a, b in zip(ctx.coeffs(x), ctx.coeffs(y)))
+
+    gf16 = field_ctx(2, 4)
+    for x, y in itertools.product(gf16.elements(), repeat=2):
+        assert gf16.add(x, y) == digit_sum(gf16, x, y)
+    ctx = field_ctx(2, 14)
+    assert ctx._exp is not None and ctx._zech is None
+    rnd = random.Random(14)
+    for _ in range(10_000):
+        x, y = rnd.randrange(ctx.order), rnd.randrange(ctx.order)
+        assert ctx.add(x, y) == digit_sum(ctx, x, y)
+
+
 def test_generic_path_matches_tuple_oracles():
     # small fields of several characteristics through the generic methods,
     # with every inverse checked

@@ -1,5 +1,6 @@
 """Exact dense linear algebra over field contexts."""
 
+import functools
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from mrlrc.matrix import (
 F2 = field_ctx(2)
 F3 = field_ctx(3)
 F4 = field_ctx(2, 2)
+F5 = field_ctx(5)
 F9 = field_ctx(3, 2)
 F25 = field_ctx(5, 2)
 
@@ -200,6 +202,41 @@ def test_first_dependent_matches_per_minor_oracle():
     assert ident.first_dependent([1, 2, 3], 2) is None
     m = MatrixF(F3, [[1, 2, 0], [0, 0, 1]])
     assert m.first_dependent([1, 2, 3], 2) == (1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_dependent_prefix_tree_matches_oracle(data):
+    # the prefix-tree walk against the per-minor sweep, with a zero column,
+    # a repeated column and a combination of two earlier pool columns
+    # planted at shuffled pool positions
+    ctx = data.draw(st.sampled_from([F2, F4, F3, F9, F5, F25]))
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+    entry = st.integers(0, ctx.order - 1)
+    columns = [data.draw(st.lists(entry, min_size=rows, max_size=rows))
+               for _ in range(cols)]
+    pool = data.draw(st.permutations(range(1, cols + 1)))
+    pool = pool[:data.draw(st.integers(0, cols))]
+    for kind in data.draw(st.lists(st.sampled_from([0, 1, 2]), max_size=3)):
+        # kind 0 zeroes a column, 1 repeats an earlier pool column and 2
+        # combines two of them
+        if len(pool) <= kind:
+            continue
+        pos = data.draw(st.integers(kind, len(pool) - 1))
+        earlier = data.draw(st.permutations(pool[:pos]))[:kind]
+        coef = [1] if kind == 1 else [data.draw(entry) for _ in earlier]
+        columns[pool[pos] - 1] = [
+            functools.reduce(ctx.add, (ctx.mul(x, columns[c - 1][i])
+                                       for x, c in zip(coef, earlier)), 0)
+            for i in range(rows)]
+    m = MatrixF(ctx, list(zip(*columns)))
+    for size in range(rows + 2):
+        found = m.first_dependent(pool, size)
+        assert found == first_dependent_oracle(m, pool, size)
+        if size == 0 or size > len(pool):
+            assert found is None
+        elif size > rows:
+            assert found == tuple(pool[:size])
 
 
 def test_det_matches_rank():

@@ -61,16 +61,17 @@ def test_corrupted_entry_fails_with_witness(gen_code):
 def oracle_report(code, side: str) -> str:
     """The exhaustive report as a sweep that ranks every column subset of
     every pattern from scratch: premise violations, then per pattern the
-    first dependent subset (k-subsets of the complement in G, found by
-    MatrixF.first_dependent, or h-subsets F of the complement with
-    rank(H|_(pattern u F)) < |pattern| + h)."""
+    first subset, in combinations order, that fails its own rank (k-subsets
+    S of the complement with rank(G|_S) < k, or h-subsets F of the
+    complement with rank(H|_(pattern u F)) < |pattern| + h)."""
     failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
     checked = 0
     for pat in enumerate_maximal_patterns(code.topo):
         checked += 1
         comp = sorted(set(range(1, code.n + 1)) - set(pat))
         if side == "generator":
-            found = code.G.first_dependent(comp, code.k)
+            found = next((sel for sel in itertools.combinations(comp, code.k)
+                          if code.G.rank(sel) < code.k), None)
             detail = "singular minor on surviving columns"
         else:
             need = len(pat) + code.h
