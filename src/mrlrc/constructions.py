@@ -51,6 +51,7 @@ import os
 from dataclasses import dataclass, replace
 from math import comb
 
+from .elim import reduce_rows
 from .ff import FieldTower, make_tower, is_prime_power, next_prime_power
 from .matrix import MatrixF, RankDeficient, block_diag, map_entries, read_srmat, write_srmat
 from .localmds import MdsSpec, structured_mds, vandermonde_columns
@@ -365,7 +366,7 @@ def _check_ell_wise_independent(code: MrLrcCode) -> None:
     if full.rank() < size:
         raise AssertionError("beta multipliers are not ell-wise independent")
     if comb(len(cols), size) <= ELL_WISE_SUBSET_CAP:
-        sel = full.first_dependent(range(1, len(cols) + 1), size)
+        sel = full.first_dependent(size)
         if sel is not None:
             raise AssertionError(f"beta subset {sel} is GF(q)-linearly dependent")
 
@@ -397,24 +398,26 @@ def systematic_info_placement(code: MrLrcCode) -> MrLrcCode:
 
     Establishes information availability; requires k <= gt and raises
     NotInformationAvailable (with the achieved rank) when T contains no
-    information set.
+    information set.  One reduced elimination of G with the sorted T
+    columns first pivots on the leftmost independent T columns and leaves
+    the identity there, the only row-equivalent form of G that has it.
     """
     topo = code.topo
     if code.k > topo.g * topo.t:
         raise ConstraintViolated(
             f"k <= gt violated: k = {code.k} > {topo.g * topo.t}")
-    # greedy leftmost independent columns of G|_T
-    pivots = []
-    for coord in sorted(c for core in topo.cores for c in core):
-        if code.G.rank(pivots + [coord]) == len(pivots) + 1:
-            pivots.append(coord)
-        if len(pivots) == code.k:
-            break
+    t_cols = sorted(c - 1 for core in topo.cores for c in core)
+    order = t_cols + sorted(set(range(code.n)) - set(t_cols))
+    rows = [[row[j] for j in order] for row in code.G.data]
+    pivots, _ = reduce_rows(rows, code.G.ctx, stop=len(t_cols), reduced=True)
     if len(pivots) < code.k:
         raise NotInformationAvailable(
             f"rank of G restricted to T is {len(pivots)} < k = {code.k}")
-    g_sys = code.G.systematic_form(pivots)
-    return replace(code, G=g_sys, info_pivots=tuple(pivots))
+    back = sorted(range(code.n), key=order.__getitem__)
+    g_sys = MatrixF(code.G.ctx, [[row[i] for i in back] for row in rows],
+                    cols=code.n)
+    return replace(code, G=g_sys,
+                   info_pivots=tuple(order[c] + 1 for c in pivots))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ banded generator span an MDS code on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .elim import reduce_rows
 from .ff import FieldCtx
 from .matrix import MatrixF
 
-IS_MDS_COLUMN_CAP = 24
+# column subsets is_mds may walk: C(24, 12), the most any 24 columns have
+IS_MDS_COLUMN_CAP = comb(24, 12)
 
 
 class LengthExceedsField(ValueError):
@@ -35,7 +37,7 @@ class APrimeNotMds(ValueError):
 
 
 class ColumnCapExceeded(ValueError):
-    """is_mds enumeration refused beyond IS_MDS_COLUMN_CAP columns."""
+    """is_mds refused beyond IS_MDS_COLUMN_CAP column subsets."""
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,17 @@ def is_mds(g: MatrixF) -> bool:
 
     MatrixF.first_dependent walks the C(n, k) choices as a prefix tree,
     so choices that share leading columns share their elimination; refuses
-    to run beyond IS_MDS_COLUMN_CAP columns, since this is a desk-scale
-    verification tool.
+    to run when C(n, k) exceeds IS_MDS_COLUMN_CAP, since this is a
+    desk-scale verification tool.
     """
     if g.rows > g.cols:
         raise ValueError("is_mds needs rows <= cols")
-    if g.cols > IS_MDS_COLUMN_CAP:
+    subsets = comb(g.cols, g.rows)
+    if subsets > IS_MDS_COLUMN_CAP:
         raise ColumnCapExceeded(
-            f"{g.cols} columns exceed the cap {IS_MDS_COLUMN_CAP}")
-    return g.first_dependent(range(1, g.cols + 1), g.rows) is None
+            f"C({g.cols}, {g.rows}) = {subsets} column subsets exceed "
+            f"the cap {IS_MDS_COLUMN_CAP}")
+    return g.first_dependent(g.rows) is None
 
 
 def structured_mds(spec: MdsSpec, t: int,

@@ -1,16 +1,16 @@
 """Dense exact linear algebra over a FieldCtx.
 
 Matrices are immutable (tuple-of-tuples storage); every operation returns
-a new matrix.  Rank, det, solve, inverse and kernel run through
+a new matrix.  Rank, det, solve and kernel run through
 elim.reduce_rows, which pivots on the first nonzero entry scanning
 top-to-bottom, so echelon forms are identical across runs;
 first_dependent walks column subsets as a prefix tree in
 elim.first_dependent, with the same pivot rule.
 
 Index conventions: plain Python 0-based indexing for raw entry access,
-but the column-set operations (restrict_columns, rank, first_dependent,
-systematic_form) take 1-based index sets, matching the coordinate sets
-[n] used by the code-topology layer and all file formats.
+but the column-set operations (restrict_columns, rank, first_dependent)
+take or return 1-based index sets, matching the coordinate sets [n] used
+by the code-topology layer and all file formats.
 
 The "SRMAT v1" text format serializes a matrix as a header line
 ``srmat p=<p> e=<e> rows=<r> cols=<c>`` followed by one line per row of
@@ -20,7 +20,7 @@ by the canonical choice in ff, so round-trips are bit-exact.
 
 from __future__ import annotations
 
-from .elim import first_dependent, inverse, kernel_basis, reduce_rows
+from .elim import first_dependent, kernel_basis, reduce_rows
 from .ff import FieldCtx, field_ctx
 
 
@@ -32,16 +32,8 @@ class IndexOutOfRange(IndexError):
     """A 1-based column index is outside [1, cols]."""
 
 
-class Singular(ValueError):
-    """Square matrix has no inverse."""
-
-
 class MixedFields(ValueError):
     """Operands live over different field contexts."""
-
-
-class NotInvertibleOnPivots(ValueError):
-    """The requested pivot submatrix is singular."""
 
 
 class RankDeficient(ValueError):
@@ -134,14 +126,6 @@ class MatrixF:
             raise DimensionMismatch("column count mismatch in vstack")
         return MatrixF(self.ctx, self.data + other.data)
 
-    def hstack(self, other: "MatrixF") -> "MatrixF":
-        if self.ctx != other.ctx:
-            raise MixedFields("stack over different fields")
-        if self.rows != other.rows:
-            raise DimensionMismatch("row count mismatch in hstack")
-        return MatrixF(self.ctx, [ra + rb for ra, rb in zip(self.data, other.data)],
-                       cols=self.cols + other.cols)
-
     def with_entry(self, i: int, j: int, value: int) -> "MatrixF":
         """Copy with one entry replaced (0-based); used by mutation tests."""
         rows = [list(r) for r in self.data]
@@ -160,19 +144,15 @@ class MatrixF:
         pivots, _ = reduce_rows(rows, self.ctx)
         return len(pivots)
 
-    def first_dependent(self, pool, size: int) -> tuple | None:
-        """The first size-subset F of pool, in itertools.combinations order,
-        with rank(F) < size, or None: the subset-independence sweep of
-        is_mds, the l-wise check and the parity route's projection.  The
-        columns of pool are restricted once and walked as a prefix tree by
-        elim.first_dependent."""
-        pool = list(pool)
-        idx = self._column_indices(pool)
-        if size > len(pool):
+    def first_dependent(self, size: int) -> tuple | None:
+        """The first size-subset F of the 1-based columns, in
+        itertools.combinations order, with rank(F) < size, or None: the
+        subset-independence sweep of is_mds and the l-wise check, walked
+        as a prefix tree by elim.first_dependent."""
+        if size > self.cols:
             return None
-        found = first_dependent([[r[j] for j in idx] for r in self.data],
-                                self.ctx, size)
-        return None if found is None else tuple(pool[i] for i in found)
+        found = first_dependent(self.data, self.ctx, size)
+        return None if found is None else tuple(j + 1 for j in found)
 
     def det(self) -> int:
         """Determinant by forward elimination."""
@@ -217,37 +197,12 @@ class MatrixF:
                 raise IndexOutOfRange(f"column {j} outside [1, {self.cols}]")
         return [j - 1 for j in idx]
 
-    def invert(self) -> "MatrixF":
-        if self.rows != self.cols:
-            raise DimensionMismatch("inverse of non-square matrix")
-        rows = inverse(self.data, self.ctx)
-        if rows is None:
-            raise Singular("matrix is singular")
-        return MatrixF(self.ctx, rows)
-
     def right_kernel(self) -> "MatrixF":
         """Basis of {x : Mx = 0} as columns; cols - rank of them."""
         basis = kernel_basis([list(r) for r in self.data], self.cols, self.ctx)
         if not basis:
             return MatrixF.zeros(self.ctx, self.cols, 0)
         return MatrixF(self.ctx, list(zip(*basis)))
-
-    def systematic_form(self, pivot_cols_1based) -> "MatrixF":
-        """Row-equivalent matrix that is the identity on the given columns.
-
-        pivot_cols must contain exactly ``rows`` 1-based indices; raises
-        NotInvertibleOnPivots when the pivot submatrix is singular.
-        """
-        pivots = sorted(set(pivot_cols_1based))
-        if len(pivots) != self.rows:
-            raise DimensionMismatch(
-                f"need exactly {self.rows} pivot columns, got {len(pivots)}")
-        sub = self.restrict_columns(pivots)
-        try:
-            t = sub.invert()
-        except Singular:
-            raise NotInvertibleOnPivots(f"singular on columns {pivots}") from None
-        return t.mul(self)
 
     def is_zero(self) -> bool:
         return all(v == 0 for r in self.data for v in r)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
-from .elim import reduce_rows
+from .elim import first_dependent, reduce_rows
 from .matrix import MatrixF
 from .constructions import (
     KINDS, MrLrcCode, plan_field, premise_violations, split_size,
@@ -47,15 +47,10 @@ from .topology import (
 from .rng import ALGORITHM, Xoshiro256
 
 SCHEMA_VERSION = 1
-ELL_EXACT_COLUMN_CAP = 20
 
 
 class WrongKind(ValueError):
     """Operation applies to a different construction kind."""
-
-
-class TooLargeToEnumerate(ValueError):
-    """Subset enumeration exceeds the configured cap."""
 
 
 class InvalidInput(ValueError):
@@ -195,9 +190,8 @@ def _first_rank_defect(h_mat: MatrixF, pat, comp, h: int) -> tuple | None:
     pivots, _ = reduce_rows(rows, h_mat.ctx, stop=e)
     if len(pivots) < e:
         return tuple(comp[:h])
-    proj = MatrixF(h_mat.ctx, [row[e:] for row in rows[e:]], cols=len(comp))
-    found = proj.first_dependent(range(1, len(comp) + 1), h)
-    return None if found is None else tuple(comp[j - 1] for j in found)
+    found = first_dependent([row[e:] for row in rows[e:]], h_mat.ctx, h)
+    return None if found is None else tuple(comp[j] for j in found)
 
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
@@ -288,25 +282,15 @@ def erasure_rank_defect(code: MrLrcCode, coords) -> int:
 
 
 def ell_exact(p_mat: MatrixF, h: int) -> int:
-    """max{|E| : |E| - rank(P|_E) <= h} by subset search, refused beyond
-    ELL_EXACT_COLUMN_CAP columns.
+    """l(P, h) = max{|E| : |E| - rank(P|_E) <= h} = min(n, rank(P) + h).
 
-    Sizes are scanned in decreasing order starting at min(n, rank(P) + h):
-    the defect |E| - rank(P|_E) is monotone under inclusion and at least
-    |E| - rank(P), so no larger size can qualify.
+    The nullity |E| - rank(P|_E) never falls when a column joins E, so it
+    is at least |E| - rank(P) and no larger E qualifies; a column basis of
+    P plus any min(h, n - rank(P)) further columns qualifies and reaches it.
     """
     if h < 0:
         raise ValueError("h must be non-negative")
-    n = p_mat.cols
-    if n > ELL_EXACT_COLUMN_CAP:
-        raise TooLargeToEnumerate(
-            f"n = {n} exceeds the cap {ELL_EXACT_COLUMN_CAP}")
-    start = min(n, p_mat.rank() + h)
-    for size in range(start, -1, -1):
-        for sel in itertools.combinations(range(1, n + 1), size):
-            if size - p_mat.rank(sel) <= h:
-                return size
-    return 0
+    return min(p_mat.cols, p_mat.rank() + h)
 
 
 def ell_bounds(topo: Topology, h: int) -> tuple[int, int]:

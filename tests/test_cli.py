@@ -310,6 +310,21 @@ def test_construct_pc2_bundle(tmp_path, capsys):
     assert main(["verify", str(out / "bundle.json")]) == 0
 
 
+@pytest.mark.parametrize("h", ["1", "2"])
+def test_construct_pc1_with_wide_local_code(h, tmp_path, capsys):
+    # n_loc = r + delta - 1 = 25: the 1 x 25 prefix check of the local
+    # code sweeps only 25 column subsets
+    out = tmp_path / "wide"
+    rc = main(["construct", "--kind", "pc1", "--r", "24", "--delta", "2",
+               "--t", "1", "--g", "1", "--N", "1", "--h", h,
+               "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    report = tmp_path / "rep.json"
+    assert main(["verify", str(out / "bundle.json"), "--side", "parity",
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["verdict"] == "pass"
+
+
 def test_bounds_sorted_ascending(capsys):
     rc = main(["bounds", "--r", "2", "--delta", "2", "--t", "1", "--g", "2",
                "--N", "2", "--h", "1"])

@@ -1,5 +1,6 @@
 """Field-size planner, the three constructions, conversions, bundles."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrlrc.elim import inverse
 from mrlrc.matrix import MatrixF, RankDeficient, map_entries
 from mrlrc.constructions import (
-    KINDS, ConstraintViolated, construct, dual_matrix, encode,
+    KINDS, ConstraintViolated, NotInformationAvailable, construct, dual_matrix, encode,
     local_generator, plan_field, read_bundle, split_size,
     systematic_info_placement, write_bundle,
 )
@@ -143,11 +145,10 @@ def test_pc1_heavy_rows_equal_lrs_blocks_times_q(params, h):
             q_rows.append(row)
     q_emb = map_entries(MatrixF(tower.base, q_rows), tower.top, tower.embed)
     lrs = lrs_generator(SumRankPartition(tower, topo.g, hn), h)
-    heavy = lrs.generator.restrict_columns(range(1, hn + 1)).mul(q_emb)
-    for i in range(1, topo.g):
-        gi = lrs.generator.restrict_columns(range(i * hn + 1, (i + 1) * hn + 1))
-        heavy = heavy.hstack(gi.mul(q_emb))
-    assert code.H.data[topo.local_parity_count():] == heavy.data
+    blocks = [lrs.generator.restrict_columns(range(i * hn + 1, (i + 1) * hn + 1))
+              .mul(q_emb).data for i in range(topo.g)]
+    heavy = tuple(sum(block_rows, ()) for block_rows in zip(*blocks))
+    assert code.H.data[topo.local_parity_count():] == heavy
     assert (code.a, code.beta) == (lrs.a, lrs.beta)
 
 
@@ -294,6 +295,67 @@ def test_info_placement_fig1():
     assert placed.info_pivots == t_coords
     sub = placed.G.restrict_columns(t_coords)
     assert sub == MatrixF.identity(placed.G.ctx, 16)
+
+
+def info_placement_oracle(code):
+    """Greedy leftmost independent columns of G|_T, one rank per
+    candidate, then (G|_P)^-1 G."""
+    pivots = []
+    for coord in sorted(c for core in code.topo.cores for c in core):
+        if len(pivots) == code.k:
+            break
+        if code.G.rank(pivots + [coord]) == len(pivots) + 1:
+            pivots.append(coord)
+    if len(pivots) < code.k:
+        return None, tuple(pivots)
+    t_inv = inverse(code.G.restrict_columns(pivots).data, code.G.ctx)
+    return MatrixF(code.G.ctx, t_inv, cols=code.k).mul(code.G), tuple(pivots)
+
+
+# the reference topologies and the benchmark's exhaustive_table ones
+INFO_TOPOLOGIES = [(2, 2, 1, 2, 2), (2, 3, 1, 2, 1), (3, 2, 2, 2, 2),
+                   (2, 2, 1, 2, 1), (2, 2, 1, 3, 2), (2, 2, 1, 3, 1)]
+
+
+def plans(kind, params, k):
+    try:
+        plan_field(make(*params), kind, k=k)
+    except ConstraintViolated:
+        return False
+    return True
+
+
+INFO_CASES = [
+    (kind, params, k)
+    for params in INFO_TOPOLOGIES for kind in KINDS
+    for k in range(params[3] * params[2] + 1)
+    # pc2 with k <= 2 on (2,2,1,2,2) needs GF(3^20) to GF(3^24), whose
+    # irreducible-polynomial search alone takes 3 to 17 s
+    if plans(kind, params, k) and not (kind == "pc2" and params == (2, 2, 1, 2, 2))
+]
+
+
+@pytest.mark.parametrize("kind,params,k", INFO_CASES, ids=[
+    f"{kind}-" + "r{}-d{}-t{}-g{}-N{}".format(*params) + f"-k{k}"
+    for kind, params, k in INFO_CASES])
+def test_info_placement_matches_greedy_oracle(kind, params, k):
+    code = construct(make(*params), kind, k=k)
+    placed = systematic_info_placement(code)
+    assert (placed.G, placed.info_pivots) == info_placement_oracle(code)
+    assert placed.G.rows == k and placed.G.cols == code.n
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_info_placement_needs_an_information_set_in_t(kept):
+    # G zeroed on T but for its first `kept` columns has rank kept there
+    topo = make(2, 2, 1, 2, 2)
+    code = construct(topo, "gen", k=2)
+    zeroed = sorted(c - 1 for core in topo.cores for c in core)[kept:]
+    g = MatrixF(code.G.ctx, [[0 if j in zeroed else v for j, v in enumerate(row)]
+                             for row in code.G.data])
+    with pytest.raises(NotInformationAvailable,
+                       match=rf"^rank of G restricted to T is {kept} < k = 2$"):
+        systematic_info_placement(dataclasses.replace(code, G=g))
 
 
 def test_construct_dispatch():

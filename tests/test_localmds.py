@@ -43,8 +43,11 @@ def test_is_mds_examples():
     assert is_mds(MatrixF.identity(F3, 2))
     assert not is_mds(MatrixF(F3, [[1, 0], [0, 0]]))
     assert is_mds(extended_rs_generator(MdsSpec(F3, 4, 2)))
-    with pytest.raises(ColumnCapExceeded):
-        is_mds(MatrixF.zeros(F3, 1, 25))
+    # the cap counts column subsets: 25 of them for one row is fine,
+    # C(26, 13) = 10,400,600 is not
+    assert not is_mds(MatrixF.zeros(F3, 1, 25))
+    with pytest.raises(ColumnCapExceeded, match="10400600 column subsets"):
+        is_mds(MatrixF.zeros(F3, 13, 26))
 
 
 def test_extended_rs_always_mds_exhaustive():

@@ -1,11 +1,14 @@
 """MR verification sweeps, erasure decoding, ell computations, lower bounds."""
 
+import functools
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrlrc.ff import field_ctx
 from mrlrc.matrix import MatrixF
@@ -13,8 +16,7 @@ from mrlrc import verify
 from mrlrc.constructions import construct, encode, premise_violations
 from mrlrc.topology import enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
-    BoundInputs, InvalidInput, MrFailure, MrReport, TooLargeToEnumerate,
-    WrongKind, _bound_row, code_id, construction3_pattern_check,
+    BoundInputs, InvalidInput, MrFailure, MrReport, WrongKind, _bound_row, code_id, construction3_pattern_check,
     decode_erasures, ell_bounds, ell_exact, erasure_rank_defect,
     lower_bound_field, verify_mr_exhaustive, verify_mr_sampled,
 )
@@ -414,24 +416,48 @@ def test_ell_exact_examples():
     assert ell_exact(p, 3) == 3     # h >= n: everything qualifies
     assert ell_exact(p, 0) == 2     # h = 0: largest independent column set
     assert ell_exact(p, 1) == 3
-    with pytest.raises(TooLargeToEnumerate):
-        ell_exact(MatrixF.zeros(f3, 1, 21), 0)
+    assert ell_exact(MatrixF.zeros(f3, 1, 21), 0) == 0
+    # no subset search, so wide matrices return at once
+    wide = MatrixF(f3, [[1] * 60, list(range(3)) * 20, [0] * 59 + [1]])
+    assert ell_exact(wide, 2) == 5
+    with pytest.raises(ValueError):
+        ell_exact(p, -1)
 
 
-def test_ell_exact_brute_force_agreement():
-    import random
+def ell_oracle(p, h):
+    """max{|E| : |E| - rank(P|_E) <= h} by subset search, largest size
+    first."""
+    for size in range(p.cols, -1, -1):
+        for sel in itertools.combinations(range(1, p.cols + 1), size):
+            if size - p.rank(sel) <= h:
+                return size
 
-    f4 = field_ctx(2, 2)
-    rnd = random.Random(12)
-    for _ in range(25):
-        p = MatrixF(f4, [[rnd.randrange(4) for _ in range(6)] for _ in range(3)])
-        for h in (0, 1, 2):
-            best = 0
-            for size in range(7):
-                for sel in itertools.combinations(range(1, 7), size):
-                    if size - p.restrict_columns(sel).rank() <= h:
-                        best = max(best, size)
-            assert ell_exact(p, h) == best
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ell_exact_brute_force_agreement(data):
+    # the closed form against the subset search, with a zero column, a
+    # repeated column and a combination of two earlier columns planted
+    ctx = data.draw(st.sampled_from(
+        [field_ctx(2), field_ctx(2, 2), field_ctx(3), field_ctx(3, 2), field_ctx(5)]))
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 8))
+    entry = st.integers(0, ctx.order - 1)
+    columns = [data.draw(st.lists(entry, min_size=rows, max_size=rows))
+               for _ in range(cols)]
+    for kind in data.draw(st.lists(st.sampled_from([0, 1, 2]), max_size=3)):
+        # kind 0 zeroes a column, 1 repeats an earlier one, 2 combines two
+        if cols <= kind:
+            continue
+        pos = data.draw(st.integers(kind, cols - 1))
+        earlier = data.draw(st.permutations(range(pos)))[:kind]
+        coef = [1] if kind == 1 else [data.draw(entry) for _ in earlier]
+        columns[pos] = [
+            functools.reduce(ctx.add, (ctx.mul(x, columns[c][i])
+                                       for x, c in zip(coef, earlier)), 0)
+            for i in range(rows)]
+    p = MatrixF(ctx, list(zip(*columns)), cols=cols)
+    for h in range(cols + 2):
+        assert ell_exact(p, h) == ell_oracle(p, h)
 
 
 def test_ell_bounds_examples():
