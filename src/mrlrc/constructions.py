@@ -398,26 +398,23 @@ def systematic_info_placement(code: MrLrcCode) -> MrLrcCode:
 
     Establishes information availability; requires k <= gt and raises
     NotInformationAvailable (with the achieved rank) when T contains no
-    information set.  One reduced elimination of G with the sorted T
-    columns first pivots on the leftmost independent T columns and leaves
-    the identity there, the only row-equivalent form of G that has it.
+    information set.  One reduced elimination of G pivoting on the T
+    columns in increasing order pivots on the leftmost independent ones
+    and leaves the identity there, the only row-equivalent form of G that
+    has it.
     """
     topo = code.topo
     if code.k > topo.g * topo.t:
         raise ConstraintViolated(
             f"k <= gt violated: k = {code.k} > {topo.g * topo.t}")
     t_cols = sorted(c - 1 for core in topo.cores for c in core)
-    order = t_cols + sorted(set(range(code.n)) - set(t_cols))
-    rows = [[row[j] for j in order] for row in code.G.data]
-    pivots, _ = reduce_rows(rows, code.G.ctx, stop=len(t_cols), reduced=True)
+    rows = [list(row) for row in code.G.data]
+    pivots, _ = reduce_rows(rows, code.G.ctx, t_cols, reduced=True)
     if len(pivots) < code.k:
         raise NotInformationAvailable(
             f"rank of G restricted to T is {len(pivots)} < k = {code.k}")
-    back = sorted(range(code.n), key=order.__getitem__)
-    g_sys = MatrixF(code.G.ctx, [[row[i] for i in back] for row in rows],
-                    cols=code.n)
-    return replace(code, G=g_sys,
-                   info_pivots=tuple(order[c] + 1 for c in pivots))
+    return replace(code, G=MatrixF(code.G.ctx, rows, cols=code.n),
+                   info_pivots=tuple(c + 1 for c in pivots))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ Every rank, determinant, solve, inverse and kernel in mrlrc runs through
 reduce_rows.  This module imports nothing from mrlrc, so ff can use it
 without importing matrix and the layering stays one-way.
 
+reduce_rows pivots on a given sequence of columns, in that order (all of
+them by default).  They need not be a prefix, nor increasing: the parity
+sweep eliminates H on one group's erased columns at a time.  Its row
+updates therefore run over whole rows, and replace each changed row with
+a new list rather than writing into it, so callers may share row lists
+between several partly reduced copies of one matrix.
+
 Pivots are the first nonzero entry at or below the current row, scanning
 top to bottom, so every result is identical across runs.
 """
@@ -14,14 +21,15 @@ top to bottom, so every result is identical across runs.
 from __future__ import annotations
 
 
-def reduce_rows(rows: list, field, stop: int | None = None,
+def reduce_rows(rows: list, field, cols=None,
                 reduced: bool = False) -> tuple[list[int], int]:
-    """Row-reduce a list of row lists in place, pivoting in columns < stop.
+    """Row-reduce a list of row lists in place, pivoting in the columns
+    cols, in that order (default: every column, left to right).
 
     Forward mode clears below each pivot and leaves the pivot rows
     unscaled, which is all rank and det need.  Reduced mode scales each
-    pivot to 1 and clears above it too, leaving the reduced row echelon
-    form on the first stop columns (default: all of them).
+    pivot to 1 and clears above it too, leaving the identity on the pivot
+    columns.  Rows are replaced, never written into.
 
     Returns (pivots, factor): the 0-based pivot columns, and -1 to the
     number of row swaps times the product of the pivots as found.  For a
@@ -29,12 +37,12 @@ def reduce_rows(rows: list, field, stop: int | None = None,
     """
     mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
     nrows = len(rows)
-    if stop is None:
-        stop = len(rows[0]) if rows else 0
+    if cols is None:
+        cols = range(len(rows[0]) if rows else 0)
     pivots = []
     factor = 1
     r = 0
-    for c in range(stop):
+    for c in cols:
         if r == nrows:
             break
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -75,7 +83,8 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
     reduce_rows does, and the child clears c in the others.  When no row
     is nonzero in c, prefix + c and each of its completions is dependent,
     so the first failing subset is prefix + c + the next size - j - 1
-    positions.  A leaf (j + 1 = size) needs only that nonzero test.
+    positions.  A leaf (j + 1 = size) needs only that nonzero test, and
+    the last two levels (j + 2 = size) take one pass, _first_dependent_pair.
     """
     if size < 1:
         return None
@@ -87,6 +96,9 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
     def walk(node, start, j):
         # node[i][c - start] is the entry of row i in column c >= start
         stop = ncols - start - (size - j - 1)
+        if j + 2 == size:
+            pair = _first_dependent_pair(node, field)
+            return None if pair is None else (start + pair[0], start + pair[1])
         if j + 1 == size:
             # the first column, in range, that is zero in every row
             mask = node[0] if len(node) == 1 else [any(col) for col in zip(*node)]
@@ -120,6 +132,44 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
     return walk(rows, 0, 0)
 
 
+def _first_dependent_pair(node: list, field) -> tuple | None:
+    """The first pair (a, b), a < b, of column positions of node, in
+    combinations order, whose two columns are linearly dependent, or None.
+
+    Two columns are dependent iff one is zero or both scale to the same
+    column with a leading 1.  One right-to-left scan keys each nonzero
+    column by that scaling and finds for it the nearest later column that
+    is zero or has its key; the leftmost a that has one gives the pair,
+    and a zero column a pairs with a + 1.
+    """
+    mul, inv = field.mul, field.inv
+    cols = list(zip(*node))
+    n = len(cols)
+    nearest: dict = {}  # key -> leftmost position seen so far
+    zero = n            # leftmost zero column seen so far
+    found = None
+    for a in range(n - 1, -1, -1):
+        col = cols[a]
+        for lead in col:
+            if lead:
+                break
+        else:
+            if a + 1 < n:
+                found = (a, a + 1)
+            zero = a
+            continue
+        if lead != 1:
+            f = inv(lead)
+            col = tuple([mul(f, x) for x in col])
+        b = nearest.get(col, zero)
+        if zero < b:
+            b = zero
+        if b < n:
+            found = (a, b)
+        nearest[col] = a
+    return found
+
+
 def kernel_basis(rows: list, ncols: int, field) -> list[list[int]]:
     """Basis of {x : A x = 0} for the matrix A given by rows, one list per
     vector, in increasing order of its free column; reduces rows in place."""
@@ -143,7 +193,7 @@ def inverse(rows, field) -> list[list[int]] | None:
     when it is singular."""
     n = len(rows)
     aug = [list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
-    pivots, _ = reduce_rows(aug, field, stop=n, reduced=True)
+    pivots, _ = reduce_rows(aug, field, range(n), reduced=True)
     if len(pivots) < n:
         return None
     return [row[n:] for row in aug]

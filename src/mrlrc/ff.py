@@ -37,9 +37,9 @@ and keep no per-element state:
     k digits at a time through a table of digit-wise chunk sums whose
     size, at most SUM_TABLE_LIMIT entries, depends on p alone.
 
-Irreducibility is tested by trial division against all monic polynomials
-of degree <= e/2, on packed ints for p = 2, where the degree-33 modulus of
-GF(2^33) takes a fraction of a second.
+Irreducibility is Ben-Or's test, gcd(X^(p^i) - X, f) = 1 for i <= e/2, on
+coefficient tuples for every p; the least modulus of any field up to
+ORDER_LIMIT is found in well under a second.
 """
 
 from __future__ import annotations
@@ -151,28 +151,53 @@ def _monic_polys(p: int, deg: int):
         yield tuple(reversed(lower)) + (1,)
 
 
-def _clmod(a: int, mod: int) -> int:
-    """a mod `mod` over GF(2), both packed one coefficient per bit."""
-    dm = mod.bit_length()
-    while (shift := a.bit_length() - dm) >= 0:
-        a ^= mod << shift
+def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...],
+                 p: int) -> tuple[int, ...]:
+    """a b mod the monic `mod` over GF(p)."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_mod(tuple(v % p for v in prod), mod, p)
+
+
+def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """A gcd of a and b over GF(p), up to a unit factor."""
+    while b:
+        lead = pow(b[-1], p - 2, p)
+        a, b = b, _poly_mod(a, tuple(c * lead % p for c in b), p)
     return a
 
 
 def is_irreducible(cofs: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
+    """Ben-Or's test: a monic f of degree e >= 1 is irreducible iff
+    gcd(X^(p^i) - X, f) = 1 for i = 1 .. e/2.
+
+    X^(p^i) - X is the product of the monic irreducibles whose degree
+    divides i, so the gcds find a factor of degree <= e/2 whenever f has
+    one.  Each step raises the previous power to the p-th mod f, which is
+    polynomial in e; most reducible candidates fail at a small i.
+    """
     deg = len(cofs) - 1
     if deg < 1 or cofs[-1] != 1:
         return False
-    if p == 2:
-        # the packed monic polynomials of degree 1 .. deg/2 are the ints
-        # 2 .. 2^(deg/2 + 1) - 1
-        f = sum(c << i for i, c in enumerate(cofs))
-        return all(_clmod(f, div) for div in range(2, 2 << deg // 2))
-    for d in range(1, deg // 2 + 1):
-        for div in _monic_polys(p, d):
-            if not _poly_mod(cofs, div, p):
-                return False
+    f = tuple(cofs)
+    power = _poly_mod((0, 1), f, p)
+    for _ in range(deg // 2):
+        # power = power^p mod f, by squaring and multiplying
+        acc, base, k = (1,), power, p
+        while k:
+            if k & 1:
+                acc = _poly_mulmod(acc, base, f, p)
+            k >>= 1
+            if k:
+                base = _poly_mulmod(base, base, f, p)
+        power = acc
+        diff = list(power) + [0] * (2 - len(power))
+        diff[1] = (diff[1] - 1) % p
+        if len(_poly_gcd(f, _trim(tuple(diff)), p)) > 1:
+            return False
     return True
 
 

@@ -120,7 +120,7 @@ def structured_mds(spec: MdsSpec, t: int,
     # the leading minors of the Vandermonde block on the first t columns
     # are nonzero, so the pivots of the first t columns are the first t rows
     rows = [list(r) for r in extended_rs_generator(spec).data]
-    reduce_rows(rows, spec.ctx, stop=t, reduced=True)
+    reduce_rows(rows, spec.ctx, range(t), reduced=True)
     a = MatrixF(spec.ctx, rows, cols=n)
     if check_prefix is not None:
         prefix = MatrixF(spec.ctx, a.data[:check_prefix], cols=n)

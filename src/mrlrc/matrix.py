@@ -174,7 +174,7 @@ class MatrixF:
         data = [list(r) + [bv] for r, bv in zip(self.data, b)]
         if not data:
             return () if self.cols == 0 else None
-        pivots, _ = reduce_rows(data, self.ctx, stop=self.cols, reduced=True)
+        pivots, _ = reduce_rows(data, self.ctx, range(self.cols), reduced=True)
         if len(pivots) < self.cols:
             return None
         # consistency: rows beyond the pivots must have zero RHS

@@ -9,8 +9,9 @@ on one of two independent routes.  Generator-side, every k x k minor of
 G on the complement must be invertible; a k-subset of coordinates lies
 in the complement of many patterns, so each distinct one is ranked once
 per sweep.  Parity-side, rank(H|_(E u F)) = |E| + h for every h-subset F
-of the complement; H is eliminated on E once per pattern, which leaves an
-h x (k + h) projection that must be MDS.  Both routes name the first
+of the complement; H is eliminated on E, which leaves an h x (k + h)
+projection that must be MDS, and consecutive patterns share the
+elimination of the groups they erase alike.  Both routes name the first
 failing subset in itertools.combinations order, so they report what a
 subset-by-subset rank sweep reports.  The sweep also re-checks the
 local-distance premise on every repair set, so a mutilated bundle cannot
@@ -114,9 +115,10 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     be MDS of dimension k (every k x k minor invertible); each distinct
     k-subset of coordinates is ranked once per call.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
-    complement; H is eliminated on E once per pattern, and the h x (k + h)
-    projection left over must be MDS.  Neither route uses the other's
-    mechanism, so a fault in one does not hide in the other.
+    complement; H is eliminated on E, one group prefix at a time shared
+    by consecutive patterns, and the h x (k + h) projection left over must
+    be MDS.  Neither route uses the other's mechanism, so a fault in one
+    does not hide in the other.
 
     Each failure names the first failing subset in
     itertools.combinations order, as a subset-by-subset rank sweep would.
@@ -136,6 +138,7 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                         patterns_checked=0, failures=failures,
                         bound_values=_bound_row(code))
     memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
+    prefixes = _GroupPrefixes(code.H, topo.N * (topo.delta - 1))
     for pat in enumerate_maximal_patterns(topo):
         checked += 1
         comp = sorted(set(range(1, topo.n + 1)) - set(pat))
@@ -143,7 +146,7 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
             found = _first_singular_minor(code.G, comp, code.k, memo)
             detail = "singular minor on surviving columns"
         else:
-            found = _first_rank_defect(code.H, pat, comp, code.h)
+            found = prefixes.first_rank_defect(pat, comp, code.h)
             detail = "rank defect after adding erasures"
         if found is not None:
             failures.append(MrFailure(pat, f"{detail} {list(found)}"))
@@ -174,24 +177,56 @@ def _first_singular_minor(g_mat: MatrixF, comp, k: int,
     return None
 
 
-def _first_rank_defect(h_mat: MatrixF, pat, comp, h: int) -> tuple | None:
-    """The first h-subset F of comp, in combinations order, with
-    rank(H|_(pat u F)) < |pat| + h, or None.
+class _GroupPrefixes:
+    """The parity route's eliminations of H, shared across patterns.
 
-    One forward elimination of H's columns ordered pat first, stopped
-    after the |pat| columns of pat, leaves the rows below its pivots zero
-    on pat; on comp they are the projection P, and
-    rank(H|_(pat u F)) = |pat| + rank(P|_F).  When H|_pat is itself
-    rank-deficient every F fails, the first being comp[:h].
+    A maximal pattern erases m = N(delta-1) coordinates in each of the g
+    groups, pat[i*m:(i+1)*m] in group i, and enumerate_maximal_patterns
+    varies the last groups fastest.  states[i] holds H's rows, in their
+    original column order, after forward elimination on the erased
+    columns of the first i groups, with its pivot count; a pattern pops
+    back to the prefix it shares with the previous one and eliminates
+    only the groups after it.  The pivots are those of one elimination on
+    pat's columns in order, so the projection is the same.
     """
-    e = len(pat)
-    order = [c - 1 for c in pat] + [c - 1 for c in comp]
-    rows = [[row[j] for j in order] for row in h_mat.data]
-    pivots, _ = reduce_rows(rows, h_mat.ctx, stop=e)
-    if len(pivots) < e:
-        return tuple(comp[:h])
-    found = first_dependent([row[e:] for row in rows[e:]], h_mat.ctx, h)
-    return None if found is None else tuple(comp[j] for j in found)
+
+    def __init__(self, h_mat: MatrixF, m: int):
+        self.ctx = h_mat.ctx
+        self.m = m
+        self.groups: list[tuple] = []
+        self.states = [([list(row) for row in h_mat.data], 0)]
+
+    def first_rank_defect(self, pat, comp, h: int) -> tuple | None:
+        """The first h-subset F of comp, in combinations order, with
+        rank(H|_(pat u F)) < |pat| + h, or None.
+
+        After forward elimination on pat the rows below its |pat| pivots
+        are zero on pat; on comp they are the projection P, and
+        rank(H|_(pat u F)) = |pat| + rank(P|_F).  When H|_pat is itself
+        rank-deficient every F fails, the first being comp[:h].
+        """
+        m = self.m
+        groups = [pat[i:i + m] for i in range(0, len(pat), m)] if m else []
+        keep = 0
+        for old, new in zip(self.groups, groups):
+            if old != new:
+                break
+            keep += 1
+        del self.groups[keep:], self.states[keep + 1:]
+        rows, r = self.states[-1]
+        for grp in groups[keep:]:
+            tail = rows[r:]
+            pivots, _ = reduce_rows(tail, self.ctx, [c - 1 for c in grp])
+            rows = rows[:r] + tail
+            r += len(pivots)
+            self.groups.append(grp)
+            self.states.append((rows, r))
+        e = len(pat)
+        if r < e:
+            return tuple(comp[:h])
+        found = first_dependent([[row[c - 1] for c in comp] for row in rows[e:]],
+                                self.ctx, h)
+        return None if found is None else tuple(comp[j] for j in found)
 
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
@@ -258,7 +293,7 @@ def decode_erasures(code: MrLrcCode, word):
             if v and x:
                 acc = add(acc, mul(v, x))
         rows.append([h_row[j] for j in erased] + [top.neg(acc)])
-    pivots, _ = reduce_rows(rows, top, stop=e, reduced=True)
+    pivots, _ = reduce_rows(rows, top, range(e), reduced=True)
     if len(pivots) < e:
         return None
     if any(row[e] for row in rows[e:]):

@@ -329,9 +329,7 @@ INFO_CASES = [
     (kind, params, k)
     for params in INFO_TOPOLOGIES for kind in KINDS
     for k in range(params[3] * params[2] + 1)
-    # pc2 with k <= 2 on (2,2,1,2,2) needs GF(3^20) to GF(3^24), whose
-    # irreducible-polynomial search alone takes 3 to 17 s
-    if plans(kind, params, k) and not (kind == "pc2" and params == (2, 2, 1, 2, 2))
+    if plans(kind, params, k)
 ]
 
 

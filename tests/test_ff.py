@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from mrlrc.ff import (
     DegreeOverflow, DivisionByZero, FieldCtx, NotPrime, TooManyBlocks,
-    ZeroNorm, field_ctx, is_prime, is_prime_power, least_irreducible,
-    make_tower, next_prime_power,
+    ZeroNorm, field_ctx, is_irreducible, is_prime, is_prime_power,
+    least_irreducible, make_tower, next_prime_power,
 )
 
 # the benchmark's reference field arithmetic, which imports nothing from mrlrc
@@ -62,11 +62,14 @@ def monic_polys(p, deg):
         yield tuple(reversed(lower)) + (1,)
 
 
+def irreducible_by_trial_division(cand, p):
+    e = len(cand) - 1
+    return all(poly_mod(cand, div, p)
+               for d in range(1, e // 2 + 1) for div in monic_polys(p, d))
+
+
 def least_irreducible_by_tuples(p, e):
-    for cand in monic_polys(p, e):
-        if all(poly_mod(cand, div, p)
-               for d in range(1, e // 2 + 1) for div in monic_polys(p, d)):
-            return cand
+    return next(c for c in monic_polys(p, e) if irreducible_by_trial_division(c, p))
 
 
 def tuple_mul(ctx, a, b):
@@ -236,9 +239,20 @@ def test_inverse_of_zero_raises(p, e):
 
 
 def test_least_irreducible_matches_tuple_trial_division():
-    for p, top in [(2, 20), (3, 8)]:
+    for p, top in [(2, 20), (3, 8), (5, 6), (7, 5)]:
         for e in range(1, top + 1):
             assert least_irreducible(p, e) == least_irreducible_by_tuples(p, e), (p, e)
+
+
+def test_is_irreducible_matches_trial_division():
+    # every monic polynomial, not only the least irreducible one
+    for p, top in [(2, 9), (3, 5), (5, 4), (7, 3), (11, 3)]:
+        for e in range(1, top + 1):
+            for cand in monic_polys(p, e):
+                assert is_irreducible(cand, p) == \
+                    irreducible_by_trial_division(cand, p), (p, cand)
+    # non-monic and constant tuples are refused
+    assert not is_irreducible((1, 2), 3) and not is_irreducible((1,), 2)
 
 
 def test_big_field_generic_arithmetic():

@@ -203,8 +203,8 @@ def test_first_dependent_matches_per_minor_oracle():
 @given(st.data())
 def test_first_dependent_prefix_tree_matches_oracle(data):
     # the prefix-tree walk against the per-minor sweep, with a zero column,
-    # a repeated column and a combination of two earlier pool columns
-    # planted at shuffled pool positions
+    # a repeated column, a combination of two earlier pool columns and a
+    # multiple c v of one, c not 0 or 1, planted at shuffled pool positions
     ctx = data.draw(st.sampled_from([F2, F4, F3, F9, F5, F25]))
     rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
     entry = st.integers(0, ctx.order - 1)
@@ -212,14 +212,18 @@ def test_first_dependent_prefix_tree_matches_oracle(data):
                for _ in range(cols)]
     pool = data.draw(st.permutations(range(1, cols + 1)))
     pool = pool[:data.draw(st.integers(0, cols))]
-    for kind in data.draw(st.lists(st.sampled_from([0, 1, 2]), max_size=3)):
-        # kind 0 zeroes a column, 1 repeats an earlier pool column and 2
-        # combines two of them
-        if len(pool) <= kind:
+    for kind in data.draw(st.lists(st.sampled_from([0, 1, 2, 3]), max_size=3)):
+        # kind 0 zeroes a column, 1 repeats an earlier pool column, 2
+        # combines two of them and 3 scales one by c not in {0, 1}
+        used = 1 if kind == 3 else kind
+        if len(pool) <= used or (kind == 3 and ctx.order == 2):
             continue
-        pos = data.draw(st.integers(kind, len(pool) - 1))
-        earlier = data.draw(st.permutations(pool[:pos]))[:kind]
-        coef = [1] if kind == 1 else [data.draw(entry) for _ in earlier]
+        pos = data.draw(st.integers(used, len(pool) - 1))
+        earlier = data.draw(st.permutations(pool[:pos]))[:used]
+        if kind == 3:
+            coef = [data.draw(st.integers(2, ctx.order - 1))]
+        else:
+            coef = [1] if kind == 1 else [data.draw(entry) for _ in earlier]
         columns[pool[pos] - 1] = [
             functools.reduce(ctx.add, (ctx.mul(x, columns[c - 1][i])
                                        for x, c in zip(coef, earlier)), 0)
@@ -232,6 +236,36 @@ def test_first_dependent_prefix_tree_matches_oracle(data):
             assert found is None
         elif size > rows:
             assert found == tuple(pool[:size])
+
+
+def test_first_dependent_pair_finds_scalar_multiples():
+    # the last two levels of the walk key each column by its scaling to a
+    # leading 1: a planted c v, c not in {0, 1}, must pair with v, also
+    # when an earlier column or a zero column comes first
+    rnd = random.Random(11)
+    for ctx in (F4, F3, F9, F5, F25):
+        for _ in range(60):
+            rows, cols = rnd.randrange(2, 4), rnd.randrange(3, 9)
+            columns = [[rnd.randrange(ctx.order) for _ in range(rows)]
+                       for _ in range(cols)]
+            a, b = sorted(rnd.sample(range(cols), 2))
+            c = rnd.randrange(2, ctx.order)
+            columns[b] = [ctx.mul(c, x) for x in columns[a]]
+            if rnd.random() < 0.3:
+                columns[rnd.randrange(cols)] = [0] * rows
+            m = MatrixF(ctx, list(zip(*columns)))
+            pool = list(range(1, cols + 1))
+            for size in (2, 3):
+                assert (m.first_dependent(size)
+                        == first_dependent_oracle(m, pool, size)), (ctx, size)
+    # in GF(5): (3, 2) is not a multiple of (1, 2), (2, 4) = 2 (1, 2) is
+    assert MatrixF(F5, [[1, 3, 2], [2, 2, 4]]).first_dependent(2) == (1, 3)
+    # a zero column is dependent with every column, the first one included
+    assert MatrixF(F5, [[1, 0, 2], [2, 0, 4]]).first_dependent(2) == (1, 2)
+    assert MatrixF(F5, [[1, 2, 0], [2, 3, 0]]).first_dependent(2) == (1, 3)
+    assert MatrixF(F5, [[0, 1, 2], [0, 2, 3]]).first_dependent(2) == (1, 2)
+    # the keys (1, 2), (1, 4) and (1, 3) differ
+    assert MatrixF(F5, [[1, 2, 3], [2, 3, 4]]).first_dependent(2) is None
 
 
 def test_det_matches_rank():

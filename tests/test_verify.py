@@ -60,15 +60,19 @@ def test_corrupted_entry_fails_with_witness(gen_code):
 # -- the exhaustive routes against the subset-by-subset sweep
 
 
-def oracle_report(code, side: str) -> str:
+def oracle_report(code, side: str, fail_fast=False,
+                  premise=premise_violations) -> str:
     """The exhaustive report as a sweep that ranks every column subset of
     every pattern from scratch: premise violations, then per pattern the
     first subset, in combinations order, that fails its own rank (k-subsets
     S of the complement with rank(G|_S) < k, or h-subsets F of the
-    complement with rank(H|_(pattern u F)) < |pattern| + h)."""
-    failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
+    complement with rank(H|_(pattern u F)) < |pattern| + h).  With
+    fail_fast it stops at the first failure."""
+    failures = [MrFailure(pat, detail) for pat, detail in premise(code)]
     checked = 0
     for pat in enumerate_maximal_patterns(code.topo):
+        if failures and fail_fast:
+            break
         checked += 1
         comp = sorted(set(range(1, code.n + 1)) - set(pat))
         if side == "generator":
@@ -137,6 +141,47 @@ def test_parity_route_rank_deficient_on_pattern():
         comp = sorted(set(range(1, code.n + 1)) - set(p))
         assert swept[p] == f"rank defect after adding erasures {comp[:code.h]}"
     assert rep.to_json() == oracle_report(bad, "parity")
+
+
+def test_parity_route_group_prefixes_match_oracle(monkeypatch):
+    # the parity route eliminates H once per group prefix of the pattern
+    # (g = 3 here): single-entry H mutants changing a column of the first,
+    # middle and last group, and a zeroed first-group column, which leaves
+    # H|_pat deficient on every pattern under the prefixes holding it.  On
+    # this code no single-entry change short of zeroing a column makes any
+    # H|_pat deficient, so the flips fail in the projection
+    code = bvs.build("gen", (2, 2, 1, 3, 2), {"k": 7})
+    pats = list(enumerate_maximal_patterns(code.topo))
+    flip = lambda i, j: code.H.with_entry(i, j, 0 if code.H[i, j] else 1)
+    zeroed = pats[0][0]
+    muts = {name: replace(code, H=h_mat) for name, h_mat in {
+        "first": flip(0, 0),
+        "middle": flip(6, 6),
+        "last": flip(4, 10),
+        "zero column": MatrixF(code.H.ctx, [
+            r[:zeroed - 1] + (0,) + r[zeroed:] for r in code.H.data]),
+    }.items()}
+    group = {"first": 0, "middle": 1, "last": 2, "zero column": 0}
+    for name, m in muts.items():
+        col = next(j + 1 for j in range(code.n)
+                   if m.H.column(j) != code.H.column(j))
+        assert (col - 1) // code.topo.group_width == group[name]
+        deficient = [p for p in pats if m.H.rank(p) < len(p)]
+        assert deficient == ([p for p in pats if col in p]
+                             if name == "zero column" else [])
+        rep = verify_mr_exhaustive(m, side="parity")
+        swept = len(rep.failures) - len(premise_violations(m))
+        # the projection fails too, and the flips leave some patterns passing
+        assert swept > len(deficient), name
+        assert swept < len(pats) or name == "zero column", name
+        assert rep.to_json() == oracle_report(m, "parity"), name
+    # without the premise check, fail_fast stops inside the sweep
+    monkeypatch.setattr(verify, "premise_violations", lambda code: [])
+    for name, m in muts.items():
+        fast = verify_mr_exhaustive(m, side="parity", fail_fast=True)
+        assert fast.patterns_checked > 0 and len(fast.failures) == 1
+        assert fast.to_json() == oracle_report(
+            m, "parity", fail_fast=True, premise=lambda code: []), name
 
 
 def test_generator_route_rank_deficient_on_complement():
