@@ -28,9 +28,7 @@ REFERENCE_CODES = [
 
 
 def build(kind, params, arg):
-    r, delta, t, g, n_avail = params
-    mode = "availability" if t <= delta - 1 else "plain"
-    return construct(make_topology(r, delta, t, g, n_avail, mode=mode), kind, **arg)
+    return construct(make_topology(*params), kind, **arg)
 
 
 def main() -> int:

@@ -20,6 +20,16 @@ from mrlrc.topology import make_topology  # noqa: E402
 from mrlrc.verify import table1_row  # noqa: E402
 
 
+def settings(max_r: int, max_g: int, delta: int, N: int):
+    """(topology, h) for every setting the sweep compares, in table order."""
+    for r in range(1, max_r + 1):
+        for t in range(1, r + 1):
+            for g in range(1, max_g + 1):
+                topo = make_topology(r, delta, t, g, N)
+                for h in range(1, min(r, topo.max_dimension()) + 1):
+                    yield topo, h
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-r", type=int, default=5)
@@ -33,27 +43,22 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     wins = {"gen": 0, "pc1": 0, "pc2": 0}
-    for r in range(1, args.max_r + 1):
-        for t in range(1, r + 1):
-            for g in range(1, args.max_g + 1):
-                mode = "availability" if t <= args.delta - 1 else "plain"
-                topo = make_topology(r, args.delta, t, g, args.N, mode=mode)
-                for h in range(1, min(r, topo.max_dimension()) + 1):
-                    row = table1_row(topo, h=h)
-                    cells = {kind: row[kind].get("bound_value")
-                             for kind in ("gen", "pc1", "pc2")}
-                    present = {k: v for k, v in cells.items() if v is not None}
-                    if not present:
-                        continue
-                    winner = min(present, key=present.get)
-                    wins[winner] += 1
-                    lb = row["lower_bound"]
-                    lb_cell = ("-" if lb["regime"] == "none"
-                               else f"{lb['floor']}({lb['regime']})")
-                    fmt = lambda v: "-" if v is None else str(v)
-                    print(f"{r:>2} {t:>2} {g:>2} {h:>2} "
-                          f"{fmt(cells['gen']):>14} {fmt(cells['pc1']):>14} "
-                          f"{fmt(cells['pc2']):>18} {winner:>7} {lb_cell:>8}")
+    fmt = lambda v: "-" if v is None else str(v)
+    for topo, h in settings(args.max_r, args.max_g, args.delta, args.N):
+        row = table1_row(topo, h=h)
+        cells = {kind: row[kind].get("bound_value")
+                 for kind in ("gen", "pc1", "pc2")}
+        present = {k: v for k, v in cells.items() if v is not None}
+        if not present:
+            continue
+        winner = min(present, key=present.get)
+        wins[winner] += 1
+        lb = row["lower_bound"]
+        lb_cell = ("-" if lb["regime"] == "none"
+                   else f"{lb['floor']}({lb['regime']})")
+        print(f"{topo.r:>2} {topo.t:>2} {topo.g:>2} {h:>2} "
+              f"{fmt(cells['gen']):>14} {fmt(cells['pc1']):>14} "
+              f"{fmt(cells['pc2']):>18} {winner:>7} {lb_cell:>8}")
     print()
     total = sum(wins.values())
     for kind, count in wins.items():

@@ -102,8 +102,7 @@ def _load_bundle(path: str):
 
 
 def _make_topology(args):
-    mode = "availability" if args.t <= args.delta - 1 else "plain"
-    return make_topology(args.r, args.delta, args.t, args.g, args.N, mode=mode)
+    return make_topology(args.r, args.delta, args.t, args.g, args.N)
 
 
 def _print_bounds_context(row):

@@ -491,10 +491,10 @@ def _check_bundle_matrix(mat: MatrixF, ctx, rows: int, cols: int) -> None:
 def read_bundle(path) -> MrLrcCode:
     """Load an MRLRC v1 bundle.
 
-    Validates the format only (field types, k + h, shapes, field, canonical
-    modulus); semantic properties of tampered matrices are the verify
-    command's job, so that a corrupted bundle still loads and then fails
-    verification with a concrete witness.
+    Validates the format only (field types, k + h, the plan's tower and its
+    canonical modulus, shapes, field); semantic properties of tampered
+    matrices are the verify command's job, so that a corrupted bundle still
+    loads and then fails verification with a concrete witness.
     """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
@@ -503,15 +503,18 @@ def read_bundle(path) -> MrLrcCode:
     kind = doc["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    mode = "availability" if doc["t"] <= doc["delta"] - 1 else "plain"
-    topo = make_topology(doc["r"], doc["delta"], doc["t"], doc["g"], doc["N"],
-                         mode=mode)
+    topo = make_topology(doc["r"], doc["delta"], doc["t"], doc["g"], doc["N"])
     if k + h != topo.max_dimension():
         raise ValueError(f"k + h = {k + h} differs from g(t+N(r-t)) = "
                          f"{topo.max_dimension()}")
-    tower = make_tower(doc["p"], doc["s"], doc["m"])
-    if list(tower.top.modulus) != doc["modulus"]:
-        raise ValueError("bundle modulus differs from the canonical choice")
+    plan = plan_field(topo, kind, h=h)
+    tower = make_tower(plan.p, plan.s, plan.m)
+    planned = {"p": plan.p, "s": plan.s, "m": plan.m,
+               "modulus": list(tower.top.modulus)}
+    for key, want in planned.items():
+        if doc[key] != want:
+            raise ValueError(f"bundle {key} = {doc[key]} differs from the "
+                             f"plan's {want}")
     base_dir = os.path.dirname(os.path.abspath(path))
     n = topo.n
     # H is checked before G is derived from it: a mis-shaped H would
@@ -522,7 +525,6 @@ def read_bundle(path) -> MrLrcCode:
     g_mat = (read_srmat(os.path.join(base_dir, g_path)) if g_path
              else dual_matrix(h_mat))
     _check_bundle_matrix(g_mat, tower.top, k, n)
-    plan = plan_field(topo, kind, h=h)
     return MrLrcCode(topo=topo, kind=kind, tower=tower, k=k, h=h, G=g_mat,
                      H=h_mat, a=tuple(doc["a"]), beta=tuple(doc["beta"]), plan=plan,
                      ell=plan.ell)

@@ -316,8 +316,6 @@ class FieldCtx:
         return out
 
     def _g_neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
         p = self.p
         out, shift = 0, 1
         while a:
@@ -573,13 +571,13 @@ class FieldTower:
     of embed(B)^u X^j, and `_from_top` those of the inverse matrix.
     `from_base_coords` and `embed` apply the first, `base_coords` and
     `embed_inv` the second.
-    `polynomial_basis` is the GF(q)-basis 1, X, ..., X^(m-1).  Immutable
-    apart from the `base_coords` memo, and safe to share across threads.
+    `polynomial_basis` is the GF(q)-basis 1, X, ..., X^(m-1).  Immutable,
+    and safe to share across threads.
     """
 
     __slots__ = (
         "base", "top", "s", "m", "q", "polynomial_basis",
-        "_to_top", "_from_top", "_coords_cache",
+        "_to_top", "_from_top",
     )
 
     def __init__(self, p: int, s: int, m: int):
@@ -602,7 +600,6 @@ class FieldTower:
                         for x in basis for rp in root_powers]
         rows = [list(row) for row in zip(*self._to_top)]
         self._from_top = list(zip(*inverse(rows, field_ctx(p))))
-        self._coords_cache: dict[int, tuple[int, ...]] = {}
 
     # -- the coordinate map
 
@@ -630,14 +627,10 @@ class FieldTower:
 
     def base_coords(self, y: int) -> tuple[int, ...]:
         """Coordinates of y over the canonical GF(q)-basis, as base-field elements."""
-        cached = self._coords_cache.get(y)
-        if cached is None:
-            s = self.s
-            sol = _apply(self._from_top, self.top.coeffs(y), self.top.p)
-            cached = tuple(self.base.from_coeffs(sol[j * s:(j + 1) * s])
-                           for j in range(self.m))
-            self._coords_cache[y] = cached
-        return cached
+        s = self.s
+        sol = _apply(self._from_top, self.top.coeffs(y), self.top.p)
+        return tuple(self.base.from_coeffs(sol[j * s:(j + 1) * s])
+                     for j in range(self.m))
 
     def embed(self, a: int) -> int:
         """Field homomorphism GF(q) -> GF(q^m)."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 
 class BadParams(ValueError):
@@ -188,8 +189,13 @@ def per_group_maximal_sets(topo: Topology):
     Returns a sorted list of coordinate tuples.  Witness choices whose
     delta-1 erasures in R_(1,j) avoid the core produce the same coordinate
     set for several j; those duplicates are merged here, before the
-    cross-group product is taken.
+    cross-group product is taken.  Raises EnumerationCapExceeded, before
+    building any, when there are more than DEFAULT_PATTERN_CAP of them.
     """
+    count = _per_group_count(topo)
+    if count > DEFAULT_PATTERN_CAP:
+        raise EnumerationCapExceeded(f"{count} maximal patterns per group "
+                                     f"exceed the cap {DEFAULT_PATTERN_CAP}")
     d1 = topo.delta - 1
     core = topo.cores[0]
     sets = topo.repair[0]
@@ -223,19 +229,31 @@ def draw_maximal_pattern(topo: Topology, per_group, cap: int, rng) -> set:
     return out
 
 
+def _per_group_count(topo: Topology) -> int:
+    """len(per_group_maximal_sets(topo)), without building the sets.
+
+    With d = delta-1 and c erasures in the core: c = 0 puts d on every
+    segment; c >= 1 leaves d - c for the one witness segment and d for
+    each of the other N - 1."""
+    d, seg, t, N = topo.delta - 1, topo.seg, topo.t, topo.N
+    full = comb(seg, d)
+    return full ** N + sum(comb(t, c) * N * comb(seg, d - c) * full ** (N - 1)
+                           for c in range(1, min(t, d) + 1))
+
+
 def count_maximal_patterns(topo: Topology) -> int:
-    return len(per_group_maximal_sets(topo)) ** topo.g
+    return _per_group_count(topo) ** topo.g
 
 
 def enumerate_maximal_patterns(topo: Topology):
     """Yield every maximal locally correctable pattern exactly once, as a
-    sorted coordinate tuple; raises EnumerationCapExceeded when there are
-    more than DEFAULT_PATTERN_CAP of them."""
-    per_group = per_group_maximal_sets(topo)
-    total = len(per_group) ** topo.g
+    sorted coordinate tuple; raises EnumerationCapExceeded, before building
+    anything, when there are more than DEFAULT_PATTERN_CAP of them."""
+    total = count_maximal_patterns(topo)
     if total > DEFAULT_PATTERN_CAP:
         raise EnumerationCapExceeded(
             f"{total} maximal patterns exceed the cap {DEFAULT_PATTERN_CAP}")
+    per_group = per_group_maximal_sets(topo)
     width = topo.group_width
     for combo in itertools.product(per_group, repeat=topo.g):
         yield tuple(c + i * width for i, cs in enumerate(combo) for c in cs)

@@ -17,10 +17,10 @@ subset-by-subset rank sweep reports.  The sweep also re-checks the
 local-distance premise on every repair set, so a mutilated bundle cannot
 pass by losing its locality.
 
-An erasure pattern E is recoverable iff rank(H|_E) = |E|.  Sampled
-verification and erasure_rank_defect (which the simulator's global path
-and the decode command's unrecoverable message read) rank H|_E alone;
-decode_erasures reduces H|_E augmented by the syndrome of the kept
+An erasure pattern E is recoverable iff rank(H|_E) = |E|.
+erasure_rank_defect, which sampled verification, the simulator's global
+path and the decode command's unrecoverable message read, ranks H|_E
+alone; decode_erasures reduces H|_E augmented by the syndrome of the kept
 symbols once, and reads off unrecoverable, inconsistent or the completed
 word from that one elimination.
 
@@ -137,8 +137,10 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
         return MrReport(code_id=code_id(code), mode="exhaustive",
                         patterns_checked=0, failures=failures,
                         bound_values=_bound_row(code))
-    memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
-    prefixes = _GroupPrefixes(code.H, topo.N * (topo.delta - 1))
+    if side == "generator":
+        memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
+    else:
+        prefixes = _GroupPrefixes(code.H, topo.N * (topo.delta - 1))
     for pat in enumerate_maximal_patterns(topo):
         checked += 1
         comp = sorted(set(range(1, topo.n + 1)) - set(pat))
@@ -231,18 +233,19 @@ class _GroupPrefixes:
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     """Seeded random sweep: maximal pattern (uniform per group) plus at
-    most h extra erasures; checks rank(H|_E) = |E|."""
+    most h extra erasures; checks rank(H|_E) = |E|.  Codes with more
+    maximal patterns per group than topology.DEFAULT_PATTERN_CAP raise
+    EnumerationCapExceeded."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     topo = code.topo
     rng = Xoshiro256(seed)
     per_group = per_group_maximal_sets(topo)
-    h_mat = code.H
     failures = []
     for _ in range(trials):
-        coords = sorted(draw_maximal_pattern(topo, per_group, code.h, rng))
-        if h_mat.rank(coords) != len(coords):
-            failures.append(MrFailure(tuple(coords), "rank defect"))
+        coords = draw_maximal_pattern(topo, per_group, code.h, rng)
+        if erasure_rank_defect(code, coords):
+            failures.append(MrFailure(tuple(sorted(coords)), "rank defect"))
     return MrReport(code_id=code_id(code), mode="sampled",
                     patterns_checked=trials, failures=failures,
                     bound_values=_bound_row(code),
@@ -250,14 +253,11 @@ def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
 
 
 def _bound_row(code: MrLrcCode) -> dict:
-    t = code.topo
-    lb = lower_bound_field(BoundInputs(r=t.r, delta=t.delta, t=t.t, g=t.g,
-                                       N=t.N, h=code.h))
     return {
         "kind": code.kind,
         "field_size": code.plan.field_size,
         "bound_value": code.plan.bound_value,
-        "lower_bound": lb.to_json_dict(),
+        "lower_bound": lower_bound_field(code.topo, code.h).to_json_dict(),
     }
 
 
@@ -354,20 +354,6 @@ def construction3_pattern_check(code: MrLrcCode, coords) -> bool:
 
 
 @dataclass(frozen=True)
-class BoundInputs:
-    r: int
-    delta: int
-    t: int
-    g: int
-    N: int
-    h: int
-
-    @property
-    def a(self) -> int:
-        return self.N * (self.delta - 1)
-
-
-@dataclass(frozen=True)
 class LowerBound:
     """Evaluated field-size lower bound with its regime.
 
@@ -393,33 +379,33 @@ class LowerBound:
         }
 
 
-def lower_bound_field(b: BoundInputs) -> LowerBound:
+def lower_bound_field(topo: Topology, h: int) -> LowerBound:
     """Evaluate the applicable lower-bound formula in exact rationals.
 
     regime A: t (g/(h-1) - 1) C(r+delta-1-t, delta-1)^N - 4
     regime B: t (g/(h-1) - 1) C(r+floor((h-2)/N)-t, floor((h-2)/N))^N - 4
     """
-    a, h, g = b.a, b.h, b.g
+    g, N, a = topo.g, topo.N, topo.N * (topo.delta - 1)
     if h < 2 or h > g:
-        return LowerBound("none", None, None, None, _asymptotic(b))
+        return LowerBound("none", None, None, None, _asymptotic(topo, h))
     if a + 2 <= h:
-        binom = comb(b.r + b.delta - 1 - b.t, b.delta - 1)
+        binom = comb(topo.seg, topo.delta - 1)
         regime = "A"
     else:  # h <= a + 1
-        e = (h - 2) // b.N
-        binom = comb(b.r + e - b.t, e)
+        e = (h - 2) // N
+        binom = comb(topo.r + e - topo.t, e)
         regime = "B"
-    value = Fraction(b.t) * (Fraction(g, h - 1) - 1) * binom ** b.N - 4
+    value = Fraction(topo.t) * (Fraction(g, h - 1) - 1) * binom ** N - 4
     fl = floor(value)
-    return LowerBound(regime, value, fl, fl < 2, _asymptotic(b))
+    return LowerBound(regime, value, fl, fl < 2, _asymptotic(topo, h))
 
 
-def _asymptotic(b: BoundInputs) -> int | None:
+def _asymptotic(topo: Topology, h: int) -> int | None:
     """The Omega argument g t r^min(N(delta-1), N floor((h-2)/N))."""
-    if b.h < 2:
+    if h < 2:
         return None
-    expo = min(b.N * (b.delta - 1), b.N * ((b.h - 2) // b.N))
-    return b.g * b.t * b.r ** expo
+    expo = min(topo.N * (topo.delta - 1), topo.N * ((h - 2) // topo.N))
+    return topo.g * topo.t * topo.r ** expo
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +432,6 @@ def table1_row(topo: Topology, k: int | None = None, h: int | None = None) -> di
             row[kind] = {"inapplicable": str(exc)}
     lo, hi = ell_bounds(topo, h)
     row["ell_bounds"] = [lo, hi]
-    row["lower_bound"] = lower_bound_field(
-        BoundInputs(r=topo.r, delta=topo.delta, t=topo.t, g=topo.g,
-                    N=topo.N, h=h)).to_json_dict()
+    row["lower_bound"] = lower_bound_field(topo, h).to_json_dict()
     return row
 

@@ -10,6 +10,7 @@ import json
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +21,9 @@ from mrlrc.constructions import (
 )
 from mrlrc.simulate import SimConfig, run_simulation
 from mrlrc.sumrank import SumRankPartition, lrs_generator
-from mrlrc.topology import is_mr_correctable_pattern, make_topology
+from mrlrc.topology import BadParams, is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
-    BoundInputs, construction3_pattern_check, decode_erasures, ell_bounds,
+    construction3_pattern_check, decode_erasures, ell_bounds,
     ell_exact, lower_bound_field, verify_mr_exhaustive, verify_mr_sampled,
 )
 from msrd_oracle import (
@@ -37,28 +38,23 @@ CONSTRUCTION1_PARAMS = [
 ]
 
 
-def topo_for(r, delta, t, g, n_avail):
-    mode = "availability" if t <= delta - 1 else "plain"
-    return make_topology(r, delta, t, g, n_avail, mode=mode)
-
-
 @pytest.fixture(scope="module")
 def c1_codes():
     return {
-        params: construct(topo_for(*params[:5]), "gen", k=params[5])
+        params: construct(make_topology(*params[:5]), "gen", k=params[5])
         for params in CONSTRUCTION1_PARAMS
     }
 
 
 @pytest.fixture(scope="module")
 def c2_codes():
-    topo = topo_for(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     return {h: construct(topo, "pc1", h=h) for h in (1, 2)}
 
 
 @pytest.fixture(scope="module")
 def c3_code():
-    return construct(topo_for(2, 2, 1, 2, 1), "pc2", h=1)
+    return construct(make_topology(2, 2, 1, 2, 1), "pc2", h=1)
 
 
 def report_line(num, text):
@@ -194,7 +190,7 @@ def _random_admissible_tuple(rnd):
         t = rnd.randrange(1, min(delta - 1, r) + 1)
         g = rnd.randrange(1, 7)
         n_avail = rnd.randrange(1, 4)
-        topo = topo_for(r, delta, t, g, n_avail)
+        topo = make_topology(r, delta, t, g, n_avail)
         hmax = min(r, topo.max_dimension())
         if hmax < 1:
             continue
@@ -233,48 +229,54 @@ def test_criterion_7_lower_bound_consistency(c1_codes, c2_codes, c3_code):
     bundles = list(c1_codes.values()) + list(c2_codes.values()) + [c3_code]
     vacuous = 0
     for code in bundles:
-        t = code.topo
-        lb = lower_bound_field(BoundInputs(r=t.r, delta=t.delta, t=t.t,
-                                           g=t.g, N=t.N, h=code.h))
+        lb = lower_bound_field(code.topo, code.h)
         if lb.regime == "none":
             continue
         if lb.vacuous:
             vacuous += 1
         assert code.plan.field_size >= lb.floor, (code.kind, lb)
     rnd = random.Random(7)
+    invalid = 0
     for _ in range(50):
-        b = BoundInputs(r=rnd.randrange(1, 7), delta=rnd.randrange(2, 6),
-                        t=rnd.randrange(1, 4), g=rnd.randrange(1, 10),
-                        N=rnd.randrange(1, 4), h=rnd.randrange(0, 12))
-        lb = lower_bound_field(b)
-        a = b.a
-        if b.h < 2 or b.h > b.g:
+        r, delta, t, g, n_avail, h = (
+            rnd.randrange(1, 7), rnd.randrange(2, 6), rnd.randrange(1, 4),
+            rnd.randrange(1, 10), rnd.randrange(1, 4), rnd.randrange(0, 12))
+        if t > r:
+            # a tuple that describes no code has no bound to evaluate
+            with pytest.raises(BadParams, match="t <= r"):
+                make_topology(r, delta, t, g, n_avail)
+            invalid += 1
+            continue
+        lb = lower_bound_field(make_topology(r, delta, t, g, n_avail), h)
+        a = n_avail * (delta - 1)
+        if h < 2 or h > g:
             assert lb.regime == "none"
-        elif a + 2 <= b.h <= b.g:
+        elif a + 2 <= h <= g:
             assert lb.regime == "A"
         else:
-            assert b.h <= min(a + 1, b.g)
+            assert h <= min(a + 1, g)
             assert lb.regime == "B"
     report_line(7, f"every built bundle satisfies its lower bound "
                    f"({vacuous} vacuous, flagged); regime selection matches "
-                   "the inequalities on 50 random tuples")
+                   f"the inequalities on {50 - invalid} random tuples, and "
+                   f"{invalid} with t > r are refused")
 
 
 def test_criterion_8_determinism(c1_codes, tmp_path):
     code = c1_codes[(2, 2, 1, 2, 2, 5)]
     params = (2, 2, 1, 2, 2, 5)
-    rebuilt = construct(topo_for(*params[:5]), "gen", k=params[5])
+    rebuilt = construct(make_topology(*params[:5]), "gen", k=params[5])
     p1 = write_bundle(code, tmp_path / "one")
     p2 = write_bundle(rebuilt, tmp_path / "two")
     for suffix in (".json", ".G.srmat", ".H.srmat"):
-        b1 = open(str(p1)[:-5] + suffix, "rb").read()
-        b2 = open(str(p2)[:-5] + suffix, "rb").read()
+        b1 = Path(str(p1)[:-5] + suffix).read_bytes()
+        b2 = Path(str(p2)[:-5] + suffix).read_bytes()
         assert b1 == b2, suffix
     # MRLRC round trip is lossless
     loaded = read_bundle(p1)
     assert loaded.G == code.G and loaded.H == code.H
     p3 = write_bundle(loaded, tmp_path / "three")
-    assert open(p3, "rb").read() == open(p1, "rb").read()
+    assert Path(p3).read_bytes() == Path(p1).read_bytes()
     # SRMAT round trip is bit-exact
     text = srmat_dumps(code.G)
     assert srmat_dumps(srmat_loads(text)) == text

@@ -1,7 +1,7 @@
 """Byte-stability gate: the artifacts of the five reference codes of
-scripts/build_verify_simulate.py, and the bundles and reports of four codes
-whose top field is too large for log tables, hash to recorded SHA-256
-digests.
+scripts/build_verify_simulate.py, the bundles and reports of four codes
+whose top field is too large for log tables, and the field-size rows of
+scripts/field_size_comparison.py hash to recorded SHA-256 digests.
 
 The determinism tests compare two runs of the same code; this one pins
 the bytes across changes to the library.  Rank, determinant, reduced
@@ -11,6 +11,7 @@ carried out, so a refactor that moves any digest has changed a result.
 
 import hashlib
 import importlib.util
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,12 +19,16 @@ import pytest
 
 from mrlrc.constructions import write_bundle
 from mrlrc.simulate import SimConfig, run_simulation
-from mrlrc.verify import code_id, verify_mr_exhaustive, verify_mr_sampled
+from mrlrc.verify import code_id, table1_row, verify_mr_exhaustive, verify_mr_sampled
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "build_verify_simulate.py"
 _spec = importlib.util.spec_from_file_location("build_verify_simulate", SCRIPT)
 bvs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bvs)
+_spec = importlib.util.spec_from_file_location(
+    "field_size_comparison", SCRIPT.parent / "field_size_comparison.py")
+fsc = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fsc)
 
 # "verify" is the report of both exhaustive routes, which serialize alike;
 # "simulate" is 1000 adversarial_maximal trials at seed 2024; "sampled",
@@ -242,3 +247,19 @@ def test_mutant_failure_reports_match_recorded_digests(spec):
         assert not any(r.passed for r in reports), side
         got[side] = sha256("".join(r.to_json() for r in reports).encode())
     assert got == MUTANT_DIGESTS[code_id(code)]
+
+
+# table1_row JSON, one line per setting, over the grid that
+# field_size_comparison.py walks with its defaults (delta = 2) and with
+# --delta 1: 330 settings each
+TABLE1_DIGESTS = {
+    2: "05c7a3a8fd552a76f425791e066a637b8a06d1a280923916eee410448a485d3f",
+    1: "13a4c24648282af888decbc346052993fa4e2abcebc50cb1618831e7a46259fc",
+}
+
+
+@pytest.mark.parametrize("delta", sorted(TABLE1_DIGESTS))
+def test_field_size_rows_match_recorded_digests(delta):
+    rows = "".join(json.dumps(table1_row(topo, h=h)) + "\n"
+                   for topo, h in fsc.settings(5, 6, delta, 2))
+    assert sha256(rows.encode()) == TABLE1_DIGESTS[delta]

@@ -142,14 +142,29 @@ def test_verify_rejects_bundle_with_wrong_h(bundle, capsys):
 
 
 def test_verify_rejects_bundle_with_huge_extension_degree(bundle, capsys):
-    # the order bound is checked before the field is sized
+    # the tower comes from the plan, so the edited degree is refused
+    # before any field is sized
     doc = json.loads(bundle.read_text())
     bundle.write_text(json.dumps({**doc, "m": 10 ** 12}))
     t0 = time.monotonic()
     assert main(["verify", str(bundle)]) == 1
     assert time.monotonic() - t0 < 1.0
     err = capsys.readouterr().err
-    assert "error: cannot load bundle" in err and "exceeds" in err
+    assert "error: cannot load bundle" in err
+    assert f"bundle m = {10 ** 12} differs from the plan's 3" in err
+
+
+def test_construct_beyond_the_order_limit_exits_1(tmp_path, capsys):
+    # pc2 (3, 3, 1, 3, 2), h = 1 plans GF(5^32): the order bound is checked
+    # before the field is sized
+    t0 = time.monotonic()
+    assert main(["construct", "--kind", "pc2", "--r", "3", "--delta", "3",
+                 "--t", "1", "--g", "3", "--N", "2", "--h", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"error: p^e = 5^32 exceeds the {1 << 40} limit\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("edit", [{"a": 5}, {"beta": None}, {"matrices": []},

@@ -46,3 +46,27 @@ def test_bundle_without_g_checks_h_before_the_dual(bundle, capsys,
     assert main(["verify", str(bundle)]) == 1
     err = capsys.readouterr().err
     assert "error: cannot load bundle" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def huge_bundle(tmp_path_factory):
+    # pc1 (r, delta, t, g, N) = (6, 6, 1, 1, 10), h = 1 builds over GF(11^10)
+    # and has about 9.6e24 maximal patterns in its one group
+    out = tmp_path_factory.mktemp("huge")
+    assert main(["construct", "--kind", "pc1", "--r", "6", "--delta", "6",
+                 "--t", "1", "--g", "1", "--N", "10", "--h", "1",
+                 "--out", str(out)]) == 0
+    return str(out / "bundle.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["verify", "--side", "parity"], ["verify", "--mode", "sampled"],
+    ["simulate", "--trials", "10", "--model", "adversarial_maximal"],
+], ids=["generator", "parity", "sampled", "adversarial"])
+def test_pattern_cap_ends_in_an_error_line(huge_bundle, argv, capsys):
+    capsys.readouterr()
+    assert main(argv[:1] + [huge_bundle] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "exceed the cap" in lines[0] and captured.out == ""

@@ -3,13 +3,17 @@
 import dataclasses
 import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlrc.elim import inverse
-from mrlrc.matrix import MatrixF, RankDeficient, map_entries
+from mrlrc.cli import main
+from mrlrc.ff import make_tower
+from mrlrc.matrix import MatrixF, RankDeficient, map_entries, read_srmat, write_srmat
 from mrlrc.constructions import (
     KINDS, ConstraintViolated, NotInformationAvailable, construct, dual_matrix, encode,
     local_generator, plan_field, read_bundle, split_size,
@@ -19,33 +23,28 @@ from mrlrc.topology import make_topology
 from mrlrc.verify import verify_mr_exhaustive, verify_mr_sampled
 
 
-def make(r, delta, t, g, n_avail):
-    mode = "availability" if t <= delta - 1 else "plain"
-    return make_topology(r, delta, t, g, n_avail, mode=mode)
-
-
 # -- planner
 
 
 def test_plan_gen_fig1():
-    plan = plan_field(make(3, 3, 2, 8, 2), "gen", k=16)
+    plan = plan_field(make_topology(3, 3, 2, 8, 2), "gen", k=16)
     assert (plan.q, plan.m, plan.bound_value) == (9, 4, 6561)
     assert plan.exact and plan.field_size == 6561
 
 
 def test_plan_pc1_example():
-    plan = plan_field(make(2, 2, 1, 2, 2), "pc1", h=2)
+    plan = plan_field(make_topology(2, 2, 1, 2, 2), "pc1", h=2)
     assert (plan.q, plan.m, plan.bound_value) == (3, 4, 81)
     assert plan.exact
 
 
 def test_plan_pc1_h_exceeds_r():
     with pytest.raises(ConstraintViolated, match="h <= r"):
-        plan_field(make(2, 2, 1, 2, 2), "pc1", h=3)
+        plan_field(make_topology(2, 2, 1, 2, 2), "pc1", h=3)
 
 
 def test_plan_pc2_example():
-    plan = plan_field(make(2, 2, 1, 2, 1), "pc2", h=1)
+    plan = plan_field(make_topology(2, 2, 1, 2, 1), "pc2", h=1)
     assert (plan.q, plan.ell, plan.sub_s, plan.m) == (3, 5, 1, 5)
     assert plan.bound_value == 2 ** 5   # (n/g - 1)^ell
     assert plan.field_size == 3 ** 5    # realized over GF(3)
@@ -53,18 +52,18 @@ def test_plan_pc2_example():
 
 def test_plan_pc2_exact_when_target_is_power_of_q():
     # n/g - 1 = t + N(r+delta-1-t) - 1 = 4 = q with q = max{g+1, 3} = 4
-    plan = plan_field(make(2, 2, 1, 3, 2), "pc2", h=1)
+    plan = plan_field(make_topology(2, 2, 1, 3, 2), "pc2", h=1)
     assert plan.q == 4 and plan.sub_s == 1
     assert plan.exact and plan.field_size == plan.bound_value
 
 
 def test_plan_k_too_large():
     with pytest.raises(ConstraintViolated, match=r"k <= g\(t\+N\(r-t\)\)"):
-        plan_field(make(2, 2, 1, 2, 2), "gen", k=7)
+        plan_field(make_topology(2, 2, 1, 2, 2), "gen", k=7)
 
 
 def test_plan_t_constraint_only_for_parity_kinds():
-    topo = make(3, 2, 2, 2, 2)  # t = 2 > delta - 1 = 1
+    topo = make_topology(3, 2, 2, 2, 2)  # t = 2 > delta - 1 = 1
     plan_field(topo, "gen", k=6)  # allowed: recoverability only needs t <= r
     with pytest.raises(ConstraintViolated, match="t <= min"):
         plan_field(topo, "pc1", h=1)
@@ -76,7 +75,7 @@ def test_plan_t_constraint_only_for_parity_kinds():
 
 
 def test_gen_desk_example():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "gen", k=3)
     assert (code.n, code.h) == (6, 1)
     assert (code.plan.q, code.plan.m) == (3, 2)
@@ -88,7 +87,7 @@ def test_gen_equals_outer_times_diag():
     from mrlrc.sumrank import SumRankPartition, lrs_generator
     from mrlrc.matrix import block_diag
 
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     k = 5
     code = construct(topo, "gen", k=k)
     tower = code.tower
@@ -132,7 +131,7 @@ def test_pc1_heavy_rows_equal_lrs_blocks_times_q(params, h):
     from mrlrc.constructions import _pc1_local
     from mrlrc.sumrank import SumRankPartition, lrs_generator
 
-    topo = make(*params)
+    topo = make_topology(*params)
     code = construct(topo, "pc1", h=h)
     tower = code.tower
     t, seg, hn = topo.t, topo.seg, h * topo.N
@@ -155,7 +154,7 @@ def test_pc1_heavy_rows_equal_lrs_blocks_times_q(params, h):
 def test_gen_h0_square_restrictions():
     from mrlrc.topology import enumerate_maximal_patterns
 
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     k = topo.max_dimension()
     code = construct(topo, "gen", k=k)
     assert code.h == 0
@@ -170,7 +169,7 @@ def test_gen_h0_square_restrictions():
 def test_gen_availability_parity_accounting():
     # t = delta-1 = 1, N = 2, k = gt: local parities kN, halving the
     # per-symbol-repair-set baseline kN(delta-1) of t=1 designs
-    topo = make(2, 2, 1, 4, 2)
+    topo = make_topology(2, 2, 1, 4, 2)
     k = topo.g * topo.t
     assert topo.local_parity_count() == k * topo.N
     code = construct(topo, "gen", k=k)
@@ -180,7 +179,7 @@ def test_gen_availability_parity_accounting():
 
 
 def test_gen_duality_invariants():
-    topo = make(2, 3, 1, 2, 1)
+    topo = make_topology(2, 3, 1, 2, 1)
     code = construct(topo, "gen", k=3)
     assert code.G.mul(code.H.transpose()).is_zero()
     assert code.G.rank() == code.k
@@ -192,7 +191,7 @@ def test_gen_duality_invariants():
 
 
 def test_pc1_desk_example():
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     code = construct(topo, "pc1", h=2)
     assert (code.n, code.k) == (10, 4)
     assert code.tower.top.order == 81
@@ -200,7 +199,7 @@ def test_pc1_desk_example():
 
 
 def test_pc1_h0_product_of_local_codes():
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     code = construct(topo, "pc1", h=0)
     assert code.k == topo.max_dimension()
     assert code.H.rows == topo.local_parity_count()
@@ -209,11 +208,11 @@ def test_pc1_h0_product_of_local_codes():
 
 def test_pc1_h_too_large():
     with pytest.raises(ConstraintViolated, match="h <= r"):
-        construct(make(2, 2, 1, 2, 2), "pc1", h=3)
+        construct(make_topology(2, 2, 1, 2, 2), "pc1", h=3)
 
 
 def test_pc1_heavy_row_count():
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     code = construct(topo, "pc1", h=1)
     assert code.H.rows == topo.local_parity_count() + 1
     g2 = dual_matrix(code.H)
@@ -221,7 +220,7 @@ def test_pc1_heavy_row_count():
 
 
 def test_pc2_desk_example():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "pc2", h=1)
     assert code.ell == 5
     assert code.tower.top.order == 3 ** 5
@@ -229,7 +228,7 @@ def test_pc2_desk_example():
 
 
 def test_pc2_beta_subsets_independent():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "pc2", h=1)
     tower = code.tower
     size = min(code.ell, len(code.beta))
@@ -240,7 +239,7 @@ def test_pc2_beta_subsets_independent():
 
 
 def test_pc2_h0():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "pc2", h=0)
     assert code.k == topo.max_dimension()
     assert verify_mr_exhaustive(code).passed
@@ -248,7 +247,7 @@ def test_pc2_h0():
 
 def test_gen_vs_pc1_same_verification_suite():
     # parameters admissible to both constructions: both pass the same sweep
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     h = 1
     k = topo.max_dimension() - h
     for code in (construct(topo, "gen", k=k), construct(topo, "pc1", h=h)):
@@ -260,7 +259,7 @@ def test_gen_vs_pc1_same_verification_suite():
 
 
 def test_round_trip_generator_parity():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "gen", k=3)
     h2 = dual_matrix(code.G)
     g2 = dual_matrix(h2)
@@ -281,14 +280,14 @@ def test_parity_from_identity_block():
 
 
 def test_info_placement_requires_small_k():
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     code = construct(topo, "gen", k=5)  # k = 5 > gt = 2
     with pytest.raises(ConstraintViolated, match="k <= gt"):
         systematic_info_placement(code)
 
 
 def test_info_placement_fig1():
-    topo = make(3, 3, 2, 8, 2)
+    topo = make_topology(3, 3, 2, 8, 2)
     code = construct(topo, "gen", k=16)  # k = gt
     placed = systematic_info_placement(code)
     t_coords = tuple(sorted(c for core in topo.cores for c in core))
@@ -319,7 +318,7 @@ INFO_TOPOLOGIES = [(2, 2, 1, 2, 2), (2, 3, 1, 2, 1), (3, 2, 2, 2, 2),
 
 def plans(kind, params, k):
     try:
-        plan_field(make(*params), kind, k=k)
+        plan_field(make_topology(*params), kind, k=k)
     except ConstraintViolated:
         return False
     return True
@@ -337,7 +336,7 @@ INFO_CASES = [
     f"{kind}-" + "r{}-d{}-t{}-g{}-N{}".format(*params) + f"-k{k}"
     for kind, params, k in INFO_CASES])
 def test_info_placement_matches_greedy_oracle(kind, params, k):
-    code = construct(make(*params), kind, k=k)
+    code = construct(make_topology(*params), kind, k=k)
     placed = systematic_info_placement(code)
     assert (placed.G, placed.info_pivots) == info_placement_oracle(code)
     assert placed.G.rows == k and placed.G.cols == code.n
@@ -346,7 +345,7 @@ def test_info_placement_matches_greedy_oracle(kind, params, k):
 @pytest.mark.parametrize("kept", [0, 1])
 def test_info_placement_needs_an_information_set_in_t(kept):
     # G zeroed on T but for its first `kept` columns has rank kept there
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     code = construct(topo, "gen", k=2)
     zeroed = sorted(c - 1 for core in topo.cores for c in core)[kept:]
     g = MatrixF(code.G.ctx, [[0 if j in zeroed else v for j, v in enumerate(row)]
@@ -357,7 +356,7 @@ def test_info_placement_needs_an_information_set_in_t(kept):
 
 
 def test_construct_dispatch():
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     by_k = construct(topo, "pc1", k=5)
     assert by_k.h == split_size(topo, k=5)[1] == 1
     by_h = construct(topo, "gen", h=1)
@@ -370,7 +369,7 @@ def test_construct_from_k_equals_construct_from_h(data):
     # one size rule: k and h = g(t+N(r-t)) - k build the same code
     r = data.draw(st.integers(1, 3))
     t = data.draw(st.integers(1, r))
-    topo = make(r, data.draw(st.integers(2, 3)), t,
+    topo = make_topology(r, data.draw(st.integers(2, 3)), t,
                 data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
     cap = topo.max_dimension()
     k = data.draw(st.integers(0, cap))
@@ -390,7 +389,7 @@ def test_construct_from_k_equals_construct_from_h(data):
 
 
 def test_encode_shape_and_membership():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "gen", k=3)
     cw = encode(code, (1, 2, 3))
     assert len(cw) == code.n
@@ -401,9 +400,9 @@ def test_encode_shape_and_membership():
 
 
 def test_bundle_round_trip(tmp_path):
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     for code in (construct(topo, "gen", k=5), construct(topo, "pc1", h=2),
-                 construct(make(2, 2, 1, 2, 1), "pc2", h=1)):
+                 construct(make_topology(2, 2, 1, 2, 1), "pc2", h=1)):
         path = write_bundle(code, tmp_path / code.kind)
         loaded = read_bundle(path)
         assert loaded.G == code.G and loaded.H == code.H
@@ -413,41 +412,51 @@ def test_bundle_round_trip(tmp_path):
 
 
 def test_bundle_bytes_deterministic(tmp_path):
-    topo = make(2, 2, 1, 2, 2)
+    topo = make_topology(2, 2, 1, 2, 2)
     code = construct(topo, "gen", k=5)
     p1 = write_bundle(code, tmp_path / "one")
     p2 = write_bundle(construct(topo, "gen", k=5), tmp_path / "two")
-    payload = lambda p: open(p, "rb").read()
-    assert payload(p1) == payload(p2)
-    for suffix in (".G.srmat", ".H.srmat"):
-        assert payload(str(p1)[:-5] + suffix) == payload(str(p2)[:-5] + suffix)
+    for suffix in (".json", ".G.srmat", ".H.srmat"):
+        assert (Path(str(p1)[:-5] + suffix).read_bytes()
+                == Path(str(p2)[:-5] + suffix).read_bytes())
 
 
-def test_bundle_rejects_tampered_modulus(tmp_path):
-    import json
-
-    topo = make(2, 2, 1, 2, 1)
-    path = write_bundle(construct(topo, "gen", k=3), tmp_path)
-    doc = json.loads(open(path).read())
-    doc["modulus"] = [2, 1, 1]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(ValueError):
-        read_bundle(path)
+def test_bundle_rejects_tampered_modulus(tmp_path, capsys):
+    # a tower edit keeps the bundle self-consistent: the canonical modulus
+    # of the edited tower, and both matrices over its top field
+    for params, k, edit in (
+        ((2, 2, 1, 2, 1), 3, {"modulus": [2, 1, 1]}),
+        # GF(2^6) <= GF(2^6), where the plan says GF(4) <= GF(4^3)
+        ((3, 2, 1, 2, 1), 4, {"s": 6, "m": 1}),
+        # GF(5) <= GF(5^2) and GF(3) <= GF(3^3), where the plan says
+        # GF(3) <= GF(3^2)
+        ((2, 2, 1, 2, 1), 3, {"p": 5}),
+        ((2, 2, 1, 2, 1), 3, {"m": 3}),
+    ):
+        out = tmp_path / "-".join(edit)
+        path = write_bundle(construct(make_topology(*params), "gen", k=k), out)
+        doc = {**json.loads(Path(path).read_text()), **edit}
+        if "modulus" not in edit:
+            top = make_tower(doc["p"], doc["s"], doc["m"]).top
+            doc["modulus"] = list(top.modulus)
+            for name in doc["matrices"].values():
+                mat = read_srmat(out / name)
+                write_srmat(MatrixF(top, mat.data, cols=mat.cols), out / name)
+        Path(path).write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="differs from the plan's"):
+            read_bundle(path)
+        assert main(["verify", path]) == 1
+        assert "cannot load bundle" in capsys.readouterr().err
 
 
 def test_bundle_rejects_untrusted_k_and_h(tmp_path):
-    import json
-
-    path = write_bundle(construct(make(2, 2, 1, 2, 2), "gen", k=5), tmp_path)
-    doc = json.loads(open(path).read())
+    path = write_bundle(construct(make_topology(2, 2, 1, 2, 2), "gen", k=5), tmp_path)
+    doc = json.loads(Path(path).read_text())
     for bad in ({"h": 0}, {"h": 2}, {"k": 4}, {"h": "x"}, {"k": 5.0}, {"h": True}):
-        with open(path, "w") as fh:
-            json.dump({**doc, **bad}, fh)
+        Path(path).write_text(json.dumps({**doc, **bad}))
         with pytest.raises(ValueError):
             read_bundle(path)
-    with open(path, "w") as fh:
-        json.dump([1, 2], fh)
+    Path(path).write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError, match="not an MRLRC v1 bundle"):
         read_bundle(path)
 
@@ -455,7 +464,7 @@ def test_bundle_rejects_untrusted_k_and_h(tmp_path):
 def test_local_property_enforced_at_build():
     # direct check: generator rows restricted to a repair set obey the
     # local parities (pc kinds) / live in the local code (gen kind)
-    topo = make(2, 3, 1, 2, 1)
+    topo = make_topology(2, 3, 1, 2, 1)
     code = construct(topo, "gen", k=3)
     tower = code.tower
     a_loc = local_generator(topo, "gen", tower.base)
@@ -468,7 +477,7 @@ def test_local_property_enforced_at_build():
 
 
 def test_local_generator_serves_gen_and_pc2_only():
-    code = construct(make(2, 2, 1, 2, 2), "gen", k=5)
+    code = construct(make_topology(2, 2, 1, 2, 2), "gen", k=5)
     with pytest.raises(ValueError, match="'gen' and 'pc2'"):
         local_generator(code.topo, "pc1", code.tower.base)
 
@@ -484,7 +493,7 @@ def test_gen_delta_one_has_no_local_parities():
 
 
 def test_gen_zero_dimension_edge():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "gen", k=0)
     assert code.k == 0 and code.h == topo.max_dimension()
     assert code.H.rank() == code.n
@@ -495,7 +504,7 @@ def test_gen_zero_dimension_edge():
 def test_gen_zero_dimension_bundle_bytes(tmp_path):
     # the dual of the 0 x n generator is I_n; these bytes were recorded
     # when H = I_n was built by a special case
-    write_bundle(construct(make(2, 2, 1, 2, 2), "gen", k=0), tmp_path)
+    write_bundle(construct(make_topology(2, 2, 1, 2, 2), "gen", k=0), tmp_path)
     digests = {
         "bundle.json": "8d7687ac76bc8200eba375d5ebafef9613f40a93756df5116766e9ab85900d91",
         "bundle.G.srmat": "b01b643dfbf9910da1227c1b57258e809991fcc40afeb6557634f7b285ad8185",
@@ -508,7 +517,7 @@ def test_gen_zero_dimension_bundle_bytes(tmp_path):
 
 def test_pc2_needs_degree_two_subextension():
     # n/g - 1 = 6 > q = 3 forces q^s >= 6 with s = 2; field GF(3^10)
-    topo = make(2, 2, 1, 1, 3)
+    topo = make_topology(2, 2, 1, 1, 3)
     plan = plan_field(topo, "pc2", h=1)
     assert (plan.q, plan.sub_s, plan.ell, plan.m) == (3, 2, 5, 10)
     code = construct(topo, "pc2", h=1)
@@ -518,7 +527,7 @@ def test_pc2_needs_degree_two_subextension():
 
 def test_pc1_single_availability_is_classical_pmds():
     # N = 1 reduces to disjoint (r, delta) groups with h heavy parities
-    topo = make(3, 2, 1, 3, 1)
+    topo = make_topology(3, 2, 1, 3, 1)
     code = construct(topo, "pc1", h=2)
     assert code.tower.top.order == 16
     assert code.topo.group_width == topo.r + topo.delta - 1
@@ -530,7 +539,7 @@ def test_gen_wide_local_distance_sampled():
     # delta = 3 with a two-symbol core and availability 2; the maximal
     # pattern space is large, so verification is sampled here (the small
     # delta = 3 case is swept exhaustively elsewhere)
-    topo = make(3, 3, 2, 2, 2)
+    topo = make_topology(3, 3, 2, 2, 2)
     code = construct(topo, "gen", k=6)
     assert code.plan.field_size == 5 ** 4
     for seed in (9, 10):

@@ -7,14 +7,9 @@ from mrlrc.simulate import SimConfig, run_simulation
 from mrlrc.topology import make_topology
 
 
-def make(r, delta, t, g, n_avail):
-    mode = "availability" if t <= delta - 1 else "plain"
-    return make_topology(r, delta, t, g, n_avail, mode=mode)
-
-
 @pytest.fixture(scope="module")
 def code():
-    return construct(make(2, 2, 1, 2, 2), "gen", k=5)
+    return construct(make_topology(2, 2, 1, 2, 2), "gen", k=5)
 
 
 def test_config_validation():
@@ -71,7 +66,7 @@ def test_adversarial_envelope_zero_loss(code):
 
 def test_adversarial_beyond_envelope_can_lose():
     # pushing extra failures past h must eventually show data loss
-    code = construct(make(2, 2, 1, 2, 2), "pc1", h=1)
+    code = construct(make_topology(2, 2, 1, 2, 2), "pc1", h=1)
     cfg = SimConfig(trials=400, model="adversarial_maximal", seed=2,
                     extra=code.h + 3)
     rep = run_simulation(code, cfg)
@@ -99,7 +94,7 @@ def test_zero_failures_trivial(code):
 def test_overhead_columns_availability_design():
     # with k = gt and t = delta-1, local parities are kN, versus the
     # kN(delta-1) needed when every core symbol sits in its own repair sets
-    topo = make(3, 3, 2, 8, 2)
+    topo = make_topology(3, 3, 2, 8, 2)
     code = construct(topo, "gen", k=16)
     rep = run_simulation(code, SimConfig(trials=5, model="adversarial_maximal",
                                          seed=1))

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,32 @@ def test_enumeration_cap(monkeypatch):
         list(enumerate_maximal_patterns(topo))
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_pattern_count_closed_form_matches_enumeration(g):
+    for r, delta, n_avail in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
+        for t in range(1, r + 1):
+            topo = make_topology(r, delta, t, g, n_avail)
+            per_group = per_group_maximal_sets(topo)
+            assert count_maximal_patterns(topo) == len(per_group) ** g, topo
+            if g == 2 and len(per_group) <= 30:
+                assert count_maximal_patterns(topo) == len(
+                    list(enumerate_maximal_patterns(topo))), topo
+
+
+def test_pattern_cap_checked_before_enumeration():
+    # (r, delta, t, g, N) = (6, 6, 1, 1, 10): about 9.6e24 per-group sets
+    topo = make_topology(6, 6, 1, 1, 10)
+    assert count_maximal_patterns(topo) > 10 ** 24
+    start = time.monotonic()
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^\d+ maximal patterns per group exceed the cap"):
+        per_group_maximal_sets(topo)
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^\d+ maximal patterns exceed the cap"):
+        next(enumerate_maximal_patterns(topo))
+    assert time.monotonic() - start < 1
+
+
 def test_enumeration_builds_group_sets_once(monkeypatch):
     # the cap check and the product read one list of per-group sets
     topo = make_topology(2, 2, 1, 2, 2, mode="availability")
@@ -260,9 +287,8 @@ def test_is_mr_correctable_brute_force_agreement():
 def test_group_deficiency_matches_search(params):
     # oracle: the fewest removals from the group's erasures, found by
     # trying removal subsets of growing size until a witness appears
-    r, delta, t, g, n_avail = params
-    mode = "availability" if t <= delta - 1 else "plain"
-    topo = make_topology(r, delta, t, g, n_avail, mode=mode)
+    topo = make_topology(*params)
+    g = topo.g
 
     def search(e):
         for size in range(len(e) + 1):

@@ -16,21 +16,16 @@ from mrlrc import verify
 from mrlrc.constructions import construct, encode, premise_violations
 from mrlrc.topology import enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology
 from mrlrc.verify import (
-    BoundInputs, InvalidInput, MrFailure, MrReport, WrongKind, _bound_row, code_id, construction3_pattern_check,
+    InvalidInput, MrFailure, MrReport, WrongKind, _bound_row, code_id, construction3_pattern_check,
     decode_erasures, ell_bounds, ell_exact, erasure_rank_defect,
     lower_bound_field, verify_mr_exhaustive, verify_mr_sampled,
 )
 from test_byte_stability import GENERIC_CODES, bvs, mutants
 
 
-def make(r, delta, t, g, n_avail):
-    mode = "availability" if t <= delta - 1 else "plain"
-    return make_topology(r, delta, t, g, n_avail, mode=mode)
-
-
 @pytest.fixture(scope="module")
 def gen_code():
-    return construct(make(2, 2, 1, 2, 2), "gen", k=5)
+    return construct(make_topology(2, 2, 1, 2, 2), "gen", k=5)
 
 
 def test_exhaustive_pass_counts(gen_code):
@@ -506,14 +501,14 @@ def test_ell_exact_brute_force_agreement(data):
 
 
 def test_ell_bounds_examples():
-    fig1 = make(3, 3, 2, 8, 2)
+    fig1 = make_topology(3, 3, 2, 8, 2)
     assert ell_bounds(fig1, 16) == (48, 64)
-    small = make(2, 2, 1, 2, 1)
+    small = make_topology(2, 2, 1, 2, 1)
     assert ell_bounds(small, 1) == (3, 5)
 
 
 def test_ell_exact_within_bounds_pc2():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "pc2", h=1)
     le = ell_exact(code.local_parity_matrix(), 1)
     lo, hi = ell_bounds(topo, 1)
@@ -521,7 +516,7 @@ def test_ell_exact_within_bounds_pc2():
 
 
 def test_construction3_pattern_check(gen_code):
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "pc2", h=1)
     assert construction3_pattern_check(code, ())
     pat = next(iter(enumerate_maximal_patterns(topo)))
@@ -533,7 +528,7 @@ def test_construction3_pattern_check(gen_code):
 
 
 def test_construction3_check_implies_decode():
-    topo = make(2, 2, 1, 2, 1)
+    topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "pc2", h=1)
     n = code.n
     for size in range(code.ell + 1):
@@ -549,25 +544,23 @@ def test_construction3_check_implies_decode():
 def test_lower_bound_regime_b_example():
     # N=1, delta=2, t=1, h=2: binomial = C(r-1+0, 0) = 1, value = (g-1) - 4
     for g in (3, 5, 9):
-        b = BoundInputs(r=3, delta=2, t=1, g=g, N=1, h=2)
-        lb = lower_bound_field(b)
+        lb = lower_bound_field(make_topology(3, 2, 1, g, 1), 2)
         assert lb.regime == "B"
         assert lb.value == Fraction(g - 1) - 4
         assert lb.floor == g - 5
 
 
 def test_lower_bound_regime_a_example():
-    b = BoundInputs(r=3, delta=2, t=1, g=4, N=1, h=4)  # a+2 = 3 <= h <= g
-    lb = lower_bound_field(b)
+    lb = lower_bound_field(make_topology(3, 2, 1, 4, 1), 4)  # a+2 = 3 <= h <= g
     assert lb.regime == "A"
     assert lb.value == Fraction(1, 3) * 3 - 4 == -3
     assert lb.floor == -3 and lb.vacuous
 
 
 def test_lower_bound_none_regimes():
-    assert lower_bound_field(BoundInputs(2, 2, 1, 2, 1, 3)).regime == "none"  # h > g
-    assert lower_bound_field(BoundInputs(2, 2, 1, 2, 1, 1)).regime == "none"  # h < 2
-    assert lower_bound_field(BoundInputs(2, 2, 1, 8, 2, 0)).regime == "none"
+    assert lower_bound_field(make_topology(2, 2, 1, 2, 1), 3).regime == "none"  # h > g
+    assert lower_bound_field(make_topology(2, 2, 1, 2, 1), 1).regime == "none"  # h < 2
+    assert lower_bound_field(make_topology(2, 2, 1, 8, 2), 0).regime == "none"
 
 
 def test_lower_bound_regime_selection_matches_inequalities():
@@ -575,26 +568,24 @@ def test_lower_bound_regime_selection_matches_inequalities():
 
     rnd = random.Random(77)
     for _ in range(300):
-        b = BoundInputs(r=rnd.randrange(1, 6), delta=rnd.randrange(2, 5),
-                        t=1, g=rnd.randrange(1, 9), N=rnd.randrange(1, 4),
-                        h=rnd.randrange(0, 10))
-        lb = lower_bound_field(b)
-        a = b.a
-        if b.h < 2 or b.h > b.g:
+        topo = make_topology(rnd.randrange(1, 6), rnd.randrange(2, 5), 1,
+                             rnd.randrange(1, 9), rnd.randrange(1, 4))
+        h = rnd.randrange(0, 10)
+        lb = lower_bound_field(topo, h)
+        a = topo.N * (topo.delta - 1)
+        if h < 2 or h > topo.g:
             assert lb.regime == "none"
-        elif a + 2 <= b.h:
+        elif a + 2 <= h:
             assert lb.regime == "A"
         else:
-            assert b.h <= a + 1
+            assert h <= a + 1
             assert lb.regime == "B"
 
 
 def test_lower_bound_consistency_on_built_codes():
-    for code in (construct(make(2, 2, 1, 2, 2), "gen", k=5),
-                 construct(make(2, 2, 1, 2, 2), "pc1", h=2),
-                 construct(make(2, 2, 1, 2, 1), "pc2", h=1)):
-        t = code.topo
-        lb = lower_bound_field(BoundInputs(r=t.r, delta=t.delta, t=t.t,
-                                           g=t.g, N=t.N, h=code.h))
+    for code in (construct(make_topology(2, 2, 1, 2, 2), "gen", k=5),
+                 construct(make_topology(2, 2, 1, 2, 2), "pc1", h=2),
+                 construct(make_topology(2, 2, 1, 2, 1), "pc2", h=1)):
+        lb = lower_bound_field(code.topo, code.h)
         if lb.regime != "none" and not lb.vacuous:
             assert code.plan.field_size >= lb.floor
