@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end experiment: build the reference codes, verify the MR property
-exhaustively on both routes, exercise the decoder, and run the seeded
-failure simulator.  Bundles and JSON reports land in the output directory.
+exhaustively on both routes, and run the seeded failure simulator.
+Bundles and JSON reports land in the output directory.
 
     python scripts/build_verify_simulate.py --out runs/ --seed 2024
 """

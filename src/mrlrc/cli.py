@@ -105,36 +105,46 @@ def _make_topology(args):
     return make_topology(args.r, args.delta, args.t, args.g, args.N)
 
 
-def _print_bounds_context(row):
-    print(f"field sizes for k={row['k']}, h={row['h']} (ascending):")
-    applicable = [(kind, row[kind]) for kind in ("gen", "pc1", "pc2")
-                  if "inapplicable" not in row[kind]]
-    for kind, cell in sorted(applicable, key=lambda kc: kc[1]["bound_value"]):
-        star = "" if cell["exact"] else f" (realized {cell['field_size']})"
-        print(f"  {kind}: q={cell['q']} m={cell['m']} "
-              f"bound={cell['bound_value']}{star}")
-    for kind in ("gen", "pc1", "pc2"):
-        if "inapplicable" in row[kind]:
-            print(f"  {kind}: inapplicable ({row[kind]['inapplicable']})")
-    lo, hi = row["ell_bounds"]
-    print(f"  ell bounds: [{lo}, {hi}]")
-    lb = row["lower_bound"]
-    if lb["regime"] == "none":
-        print("  lower bound: regime none (needs 2 <= h <= g)")
-    else:
-        flag = " [vacuous]" if lb["vacuous"] else ""
-        print(f"  lower bound (regime {lb['regime']}): {lb['value']} "
-              f"-> floor {lb['floor']}{flag}")
+def _bounds_text(row, as_json: bool = False) -> str:
+    """The bounds report, built whole before any of it is written."""
+    try:
+        if as_json:
+            return json.dumps(row, indent=2, sort_keys=False)
+        lines = [f"field sizes for k={row['k']}, h={row['h']} (ascending):"]
+        applicable = [(kind, row[kind]) for kind in ("gen", "pc1", "pc2")
+                      if "inapplicable" not in row[kind]]
+        for kind, cell in sorted(applicable, key=lambda kc: kc[1]["bound_value"]):
+            star = "" if cell["exact"] else f" (realized {cell['field_size']})"
+            lines.append(f"  {kind}: q={cell['q']} m={cell['m']} "
+                         f"bound={cell['bound_value']}{star}")
+        for kind in ("gen", "pc1", "pc2"):
+            if "inapplicable" in row[kind]:
+                lines.append(f"  {kind}: inapplicable ({row[kind]['inapplicable']})")
+        lo, hi = row["ell_bounds"]
+        lines.append(f"  ell bounds: [{lo}, {hi}]")
+        lb = row["lower_bound"]
+        if lb["regime"] == "none":
+            lines.append("  lower bound: regime none (needs 2 <= h <= g)")
+        else:
+            flag = " [vacuous]" if lb["vacuous"] else ""
+            lines.append(f"  lower bound (regime {lb['regime']}): {lb['value']} "
+                         f"-> floor {lb['floor']}{flag}")
+        return "\n".join(lines)
+    except ValueError:
+        # CPython caps int-to-decimal conversion, which takes quadratic time
+        raise ValueError(f"a bound has more than {sys.get_int_max_str_digits()} "
+                         "decimal digits, the limit for writing an integer") from None
 
 
 def cmd_construct(args) -> int:
     topo = _make_topology(args)
     code = constructions.construct(topo, args.kind, k=args.k, h=args.h)
+    text = _bounds_text(table1_row(topo, h=code.h))
     path = constructions.write_bundle(code, args.out, name=args.name)
     print(f"wrote {path}")
     print(f"n={code.n} k={code.k} h={code.h} "
           f"field GF({code.plan.q}^{code.plan.m}) of order {code.plan.field_size}")
-    _print_bounds_context(table1_row(topo, h=code.h))
+    print(text)
     return EXIT_OK
 
 
@@ -225,11 +235,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     topo = _make_topology(args)
-    row = table1_row(topo, k=args.k, h=args.h)
-    if args.json:
-        print(json.dumps(row, indent=2, sort_keys=False))
-    else:
-        _print_bounds_context(row)
+    print(_bounds_text(table1_row(topo, k=args.k, h=args.h), args.json))
     return EXIT_OK
 
 

@@ -50,6 +50,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from math import comb
+from operator import attrgetter
 
 from .elim import reduce_rows
 from .ff import FieldTower, make_tower, is_prime_power, next_prime_power
@@ -161,29 +162,29 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
 
 @dataclass(frozen=True)
 class MrLrcCode:
-    """A constructed MR-LRC: topology, tower, generator and parity-check.
+    """A constructed MR-LRC: its topology, its field plan and its matrices.
 
     G and H always satisfy G H^T = 0 with rank(G) = k and rank(H) = n - k.
-    For kind pc2, ell is the independence level of the heavy-row beta set
-    and the first gN(delta-1) rows of H are the local parity matrix P.
+    kind, k, h, ell and the tower read the plan, and so do the multipliers
+    a and beta (see multipliers).  For pc1 and pc2 the first gN(delta-1)
+    rows of H are the local parity matrix P.
     """
 
     topo: Topology
-    kind: str
-    tower: FieldTower
-    k: int
-    h: int
+    plan: FieldPlan
     G: MatrixF
     H: MatrixF
-    a: tuple
-    beta: tuple
-    plan: FieldPlan
-    ell: int | None = None
     info_pivots: tuple | None = None
 
+    kind = property(attrgetter("plan.kind"))
+    k = property(attrgetter("plan.k"))
+    h = property(attrgetter("plan.h"))
+    ell = property(attrgetter("plan.ell"))
+    n = property(attrgetter("topo.n"))
+
     @property
-    def n(self) -> int:
-        return self.topo.n
+    def tower(self) -> FieldTower:
+        return make_tower(self.plan.p, self.plan.s, self.plan.m)
 
     def local_parity_matrix(self) -> MatrixF:
         """P: the first gN(delta-1) rows of H (kinds pc1/pc2)."""
@@ -289,80 +290,78 @@ def local_property_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
     return out
 
 
-def _build_gen(topo: Topology, plan: FieldPlan, tower: FieldTower) -> MrLrcCode:
-    """Generator-side construction of dimension plan.k."""
+def multipliers(topo: Topology, plan: FieldPlan) -> tuple[tuple, tuple]:
+    """(a, beta): the norm-distinct units a_1..a_g of the plan's tower and
+    the heavy-row multipliers, its polynomial basis for gen and for pc1 with
+    h >= 1 (none for h = 0).  pc2's beta is l-wise independent: the columns
+    of a tall RS evaluation matrix over GF(q^sub_s), any min(l, n/g) of
+    which are independent, expanded into GF(q) coordinates and contracted."""
+    tower = make_tower(plan.p, plan.s, plan.m)
+    a = tower.distinct_norm_elements(topo.g)
+    if plan.kind != "pc2":
+        return a, (tower.polynomial_basis if plan.kind == "gen" or plan.h else ())
+    sub_tower = make_tower(plan.p, plan.s, plan.sub_s)
+    h_tilde = vandermonde_columns(sub_tower.top, plan.ell, topo.group_width)
+    return a, _contract(tower, (
+        [c for x in h_tilde.column(j) for c in sub_tower.base_coords(x)]
+        for j in range(topo.group_width)))
+
+
+def _build_gen(topo: Topology, plan: FieldPlan, tower: FieldTower):
+    """(G, H) of the generator-side construction of dimension plan.k."""
     t, r, N = topo.t, topo.r, topo.N
+    a, _ = multipliers(topo, plan)
     a_loc = local_generator(topo, "gen", tower.base).data
     # D: [I_t | B B .. B] over [0 | diag(C, .., C)]
     d_rows = (_place(topo, a_loc[:t], [range(N)])
               + _place(topo, a_loc[t:r], [(j,) for j in range(N)]))
-    a = tower.distinct_norm_elements(topo.g)
     g_mat = frobenius_rows(tower, _contract(tower, zip(*d_rows)), a, plan.k)
-    return MrLrcCode(topo=topo, kind="gen", tower=tower, k=plan.k, h=plan.h,
-                     G=g_mat, H=dual_matrix(g_mat), a=a,
-                     beta=tower.polynomial_basis, plan=plan)
+    return g_mat, dual_matrix(g_mat)
 
 
 def _parity_check_code(topo: Topology, plan: FieldPlan, tower: FieldTower,
-                       a_loc, gamma, beta) -> MrLrcCode:
-    """pc1/pc2 assembly: H is diag(P_0, .., P_0) over the plan.h Frobenius
-    rows of gamma, where P_0 places the top delta-1 rows of a_loc on each
-    repair segment; G is its dual."""
+                       a_loc, gamma, a):
+    """pc1/pc2 assembly of (G, H): H is diag(P_0, .., P_0) over the plan.h
+    Frobenius rows of gamma, where P_0 places the top delta-1 rows of a_loc
+    on each repair segment; G is its dual."""
     embed = tower.embed
     p0 = _place(topo, a_loc[:topo.delta - 1], [(j,) for j in range(topo.N)])
     p_emb = MatrixF(tower.top, [[embed(v) for v in row] for row in p0])
-    a = tower.distinct_norm_elements(topo.g)
     h_mat = block_diag([p_emb] * topo.g).vstack(frobenius_rows(tower, gamma, a, plan.h))
-    return MrLrcCode(topo=topo, kind=plan.kind, tower=tower, k=plan.k,
-                     h=plan.h, G=dual_matrix(h_mat), H=h_mat, a=a, beta=beta,
-                     plan=plan, ell=plan.ell)
+    return dual_matrix(h_mat), h_mat
 
 
-def _build_pc1(topo: Topology, plan: FieldPlan, tower: FieldTower) -> MrLrcCode:
+def _build_pc1(topo: Topology, plan: FieldPlan, tower: FieldTower):
     """First parity-check construction; the plan enforces h <= r.
 
     The heavy rows (G_1 Q | .. | G_g Q) are the Frobenius rows of Q's
     contracted columns (see the module docstring)."""
     a_loc = _pc1_local(topo, plan.h, tower.base).data
     q_rows = _place(topo, a_loc[topo.delta - 1:], [(j,) for j in range(topo.N)])
-    beta = tower.polynomial_basis if plan.h else ()
+    a, _ = multipliers(topo, plan)
     return _parity_check_code(topo, plan, tower, a_loc,
-                              _contract(tower, zip(*q_rows)), beta)
+                              _contract(tower, zip(*q_rows)), a)
 
 
-def _build_pc2(topo: Topology, plan: FieldPlan, tower: FieldTower) -> MrLrcCode:
-    """Second parity-check construction.
-
-    The heavy-row multipliers beta_1..beta_(n/g) form an l-wise
-    GF(q)-linearly independent set, l = g(N(delta-1)+t)+h, obtained by
-    column-expanding a tall RS evaluation matrix over GF(q^s) and
-    contracting against the polynomial basis of GF(q^m), m = s*l.
-    """
-    a_loc = local_generator(topo, "pc2", tower.base).data
-    # tall RS evaluation matrix over GF(q^sub_s): any min(ell, n/g) columns
-    # are independent; each column expands into GF(q) coordinates
-    sub_tower = make_tower(plan.p, plan.s, plan.sub_s)
-    h_tilde = vandermonde_columns(sub_tower.top, plan.ell, topo.group_width)
-    beta = _contract(tower, (
-        [c for x in h_tilde.column(j) for c in sub_tower.base_coords(x)]
-        for j in range(topo.group_width)))
-    code = _parity_check_code(topo, plan, tower, a_loc, beta, beta)
-    _check_ell_wise_independent(code)
-    return code
+def _build_pc2(topo: Topology, plan: FieldPlan, tower: FieldTower):
+    """Second parity-check construction: the heavy rows are the Frobenius
+    rows of the l-wise independent beta (see multipliers)."""
+    a, beta = multipliers(topo, plan)
+    _check_ell_wise_independent(tower, beta, plan.ell)
+    return _parity_check_code(topo, plan, tower,
+                              local_generator(topo, "pc2", tower.base).data, beta, a)
 
 
-def _check_ell_wise_independent(code: MrLrcCode) -> None:
+def _check_ell_wise_independent(tower: FieldTower, beta, ell: int) -> None:
     """Any min(ell, n/g) of the beta multipliers must be GF(q)-independent.
 
     Guaranteed by the RS expansion; asserted anyway.  Exhausts all subsets
     of size min(ell, n/g) when there are at most ELL_WISE_SUBSET_CAP of
     them, and always checks that the full set has the maximal possible
     rank."""
-    tower = code.tower
-    base = tower.base
-    cols = [tower.base_coords(x) for x in code.beta]
-    full = MatrixF(base, list(zip(*cols)), cols=len(cols))
-    size = min(code.ell, len(cols))
+    cols = [tower.base_coords(x) for x in beta]
+    full = MatrixF(tower.base, list(zip(*cols)), cols=len(cols))
+    size = min(ell, len(cols))
     if full.rank() < size:
         raise AssertionError("beta multipliers are not ell-wise independent")
     if comb(len(cols), size) <= ELL_WISE_SUBSET_CAP:
@@ -379,7 +378,8 @@ def construct(topo: Topology, kind: str, k: int | None = None,
     """Build the code of the given kind, sized by exactly one of the
     dimension k and the heavy-parity count h (see split_size)."""
     plan = plan_field(topo, kind, k=k, h=h)
-    code = _BUILDERS[kind](topo, plan, make_tower(plan.p, plan.s, plan.m))
+    g_mat, h_mat = _BUILDERS[kind](topo, plan, make_tower(plan.p, plan.s, plan.m))
+    code = MrLrcCode(topo, plan, g_mat, h_mat)
     _check_code(code)
     return code
 
@@ -432,6 +432,7 @@ def write_bundle(code: MrLrcCode, out_dir, name: str = "bundle") -> str:
     write_srmat(code.G, os.path.join(out_dir, g_name))
     write_srmat(code.H, os.path.join(out_dir, h_name))
     topo = code.topo
+    a, beta = multipliers(topo, code.plan)
     doc = {
         "format": "MRLRC v1",
         "kind": code.kind,
@@ -446,8 +447,8 @@ def write_bundle(code: MrLrcCode, out_dir, name: str = "bundle") -> str:
         "s": code.plan.s,
         "m": code.plan.m,
         "modulus": list(code.tower.top.modulus),
-        "a": list(code.a),
-        "beta": list(code.beta),
+        "a": list(a),
+        "beta": list(beta),
         "matrices": {"G": g_name, "H": h_name},
     }
     path = os.path.join(out_dir, f"{name}.json")
@@ -491,32 +492,26 @@ def _check_bundle_matrix(mat: MatrixF, ctx, rows: int, cols: int) -> None:
 def read_bundle(path) -> MrLrcCode:
     """Load an MRLRC v1 bundle.
 
-    Validates the format only (field types, k + h, the plan's tower and its
-    canonical modulus, shapes, field); semantic properties of tampered
-    matrices are the verify command's job, so that a corrupted bundle still
-    loads and then fails verification with a concrete witness.
+    Validates the format only (field types; k, the tower and its modulus, a
+    and beta against the plan; shapes, field); semantic properties of
+    tampered matrices are the verify command's job, so that a corrupted
+    bundle still loads and then fails verification with a concrete witness.
     """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
     _check_bundle_fields(doc)
-    k, h = doc["k"], doc["h"]
-    kind = doc["kind"]
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
     topo = make_topology(doc["r"], doc["delta"], doc["t"], doc["g"], doc["N"])
-    if k + h != topo.max_dimension():
-        raise ValueError(f"k + h = {k + h} differs from g(t+N(r-t)) = "
-                         f"{topo.max_dimension()}")
-    plan = plan_field(topo, kind, h=h)
+    plan = plan_field(topo, doc["kind"], h=doc["h"])
     tower = make_tower(plan.p, plan.s, plan.m)
-    planned = {"p": plan.p, "s": plan.s, "m": plan.m,
-               "modulus": list(tower.top.modulus)}
+    a, beta = multipliers(topo, plan)
+    planned = {"k": plan.k, "p": plan.p, "s": plan.s, "m": plan.m,
+               "modulus": list(tower.top.modulus), "a": list(a), "beta": list(beta)}
     for key, want in planned.items():
         if doc[key] != want:
             raise ValueError(f"bundle {key} = {doc[key]} differs from the "
                              f"plan's {want}")
     base_dir = os.path.dirname(os.path.abspath(path))
-    n = topo.n
+    n, k = topo.n, plan.k
     # H is checked before G is derived from it: a mis-shaped H would
     # otherwise size the dual's kernel
     h_mat = read_srmat(os.path.join(base_dir, doc["matrices"]["H"]))
@@ -525,6 +520,4 @@ def read_bundle(path) -> MrLrcCode:
     g_mat = (read_srmat(os.path.join(base_dir, g_path)) if g_path
              else dual_matrix(h_mat))
     _check_bundle_matrix(g_mat, tower.top, k, n)
-    return MrLrcCode(topo=topo, kind=kind, tower=tower, k=k, h=h, G=g_mat,
-                     H=h_mat, a=tuple(doc["a"]), beta=tuple(doc["beta"]), plan=plan,
-                     ell=plan.ell)
+    return MrLrcCode(topo, plan, g_mat, h_mat)

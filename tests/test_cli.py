@@ -85,6 +85,19 @@ def test_bounds_out_of_range_size_exits_1(capsys, flag, value, message, json_fla
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bounds_too_long_to_print_exits_1(capsys, json_flag):
+    # h = 1999: each kind's field-size bound has about 6600 decimal digits,
+    # more than the 4300 that CPython converts; nothing is half written
+    argv = ["bounds", "--r", "2000", "--delta", "2", "--t", "1", "--g", "1",
+            "--N", "1", "--k", "1"]
+    assert main(argv + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound has more than 4300 decimal digits, "
+                            "the limit for writing an integer\n")
+
+
 @pytest.mark.parametrize("size", [[], ["--k", "4", "--h", "2"]],
                          ids=["neither", "both"])
 @pytest.mark.parametrize("command", ["construct", "bounds"])
@@ -178,6 +191,15 @@ def test_verify_rejects_bundle_with_mistyped_field(bundle, capsys, edit):
     err = capsys.readouterr().err
     assert "error: cannot load bundle" in err and "Traceback" not in err
     assert next(iter(edit)) in err
+
+
+def test_verify_rejects_bundle_with_unknown_kind(bundle, capsys):
+    doc = json.loads(bundle.read_text())
+    bundle.write_text(json.dumps({**doc, "kind": "pc3"}))
+    assert main(["verify", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot load bundle" in err and "Traceback" not in err
+    assert "unknown kind 'pc3'" in err
 
 
 def test_encode_decode_round_trip(bundle, tmp_path, capsys):

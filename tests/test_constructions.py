@@ -15,8 +15,8 @@ from mrlrc.cli import main
 from mrlrc.ff import make_tower
 from mrlrc.matrix import MatrixF, RankDeficient, map_entries, read_srmat, write_srmat
 from mrlrc.constructions import (
-    KINDS, ConstraintViolated, NotInformationAvailable, construct, dual_matrix, encode,
-    local_generator, plan_field, read_bundle, split_size,
+    KINDS, ConstraintViolated, MrLrcCode, NotInformationAvailable, construct, dual_matrix,
+    encode, local_generator, multipliers, plan_field, read_bundle, split_size,
     systematic_info_placement, write_bundle,
 )
 from mrlrc.topology import make_topology
@@ -148,7 +148,7 @@ def test_pc1_heavy_rows_equal_lrs_blocks_times_q(params, h):
               .mul(q_emb).data for i in range(topo.g)]
     heavy = tuple(sum(block_rows, ()) for block_rows in zip(*blocks))
     assert code.H.data[topo.local_parity_count():] == heavy
-    assert (code.a, code.beta) == (lrs.a, lrs.beta)
+    assert multipliers(topo, code.plan) == (lrs.a, lrs.beta)
 
 
 def test_gen_h0_square_restrictions():
@@ -231,10 +231,11 @@ def test_pc2_beta_subsets_independent():
     topo = make_topology(2, 2, 1, 2, 1)
     code = construct(topo, "pc2", h=1)
     tower = code.tower
-    size = min(code.ell, len(code.beta))
-    cols = [tower.base_coords(x) for x in code.beta]
+    _, beta = multipliers(topo, code.plan)
+    size = min(code.ell, len(beta))
+    cols = [tower.base_coords(x) for x in beta]
     full = MatrixF(tower.base, list(zip(*cols)), cols=len(cols))
-    for sel in itertools.combinations(range(1, len(code.beta) + 1), size):
+    for sel in itertools.combinations(range(1, len(beta) + 1), size):
         assert full.restrict_columns(sel).rank() == size
 
 
@@ -403,12 +404,11 @@ def test_bundle_round_trip(tmp_path):
     topo = make_topology(2, 2, 1, 2, 2)
     for code in (construct(topo, "gen", k=5), construct(topo, "pc1", h=2),
                  construct(make_topology(2, 2, 1, 2, 1), "pc2", h=1)):
-        path = write_bundle(code, tmp_path / code.kind)
-        loaded = read_bundle(path)
-        assert loaded.G == code.G and loaded.H == code.H
-        assert (loaded.k, loaded.h, loaded.kind) == (code.k, code.h, code.kind)
-        assert loaded.a == code.a and loaded.beta == code.beta
-        assert loaded.ell == code.ell
+        assert read_bundle(write_bundle(code, tmp_path / code.kind)) == code
+    # equality compares every field, and a code's fields are only what a
+    # bundle cannot derive from its plan
+    assert [f.name for f in dataclasses.fields(MrLrcCode)] == [
+        "topo", "plan", "G", "H", "info_pivots"]
 
 
 def test_bundle_bytes_deterministic(tmp_path):
@@ -443,6 +443,27 @@ def test_bundle_rejects_tampered_modulus(tmp_path, capsys):
                 mat = read_srmat(out / name)
                 write_srmat(MatrixF(top, mat.data, cols=mat.cols), out / name)
         Path(path).write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="differs from the plan's"):
+            read_bundle(path)
+        assert main(["verify", path]) == 1
+        assert "cannot load bundle" in capsys.readouterr().err
+
+
+def test_bundle_rejects_tampered_multipliers(tmp_path, capsys):
+    # a and beta follow from the plan's tower; each edit loads and verifies
+    # when the bundle's own values are trusted
+    gen = construct(make_topology(2, 2, 1, 2, 2), "gen", k=5)
+    pc1 = construct(make_topology(2, 2, 1, 2, 2), "pc1", h=2)
+    pc2 = construct(make_topology(2, 2, 1, 2, 1), "pc2", h=1)
+    for name, code, edit in (
+        ("gen-foreign", gen, lambda doc: {"a": [10 ** 30, -5], "beta": []}),
+        ("gen-a-reversed", gen, lambda doc: {"a": doc["a"][::-1]}),
+        ("pc2-beta-reversed", pc2, lambda doc: {"beta": doc["beta"][::-1]}),
+        ("pc1-beta-empty", pc1, lambda doc: {"beta": []}),
+    ):
+        path = write_bundle(code, tmp_path / name)
+        doc = json.loads(Path(path).read_text())
+        Path(path).write_text(json.dumps({**doc, **edit(doc)}))
         with pytest.raises(ValueError, match="differs from the plan's"):
             read_bundle(path)
         assert main(["verify", path]) == 1
