@@ -76,27 +76,34 @@ class FieldPlan:
     """Field-size plan for one construction kind on one topology.
 
     k and h are the dimension and the heavy-parity count, k + h =
-    g(t+N(r-t)); q, p, s, m describe the realized tower GF(q=p^s) <=
-    GF(q^m); bound_value is the closed-form field-size bound for the kind;
-    exact records whether q^m equals bound_value.  For pc2, ell is the
-    independence level and sub_s the degree with q^sub_s >= n/g - 1.
+    g(t+N(r-t)); p, s, m describe the realized tower GF(q=p^s) <=
+    GF(q^m); bound_value is the closed-form field-size bound for the kind.
+    For pc2, ell is the independence level and sub_s the degree with
+    q^sub_s >= n/g - 1.
     """
 
     kind: str
     k: int
     h: int
-    q: int
     p: int
     s: int
     m: int
     bound_value: int
-    exact: bool
     ell: int | None = None
     sub_s: int | None = None
 
     @property
+    def q(self) -> int:
+        return self.p ** self.s
+
+    @property
     def field_size(self) -> int:
         return self.q ** self.m
+
+    @property
+    def exact(self) -> bool:
+        """Whether the realized field size q^m equals bound_value."""
+        return self.field_size == self.bound_value
 
 
 def split_size(topo: Topology, k: int | None = None,
@@ -141,23 +148,17 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
     p, s = is_prime_power(q)
     if kind == "gen":
         m = t + N * (r - t)
-        bound = q_raw ** m
-        return FieldPlan(kind, k, h, q, p, s, m, bound, exact=(q == q_raw))
+        return FieldPlan(kind, k, h, p, s, m, q_raw ** m)
     if kind == "pc1":
-        m = max(1, h * N)
-        bound = q_raw ** (h * N)
-        return FieldPlan(kind, k, h, q, p, s, m, bound,
-                         exact=(q == q_raw and h >= 1))
+        return FieldPlan(kind, k, h, p, s, max(1, h * N), q_raw ** (h * N))
     # pc2
     ell = g * (N * (delta - 1) + t) + h
     target = topo.group_width - 1  # n/g - 1
     sub_s = 1
     while q ** sub_s < target:
         sub_s += 1
-    m = sub_s * ell
-    bound = target ** ell
-    return FieldPlan(kind, k, h, q, p, s, m, bound,
-                     exact=(q ** sub_s == target), ell=ell, sub_s=sub_s)
+    return FieldPlan(kind, k, h, p, s, sub_s * ell, target ** ell,
+                     ell=ell, sub_s=sub_s)
 
 
 @dataclass(frozen=True)

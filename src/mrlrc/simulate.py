@@ -123,38 +123,30 @@ def _draw_pattern(code: MrLrcCode, cfg: SimConfig, rng: Xoshiro256,
 
 
 def _local_repair(code: MrLrcCode, erased: set):
-    """(fully_repaired, reads, repaired, parallel_width) of the local phase."""
+    """(fully_repaired, reads, repaired, parallel_width) of the local phase.
+
+    A group with erasures and a witness j spends r reads on the c_0 + c_j
+    erasures of R_(i,j), when there are any, then r reads on each other
+    segment holding erasures, and repairs them all; a group without a
+    witness leaves its erasures to the global decoder."""
     topo = code.topo
     r = topo.r
+    ok = True
     reads = repaired = width = 0
-    remaining = set(erased)
-    for i in range(topo.g):
-        group_erased = remaining & topo.groups[i]
-        if not group_erased:
+    for counts in topo.part_counts(erased):
+        if not any(counts):
             continue
-        witnesses, _tight = group_witnesses(topo, i + 1, group_erased)
+        witnesses, _tight = group_witnesses(topo, counts)
         if not witnesses:
+            ok = False
             continue
-        witness = witnesses[0] - 1
-        core = topo.cores[i]
-        sets = topo.repair[i]
-        in_witness = group_erased & sets[witness]
-        if in_witness:
-            reads += r
-            repaired += len(in_witness)
-            remaining -= in_witness
-        parallel = 0
-        for l in range(topo.N):
-            if l == witness:
-                continue
-            in_other = remaining & (sets[l] - core)
-            if in_other:
-                reads += r
-                repaired += len(in_other)
-                remaining -= in_other
-                parallel += 1
+        segs = counts[1:]
+        in_witness = segs[witnesses[0] - 1]
+        parallel = len(segs) - segs.count(0) - bool(in_witness)
+        reads += r * (bool(counts[0] + in_witness) + parallel)
+        repaired += sum(counts)
         width = max(width, parallel)
-    return not remaining, reads, repaired, width
+    return ok, reads, repaired, width
 
 
 def run_simulation(code: MrLrcCode, cfg: SimConfig) -> SimReport:

@@ -16,13 +16,15 @@ An erasure pattern E is locally correctable when every group has a
 witness repair set j with |E n R_(i,j)| <= delta-1 and every other
 repair set of the group has at most delta-1 erasures outside the core;
 it is maximal when those inequalities can all be made equalities, which
-forces |E| = gN(delta-1).
+forces |E| = gN(delta-1).  Both conditions read only each group's part
+counts, the erasures in T_i and in each segment R_(i,j) - T_i.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 
@@ -43,18 +45,54 @@ DEFAULT_PATTERN_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class Topology:
+    """The five parameters and the availability mode; everything else about
+    the layout is derived from them.  seg, group_width and n are cached,
+    since the simulator reads them on every trial; the coordinate sets are
+    built only when first read."""
+
     r: int
     delta: int
     t: int
     g: int
     N: int
     mode: str
-    n: int
-    seg: int            # r + delta - 1 - t, coordinates per repair segment
-    group_width: int    # t + N * seg
-    cores: tuple        # cores[i-1] = frozenset T_i
-    repair: tuple       # repair[i-1][j-1] = frozenset R_(i,j)
-    groups: tuple       # groups[i-1] = frozenset R_i
+
+    @cached_property
+    def seg(self) -> int:  # coordinates per repair segment
+        return self.r + self.delta - 1 - self.t
+
+    @cached_property
+    def group_width(self) -> int:  # t + N * seg
+        return self.t + self.N * self.seg
+
+    @cached_property
+    def n(self) -> int:
+        return self.g * self.group_width
+
+    @cached_property
+    def cores(self) -> tuple:
+        """cores[i-1] = frozenset T_i."""
+        return tuple(frozenset(range(off + 1, off + self.t + 1))
+                     for off in self._offsets())
+
+    @cached_property
+    def repair(self) -> tuple:
+        """repair[i-1][j-1] = frozenset R_(i,j)."""
+        t, seg = self.t, self.seg
+        return tuple(
+            tuple(core | frozenset(range(off + t + j * seg + 1,
+                                         off + t + (j + 1) * seg + 1))
+                  for j in range(self.N))
+            for off, core in zip(self._offsets(), self.cores))
+
+    @cached_property
+    def groups(self) -> tuple:
+        """groups[i-1] = frozenset R_i."""
+        return tuple(frozenset(range(off + 1, off + self.group_width + 1))
+                     for off in self._offsets())
+
+    def _offsets(self) -> range:
+        return range(0, self.n, self.group_width)
 
     @property
     def coords(self) -> range:
@@ -68,11 +106,21 @@ class Topology:
         """gN(delta-1): the size of every maximal locally correctable pattern."""
         return self.g * self.N * (self.delta - 1)
 
+    def part_counts(self, e) -> list[list[int]]:
+        """Per group, [c_0, c_1, .., c_N]: how many coordinates of e, all
+        in [1, n], lie in the core T_i, then in each segment R_(i,j) - T_i."""
+        t, seg, width = self.t, self.seg, self.group_width
+        counts = [[0] * (self.N + 1) for _ in range(self.g)]
+        for c in e:
+            i, off = divmod(c - 1, width)
+            counts[i][0 if off < t else (off - t) // seg + 1] += 1
+        return counts
+
 
 def make_topology(r: int, delta: int, t: int, g: int, N: int,
                   mode: str = "plain") -> Topology:
-    """Build the canonical 1-based layout; raises BadParams naming the
-    violated inequality."""
+    """The canonical 1-based layout; raises BadParams naming the violated
+    inequality."""
     for name, v in (("r", r), ("delta", delta), ("t", t), ("g", g), ("N", N)):
         if not isinstance(v, int) or v < 1:
             raise BadParams(f"{name} must be a positive integer, got {v}")
@@ -83,50 +131,7 @@ def make_topology(r: int, delta: int, t: int, g: int, N: int,
     if mode == "availability" and t > delta - 1:
         raise BadParams(
             f"availability requires t <= delta - 1: t = {t} > {delta - 1}")
-    seg = r + delta - 1 - t
-    width = t + N * seg
-    n = g * width
-    cores = []
-    repair = []
-    groups = []
-    for i in range(g):
-        off = i * width
-        core = frozenset(range(off + 1, off + t + 1))
-        sets = []
-        for j in range(N):
-            lo = off + t + j * seg + 1
-            sets.append(core | frozenset(range(lo, lo + seg)))
-        cores.append(core)
-        repair.append(tuple(sets))
-        groups.append(frozenset(range(off + 1, off + width + 1)))
-    topo = Topology(r=r, delta=delta, t=t, g=g, N=N, mode=mode, n=n,
-                    seg=seg, group_width=width,
-                    cores=tuple(cores), repair=tuple(repair),
-                    groups=tuple(groups))
-    _check_layout(topo)
-    return topo
-
-
-def _check_layout(topo: Topology) -> None:
-    # partition and intersection invariants, asserted constructively
-    all_coords = set()
-    for i in range(topo.g):
-        grp = topo.groups[i]
-        if all_coords & grp:
-            raise AssertionError("groups overlap")
-        all_coords |= grp
-        core = topo.cores[i]
-        inter = None
-        for rs in topo.repair[i]:
-            if len(rs) != topo.r + topo.delta - 1:
-                raise AssertionError("repair set has wrong size")
-            if not core <= rs:
-                raise AssertionError("core not contained in repair set")
-            inter = rs if inter is None else inter & rs
-        if topo.N >= 2 and inter != core:
-            raise AssertionError("repair sets do not intersect in the core")
-    if all_coords != set(topo.coords):
-        raise AssertionError("groups do not cover [n]")
+    return Topology(r, delta, t, g, N, mode)
 
 
 @dataclass(frozen=True)
@@ -146,25 +151,25 @@ def _validate_coords(topo: Topology, coords) -> frozenset:
     return e
 
 
-def group_witnesses(topo: Topology, i: int, e):
-    """(witnesses, tight_witnesses) for group i (1-based) of pattern e.
+def group_witnesses(topo: Topology, counts):
+    """(witnesses, tight_witnesses) for one group with part counts
+    counts = [c_0, c_1, .., c_N] (see Topology.part_counts).
 
-    Both are lists of 1-based repair-set indices j; e is a set of
-    coordinates.  R_(i,j) is a witness when it holds at most delta-1
-    erasures and every other R_(i,l) holds at most delta-1 outside the
-    core; a repair set holds at least as many as its own part outside the
-    core, so one overloaded part leaves the group without witnesses.  The
-    group's erasures split into those of R_(i,j) and those of the other
-    parts, so a witness is tight (every inequality an equality) exactly
-    when the group holds N(delta-1) erasures: all witnesses or none are."""
+    Both are lists of 1-based repair-set indices j.  R_(i,j) is a witness
+    when it holds at most delta-1 erasures, c_0 + c_j <= delta-1, and every
+    other segment holds at most delta-1; a repair set holds at least its
+    own segment's erasures, so one overloaded segment leaves the group
+    without witnesses.  The group's erasures split into those of R_(i,j)
+    and those of the other segments, so a witness is tight (every
+    inequality an equality) exactly when the group holds N(delta-1)
+    erasures: all witnesses or none are."""
     d1 = topo.delta - 1
-    in_core = len(e & topo.cores[i - 1])
-    counts = [len(e & rs) for rs in topo.repair[i - 1]]
-    if max(counts) - in_core > d1:
+    segs = counts[1:]
+    if max(segs) > d1:
         return [], []
-    witnesses = [j for j, c in enumerate(counts, 1) if c <= d1]
-    in_group = sum(counts) - (topo.N - 1) * in_core
-    return witnesses, (witnesses if in_group == topo.N * d1 else [])
+    room = d1 - counts[0]
+    witnesses = [j for j, c in enumerate(segs, 1) if c <= room]
+    return witnesses, (witnesses if sum(counts) == topo.N * d1 else [])
 
 
 def classify_pattern(topo: Topology, coords) -> PatternClass:
@@ -172,8 +177,8 @@ def classify_pattern(topo: Topology, coords) -> PatternClass:
     e = _validate_coords(topo, coords)
     chosen = []
     all_tight = True
-    for i in range(1, topo.g + 1):
-        witnesses, tight = group_witnesses(topo, i, e)
+    for counts in topo.part_counts(e):
+        witnesses, tight = group_witnesses(topo, counts)
         if not witnesses:
             return PatternClass(False, False, None)
         all_tight = all_tight and bool(tight)
@@ -245,32 +250,38 @@ def count_maximal_patterns(topo: Topology) -> int:
     return _per_group_count(topo) ** topo.g
 
 
-def enumerate_maximal_patterns(topo: Topology):
-    """Yield every maximal locally correctable pattern exactly once, as a
-    sorted coordinate tuple; raises EnumerationCapExceeded, before building
-    anything, when there are more than DEFAULT_PATTERN_CAP of them."""
+def capped_group_sets(topo: Topology):
+    """per_group_maximal_sets(topo), whose g-fold product is the set of
+    maximal patterns; raises EnumerationCapExceeded, before building
+    anything, when there are more than DEFAULT_PATTERN_CAP patterns."""
     total = count_maximal_patterns(topo)
     if total > DEFAULT_PATTERN_CAP:
         raise EnumerationCapExceeded(
             f"{total} maximal patterns exceed the cap {DEFAULT_PATTERN_CAP}")
-    per_group = per_group_maximal_sets(topo)
+    return per_group_maximal_sets(topo)
+
+
+def enumerate_maximal_patterns(topo: Topology):
+    """Yield every maximal locally correctable pattern exactly once, as a
+    sorted coordinate tuple, the last group varying fastest; raises
+    EnumerationCapExceeded as capped_group_sets does."""
+    per_group = capped_group_sets(topo)
     width = topo.group_width
     for combo in itertools.product(per_group, repeat=topo.g):
         yield tuple(c + i * width for i, cs in enumerate(combo) for c in cs)
 
 
-def _group_deficiency(topo: Topology, i: int, e: frozenset) -> int:
-    """Fewest erasures to remove from group i of e so that it has a witness.
+def _group_deficiency(topo: Topology, counts) -> int:
+    """Fewest erasures to remove from a group with part counts counts so
+    that it has a witness.
 
-    Every repair segment outside the core must drop to delta-1 erasures,
-    which costs its excess; then the core plus the least-loaded segment
-    must drop to delta-1, which costs the excess of that sum."""
+    Every repair segment must drop to delta-1 erasures, which costs its
+    excess; then the core plus the least-loaded segment must drop to
+    delta-1, which costs the excess of that sum."""
     d1 = topo.delta - 1
-    core = topo.cores[i - 1]
-    in_core = len(e & core)
-    segs = [len(e & rs) - in_core for rs in topo.repair[i - 1]]
+    core, *segs = counts
     return (sum(max(0, c - d1) for c in segs)
-            + max(0, in_core + min(min(segs), d1) - d1))
+            + max(0, core + min(min(segs), d1) - d1))
 
 
 def is_mr_correctable_pattern(topo: Topology, h: int, coords) -> bool:
@@ -284,5 +295,5 @@ def is_mr_correctable_pattern(topo: Topology, h: int, coords) -> bool:
     e = _validate_coords(topo, coords)
     if h < 0:
         raise ValueError("h must be non-negative")
-    return sum(_group_deficiency(topo, i, e)
-               for i in range(1, topo.g + 1)) <= h
+    return sum(_group_deficiency(topo, counts)
+               for counts in topo.part_counts(e)) <= h

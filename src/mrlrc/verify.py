@@ -10,12 +10,13 @@ G on the complement must be invertible; a k-subset of coordinates lies
 in the complement of many patterns, so each distinct one is ranked once
 per sweep.  Parity-side, rank(H|_(E u F)) = |E| + h for every h-subset F
 of the complement; H is eliminated on E, which leaves an h x (k + h)
-projection that must be MDS, and consecutive patterns share the
-elimination of the groups they erase alike.  Both routes name the first
-failing subset in itertools.combinations order, so they report what a
-subset-by-subset rank sweep reports.  The sweep also re-checks the
-local-distance premise on every repair set, so a mutilated bundle cannot
-pass by losing its locality.
+projection that must be MDS.  The patterns are a product over the
+groups, and the parity route walks that product depth-first, so each
+group prefix of a pattern is eliminated once for all patterns that share
+it.  Both routes name the first failing subset in itertools.combinations
+order, so they report what a subset-by-subset rank sweep reports.  The
+sweep also re-checks the local-distance premise on every repair set, so
+a mutilated bundle cannot pass by losing its locality.
 
 An erasure pattern E is recoverable iff rank(H|_E) = |E|.
 erasure_rank_defect, which sampled verification, the simulator's global
@@ -42,8 +43,8 @@ from .constructions import (
     KINDS, MrLrcCode, plan_field, premise_violations, split_size,
 )
 from .topology import (
-    Topology, draw_maximal_pattern, enumerate_maximal_patterns,
-    per_group_maximal_sets,
+    Topology, capped_group_sets, draw_maximal_pattern,
+    enumerate_maximal_patterns, per_group_maximal_sets,
 )
 from .rng import ALGORITHM, Xoshiro256
 
@@ -115,10 +116,10 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     be MDS of dimension k (every k x k minor invertible); each distinct
     k-subset of coordinates is ranked once per call.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
-    complement; H is eliminated on E, one group prefix at a time shared
-    by consecutive patterns, and the h x (k + h) projection left over must
-    be MDS.  Neither route uses the other's mechanism, so a fault in one
-    does not hide in the other.
+    complement; H is eliminated on E one group at a time, each group
+    prefix once for all patterns sharing it, and the h x (k + h)
+    projection left over must be MDS.  Neither route uses the other's
+    mechanism, so a fault in one does not hide in the other.
 
     Each failure names the first failing subset in
     itertools.combinations order, as a subset-by-subset rank sweep would.
@@ -130,7 +131,6 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     """
     if side not in ("generator", "parity"):
         raise ValueError("side must be 'generator' or 'parity'")
-    topo = code.topo
     failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
     checked = 0
     if failures and fail_fast:
@@ -138,18 +138,11 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
                         patterns_checked=0, failures=failures,
                         bound_values=_bound_row(code))
     if side == "generator":
-        memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
+        sweep, detail = _generator_sweep(code), "singular minor on surviving columns"
     else:
-        prefixes = _GroupPrefixes(code.H, topo.N * (topo.delta - 1))
-    for pat in enumerate_maximal_patterns(topo):
+        sweep, detail = _parity_sweep(code), "rank defect after adding erasures"
+    for pat, found in sweep:
         checked += 1
-        comp = sorted(set(range(1, topo.n + 1)) - set(pat))
-        if side == "generator":
-            found = _first_singular_minor(code.G, comp, code.k, memo)
-            detail = "singular minor on surviving columns"
-        else:
-            found = prefixes.first_rank_defect(pat, comp, code.h)
-            detail = "rank defect after adding erasures"
         if found is not None:
             failures.append(MrFailure(pat, f"{detail} {list(found)}"))
         if failures and fail_fast:
@@ -157,6 +150,15 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     return MrReport(code_id=code_id(code), mode="exhaustive",
                     patterns_checked=checked, failures=failures,
                     bound_values=_bound_row(code))
+
+
+def _generator_sweep(code: MrLrcCode):
+    """Yield (pattern, first singular k-subset of its complement or None)
+    for every maximal pattern; each distinct k-subset is ranked once."""
+    memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
+    for pat in enumerate_maximal_patterns(code.topo):
+        comp = sorted(set(range(1, code.n + 1)) - set(pat))
+        yield pat, _first_singular_minor(code.G, comp, code.k, memo)
 
 
 def _first_singular_minor(g_mat: MatrixF, comp, k: int,
@@ -179,56 +181,38 @@ def _first_singular_minor(g_mat: MatrixF, comp, k: int,
     return None
 
 
-class _GroupPrefixes:
-    """The parity route's eliminations of H, shared across patterns.
+def _parity_sweep(code: MrLrcCode):
+    """Yield (pattern, first h-subset F of its complement, in combinations
+    order, with rank(H|_(pattern u F)) < |pattern| + h, or None) for every
+    maximal pattern, in enumerate_maximal_patterns order.
 
-    A maximal pattern erases m = N(delta-1) coordinates in each of the g
-    groups, pat[i*m:(i+1)*m] in group i, and enumerate_maximal_patterns
-    varies the last groups fastest.  states[i] holds H's rows, in their
-    original column order, after forward elimination on the erased
-    columns of the first i groups, with its pivot count; a pattern pops
-    back to the prefix it shares with the previous one and eliminates
-    only the groups after it.  The pivots are those of one elimination on
-    pat's columns in order, so the projection is the same.
+    The walk takes the product of the per-group sets one group at a time.
+    Choosing group i's set eliminates H on its columns below the pivots of
+    the earlier groups' choices, so each group prefix is eliminated once
+    and the pivots are those of one elimination on the pattern's columns
+    in order.  At a leaf the rows below the |E| pivots are zero on E; on
+    the complement they are the projection P, and rank(H|_(E u F)) = |E| +
+    rank(P|_F).  When H|_E is itself rank-deficient every F fails, the
+    first being the first h complement coordinates.
     """
+    topo, ctx, h, e = code.topo, code.H.ctx, code.h, code.topo.local_parity_count()
+    per_group = capped_group_sets(topo)
+    width = topo.group_width
 
-    def __init__(self, h_mat: MatrixF, m: int):
-        self.ctx = h_mat.ctx
-        self.m = m
-        self.groups: list[tuple] = []
-        self.states = [([list(row) for row in h_mat.data], 0)]
+    def walk(i, rows, rank, pat):
+        if i == topo.g:
+            comp = sorted(set(range(1, topo.n + 1)) - set(pat))
+            found = range(h) if rank < e else first_dependent(
+                [[row[c - 1] for c in comp] for row in rows[e:]], ctx, h)
+            yield pat, None if found is None else tuple(comp[j] for j in found)
+            return
+        for cs in per_group:
+            grp = tuple(c + i * width for c in cs)
+            tail = rows[rank:]
+            pivots, _ = reduce_rows(tail, ctx, [c - 1 for c in grp])
+            yield from walk(i + 1, rows[:rank] + tail, rank + len(pivots), pat + grp)
 
-    def first_rank_defect(self, pat, comp, h: int) -> tuple | None:
-        """The first h-subset F of comp, in combinations order, with
-        rank(H|_(pat u F)) < |pat| + h, or None.
-
-        After forward elimination on pat the rows below its |pat| pivots
-        are zero on pat; on comp they are the projection P, and
-        rank(H|_(pat u F)) = |pat| + rank(P|_F).  When H|_pat is itself
-        rank-deficient every F fails, the first being comp[:h].
-        """
-        m = self.m
-        groups = [pat[i:i + m] for i in range(0, len(pat), m)] if m else []
-        keep = 0
-        for old, new in zip(self.groups, groups):
-            if old != new:
-                break
-            keep += 1
-        del self.groups[keep:], self.states[keep + 1:]
-        rows, r = self.states[-1]
-        for grp in groups[keep:]:
-            tail = rows[r:]
-            pivots, _ = reduce_rows(tail, self.ctx, [c - 1 for c in grp])
-            rows = rows[:r] + tail
-            r += len(pivots)
-            self.groups.append(grp)
-            self.states.append((rows, r))
-        e = len(pat)
-        if r < e:
-            return tuple(comp[:h])
-        found = first_dependent([[row[c - 1] for c in comp] for row in rows[e:]],
-                                self.ctx, h)
-        return None if found is None else tuple(comp[j] for j in found)
+    yield from walk(0, [list(row) for row in code.H.data], 0, ())
 
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:

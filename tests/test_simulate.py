@@ -1,7 +1,11 @@
 """Failure simulator: outcome envelopes, cost accounting, determinism."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
+from mrlrc import simulate
 from mrlrc.constructions import construct
 from mrlrc.simulate import SimConfig, run_simulation
 from mrlrc.topology import make_topology
@@ -103,3 +107,56 @@ def test_overhead_columns_availability_design():
     doc = rep.to_json_dict()
     assert doc["overhead"] == {"local_parities": 32,
                                "baseline_local_parities": 64}
+
+
+def set_local_repair(topo, erased):
+    """The local phase by set algebra, as the simulator once computed it:
+    each group takes its first witness repair set (by the definition in
+    mrlrc.topology), repairs its erasures, then those of every other
+    repair set outside the core, and removes them from the erased set."""
+    d1 = topo.delta - 1
+    reads = repaired = width = 0
+    remaining = set(erased)
+    for i in range(topo.g):
+        group_erased = remaining & topo.groups[i]
+        if not group_erased:
+            continue
+        core, sets = topo.cores[i], topo.repair[i]
+        witnesses = [j for j in range(topo.N)
+                     if len(group_erased & sets[j]) <= d1 and all(
+                         len(group_erased & (sets[l] - core)) <= d1
+                         for l in range(topo.N) if l != j)]
+        if not witnesses:
+            continue
+        witness = witnesses[0]
+        in_witness = group_erased & sets[witness]
+        if in_witness:
+            reads += topo.r
+            repaired += len(in_witness)
+            remaining -= in_witness
+        parallel = 0
+        for l in range(topo.N):
+            if l == witness:
+                continue
+            in_other = remaining & (sets[l] - core)
+            if in_other:
+                reads += topo.r
+                repaired += len(in_other)
+                remaining -= in_other
+                parallel += 1
+        width = max(width, parallel)
+    return not remaining, reads, repaired, width
+
+
+@pytest.mark.parametrize("params", [
+    (2, 1, 2, 2, 1), (2, 1, 1, 2, 2), (2, 2, 1, 2, 2), (2, 2, 2, 1, 3),
+    (1, 3, 1, 1, 3), (2, 3, 1, 1, 2), (3, 2, 2, 2, 1), (1, 2, 1, 2, 3),
+])
+def test_local_repair_matches_set_oracle(params):
+    # every subset of [n]: the part-count arithmetic against set algebra
+    topo = make_topology(*params)
+    code = SimpleNamespace(topo=topo)
+    for size in range(topo.n + 1):
+        for erased in itertools.combinations(topo.coords, size):
+            assert simulate._local_repair(code, set(erased)) == \
+                set_local_repair(topo, erased), erased

@@ -1,5 +1,6 @@
 """Coordinate layout, pattern classification, maximal-pattern enumeration."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -171,7 +172,7 @@ def test_group_witnesses_match_definition(params):
             tight = [j for j in witnesses if len(e & sets[j - 1]) == d1
                      and all(len((sets[l] - core) & e) == d1
                              for l in range(topo.N) if l != j - 1)]
-            assert group_witnesses(topo, 1, e) == (witnesses, tight)
+            assert group_witnesses(topo, topo.part_counts(e)[0]) == (witnesses, tight)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -293,14 +294,14 @@ def test_group_deficiency_matches_search(params):
     def search(e):
         for size in range(len(e) + 1):
             for removal in itertools.combinations(sorted(e), size):
-                if group_witnesses(topo, g, e - set(removal))[0]:
+                if group_witnesses(topo, topo.part_counts(e - set(removal))[g - 1])[0]:
                     return size
 
     coords = sorted(topo.groups[g - 1])
     for size in range(len(coords) + 1):
         for e in itertools.combinations(coords, size):
             e = frozenset(e)
-            assert topology._group_deficiency(topo, g, e) == search(e), e
+            assert topology._group_deficiency(topo, topo.part_counts(e)[g - 1]) == search(e), e
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,7 +311,39 @@ def test_layout_invariants_hypothesis(r, delta, g, n_avail):
                          mode="availability")
     assert topo.n == g * (topo.t + n_avail * (r + delta - 1 - topo.t))
     seen = set()
-    for grp in topo.groups:
+    for grp, core, sets in zip(topo.groups, topo.cores, topo.repair):
         assert not (seen & grp)
         seen |= grp
+        for rs in sets:
+            assert len(rs) == r + delta - 1
+            assert core <= rs <= grp
+        if n_avail >= 2:
+            for a, b in itertools.combinations(sets, 2):
+                assert a & b == core
     assert seen == set(topo.coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 3), st.data())
+def test_part_counts_match_set_intersections(r, delta, t, g, n_avail, data):
+    topo = make_topology(r, delta, min(t, r), g, n_avail)
+    e = data.draw(st.sets(st.integers(1, topo.n)))
+    assert topo.part_counts(e) == [
+        [len(e & core)] + [len(e & (rs - core)) for rs in sets]
+        for core, sets in zip(topo.cores, topo.repair)]
+
+
+def test_huge_topology_is_arithmetic():
+    # the layout is derived, so a 10^9-coordinate topology costs nothing
+    # until its coordinate sets are read
+    start = time.monotonic()
+    topo = make_topology(10 ** 9, 2, 1, 1, 1)
+    assert topo.n == 10 ** 9 + 1
+    assert topo.part_counts([1, 2, 10 ** 9 + 1]) == [[1, 2]]
+    assert time.monotonic() - start < 1
+
+
+def test_topology_stores_only_its_parameters():
+    assert [f.name for f in dataclasses.fields(topology.Topology)] == [
+        "r", "delta", "t", "g", "N", "mode"]

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from mrlrc.ff import field_ctx
 from mrlrc.matrix import MatrixF
-from mrlrc import verify
+from mrlrc import topology, verify
 from mrlrc.constructions import construct, encode, premise_violations
-from mrlrc.topology import enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology
+from mrlrc.topology import (
+    EnumerationCapExceeded, enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology,
+)
 from mrlrc.verify import (
     InvalidInput, MrFailure, MrReport, WrongKind, _bound_row, code_id, construction3_pattern_check,
     decode_erasures, ell_bounds, ell_exact, erasure_rank_defect,
@@ -177,6 +179,22 @@ def test_parity_route_group_prefixes_match_oracle(monkeypatch):
         assert fast.patterns_checked > 0 and len(fast.failures) == 1
         assert fast.to_json() == oracle_report(
             m, "parity", fail_fast=True, premise=lambda code: []), name
+
+
+def test_both_routes_check_the_pattern_cap_first(gen_code, monkeypatch):
+    # the parity walk refuses an over-cap code before eliminating anything
+    monkeypatch.setattr(topology, "DEFAULT_PATTERN_CAP", 10)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("reduce_rows called before the cap check")
+
+    monkeypatch.setattr(verify, "reduce_rows", no_elimination)
+    messages = set()
+    for side in ("generator", "parity"):
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            verify_mr_exhaustive(gen_code, side=side)
+        messages.add(str(exc.value))
+    assert messages == {"64 maximal patterns exceed the cap 10"}
 
 
 def test_generator_route_rank_deficient_on_complement():
