@@ -131,9 +131,8 @@ def _bounds_text(row, as_json: bool = False) -> str:
                          f"-> floor {lb['floor']}{flag}")
         return "\n".join(lines)
     except ValueError:
-        # CPython caps int-to-decimal conversion, which takes quadratic time
-        raise ValueError(f"a bound has more than {sys.get_int_max_str_digits()} "
-                         "decimal digits, the limit for writing an integer") from None
+        # a bound within float error of the digit cap is computed, then refused here
+        raise constructions.BoundTooLong() from None
 
 
 def cmd_construct(args) -> int:

@@ -48,8 +48,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, log10
 from operator import attrgetter
 
 from .elim import reduce_rows
@@ -69,6 +70,28 @@ class ConstraintViolated(ValueError):
 
 class NotInformationAvailable(ValueError):
     """The core set T contains no information set for this code."""
+
+
+class BoundTooLong(ValueError):
+    """A bound has more decimal digits than CPython writes out; the cap
+    stays, since the int-to-decimal conversion takes quadratic time."""
+
+    def __init__(self):
+        super().__init__(f"a bound has more than {sys.get_int_max_str_digits()} "
+                         "decimal digits, the limit for writing an integer")
+
+
+def bounded_power(base: int, expo: int) -> int:
+    """base ** expo, or BoundTooLong before any multiplication when it
+    would have more decimal digits than sys.get_int_max_str_digits().
+
+    Only a power whose floor(expo * log10(base)) + 1 digits clear the
+    limit by more than float error can hide is refused; one near the limit
+    is computed, and writing it decides."""
+    limit = sys.get_int_max_str_digits()
+    if limit and base > 1 and expo * log10(base) > limit + 1:
+        raise BoundTooLong()
+    return base ** expo
 
 
 @dataclass(frozen=True)
@@ -98,7 +121,7 @@ class FieldPlan:
 
     @property
     def field_size(self) -> int:
-        return self.q ** self.m
+        return bounded_power(self.q, self.m)
 
     @property
     def exact(self) -> bool:
@@ -144,21 +167,24 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
     if kind == "pc1" and h > r:
         raise ConstraintViolated(f"h <= r violated: h = {h} > r = {r}")
     q_raw = max(g + 1, r + delta - 1)
-    q = next_prime_power(q_raw)
-    p, s = is_prime_power(q)
     if kind == "gen":
         m = t + N * (r - t)
-        return FieldPlan(kind, k, h, p, s, m, q_raw ** m)
-    if kind == "pc1":
-        return FieldPlan(kind, k, h, p, s, max(1, h * N), q_raw ** (h * N))
-    # pc2
-    ell = g * (N * (delta - 1) + t) + h
-    target = topo.group_width - 1  # n/g - 1
+        bound = bounded_power(q_raw, m)
+    elif kind == "pc1":
+        m = max(1, h * N)
+        bound = bounded_power(q_raw, h * N)
+    else:
+        ell = g * (N * (delta - 1) + t) + h
+        target = topo.group_width - 1  # n/g - 1
+        bound = bounded_power(target, ell)
+    q = next_prime_power(q_raw)
+    p, s = is_prime_power(q)
+    if kind != "pc2":
+        return FieldPlan(kind, k, h, p, s, m, bound)
     sub_s = 1
     while q ** sub_s < target:
         sub_s += 1
-    return FieldPlan(kind, k, h, p, s, sub_s * ell, target ** ell,
-                     ell=ell, sub_s=sub_s)
+    return FieldPlan(kind, k, h, p, s, sub_s * ell, bound, ell=ell, sub_s=sub_s)
 
 
 @dataclass(frozen=True)

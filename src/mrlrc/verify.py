@@ -6,17 +6,22 @@ A code is maximally recoverable iff for every maximal locally correctable
 pattern E the restriction of the code to the complement of E is MDS of
 dimension k and length k + h.  verify_mr_exhaustive checks exactly that
 on one of two independent routes.  Generator-side, every k x k minor of
-G on the complement must be invertible; a k-subset of coordinates lies
-in the complement of many patterns, so each distinct one is ranked once
-per sweep.  Parity-side, rank(H|_(E u F)) = |E| + h for every h-subset F
-of the complement; H is eliminated on E, which leaves an h x (k + h)
-projection that must be MDS.  The patterns are a product over the
-groups, and the parity route walks that product depth-first, so each
-group prefix of a pattern is eliminated once for all patterns that share
-it.  Both routes name the first failing subset in itertools.combinations
-order, so they report what a subset-by-subset rank sweep reports.  The
-sweep also re-checks the local-distance premise on every repair set, so
-a mutilated bundle cannot pass by losing its locality.
+G on the complement must be invertible.  A k-subset lies in some
+pattern's complement iff its part in each group avoids one of that
+group's maximal sets, so one depth-first walk over G's columns, which
+eliminates each independent prefix once and cuts a prefix that leaves
+that family or cannot grow to k columns, visits each such subset once;
+only when it meets a singular one is each pattern walked on its own
+complement to name its witness.  Parity-side, rank(H|_(E u F)) = |E| +
+h for every h-subset F of the complement; H is eliminated on E, which
+leaves an h x (k + h) projection that must be MDS.  The patterns are a
+product over the groups, and the parity route walks that product
+depth-first, so each group prefix of a pattern is eliminated once for
+all patterns that share it.  Both routes name the first failing subset
+in itertools.combinations order, so they report what a subset-by-subset
+rank sweep reports.  The sweep also re-checks the local-distance premise
+on every repair set, so a mutilated bundle cannot pass by losing its
+locality.
 
 An erasure pattern E is recoverable iff rank(H|_E) = |E|.
 erasure_rank_defect, which sampled verification, the simulator's global
@@ -31,7 +36,6 @@ same seed produce byte-identical documents.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +44,7 @@ from math import comb, floor
 from .elim import first_dependent, reduce_rows
 from .matrix import MatrixF
 from .constructions import (
-    KINDS, MrLrcCode, plan_field, premise_violations, split_size,
+    KINDS, BoundTooLong, MrLrcCode, plan_field, premise_violations, split_size,
 )
 from .topology import (
     Topology, capped_group_sets, draw_maximal_pattern,
@@ -113,8 +117,10 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
     """Sweep every maximal locally correctable pattern.
 
     side "generator": the restriction of G to the pattern complement must
-    be MDS of dimension k (every k x k minor invertible); each distinct
-    k-subset of coordinates is ranked once per call.
+    be MDS of dimension k (every k x k minor invertible); one prefix-tree
+    walk over the k-subsets that lie in some pattern's complement ranks
+    each of them once, and only when it finds a singular one is every
+    pattern walked on its own complement.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
     complement; H is eliminated on E one group at a time, each group
     prefix once for all patterns sharing it, and the h x (k + h)
@@ -154,31 +160,135 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
 
 def _generator_sweep(code: MrLrcCode):
     """Yield (pattern, first singular k-subset of its complement or None)
-    for every maximal pattern; each distinct k-subset is ranked once."""
-    memo: dict[int, bool] = {}  # bitmask of S -> rank(G|_S) == k
-    for pat in enumerate_maximal_patterns(code.topo):
-        comp = sorted(set(range(1, code.n + 1)) - set(pat))
-        yield pat, _first_singular_minor(code.G, comp, code.k, memo)
+    for every maximal pattern, in enumerate_maximal_patterns order.
 
-
-def _first_singular_minor(g_mat: MatrixF, comp, k: int,
-                          memo: dict[int, bool]) -> tuple | None:
-    """The first k-subset S of comp, in combinations order, with
-    rank(G|_S) < k, or None.
-
-    memo maps the bitmask of S to whether G|_S has rank k.  The subsets
-    are walked as tuples of bits 1 << c, so the bitmask of S is the sum of
-    its tuple and the coordinate of a bit is its bit_length - 1.
+    A k-subset S lies in some pattern's complement iff, for every group i,
+    S's part in group i avoids one of group i's maximal sets.  One walk
+    over those coverable subsets settles the code; only when it finds a
+    singular one is each pattern walked on its own complement, which
+    names that pattern's witness.
     """
-    for bits in itertools.combinations([1 << c for c in comp], k):
-        key = sum(bits)
-        full = memo.get(key)
-        if full is None:
-            full = memo[key] = g_mat.rank(
-                [b.bit_length() - 1 for b in bits]) == k
-        if not full:
-            return tuple(b.bit_length() - 1 for b in bits)
-    return None
+    topo, g_mat, k = code.topo, code.G, code.k
+    width = topo.group_width
+    coverable = _avoiding(topo, [capped_group_sets(topo)] * topo.g)
+    singular, _ = _first_dependent_subset(g_mat, k, width, coverable)
+    for pat in enumerate_maximal_patterns(topo):
+        if singular is None:
+            yield pat, None
+            continue
+        parts = [[[c - i * width for c in pat if (c - 1) // width == i]]
+                 for i in range(topo.g)]
+        yield pat, _first_dependent_subset(
+            g_mat, k, width, _avoiding(topo, parts))[0]
+
+
+def _avoiding(topo: Topology, sets) -> list[list[int]]:
+    """The family, for _first_dependent_subset, of the subsets whose part
+    in each group i avoids one of the sets in sets[i] (tuples of 1-based
+    group-local coordinates): per group, the bitmasks of those sets'
+    complements in the group."""
+    full = (1 << topo.group_width) - 1
+    return [[full ^ sum(1 << (c - 1) for c in cs) for cs in group]
+            for group in sets]
+
+
+def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
+                            family) -> tuple[tuple | None, int]:
+    """The first k-subset S of G's columns, in itertools.combinations
+    order, with rank(G|_S) < k among the subsets in family, as 1-based
+    coordinates (or None), and how many family k-subsets were walked: all
+    of them when none is singular.
+
+    family[i] lists bitmasks of the columns of group i (bit b is column
+    i * width + b + 1); a subset is in the family iff its part in every
+    group i lies inside one of family[i]'s masks.
+
+    A depth-first walk over the columns in increasing order keeps, for
+    each independent prefix of j columns, the rows below its j pivots
+    restricted to the columns after its last pick, as elim.first_dependent
+    does for all subsets.  A column is a child only when the prefix plus
+    it still lies in the family and can still grow to k columns: the most
+    it can grow by is the largest of its group's masks that hold the
+    group's picks, counted above the column, plus the largest mask of
+    every later group.  When no row is nonzero in the column, the prefix
+    plus it and each of its completions are singular, so the first
+    singular subset is that prefix completed by the first family columns
+    that follow.
+    """
+    ctx = g_mat.ctx
+    mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
+    n = g_mat.cols
+    grp = [c // width for c in range(n)]
+    bit = [1 << c % width for c in range(n)]
+    # later[i]: the most columns the groups after group i can add
+    later = [0] * len(family)
+    for i in range(len(family) - 1, 0, -1):
+        later[i - 1] = later[i] + max(m.bit_count() for m in family[i])
+    # reach[c]: the most columns >= c any family subset holds
+    reach = [max((m >> c % width).bit_count() for m in family[grp[c]])
+             + later[grp[c]] for c in range(n)]
+    # room[i][sel]: for the picks sel of group i (a local bitmask), the most
+    # columns above sel's top bit that a mask of family[i] holding sel
+    # has, or -1 when none holds it; filled in as the walk reaches each sel
+    room = [{} for _ in family]
+    leaves = 0
+
+    def fill(i, sel):
+        top = sel.bit_length()
+        room[i][sel] = got = max(((m >> top).bit_count() for m in family[i]
+                                  if m & sel == sel), default=-1)
+        return got
+
+    def walk(rows, start, j, gi, sel):
+        # rows[r][c - start] is the entry of row r in column c >= start, or
+        # None once the prefix is singular and only its first completion is
+        # sought; sel holds the picks in group gi, the group of the last pick
+        nonlocal leaves
+        need = k - j - 1  # columns to add after this one
+        for c in range(start, n):
+            if reach[c] <= need:
+                return None
+            i = grp[c]
+            s = (sel if i == gi else 0) | bit[c]
+            got = room[i].get(s)
+            if got is None:
+                got = fill(i, s)
+            if got < 0 or got + later[i] < need:
+                continue
+            x = c - start
+            if rows is not None:
+                for pr, prow in enumerate(rows):
+                    if prow[x]:
+                        break
+                else:
+                    leaves += 1
+                    rows = None  # prefix + c is singular, so is each completion
+            if rows is None:
+                return (c,) + (walk(None, c + 1, j + 1, i, s) if need else ())
+            if not need:
+                leaves += 1
+                continue
+            tail = prow[x + 1:]
+            f = neg(inv(prow[x]))
+            child = []
+            for r, row in enumerate(rows):
+                if r != pr:
+                    y = row[x]
+                    if y:
+                        y = mul(f, y)
+                        child.append([add(v, mul(y, w))
+                                      for v, w in zip(row[x + 1:], tail)])
+                    else:
+                        child.append(row[x + 1:])
+            found = walk(child, c + 1, j + 1, i, s)
+            if found is not None:
+                return (c,) + found
+        return None
+
+    if k == 0:
+        return None, 1
+    found = walk([list(row) for row in g_mat.data], 0, 0, -1, 0)
+    return (None if found is None else tuple(c + 1 for c in found)), leaves
 
 
 def _parity_sweep(code: MrLrcCode):
@@ -404,14 +514,17 @@ def table1_row(topo: Topology, k: int | None = None, h: int | None = None) -> di
     for kind in KINDS:
         try:
             plan = plan_field(topo, kind, h=h)
+            size = plan.field_size
             row[kind] = {
                 "q": plan.q, "m": plan.m,
                 "bound_value": plan.bound_value,
-                "field_size": plan.field_size,
-                "exact": plan.exact,
+                "field_size": size,
+                "exact": size == plan.bound_value,
             }
             if kind == "pc2":
                 row[kind]["ell"] = plan.ell
+        except BoundTooLong:
+            raise
         except ValueError as exc:
             row[kind] = {"inapplicable": str(exc)}
     lo, hi = ell_bounds(topo, h)

@@ -98,6 +98,22 @@ def test_bounds_too_long_to_print_exits_1(capsys, json_flag):
                             "the limit for writing an integer\n")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bounds_too_long_is_refused_before_any_power(capsys, json_flag):
+    # r = 10^8 makes gen's bound (10^8 + 1)^(10^8), pc1's (10^8 + 1)^(10^8 - 1)
+    # and pc2's (10^8)^(10^8 + 1): each has about 8 * 10^8 digits, which
+    # its exponent tells before any of them is computed
+    argv = ["bounds", "--r", "100000000", "--delta", "2", "--t", "1",
+            "--g", "1", "--N", "1", "--k", "1"]
+    start = time.monotonic()
+    assert main(argv + json_flag) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound has more than 4300 decimal digits, "
+                            "the limit for writing an integer\n")
+
+
 @pytest.mark.parametrize("size", [[], ["--k", "4", "--h", "2"]],
                          ids=["neither", "both"])
 @pytest.mark.parametrize("command", ["construct", "bounds"])

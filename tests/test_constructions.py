@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,15 +16,30 @@ from mrlrc.cli import main
 from mrlrc.ff import make_tower
 from mrlrc.matrix import MatrixF, RankDeficient, map_entries, read_srmat, write_srmat
 from mrlrc.constructions import (
-    KINDS, ConstraintViolated, MrLrcCode, NotInformationAvailable, construct, dual_matrix,
-    encode, local_generator, multipliers, plan_field, read_bundle, split_size,
-    systematic_info_placement, write_bundle,
+    KINDS, BoundTooLong, ConstraintViolated, MrLrcCode, NotInformationAvailable,
+    bounded_power, construct, dual_matrix, encode, local_generator, multipliers,
+    plan_field, read_bundle, split_size, systematic_info_placement, write_bundle,
 )
 from mrlrc.topology import make_topology
 from mrlrc.verify import verify_mr_exhaustive, verify_mr_sampled
 
 
 # -- planner
+
+
+def test_bounded_power_refuses_only_unwritable_powers():
+    limit = sys.get_int_max_str_digits()
+    # a power within float error of the limit is computed; writing it decides
+    assert bounded_power(10, limit - 1) == 10 ** (limit - 1)
+    assert bounded_power(10, limit + 1) == 10 ** (limit + 1)
+    with pytest.raises(BoundTooLong, match=f"more than {limit} decimal digits"):
+        bounded_power(10, limit + 2)
+    assert bounded_power(1, 10 ** 18) == 1 and bounded_power(0, 10 ** 18) == 0
+    # each kind's bound is refused before its power, not marked inapplicable
+    topo = make_topology(10 ** 8, 2, 1, 1, 1)
+    for kind in KINDS:
+        with pytest.raises(BoundTooLong):
+            plan_field(topo, kind, k=1)
 
 
 def test_plan_gen_fig1():

@@ -214,6 +214,106 @@ def test_generator_route_rank_deficient_on_complement():
     assert rep.to_json() == oracle_report(bad, "generator")
 
 
+# -- the generator walk against a scan of the coverable k-subsets
+
+
+def coverable_subsets(code) -> list:
+    """The k-subsets of [n], in combinations order, that lie in some
+    maximal pattern's complement."""
+    comps = [frozenset(range(1, code.n + 1)) - frozenset(pat)
+             for pat in enumerate_maximal_patterns(code.topo)]
+    return [sel for sel in itertools.combinations(range(1, code.n + 1), code.k)
+            if any(comp.issuperset(sel) for comp in comps)]
+
+
+def first_singular(g_mat, subsets, k):
+    return next((sel for sel in subsets if g_mat.rank(sel) < k), None)
+
+
+def coverable_walk(code, g_mat=None):
+    """The generator route's one walk over the coverable family."""
+    topo = code.topo
+    family = verify._avoiding(topo, [topology.capped_group_sets(topo)] * topo.g)
+    return verify._first_dependent_subset(
+        code.G if g_mat is None else g_mat, code.k, topo.group_width, family)
+
+
+# the coverable k-subsets of the reference codes, in bvs.REFERENCE_CODES order
+REFERENCE_LEAVES = (160, 48, 760, 180, 18)
+
+
+def test_generator_walk_visits_every_coverable_subset_once():
+    for spec, leaves in zip(bvs.REFERENCE_CODES, REFERENCE_LEAVES):
+        assert len(coverable_subsets(bvs.build(*spec))) == leaves, spec
+    for spec in ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
+                                ("pc2", (2, 2, 1, 2, 1), {"k": 0})):
+        code = bvs.build(*spec)
+        subsets = coverable_subsets(code)
+        assert coverable_walk(code) == (
+            first_singular(code.G, subsets, code.k), len(subsets)), spec
+    # k = 0: the empty subset is the one leaf, and it is independent
+    assert coverable_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == (None, 1)
+    # h = 0: every coverable k-subset is a whole pattern complement
+    h0 = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 6})
+    assert coverable_walk(h0) == (None, topology.count_maximal_patterns(h0.topo))
+
+
+def singular_entry(g_mat, sel, rnd):
+    """(i, j, value): an entry of G whose change makes G|_sel singular, or
+    None.  det(G|_sel) is affine in any one entry; this one solves for the
+    root at a random entry whose cofactor is nonzero."""
+    ctx = g_mat.ctx
+    sub = g_mat.restrict_columns(sel)
+    i, jj = rnd.randrange(sub.rows), rnd.randrange(sub.cols)
+    d0, d1 = sub.with_entry(i, jj, 0).det(), sub.with_entry(i, jj, 1).det()
+    cof = ctx.add(d1, ctx.neg(d0))
+    if not cof:
+        return None
+    return i, sel[jj] - 1, ctx.mul(ctx.neg(d0), ctx.inv(cof))
+
+
+def test_generator_walk_on_mutants_matches_coverable_scan():
+    # 52 one-entry G mutants per code, 364 in all: half change a random
+    # entry to a random value, half make a random coverable k-subset
+    # singular.  A family that is too narrow passes a mutant the scan
+    # fails; one that is too wide names a subset that no pattern's
+    # complement holds
+    rnd = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    for spec in ORACLE_CODES:
+        code = bvs.build(*spec)
+        order = code.G.ctx.order
+        coverable = coverable_subsets(code)
+        made = 0
+        while made < 52:
+            if made % 2:
+                entry = singular_entry(code.G, rnd.choice(coverable), rnd)
+            else:
+                i, j = rnd.randrange(code.k), rnd.randrange(code.n)
+                entry = i, j, rnd.randrange(order)
+            if entry is None or code.G[entry[0], entry[1]] == entry[2]:
+                continue
+            made += 1
+            g_mat = code.G.with_entry(*entry)
+            found, _ = coverable_walk(code, g_mat)
+            assert found == first_singular(g_mat, coverable, code.k), (spec, entry)
+            outcomes[found is None] += 1
+    assert outcomes[True] + outcomes[False] == 52 * len(ORACLE_CODES)
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_generator_route_uses_neither_parity_mechanism(monkeypatch):
+    def parity_only(*args, **kwargs):
+        raise AssertionError("generator route used a parity-route mechanism")
+
+    monkeypatch.setattr(verify, "first_dependent", parity_only)
+    monkeypatch.setattr(verify, "_parity_sweep", parity_only)
+    code = bvs.build("gen", (3, 2, 2, 2, 2), {"k": 6})
+    assert verify_mr_exhaustive(code, side="generator").passed
+    for m in mutants(code):
+        verify_mr_exhaustive(m, side="generator")
+
+
 def test_fail_fast_returns_first_failure(monkeypatch):
     code = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 5})
     muts = list(mutants(code))
