@@ -54,7 +54,9 @@ from math import comb, log10
 from operator import attrgetter
 
 from .elim import reduce_rows
-from .ff import FieldTower, make_tower, is_prime_power, next_prime_power
+from .ff import (
+    ORDER_LIMIT, DegreeOverflow, FieldTower, make_tower, is_prime_power, next_prime_power,
+)
 from .matrix import MatrixF, RankDeficient, block_diag, map_entries, read_srmat, write_srmat
 from .localmds import MdsSpec, structured_mds, vandermonde_columns
 from .sumrank import frobenius_rows
@@ -167,6 +169,9 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
     if kind == "pc1" and h > r:
         raise ConstraintViolated(f"h <= r violated: h = {h} > r = {r}")
     q_raw = max(g + 1, r + delta - 1)
+    if q_raw > ORDER_LIMIT:  # no such field is built; refused before any search
+        raise DegreeOverflow(f"q >= max(g+1, r+delta-1) = {q_raw} exceeds the "
+                             f"field order limit {ORDER_LIMIT}")
     if kind == "gen":
         m = t + N * (r - t)
         bound = bounded_power(q_raw, m)

@@ -10,18 +10,20 @@ G on the complement must be invertible.  A k-subset lies in some
 pattern's complement iff its part in each group avoids one of that
 group's maximal sets, so one depth-first walk over G's columns, which
 eliminates each independent prefix once and cuts a prefix that leaves
-that family or cannot grow to k columns, visits each such subset once;
-only when it meets a singular one is each pattern walked on its own
-complement to name its witness.  Parity-side, rank(H|_(E u F)) = |E| +
+that family or cannot grow to k columns, visits each such subset once.
+A passing sweep therefore enumerates no pattern; only when the walk meets
+a singular subset is each pattern walked on its own complement to name
+its witness.  Parity-side, rank(H|_(E u F)) = |E| +
 h for every h-subset F of the complement; H is eliminated on E, which
 leaves an h x (k + h) projection that must be MDS.  The patterns are a
 product over the groups, and the parity route walks that product
 depth-first, so each group prefix of a pattern is eliminated once for
 all patterns that share it.  Both routes name the first failing subset
 in itertools.combinations order, so they report what a subset-by-subset
-rank sweep reports.  The sweep also re-checks the local-distance premise
-on every repair set, so a mutilated bundle cannot pass by losing its
-locality.
+rank sweep reports; either sweep yields only the failing patterns, and
+the report's pattern count is the closed form.  The sweep also re-checks
+the local-distance premise on every repair set, so a mutilated bundle
+cannot pass by losing its locality.
 
 An erasure pattern E is recoverable iff rank(H|_E) = |E|.
 erasure_rank_defect, which sampled verification, the simulator's global
@@ -44,10 +46,11 @@ from math import comb, floor
 from .elim import first_dependent, reduce_rows
 from .matrix import MatrixF
 from .constructions import (
-    KINDS, BoundTooLong, MrLrcCode, plan_field, premise_violations, split_size,
+    KINDS, BoundTooLong, MrLrcCode, bounded_power, plan_field, premise_violations,
+    split_size,
 )
 from .topology import (
-    Topology, capped_group_sets, draw_maximal_pattern,
+    Topology, capped_group_sets, count_maximal_patterns, draw_maximal_pattern,
     enumerate_maximal_patterns, per_group_maximal_sets,
 )
 from .rng import ALGORITHM, Xoshiro256
@@ -112,74 +115,64 @@ def code_id(code: MrLrcCode) -> str:
             f"-k{code.k}-h{code.h}")
 
 
-def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator",
-                         fail_fast: bool = False) -> MrReport:
+def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     """Sweep every maximal locally correctable pattern.
 
     side "generator": the restriction of G to the pattern complement must
     be MDS of dimension k (every k x k minor invertible); one prefix-tree
     walk over the k-subsets that lie in some pattern's complement ranks
-    each of them once, and only when it finds a singular one is every
-    pattern walked on its own complement.
+    each of them once; a passing sweep enumerates no pattern, and only
+    when the walk finds a singular subset is every pattern walked on its
+    own complement.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
     complement; H is eliminated on E one group at a time, each group
     prefix once for all patterns sharing it, and the h x (k + h)
     projection left over must be MDS.  Neither route uses the other's
     mechanism, so a fault in one does not hide in the other.
 
-    Each failure names the first failing subset in
-    itertools.combinations order, as a subset-by-subset rank sweep would.
-    The local-distance premise (d >= delta on every repair set) is checked
-    first: the pattern criterion certifies maximal recoverability only for
-    codes that are LRCs of the stated type.  With fail_fast the sweep
-    stops at the first failure.  Codes with more maximal patterns than
+    The failures are the violations of the local-distance premise (d >=
+    delta on every repair set; the pattern criterion certifies maximal
+    recoverability only for LRCs of the stated type), then each failing
+    pattern with its first failing subset in itertools.combinations order,
+    as a subset-by-subset rank sweep would name it.  patterns_checked is
+    the closed-form pattern count.  Codes with more maximal patterns than
     topology.DEFAULT_PATTERN_CAP raise EnumerationCapExceeded.
     """
     if side not in ("generator", "parity"):
         raise ValueError("side must be 'generator' or 'parity'")
+    checked = count_maximal_patterns(code.topo)
     failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
-    checked = 0
-    if failures and fail_fast:
-        return MrReport(code_id=code_id(code), mode="exhaustive",
-                        patterns_checked=0, failures=failures,
-                        bound_values=_bound_row(code))
     if side == "generator":
         sweep, detail = _generator_sweep(code), "singular minor on surviving columns"
     else:
         sweep, detail = _parity_sweep(code), "rank defect after adding erasures"
-    for pat, found in sweep:
-        checked += 1
-        if found is not None:
-            failures.append(MrFailure(pat, f"{detail} {list(found)}"))
-        if failures and fail_fast:
-            break
+    failures += [MrFailure(pat, f"{detail} {list(found)}") for pat, found in sweep]
     return MrReport(code_id=code_id(code), mode="exhaustive",
                     patterns_checked=checked, failures=failures,
                     bound_values=_bound_row(code))
 
 
 def _generator_sweep(code: MrLrcCode):
-    """Yield (pattern, first singular k-subset of its complement or None)
-    for every maximal pattern, in enumerate_maximal_patterns order.
+    """Yield (pattern, first singular k-subset of its complement) for each
+    maximal pattern that has one, in enumerate_maximal_patterns order.
 
     A k-subset S lies in some pattern's complement iff, for every group i,
     S's part in group i avoids one of group i's maximal sets.  One walk
-    over those coverable subsets settles the code; only when it finds a
-    singular one is each pattern walked on its own complement, which
-    names that pattern's witness.
+    over those coverable subsets settles the code: when none is singular
+    the sweep yields nothing and enumerates no pattern; otherwise each
+    pattern is walked on its own complement, which names its witness.
     """
     topo, g_mat, k = code.topo, code.G, code.k
     width = topo.group_width
     coverable = _avoiding(topo, [capped_group_sets(topo)] * topo.g)
-    singular, _ = _first_dependent_subset(g_mat, k, width, coverable)
+    if _first_dependent_subset(g_mat, k, width, coverable)[0] is None:
+        return
     for pat in enumerate_maximal_patterns(topo):
-        if singular is None:
-            yield pat, None
-            continue
         parts = [[[c - i * width for c in pat if (c - 1) // width == i]]
                  for i in range(topo.g)]
-        yield pat, _first_dependent_subset(
-            g_mat, k, width, _avoiding(topo, parts))[0]
+        found, _ = _first_dependent_subset(g_mat, k, width, _avoiding(topo, parts))
+        if found is not None:
+            yield pat, found
 
 
 def _avoiding(topo: Topology, sets) -> list[list[int]]:
@@ -293,8 +286,8 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
 
 def _parity_sweep(code: MrLrcCode):
     """Yield (pattern, first h-subset F of its complement, in combinations
-    order, with rank(H|_(pattern u F)) < |pattern| + h, or None) for every
-    maximal pattern, in enumerate_maximal_patterns order.
+    order, with rank(H|_(pattern u F)) < |pattern| + h) for each maximal
+    pattern that has one, in enumerate_maximal_patterns order.
 
     The walk takes the product of the per-group sets one group at a time.
     Choosing group i's set eliminates H on its columns below the pivots of
@@ -314,7 +307,8 @@ def _parity_sweep(code: MrLrcCode):
             comp = sorted(set(range(1, topo.n + 1)) - set(pat))
             found = range(h) if rank < e else first_dependent(
                 [[row[c - 1] for c in comp] for row in rows[e:]], ctx, h)
-            yield pat, None if found is None else tuple(comp[j] for j in found)
+            if found is not None:
+                yield pat, tuple(comp[j] for j in found)
             return
         for cs in per_group:
             grp = tuple(c + i * width for c in cs)
@@ -499,7 +493,7 @@ def _asymptotic(topo: Topology, h: int) -> int | None:
     if h < 2:
         return None
     expo = min(topo.N * (topo.delta - 1), topo.N * ((h - 2) // topo.N))
-    return topo.g * topo.t * topo.r ** expo
+    return topo.g * topo.t * bounded_power(topo.r, expo)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_criterion_1_construction1_exhaustive_mr(c1_codes):
             for j in range(g_mat.cols):
                 new = 0 if g_mat[i, j] else 1
                 bad = replace(code, G=g_mat.with_entry(i, j, new))
-                bad_rep = verify_mr_exhaustive(bad, fail_fast=True)
+                bad_rep = verify_mr_exhaustive(bad)
                 assert not bad_rep.passed, (params, i, j)
                 assert any(f.pattern for f in bad_rep.failures), (params, i, j)
         elapsed = time.monotonic() - start

@@ -114,6 +114,49 @@ def test_bounds_too_long_is_refused_before_any_power(capsys, json_flag):
                             "the limit for writing an integer\n")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bounds_field_order_over_the_limit_is_inapplicable(tmp_path, capsys, json_flag):
+    # g = 10^18 asks for a base field of order at least g + 1 > 2^40, which
+    # no FieldCtx builds: each kind is refused before any prime-power search
+    sizes = ["--r", "2", "--delta", "2", "--t", "1", "--g", "1000000000000000000",
+             "--N", "1", "--k", "1"]
+    start = time.monotonic()
+    assert main(["bounds"] + sizes + json_flag) == 0
+    assert time.monotonic() - start < 1
+    out = capsys.readouterr().out
+    refused = ("q >= max(g+1, r+delta-1) = 1000000000000000001 exceeds the "
+               "field order limit 1099511627776")
+    if json_flag:
+        row = json.loads(out)
+        assert row["gen"] == row["pc2"] == {"inapplicable": refused}
+        assert "inapplicable" in row["pc1"]
+    else:
+        assert f"  gen: inapplicable ({refused})" in out.splitlines()
+        assert f"  pc2: inapplicable ({refused})" in out.splitlines()
+        assert "  pc1: inapplicable (h <= r violated" in out
+    start = time.monotonic()
+    assert main(["construct", "--kind", "gen"] + sizes + ["--out", str(tmp_path)]) == 1
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == f"error: {refused}\n"
+    assert not (tmp_path / "bundle.json").exists()
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bounds_asymptotic_too_long_exits_1(capsys, json_flag):
+    # gen's bound is (g+1)^3, but the lower bound's asymptotic g t r^expo
+    # has expo = N(delta-1) = 10^9: it is refused as every bound is, before
+    # the power is taken
+    argv = ["bounds", "--r", "3", "--delta", "2", "--t", "3", "--g", "1000000002",
+            "--N", "1000000000", "--k", "1000000002"]
+    start = time.monotonic()
+    assert main(argv + json_flag) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound has more than 4300 decimal digits, "
+                            "the limit for writing an integer\n")
+
+
 @pytest.mark.parametrize("size", [[], ["--k", "4", "--h", "2"]],
                          ids=["neither", "both"])
 @pytest.mark.parametrize("command", ["construct", "bounds"])

@@ -57,19 +57,15 @@ def test_corrupted_entry_fails_with_witness(gen_code):
 # -- the exhaustive routes against the subset-by-subset sweep
 
 
-def oracle_report(code, side: str, fail_fast=False,
-                  premise=premise_violations) -> str:
+def oracle_report(code, side: str) -> str:
     """The exhaustive report as a sweep that ranks every column subset of
     every pattern from scratch: premise violations, then per pattern the
     first subset, in combinations order, that fails its own rank (k-subsets
     S of the complement with rank(G|_S) < k, or h-subsets F of the
-    complement with rank(H|_(pattern u F)) < |pattern| + h).  With
-    fail_fast it stops at the first failure."""
-    failures = [MrFailure(pat, detail) for pat, detail in premise(code)]
+    complement with rank(H|_(pattern u F)) < |pattern| + h)."""
+    failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
     checked = 0
     for pat in enumerate_maximal_patterns(code.topo):
-        if failures and fail_fast:
-            break
         checked += 1
         comp = sorted(set(range(1, code.n + 1)) - set(pat))
         if side == "generator":
@@ -140,7 +136,7 @@ def test_parity_route_rank_deficient_on_pattern():
     assert rep.to_json() == oracle_report(bad, "parity")
 
 
-def test_parity_route_group_prefixes_match_oracle(monkeypatch):
+def test_parity_route_group_prefixes_match_oracle():
     # the parity route eliminates H once per group prefix of the pattern
     # (g = 3 here): single-entry H mutants changing a column of the first,
     # middle and last group, and a zeroed first-group column, which leaves
@@ -172,13 +168,6 @@ def test_parity_route_group_prefixes_match_oracle(monkeypatch):
         assert swept > len(deficient), name
         assert swept < len(pats) or name == "zero column", name
         assert rep.to_json() == oracle_report(m, "parity"), name
-    # without the premise check, fail_fast stops inside the sweep
-    monkeypatch.setattr(verify, "premise_violations", lambda code: [])
-    for name, m in muts.items():
-        fast = verify_mr_exhaustive(m, side="parity", fail_fast=True)
-        assert fast.patterns_checked > 0 and len(fast.failures) == 1
-        assert fast.to_json() == oracle_report(
-            m, "parity", fail_fast=True, premise=lambda code: []), name
 
 
 def test_both_routes_check_the_pattern_cap_first(gen_code, monkeypatch):
@@ -314,31 +303,18 @@ def test_generator_route_uses_neither_parity_mechanism(monkeypatch):
         verify_mr_exhaustive(m, side="generator")
 
 
-def test_fail_fast_returns_first_failure(monkeypatch):
-    code = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 5})
-    muts = list(mutants(code))
-    for side in ("generator", "parity"):
-        for m in muts:
-            # a broken premise ends the call before the sweep
-            premise = premise_violations(m)
-            fast = verify_mr_exhaustive(m, side=side, fail_fast=True)
-            assert premise and fast.patterns_checked == 0
-            assert fast.failures == verify_mr_exhaustive(m, side=side).failures[:len(premise)]
-    # without the premise check the sweep itself stops at its first failure
-    monkeypatch.setattr(verify, "premise_violations", lambda code: [])
-    pats = list(enumerate_maximal_patterns(code.topo))
-    stopped = 0
-    for side in ("generator", "parity"):
-        for m in muts:
-            full = verify_mr_exhaustive(m, side=side)
-            fast = verify_mr_exhaustive(m, side=side, fail_fast=True)
-            if not full.failures:
-                assert fast.to_json() == full.to_json()
-                continue
-            stopped += 1
-            assert fast.failures == full.failures[:1]
-            assert fast.patterns_checked == pats.index(full.failures[0].pattern) + 1
-    assert stopped
+def test_passing_generator_sweep_enumerates_no_pattern(monkeypatch):
+    # the coverable walk settles a passing code on its own, and the report
+    # still counts every pattern, by the closed form
+    def no_enumeration(topo):
+        raise AssertionError("a passing generator sweep enumerated patterns")
+
+    monkeypatch.setattr(verify, "enumerate_maximal_patterns", no_enumeration)
+    for spec in ORACLE_CODES:
+        code = bvs.build(*spec)
+        rep = verify_mr_exhaustive(code, side="generator")
+        assert rep.passed, spec
+        assert rep.patterns_checked == topology.count_maximal_patterns(code.topo), spec
 
 
 def test_report_json_is_seed_stable(gen_code):
