@@ -14,14 +14,19 @@ that family or cannot grow to k columns, visits each such subset once.
 A passing sweep therefore enumerates no pattern; only when the walk meets
 a singular subset is each pattern walked on its own complement to name
 its witness.  Parity-side, rank(H|_(E u F)) = |E| +
-h for every h-subset F of the complement; H is eliminated on E, which
-leaves an h x (k + h) projection that must be MDS.  The patterns are a
-product over the groups, and the parity route walks that product
-depth-first, so each group prefix of a pattern is eliminated once for
-all patterns that share it.  Both routes name the first failing subset
-in itertools.combinations order, so they report what a subset-by-subset
-rank sweep reports; either sweep yields only the failing patterns, and
-the report's pattern count is the closed form.  The sweep also re-checks
+h for every h-subset F of the complement.  The sets E u F are exactly
+the (|E| + h)-sets whose part in each group contains one of that group's
+maximal sets, so one depth-first walk over H's columns, which eliminates
+each independent prefix once and cuts a prefix that can no longer grow
+into such a set, ranks each of them once, and a passing sweep eliminates
+no pattern.  Only when that walk meets a dependent set does the product
+of the per-group sets run, to name the failures: it eliminates H on E
+one group at a time, each group prefix once for all patterns that share
+it, and checks that the h x (k + h) projection left over is MDS.  Both
+routes name the first failing subset in itertools.combinations order, so
+they report what a subset-by-subset rank sweep reports; either sweep
+yields only the failing patterns, and the report's pattern count is the
+closed form.  The sweep also re-checks
 the local-distance premise on every repair set, so a mutilated bundle
 cannot pass by losing its locality.
 
@@ -125,10 +130,14 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     when the walk finds a singular subset is every pattern walked on its
     own complement.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
-    complement; H is eliminated on E one group at a time, each group
+    complement; one prefix-tree walk over the (|E| + h)-sets of H's
+    columns that contain a pattern ranks each of them once, and a passing
+    sweep eliminates no pattern; only when the walk finds a dependent set
+    is H eliminated on each pattern, one group at a time, each group
     prefix once for all patterns sharing it, and the h x (k + h)
-    projection left over must be MDS.  Neither route uses the other's
-    mechanism, so a fault in one does not hide in the other.
+    projection left over checked for MDS, to name the failures.  Neither
+    route uses the other's mechanism, so a fault in one does not hide in
+    the other.
 
     The failures are the violations of the local-distance premise (d >=
     delta on every repair set; the pattern criterion certifies maximal
@@ -284,12 +293,136 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
     return (None if found is None else tuple(c + 1 for c in found)), leaves
 
 
+def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
+                              sets) -> tuple[tuple | None, int]:
+    """The first size-subset U of H's columns, in itertools.combinations
+    order, with rank(H|_U) < size among the subsets whose part in every
+    group contains one of sets (one group's maximal sets, the same in
+    every group, as tuples of 1-based group-local coordinates), as 1-based
+    coordinates (or None), and how many such subsets were walked: all of
+    them when none is dependent.
+
+    Why it decides the parity criterion.  Every maximal pattern has e =
+    gN(delta-1) coordinates, and the patterns are the product of the
+    per-group maximal sets, so a set contains a pattern iff its part in
+    each group contains one of sets.  For a pattern E and an h-subset F of
+    its complement, U = E u F has size = e + h coordinates and contains E;
+    conversely a size-subset U that contains a pattern E is E u (U - E)
+    with |U - E| = h.  And rank(H|_(E u F)) = |E| + h says rank(H|_U) =
+    |U|; with n - k = e + h rows in H that is H|_U invertible, the
+    parity-check form of erasure recovery (Gopalan, Huang, Jenkins and
+    Yekhanin, IEEE T-IT 2014).  So the criterion fails on some (E, F) iff
+    this walk finds a dependent U, and each U is ranked once however many
+    patterns it contains.  U's complement is a k-set that avoids a maximal
+    set in each group, so a passing walk has as many leaves as the
+    generator route's walk over the coverable k-subsets.
+
+    A depth-first walk over the columns in increasing order keeps, for
+    each independent prefix of j columns, the rows below its j pivots
+    restricted to the columns after its last pick.  When no row is nonzero
+    in a column, the prefix plus it and each of its completions are
+    dependent, so the first dependent subset is that prefix completed by
+    the first admissible columns that follow.  The family is upward
+    closed, so a column is a child iff some maximal set M of its group
+    can still be held: M's bits at or below the pick are all picked, and
+    M's missing bits plus the smallest maximal set of each later group fit
+    into the picks left (miss below, tabled per group picks, whose top bit
+    is the pick); any other columns after the pick pad the rest.  A group
+    must hold a maximal set before the next group opens.
+
+    The walk is the parity route's own: it reads H, never G, tests
+    containment of a maximal set rather than avoidance, and shares no
+    code or table with _first_dependent_subset, so a fault in one route's
+    walk cannot hide in the other's, and the subset-sweep oracle checks
+    each route on its own.
+    """
+    ctx = h_mat.ctx
+    mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
+    n = h_mat.cols
+    grp = [c // width for c in range(n)]
+    bit = [1 << c % width for c in range(n)]
+    masks = [sum(1 << (c - 1) for c in cs) for cs in sets]
+    least = min(m.bit_count() for m in masks)
+    # later[i]: the fewest columns the groups after group i must add
+    later = [least * (n // width - 1 - i) for i in range(n // width)]
+    # miss[sel]: for the picks sel of one group (a local bitmask), the fewest
+    # bits above sel's top bit that a maximal set with every lower bit in
+    # sel still lacks (0: sel holds a maximal set), or n when none fits;
+    # filled in as the walk reaches each sel
+    miss = {}
+    leaves = 0
+
+    def fill(sel):
+        top = sel.bit_length()
+        miss[sel] = got = min(((m >> top).bit_count() for m in masks
+                               if not m & ~sel & ((1 << top) - 1)), default=n)
+        return got
+
+    def walk(rows, start, j, gi, sel):
+        # rows[r][c - start] is the entry of row r in column c >= start, or
+        # None once the prefix is dependent and only its first completion is
+        # sought; sel holds the picks in group gi, the group of the last pick
+        nonlocal leaves
+        need = size - j - 1  # columns to add after this one
+        for c in range(start, n - need):
+            i = grp[c]
+            if i == gi:
+                s = sel | bit[c]
+            elif (i - gi > 1 and least) or (gi >= 0 and miss[sel]):
+                return None  # a group left without a maximal set
+            else:
+                s = bit[c]
+            got = miss.get(s)
+            if got is None:
+                got = fill(s)
+            if got + later[i] > need:
+                continue
+            x = c - start
+            if rows is not None:
+                for pr, prow in enumerate(rows):
+                    if prow[x]:
+                        break
+                else:
+                    leaves += 1
+                    rows = None  # prefix + c is dependent, so is each completion
+            if rows is None:
+                return (c,) + (walk(None, c + 1, j + 1, i, s) if need else ())
+            if not need:
+                leaves += 1
+                continue
+            tail = prow[x + 1:]
+            f = neg(inv(prow[x]))
+            child = []
+            for r, row in enumerate(rows):
+                if r != pr:
+                    y = row[x]
+                    if y:
+                        y = mul(f, y)
+                        child.append([add(v, mul(y, w))
+                                      for v, w in zip(row[x + 1:], tail)])
+                    else:
+                        child.append(row[x + 1:])
+            found = walk(child, c + 1, j + 1, i, s)
+            if found is not None:
+                return (c,) + found
+        return None
+
+    if size == 0:
+        return None, 1
+    found = walk([list(row) for row in h_mat.data], 0, 0, -1, 0)
+    return (None if found is None else tuple(c + 1 for c in found)), leaves
+
+
 def _parity_sweep(code: MrLrcCode):
     """Yield (pattern, first h-subset F of its complement, in combinations
     order, with rank(H|_(pattern u F)) < |pattern| + h) for each maximal
     pattern that has one, in enumerate_maximal_patterns order.
 
-    The walk takes the product of the per-group sets one group at a time.
+    One walk over the (|pattern| + h)-sets of H's columns that contain a
+    pattern settles the code (_first_dependent_superset): when none is
+    dependent the sweep yields nothing and eliminates no pattern.
+    Otherwise the product walk below names each failing pattern's witness.
+    It takes the product of the per-group sets one group at a time.
     Choosing group i's set eliminates H on its columns below the pivots of
     the earlier groups' choices, so each group prefix is eliminated once
     and the pivots are those of one elimination on the pattern's columns
@@ -301,6 +434,8 @@ def _parity_sweep(code: MrLrcCode):
     topo, ctx, h, e = code.topo, code.H.ctx, code.h, code.topo.local_parity_count()
     per_group = capped_group_sets(topo)
     width = topo.group_width
+    if _first_dependent_superset(code.H, e + h, width, per_group)[0] is None:
+        return
 
     def walk(i, rows, rank, pat):
         if i == topo.g:

@@ -317,6 +317,111 @@ def test_passing_generator_sweep_enumerates_no_pattern(monkeypatch):
         assert rep.patterns_checked == topology.count_maximal_patterns(code.topo), spec
 
 
+# -- the parity walk against a scan of the sets that contain a pattern
+
+
+def containing_sets(code) -> list:
+    """The (|pattern| + h)-subsets of [n], in combinations order, that
+    contain some maximal pattern."""
+    pats = [frozenset(pat) for pat in enumerate_maximal_patterns(code.topo)]
+    size = code.topo.local_parity_count() + code.h
+    return [sel for sel in itertools.combinations(range(1, code.n + 1), size)
+            if any(pat.issubset(sel) for pat in pats)]
+
+
+def superset_walk(code, h_mat=None):
+    """The parity route's one walk over the sets that contain a pattern."""
+    topo = code.topo
+    return verify._first_dependent_superset(
+        code.H if h_mat is None else h_mat, topo.local_parity_count() + code.h,
+        topo.group_width, topology.capped_group_sets(topo))
+
+
+def first_dependent_set(h_mat, subsets):
+    return next((sel for sel in subsets if h_mat.rank(sel) < len(sel)), None)
+
+
+def test_parity_walk_visits_every_containing_set_once():
+    # the complement of a set that contains a pattern is a coverable
+    # k-subset, so the two walks of a passing code have as many leaves;
+    # with delta = 1 the patterns are empty and a group may be skipped,
+    # and with h = 0 as well the empty set is the one leaf
+    for spec in ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
+                                ("pc2", (2, 2, 1, 2, 1), {"k": 0}),
+                                ("gen", (2, 1, 1, 2, 2), {"k": 3}),
+                                ("gen", (2, 1, 1, 2, 2), {"k": 6})):
+        code = bvs.build(*spec)
+        subsets = containing_sets(code)
+        assert superset_walk(code) == (
+            first_dependent_set(code.H, subsets), len(subsets)), spec
+        assert coverable_walk(code)[1] == len(subsets), spec
+    # k = 0: all n columns are the one leaf
+    assert superset_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == (None, 1)
+    # h = 0: the leaves are the patterns themselves
+    h0 = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 6})
+    assert superset_walk(h0) == (None, topology.count_maximal_patterns(h0.topo))
+
+
+def test_parity_walk_verdict_matches_product_walk(monkeypatch):
+    # the product walk over the patterns, run on its own by making the walk
+    # report a dependent set, is the oracle: on each code, its mutants, 40
+    # random one-entry H mutants and a zeroed H column, the walk finds a
+    # dependent set iff the product walk names a failing pattern, and it
+    # is the first such set in combinations order
+    rnd = random.Random(21)
+    outcomes = {True: 0, False: 0}
+    for spec in ORACLE_CODES:
+        code = bvs.build(*spec)
+        order = code.H.ctx.order
+        subsets = containing_sets(code)
+        zeroed = subsets[0][0]
+        copies = [code, *mutants(code), replace(code, H=MatrixF(code.H.ctx, [
+            r[:zeroed - 1] + (0,) + r[zeroed:] for r in code.H.data]))]
+        made = 0
+        while made < 40:
+            i, j, v = rnd.randrange(code.H.rows), rnd.randrange(code.n), rnd.randrange(order)
+            if code.H[i, j] != v:
+                made += 1
+                copies.append(replace(code, H=code.H.with_entry(i, j, v)))
+        for copy in copies:
+            found, _ = superset_walk(code, copy.H)
+            assert found == first_dependent_set(copy.H, subsets), spec
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_first_dependent_superset", lambda *args: ((), 0))
+                assert (found is None) == (not list(verify._parity_sweep(copy))), spec
+            outcomes[found is None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_parity_route_uses_no_generator_mechanism(monkeypatch):
+    def generator_only(*args, **kwargs):
+        raise AssertionError("parity route used a generator-route mechanism")
+
+    monkeypatch.setattr(verify, "_first_dependent_subset", generator_only)
+    monkeypatch.setattr(verify, "_avoiding", generator_only)
+    monkeypatch.setattr(verify, "_generator_sweep", generator_only)
+    code = bvs.build("gen", (3, 2, 2, 2, 2), {"k": 6})
+    assert verify_mr_exhaustive(code, side="parity").passed
+    for m in mutants(code):
+        verify_mr_exhaustive(m, side="parity")
+
+
+def test_passing_parity_sweep_enumerates_no_pattern(monkeypatch):
+    # the walk over the sets that contain a pattern settles a passing code
+    # on its own: no pattern is eliminated, no projection is checked, and
+    # the report still counts every pattern, by the closed form
+    def no_pattern(*args, **kwargs):
+        raise AssertionError("a passing parity sweep eliminated a pattern")
+
+    monkeypatch.setattr(verify, "reduce_rows", no_pattern)
+    monkeypatch.setattr(verify, "first_dependent", no_pattern)
+    for spec in ORACLE_CODES:
+        code = bvs.build(*spec)
+        rep = verify_mr_exhaustive(code, side="parity")
+        assert rep.passed, spec
+        assert rep.patterns_checked == topology.count_maximal_patterns(code.topo), spec
+
+
 def test_report_json_is_seed_stable(gen_code):
     r1 = verify_mr_sampled(gen_code, trials=50, seed=99)
     r2 = verify_mr_sampled(gen_code, trials=50, seed=99)
