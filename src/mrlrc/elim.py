@@ -1,11 +1,16 @@
 """Gaussian elimination over any field object.
 
-A field here is any object whose ``add``, ``mul``, ``neg`` and ``inv``
+A field here is any object whose ``mul``, ``neg``, ``inv`` and ``axpy``
 methods act on its elements, with zero and one encoded as the integers 0
 and 1: a ff.FieldCtx, including GF(p) for the tower coordinate maps.
 Every rank, determinant, solve, inverse and kernel in mrlrc runs through
 reduce_rows.  This module imports nothing from mrlrc, so ff can use it
 without importing matrix and the layering stays one-way.
+
+Every row update, here and in verify's two walks, is one call of the
+field's kernel ``axpy(y, xs, ws)``, which returns a new list
+[x + y w for x, w in zip(xs, ws)] (on table fields straight from the
+exp/log lists), so rows are replaced, never written into.
 
 reduce_rows pivots on a given sequence of columns, in that order (all of
 them by default).  They need not be a prefix, nor increasing: the parity
@@ -35,7 +40,7 @@ def reduce_rows(rows: list, field, cols=None,
     number of row swaps times the product of the pivots as found.  For a
     square matrix of full rank the factor is its determinant.
     """
-    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
+    mul, neg, inv, axpy = field.mul, field.neg, field.inv, field.axpy
     nrows = len(rows)
     if cols is None:
         cols = range(len(rows[0]) if rows else 0)
@@ -65,7 +70,7 @@ def reduce_rows(rows: list, field, cols=None,
             x = rows[i][c]
             if x and i != r:
                 g = neg(x) if f == 1 else neg(mul(f, x))
-                rows[i] = [add(v, mul(g, w)) for v, w in zip(rows[i], prow)]
+                rows[i] = axpy(g, rows[i], prow)
         pivots.append(c)
         r += 1
     return pivots, factor
@@ -90,7 +95,7 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
         return None
     if size > len(rows):
         return tuple(range(size))
-    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
+    mul, neg, inv, axpy = field.mul, field.neg, field.inv, field.axpy
     ncols = len(rows[0])
 
     def walk(node, start, j):
@@ -119,9 +124,7 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
                 if i != pr:
                     x = row[k]
                     if x:
-                        g = mul(f, x)
-                        child.append([add(v, mul(g, w))
-                                      for v, w in zip(row[k + 1:], tail)])
+                        child.append(axpy(mul(f, x), row[k + 1:], tail))
                     else:
                         child.append(row[k + 1:])
             found = walk(child, start + k + 1, j + 1)

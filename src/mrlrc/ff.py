@@ -23,7 +23,11 @@ inverse, two GF(p) matrices computed once per tower.
 
 Fields of order at most 2^16 get exp/log tables, and Zech tables for odd
 p, built with the generic mul, which is what makes the exhaustive
-verification sweeps fast.  Every p = 2 field adds by XOR.
+verification sweeps fast.  Every p = 2 field adds by XOR.  The one
+vector kernel, axpy(y, xs, ws) = [x + y w for x, w in zip(xs, ws)], is
+the row update of every elimination; on a table field it reads the
+exp/log lists itself (XOR for p = 2, the Zech table for odd p) instead
+of calling mul and add once per entry.
 Larger fields, up to order 2^40, compute on the integer encoding itself
 and keep no per-element state:
 
@@ -447,6 +451,29 @@ class FieldCtx:
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
         return self._g_mul(a, b)
+
+    def axpy(self, y: int, xs, ws) -> list[int]:
+        """[x + y w for x, w in zip(xs, ws)], the row update of elimination.
+
+        y = 0 returns a copy of xs, and a zero w leaves its x as it is.
+        Table fields work on the exp/log lists directly: p = 2 adds by XOR,
+        odd p through the Zech table.  Other fields call mul and add.
+        """
+        if not y:
+            return list(xs)
+        exp = self._exp
+        if exp is None:
+            add, mul = self.add, self.mul
+            return [add(x, mul(y, w)) if w else x for x, w in zip(xs, ws)]
+        log = self._log
+        ly = log[y]
+        if self.p == 2:
+            return [x ^ exp[ly + log[w]] if w else x for x, w in zip(xs, ws)]
+        zech, om1 = self._zech, self.order - 1
+        # x + y w = gamma^lx (1 + gamma^(log(y w) - lx)) for x = gamma^lx
+        return [(exp[lx + z] if (z := zech[(ly + log[w] - lx) % om1]) >= 0 else 0)
+                if x and w else exp[ly + log[w]] if w else x
+                for x, w in zip(xs, ws) for lx in (log[x],)]
 
     def inv(self, a: int) -> int:
         if a == 0:

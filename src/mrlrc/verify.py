@@ -30,6 +30,18 @@ closed form.  The sweep also re-checks
 the local-distance premise on every repair set, so a mutilated bundle
 cannot pass by losing its locality.
 
+Each walk settles its last two levels in one keyed pass.  A node with
+one column left to add after the next pick holds exactly two rows, so
+the prefix plus columns c1 < c2 is singular iff c1's residual 2-vector
+is zero, or c2's is, or the two are proportional.  The pass keys each
+column once by the ratio b/a of its residual (a, b), with one key for
+a = 0 and a mask of the zero columns, and tables per group picks the
+columns that may end the subset.  Each admissible c1 then costs one AND
+of its end columns with the columns of its key or zero, the lowest bit of
+which is the first singular pair in combinations order, and one bit count
+of the leaves; the last level's child rows are never built.  Every row
+update of the levels above is one call of the field's axpy kernel.
+
 An erasure pattern E is recoverable iff rank(H|_E) = |E|.
 erasure_rank_defect, which sampled verification, the simulator's global
 path and the decode command's unrecoverable message read, ranks H|_E
@@ -216,16 +228,33 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
     plus it and each of its completions are singular, so the first
     singular subset is that prefix completed by the first family columns
     that follow.
+
+    The last two levels take one keyed pass (last_two).  With one column
+    left to add after c1 the node holds two rows, so prefix + c1 + c2 is
+    singular iff c1's residual 2-vector is zero, or c2's is, or the two
+    are proportional.  Each column is keyed once by b/a for its residual
+    (a, b), -1 when a = 0, and -2 for (0, 0), which matches every column.
+    ends[i][sel] tables, for the picks sel of group i that end at c1, the
+    columns c2 that the room rules admit as the last pick; it is empty
+    when no mask of family[i] holds sel, so it is also c1's admission.
+    The first singular pair is then c1 with the lowest bit of ends and the
+    columns of c1's key or zero, and the leaves are counted by bit_count.
     """
     ctx = g_mat.ctx
-    mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
+    mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
     n = g_mat.cols
     grp = [c // width for c in range(n)]
     bit = [1 << c % width for c in range(n)]
-    # later[i]: the most columns the groups after group i can add
+    # later[i]: the most columns the groups after group i can add;
+    # after[i]: those columns, as a bitmask over all columns (bit c for
+    # column c), each in some mask of its group
     later = [0] * len(family)
+    after = [0] * len(family)
     for i in range(len(family) - 1, 0, -1):
         later[i - 1] = later[i] + max(m.bit_count() for m in family[i])
+        after[i - 1] = after[i]
+        for m in family[i]:
+            after[i - 1] |= m << i * width
     # reach[c]: the most columns >= c any family subset holds
     reach = [max((m >> c % width).bit_count() for m in family[grp[c]])
              + later[grp[c]] for c in range(n)]
@@ -233,6 +262,10 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
     # columns above sel's top bit that a mask of family[i] holding sel
     # has, or -1 when none holds it; filled in as the walk reaches each sel
     room = [{} for _ in family]
+    # ends[i][sel]: for the picks sel of group i, the columns above sel's
+    # top bit that complete a family subset (bit c for column c), 0 when no
+    # mask of family[i] holds sel; filled in as the keyed pass reaches sel
+    ends = [{} for _ in family]
     leaves = 0
 
     def fill(i, sel):
@@ -241,12 +274,56 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
                                   if m & sel == sel), default=-1)
         return got
 
+    def fill_ends(i, sel):
+        held = 0  # the columns of the masks that hold sel
+        for m in family[i]:
+            if m & sel == sel:
+                held |= m
+        top = sel.bit_length()
+        ends[i][sel] = got = ((held >> top << top + i * width) | after[i]
+                              if held else 0)
+        return got
+
+    def last_two(rows, start, gi, sel):
+        # keys[c - start]: column c's key; keyed[key]: the columns of that
+        # key and the zero columns, every column for key -2
+        nonlocal leaves
+        keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
+        keyed = dict.fromkeys(keys, 0)
+        if len(keyed) < len(keys) or -2 in keyed:
+            for c, key in enumerate(keys, start):
+                keyed[key] |= 1 << c
+            zero = keyed.get(-2, 0)
+            for key in keyed:
+                keyed[key] |= zero
+            keyed[-2] = -1
+        # else every key is distinct and nonzero, and a column never ends
+        # the pair it starts, so no column matches another
+        for c in range(start, n):
+            if reach[c] <= 1:
+                return None
+            i = grp[c]
+            s = (sel if i == gi else 0) | bit[c]
+            got = ends[i].get(s)
+            if got is None:
+                got = fill_ends(i, s)
+            if got:
+                hit = got & keyed[keys[c - start]]
+                if hit:
+                    hit &= -hit
+                    leaves += (got & (hit - 1)).bit_count() + 1
+                    return c, hit.bit_length() - 1
+                leaves += got.bit_count()
+        return None
+
     def walk(rows, start, j, gi, sel):
         # rows[r][c - start] is the entry of row r in column c >= start, or
         # None once the prefix is singular and only its first completion is
         # sought; sel holds the picks in group gi, the group of the last pick
         nonlocal leaves
         need = k - j - 1  # columns to add after this one
+        if need == 1 and rows is not None:
+            return last_two(rows, start, gi, sel)
         for c in range(start, n):
             if reach[c] <= need:
                 return None
@@ -276,12 +353,8 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
             for r, row in enumerate(rows):
                 if r != pr:
                     y = row[x]
-                    if y:
-                        y = mul(f, y)
-                        child.append([add(v, mul(y, w))
-                                      for v, w in zip(row[x + 1:], tail)])
-                    else:
-                        child.append(row[x + 1:])
+                    child.append(axpy(mul(f, y), row[x + 1:], tail) if y
+                                 else row[x + 1:])
             found = walk(child, c + 1, j + 1, i, s)
             if found is not None:
                 return (c,) + found
@@ -330,6 +403,20 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
     is the pick); any other columns after the pick pad the rest.  A group
     must hold a maximal set before the next group opens.
 
+    The last two levels take one keyed pass (last_two), the walk's own.
+    With one column left to add after c1 the node holds two rows, so
+    prefix + c1 + c2 is dependent iff c1's residual 2-vector is zero, or
+    c2's is, or the two are proportional.  Each column is keyed once by
+    b/a for its residual (a, b), -1 when a = 0, and -2 for (0, 0), which
+    matches every column.  ends[i][sel] tables, for the picks sel of group
+    i that end at c1, the columns c2 that may end the set: by the miss
+    rule, those of group i that complete a maximal set when no later group
+    still needs one, and, once sel holds a maximal set, those of the groups
+    that may open next whose single column is a maximal set of its own
+    when no group after them needs one.  The first dependent pair is c1
+    with the lowest bit of ends and the columns of c1's key or zero, and
+    the leaves are counted by bit_count.
+
     The walk is the parity route's own: it reads H, never G, tests
     containment of a maximal set rather than avoidance, and shares no
     code or table with _first_dependent_subset, so a fault in one route's
@@ -337,7 +424,7 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
     each route on its own.
     """
     ctx = h_mat.ctx
-    mul, add, neg, inv = ctx.mul, ctx.add, ctx.neg, ctx.inv
+    mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
     n = h_mat.cols
     grp = [c // width for c in range(n)]
     bit = [1 << c % width for c in range(n)]
@@ -350,6 +437,10 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
     # sel still lacks (0: sel holds a maximal set), or n when none fits;
     # filled in as the walk reaches each sel
     miss = {}
+    # ends[i][sel]: for the picks sel of group i, the columns after sel's
+    # top bit that may end the set (bit c for column c); filled in as the
+    # keyed pass reaches sel
+    ends = [{} for _ in later]
     leaves = 0
 
     def fill(sel):
@@ -358,12 +449,68 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
                                if not m & ~sel & ((1 << top) - 1)), default=n)
         return got
 
+    def missing(sel):
+        got = miss.get(sel)
+        return fill(sel) if got is None else got
+
+    def fill_ends(i, sel):
+        got = 0
+        if not later[i]:
+            for b in range(sel.bit_length(), width):
+                if not missing(sel | 1 << b):
+                    got |= 1 << i * width + b
+        if not missing(sel):
+            for i2 in range(i + 1, min(i + 2, len(later)) if least else len(later)):
+                if not later[i2]:
+                    for b in range(width):
+                        if not missing(1 << b):
+                            got |= 1 << i2 * width + b
+        ends[i][sel] = got
+        return got
+
+    def last_two(rows, start, gi, sel):
+        # keys[c - start]: column c's key; keyed[key]: the columns of that
+        # key and the zero columns, every column for key -2
+        nonlocal leaves
+        keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
+        keyed = dict.fromkeys(keys, 0)
+        if len(keyed) < len(keys) or -2 in keyed:
+            for c, key in enumerate(keys, start):
+                keyed[key] |= 1 << c
+            zero = keyed.get(-2, 0)
+            for key in keyed:
+                keyed[key] |= zero
+            keyed[-2] = -1
+        # else every key is distinct and nonzero, and a column never ends
+        # the pair it starts, so no column matches another
+        for c in range(start, n - 1):
+            i = grp[c]
+            if i == gi:
+                s = sel | bit[c]
+            elif (i - gi > 1 and least) or (gi >= 0 and miss[sel]):
+                return None  # a group left without a maximal set
+            else:
+                s = bit[c]
+            got = ends[i].get(s)
+            if got is None:
+                got = fill_ends(i, s)
+            if got:
+                hit = got & keyed[keys[c - start]]
+                if hit:
+                    hit &= -hit
+                    leaves += (got & (hit - 1)).bit_count() + 1
+                    return c, hit.bit_length() - 1
+                leaves += got.bit_count()
+        return None
+
     def walk(rows, start, j, gi, sel):
         # rows[r][c - start] is the entry of row r in column c >= start, or
         # None once the prefix is dependent and only its first completion is
         # sought; sel holds the picks in group gi, the group of the last pick
         nonlocal leaves
         need = size - j - 1  # columns to add after this one
+        if need == 1 and rows is not None:
+            return last_two(rows, start, gi, sel)
         for c in range(start, n - need):
             i = grp[c]
             if i == gi:
@@ -396,12 +543,8 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
             for r, row in enumerate(rows):
                 if r != pr:
                     y = row[x]
-                    if y:
-                        y = mul(f, y)
-                        child.append([add(v, mul(y, w))
-                                      for v, w in zip(row[x + 1:], tail)])
-                    else:
-                        child.append(row[x + 1:])
+                    child.append(axpy(mul(f, y), row[x + 1:], tail) if y
+                                 else row[x + 1:])
             found = walk(child, c + 1, j + 1, i, s)
             if found is not None:
                 return (c,) + found

@@ -231,6 +231,33 @@ def test_big_fields_match_benchmark_oracle(p, e):
         assert ctx.mul(x, y) == tuple_mul(ctx, x, y)
 
 
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 4), (2, 20), (3, 14)])
+def test_axpy_matches_add_and_mul_on_every_branch(p, e):
+    # p = 2 tables, odd-p Zech tables, and the generic path for each p;
+    # y = 0 must not read log[0], which holds 0 as log[1] does
+    ctx = field_ctx(p, e)
+    assert (ctx._exp is not None) == (ctx.order <= 1 << 16)
+    rnd = random.Random(p * 100 + e)
+    edges = [0, 1, p - 1, ctx.order - 1]
+
+    def entry():
+        return rnd.choice(edges) if rnd.random() < 0.4 else rnd.randrange(ctx.order)
+
+    for _ in range(300):
+        size = rnd.randrange(9)
+        xs = [entry() for _ in range(size)]
+        ws = [entry() for _ in range(size)]
+        for y in (0, 1, entry()):
+            got = ctx.axpy(y, xs, ws)
+            assert got == [ctx.add(x, ctx.mul(y, w)) for x, w in zip(xs, ws)]
+            assert got is not xs
+    # x + y w = 0 when x = -y w
+    for _ in range(100):
+        y, w = rnd.randrange(1, ctx.order), rnd.randrange(1, ctx.order)
+        assert ctx.axpy(y, [ctx.neg(ctx.mul(y, w)), 0], [w, 0]) == [0, 0]
+    assert ctx.axpy(0, [0, 1, 2 % ctx.order], [1, 1, 1]) == [0, 1, 2 % ctx.order]
+
+
 @pytest.mark.parametrize("p,e", [(2, 20), (3, 14), (2, 8), (3, 4)])
 def test_inverse_of_zero_raises(p, e):
     ctx = field_ctx(p, e)

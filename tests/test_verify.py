@@ -422,6 +422,63 @@ def test_passing_parity_sweep_enumerates_no_pattern(monkeypatch):
         assert rep.patterns_checked == topology.count_maximal_patterns(code.topo), spec
 
 
+# -- the keyed pass over each walk's last two columns
+
+
+def scan(subsets, dependent) -> tuple:
+    """The first subset, in the given order, for which dependent holds (or
+    None), and how many subsets a walk that stops there visits."""
+    for count, sel in enumerate(subsets, 1):
+        if dependent(sel):
+            return sel, count
+    return None, len(subsets)
+
+
+def key_class_mutants(m: MatrixF):
+    """Copies of m with a later column j2 set, against an earlier column j,
+    to each column class the keyed pass tells apart: zero, equal to column
+    j, lam times column j, and zero in every row but the last, whose
+    residual keeps a zero first row while the last row is not a pivot."""
+    ctx, cols = m.ctx, list(zip(*m.data))
+    lam = ctx.primitive
+    assert lam != 1
+    for j, j2 in ((0, m.cols - 1), (m.cols // 2 - 1, m.cols // 2), (m.cols - 2, m.cols - 1)):
+        for col in ((0,) * m.rows, cols[j], tuple(ctx.mul(lam, v) for v in cols[j]),
+                    (0,) * (m.rows - 1) + (cols[j2][-1] or 1,)):
+            yield MatrixF(ctx, [row[:j2] + (v,) + row[j2 + 1:]
+                                for row, v in zip(m.data, col)])
+
+
+# ORACLE_CODES, a k = 2 code and two n - k = 2 codes: with two rows at the
+# root, the walks run the keyed pass on their first pick.  The second n - k
+# = 2 code has delta = 1 and three groups, so a parity set may skip a group
+KEYED_CODES = ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 2}),
+                              ("gen", (2, 2, 1, 2, 1), {"k": 4}),
+                              ("gen", (2, 1, 1, 3, 1), {"k": 4}))
+
+
+@pytest.mark.parametrize("spec", KEYED_CODES,
+                         ids=[f"{k}{p}{a}" for k, p, a in KEYED_CODES])
+def test_keyed_pass_matches_brute_force_scans(spec):
+    # (found, leaves) of each walk equal a subset-by-subset scan on G and H
+    # mutants whose columns fall in every key class: a zero column matches
+    # every column, equal and proportional columns share a key, and a zero
+    # first row takes the key of its own
+    code = bvs.build(*spec)
+    outcomes = {True: 0, False: 0}
+    subsets = coverable_subsets(code)
+    for g_mat in key_class_mutants(code.G):
+        got = coverable_walk(code, g_mat)
+        assert got == scan(subsets, lambda sel: g_mat.rank(sel) < code.k), spec
+        outcomes[got[0] is None] += 1
+    subsets = containing_sets(code)
+    for h_mat in key_class_mutants(code.H):
+        got = superset_walk(code, h_mat)
+        assert got == scan(subsets, lambda sel: h_mat.rank(sel) < len(sel)), spec
+        outcomes[got[0] is None] += 1
+    assert outcomes[False] >= 12, outcomes
+
+
 def test_report_json_is_seed_stable(gen_code):
     r1 = verify_mr_sampled(gen_code, trials=50, seed=99)
     r2 = verify_mr_sampled(gen_code, trials=50, seed=99)
