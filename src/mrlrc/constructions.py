@@ -206,7 +206,6 @@ class MrLrcCode:
     plan: FieldPlan
     G: MatrixF
     H: MatrixF
-    info_pivots: tuple | None = None
 
     kind = property(attrgetter("plan.kind"))
     k = property(attrgetter("plan.k"))
@@ -425,7 +424,7 @@ def encode(code: MrLrcCode, message) -> tuple:
     return row.mul(code.G).data[0]
 
 
-def systematic_info_placement(code: MrLrcCode) -> MrLrcCode:
+def systematic_info_placement(code: MrLrcCode) -> tuple[MrLrcCode, tuple]:
     """Row-reduce G to be systematic on k coordinates inside T = u T_i.
 
     Establishes information availability; requires k <= gt and raises
@@ -433,7 +432,8 @@ def systematic_info_placement(code: MrLrcCode) -> MrLrcCode:
     information set.  One reduced elimination of G pivoting on the T
     columns in increasing order pivots on the leftmost independent ones
     and leaves the identity there, the only row-equivalent form of G that
-    has it.
+    has it.  Returns the placed code and those k pivot coordinates
+    (1-based).
     """
     topo = code.topo
     if code.k > topo.g * topo.t:
@@ -445,8 +445,8 @@ def systematic_info_placement(code: MrLrcCode) -> MrLrcCode:
     if len(pivots) < code.k:
         raise NotInformationAvailable(
             f"rank of G restricted to T is {len(pivots)} < k = {code.k}")
-    return replace(code, G=MatrixF(code.G.ctx, rows, cols=code.n),
-                   info_pivots=tuple(c + 1 for c in pivots))
+    return (replace(code, G=MatrixF(code.G.ctx, rows, cols=code.n)),
+            tuple(c + 1 for c in pivots))
 
 
 # ---------------------------------------------------------------------------

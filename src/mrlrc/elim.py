@@ -19,6 +19,12 @@ updates therefore run over whole rows, and replace each changed row with
 a new list rather than writing into it, so callers may share row lists
 between several partly reduced copies of one matrix.
 
+first_dependent names the first dependent column subset of a matrix in
+itertools.combinations order.  Both exhaustive MR routes in verify name
+their witnesses with it, once their own walk has found that the code
+fails: on the k rows of G restricted to a failing pattern's complement,
+and on the projection of H left over after eliminating the pattern.
+
 Pivots are the first nonzero entry at or below the current row, scanning
 top to bottom, so every result is identical across runs.
 """

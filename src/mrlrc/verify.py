@@ -5,30 +5,36 @@ bound evaluators.
 A code is maximally recoverable iff for every maximal locally correctable
 pattern E the restriction of the code to the complement of E is MDS of
 dimension k and length k + h.  verify_mr_exhaustive checks exactly that
-on one of two independent routes.  Generator-side, every k x k minor of
-G on the complement must be invertible.  A k-subset lies in some
-pattern's complement iff its part in each group avoids one of that
-group's maximal sets, so one depth-first walk over G's columns, which
-eliminates each independent prefix once and cuts a prefix that leaves
-that family or cannot grow to k columns, visits each such subset once.
-A passing sweep therefore enumerates no pattern; only when the walk meets
-a singular subset is each pattern walked on its own complement to name
-its witness.  Parity-side, rank(H|_(E u F)) = |E| +
-h for every h-subset F of the complement.  The sets E u F are exactly
-the (|E| + h)-sets whose part in each group contains one of that group's
-maximal sets, so one depth-first walk over H's columns, which eliminates
-each independent prefix once and cuts a prefix that can no longer grow
-into such a set, ranks each of them once, and a passing sweep eliminates
-no pattern.  Only when that walk meets a dependent set does the product
-of the per-group sets run, to name the failures: it eliminates H on E
-one group at a time, each group prefix once for all patterns that share
-it, and checks that the h x (k + h) projection left over is MDS.  Both
-routes name the first failing subset in itertools.combinations order, so
-they report what a subset-by-subset rank sweep reports; either sweep
-yields only the failing patterns, and the report's pattern count is the
-closed form.  The sweep also re-checks
-the local-distance premise on every repair set, so a mutilated bundle
-cannot pass by losing its locality.
+on one of two independent routes, and each has one shape: the route's
+own walk over its own matrix only decides pass or fail, and one
+primitive, elim.first_dependent, names the failures on that matrix.
+
+Generator-side, every k x k minor of G on the complement must be
+invertible.  A k-subset lies in some pattern's complement iff its part
+in each group avoids one of that group's maximal sets, so one
+depth-first walk over G's columns, which eliminates each independent
+prefix once and cuts a prefix that leaves that family or cannot grow to
+k columns, visits each such subset once.  A passing sweep therefore
+enumerates no pattern; only when the walk meets a singular subset is
+elim.first_dependent run on G restricted to each pattern's complement.
+
+Parity-side, rank(H|_(E u F)) = |E| + h for every h-subset F of the
+complement.  The sets E u F are exactly the (|E| + h)-sets whose part in
+each group contains one of that group's maximal sets, so one depth-first
+walk over H's columns, which eliminates each independent prefix once and
+cuts a prefix that can no longer grow into such a set, ranks each of
+them once, and a passing sweep eliminates no pattern.  Only when that
+walk meets a dependent set does the product of the per-group sets run:
+it eliminates H on E one group at a time, each group prefix once for all
+patterns that share it, and elim.first_dependent is run on the h x
+(k + h) projection left over.
+
+elim.first_dependent names the first failing subset in
+itertools.combinations order, so both routes report what a
+subset-by-subset rank sweep reports; either sweep yields only the
+failing patterns, and the report's pattern count is the closed form.
+The sweep also re-checks the local-distance premise on every repair set,
+so a mutilated bundle cannot pass by losing its locality.
 
 Each walk settles its last two levels in one keyed pass.  A node with
 one column left to add after the next pick holds exactly two rows, so
@@ -37,10 +43,10 @@ is zero, or c2's is, or the two are proportional.  The pass keys each
 column once by the ratio b/a of its residual (a, b), with one key for
 a = 0 and a mask of the zero columns, and tables per group picks the
 columns that may end the subset.  Each admissible c1 then costs one AND
-of its end columns with the columns of its key or zero, the lowest bit of
-which is the first singular pair in combinations order, and one bit count
-of the leaves; the last level's child rows are never built.  Every row
-update of the levels above is one call of the field's axpy kernel.
+of its end columns with the columns of its key or zero, which is nonzero
+iff some pair through c1 is singular, and one bit count of the leaves;
+the last level's child rows are never built.  Every row update of the
+levels above is one call of the field's axpy kernel.
 
 An erasure pattern E is recoverable iff rank(H|_E) = |E|.
 erasure_rank_defect, which sampled verification, the simulator's global
@@ -138,18 +144,18 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     side "generator": the restriction of G to the pattern complement must
     be MDS of dimension k (every k x k minor invertible); one prefix-tree
     walk over the k-subsets that lie in some pattern's complement ranks
-    each of them once; a passing sweep enumerates no pattern, and only
-    when the walk finds a singular subset is every pattern walked on its
-    own complement.
+    each of them once, and a passing sweep enumerates no pattern; only
+    when the walk finds a singular subset does elim.first_dependent run
+    on G restricted to each pattern's complement, to name the failures.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
     complement; one prefix-tree walk over the (|E| + h)-sets of H's
     columns that contain a pattern ranks each of them once, and a passing
     sweep eliminates no pattern; only when the walk finds a dependent set
     is H eliminated on each pattern, one group at a time, each group
-    prefix once for all patterns sharing it, and the h x (k + h)
-    projection left over checked for MDS, to name the failures.  Neither
-    route uses the other's mechanism, so a fault in one does not hide in
-    the other.
+    prefix once for all patterns sharing it, and elim.first_dependent run
+    on the h x (k + h) projection left over, to name the failures.
+    Neither route uses the other's walk or matrix, so a fault in one does
+    not hide in the other.
 
     The failures are the violations of the local-distance premise (d >=
     delta on every repair set; the pattern criterion certifies maximal
@@ -174,60 +180,45 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
 
 
 def _generator_sweep(code: MrLrcCode):
-    """Yield (pattern, first singular k-subset of its complement) for each
-    maximal pattern that has one, in enumerate_maximal_patterns order.
+    """Yield (pattern, first singular k-subset of its complement, in
+    combinations order) for each maximal pattern that has one, in
+    enumerate_maximal_patterns order.
 
-    A k-subset S lies in some pattern's complement iff, for every group i,
-    S's part in group i avoids one of group i's maximal sets.  One walk
-    over those coverable subsets settles the code: when none is singular
-    the sweep yields nothing and enumerates no pattern; otherwise each
-    pattern is walked on its own complement, which names its witness.
+    One walk over the k-subsets that lie in some pattern's complement
+    settles the code (_coverable_leaves): when none is singular the sweep
+    yields nothing and enumerates no pattern.  Otherwise
+    elim.first_dependent names each failing pattern's witness on the k
+    rows of G restricted to its complement.
     """
     topo, g_mat, k = code.topo, code.G, code.k
-    width = topo.group_width
-    coverable = _avoiding(topo, [capped_group_sets(topo)] * topo.g)
-    if _first_dependent_subset(g_mat, k, width, coverable)[0] is None:
+    if _coverable_leaves(g_mat, k, topo.group_width, capped_group_sets(topo)) is not None:
         return
+    coords = set(range(1, topo.n + 1))
     for pat in enumerate_maximal_patterns(topo):
-        parts = [[[c - i * width for c in pat if (c - 1) // width == i]]
-                 for i in range(topo.g)]
-        found, _ = _first_dependent_subset(g_mat, k, width, _avoiding(topo, parts))
+        comp = sorted(coords - set(pat))
+        found = first_dependent([[row[c - 1] for c in comp] for row in g_mat.data],
+                                g_mat.ctx, k)
         if found is not None:
-            yield pat, found
+            yield pat, tuple(comp[j] for j in found)
 
 
-def _avoiding(topo: Topology, sets) -> list[list[int]]:
-    """The family, for _first_dependent_subset, of the subsets whose part
-    in each group i avoids one of the sets in sets[i] (tuples of 1-based
-    group-local coordinates): per group, the bitmasks of those sets'
-    complements in the group."""
-    full = (1 << topo.group_width) - 1
-    return [[full ^ sum(1 << (c - 1) for c in cs) for cs in group]
-            for group in sets]
-
-
-def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
-                            family) -> tuple[tuple | None, int]:
-    """The first k-subset S of G's columns, in itertools.combinations
-    order, with rank(G|_S) < k among the subsets in family, as 1-based
-    coordinates (or None), and how many family k-subsets were walked: all
-    of them when none is singular.
-
-    family[i] lists bitmasks of the columns of group i (bit b is column
-    i * width + b + 1); a subset is in the family iff its part in every
-    group i lies inside one of family[i]'s masks.
+def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
+    """How many k-subsets S of G's columns lie in some pattern's
+    complement, when rank(G|_S) = k on every one of them, or None when one
+    is singular.  sets lists one group's maximal sets, the same in every
+    group, as tuples of 1-based group-local coordinates; S lies in some
+    pattern's complement iff its part in every group avoids one of them,
+    that is lies inside one of their complements in the group (masks).
 
     A depth-first walk over the columns in increasing order keeps, for
     each independent prefix of j columns, the rows below its j pivots
     restricted to the columns after its last pick, as elim.first_dependent
     does for all subsets.  A column is a child only when the prefix plus
-    it still lies in the family and can still grow to k columns: the most
-    it can grow by is the largest of its group's masks that hold the
-    group's picks, counted above the column, plus the largest mask of
+    it still avoids a maximal set in each group and can still grow to k
+    columns: the most it can grow by is the largest of the masks that hold
+    its group's picks, counted above the column, plus the largest mask of
     every later group.  When no row is nonzero in the column, the prefix
-    plus it and each of its completions are singular, so the first
-    singular subset is that prefix completed by the first family columns
-    that follow.
+    plus it is singular, and so is each of its completions.
 
     The last two levels take one keyed pass (last_two).  With one column
     left to add after c1 the node holds two rows, so prefix + c1 + c2 is
@@ -236,47 +227,50 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
     (a, b), -1 when a = 0, and -2 for (0, 0), which matches every column.
     ends[i][sel] tables, for the picks sel of group i that end at c1, the
     columns c2 that the room rules admit as the last pick; it is empty
-    when no mask of family[i] holds sel, so it is also c1's admission.
-    The first singular pair is then c1 with the lowest bit of ends and the
-    columns of c1's key or zero, and the leaves are counted by bit_count.
+    when no mask holds sel, so it is also c1's admission.  A singular pair
+    is then any bit shared by ends and the columns of c1's key or zero,
+    and the leaves are counted by bit_count.
     """
     ctx = g_mat.ctx
     mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
     n = g_mat.cols
+    groups = n // width
     grp = [c // width for c in range(n)]
     bit = [1 << c % width for c in range(n)]
+    full = (1 << width) - 1
+    masks = [full ^ sum(1 << (c - 1) for c in cs) for cs in sets]
+    union = 0
+    for m in masks:
+        union |= m
     # later[i]: the most columns the groups after group i can add;
     # after[i]: those columns, as a bitmask over all columns (bit c for
     # column c), each in some mask of its group
-    later = [0] * len(family)
-    after = [0] * len(family)
-    for i in range(len(family) - 1, 0, -1):
-        later[i - 1] = later[i] + max(m.bit_count() for m in family[i])
-        after[i - 1] = after[i]
-        for m in family[i]:
-            after[i - 1] |= m << i * width
-    # reach[c]: the most columns >= c any family subset holds
-    reach = [max((m >> c % width).bit_count() for m in family[grp[c]])
-             + later[grp[c]] for c in range(n)]
-    # room[i][sel]: for the picks sel of group i (a local bitmask), the most
-    # columns above sel's top bit that a mask of family[i] holding sel
-    # has, or -1 when none holds it; filled in as the walk reaches each sel
-    room = [{} for _ in family]
+    later = [max(m.bit_count() for m in masks) * (groups - 1 - i)
+             for i in range(groups)]
+    after = [sum(union << i2 * width for i2 in range(i + 1, groups))
+             for i in range(groups)]
+    # reach[c]: the most columns >= c any coverable subset holds
+    reach = [max((m >> c % width).bit_count() for m in masks) + later[grp[c]]
+             for c in range(n)]
+    # room[sel]: for the picks sel of one group (a local bitmask), the most
+    # columns above sel's top bit that a mask holding sel has, or -1 when
+    # none holds it; filled in as the walk reaches each sel
+    room = {}
     # ends[i][sel]: for the picks sel of group i, the columns above sel's
-    # top bit that complete a family subset (bit c for column c), 0 when no
-    # mask of family[i] holds sel; filled in as the keyed pass reaches sel
-    ends = [{} for _ in family]
+    # top bit that complete a coverable subset (bit c for column c), 0 when
+    # no mask holds sel; filled in as the keyed pass reaches sel
+    ends = [{} for _ in range(groups)]
     leaves = 0
 
-    def fill(i, sel):
+    def fill(sel):
         top = sel.bit_length()
-        room[i][sel] = got = max(((m >> top).bit_count() for m in family[i]
-                                  if m & sel == sel), default=-1)
+        room[sel] = got = max(((m >> top).bit_count() for m in masks
+                               if m & sel == sel), default=-1)
         return got
 
     def fill_ends(i, sel):
         held = 0  # the columns of the masks that hold sel
-        for m in family[i]:
+        for m in masks:
             if m & sel == sel:
                 held |= m
         top = sel.bit_length()
@@ -301,49 +295,42 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
         # the pair it starts, so no column matches another
         for c in range(start, n):
             if reach[c] <= 1:
-                return None
+                return False
             i = grp[c]
             s = (sel if i == gi else 0) | bit[c]
             got = ends[i].get(s)
             if got is None:
                 got = fill_ends(i, s)
             if got:
-                hit = got & keyed[keys[c - start]]
-                if hit:
-                    hit &= -hit
-                    leaves += (got & (hit - 1)).bit_count() + 1
-                    return c, hit.bit_length() - 1
+                if got & keyed[keys[c - start]]:
+                    return True
                 leaves += got.bit_count()
-        return None
+        return False
 
     def walk(rows, start, j, gi, sel):
-        # rows[r][c - start] is the entry of row r in column c >= start, or
-        # None once the prefix is singular and only its first completion is
-        # sought; sel holds the picks in group gi, the group of the last pick
+        # rows[r][c - start] is the entry of row r in column c >= start;
+        # sel holds the picks in group gi, the group of the last pick.
+        # True when some subset below the node is singular
         nonlocal leaves
         need = k - j - 1  # columns to add after this one
-        if need == 1 and rows is not None:
+        if need == 1:
             return last_two(rows, start, gi, sel)
         for c in range(start, n):
             if reach[c] <= need:
-                return None
+                return False
             i = grp[c]
             s = (sel if i == gi else 0) | bit[c]
-            got = room[i].get(s)
+            got = room.get(s)
             if got is None:
-                got = fill(i, s)
+                got = fill(s)
             if got < 0 or got + later[i] < need:
                 continue
             x = c - start
-            if rows is not None:
-                for pr, prow in enumerate(rows):
-                    if prow[x]:
-                        break
-                else:
-                    leaves += 1
-                    rows = None  # prefix + c is singular, so is each completion
-            if rows is None:
-                return (c,) + (walk(None, c + 1, j + 1, i, s) if need else ())
+            for pr, prow in enumerate(rows):
+                if prow[x]:
+                    break
+            else:
+                return True  # prefix + c is singular, so is each completion
             if not need:
                 leaves += 1
                 continue
@@ -355,25 +342,21 @@ def _first_dependent_subset(g_mat: MatrixF, k: int, width: int,
                     y = row[x]
                     child.append(axpy(mul(f, y), row[x + 1:], tail) if y
                                  else row[x + 1:])
-            found = walk(child, c + 1, j + 1, i, s)
-            if found is not None:
-                return (c,) + found
-        return None
+            if walk(child, c + 1, j + 1, i, s):
+                return True
+        return False
 
     if k == 0:
-        return None, 1
-    found = walk([list(row) for row in g_mat.data], 0, 0, -1, 0)
-    return (None if found is None else tuple(c + 1 for c in found)), leaves
+        return 1
+    return None if walk([list(row) for row in g_mat.data], 0, 0, -1, 0) else leaves
 
 
-def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
-                              sets) -> tuple[tuple | None, int]:
-    """The first size-subset U of H's columns, in itertools.combinations
-    order, with rank(H|_U) < size among the subsets whose part in every
-    group contains one of sets (one group's maximal sets, the same in
-    every group, as tuples of 1-based group-local coordinates), as 1-based
-    coordinates (or None), and how many such subsets were walked: all of
-    them when none is dependent.
+def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | None:
+    """How many size-subsets U of H's columns contain a maximal pattern,
+    when rank(H|_U) = size on every one of them, or None when one is
+    dependent.  sets lists one group's maximal sets, the same in every
+    group, as tuples of 1-based group-local coordinates; U contains a
+    pattern iff its part in every group contains one of them.
 
     Why it decides the parity criterion.  Every maximal pattern has e =
     gN(delta-1) coordinates, and the patterns are the product of the
@@ -393,15 +376,14 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
     A depth-first walk over the columns in increasing order keeps, for
     each independent prefix of j columns, the rows below its j pivots
     restricted to the columns after its last pick.  When no row is nonzero
-    in a column, the prefix plus it and each of its completions are
-    dependent, so the first dependent subset is that prefix completed by
-    the first admissible columns that follow.  The family is upward
-    closed, so a column is a child iff some maximal set M of its group
-    can still be held: M's bits at or below the pick are all picked, and
-    M's missing bits plus the smallest maximal set of each later group fit
-    into the picks left (miss below, tabled per group picks, whose top bit
-    is the pick); any other columns after the pick pad the rest.  A group
-    must hold a maximal set before the next group opens.
+    in a column, the prefix plus it is dependent, and so is each of its
+    completions.  The family is upward closed, so a column is a child iff
+    some maximal set M of its group can still be held: M's bits at or
+    below the pick are all picked, and M's missing bits plus the smallest
+    maximal set of each later group fit into the picks left (miss below,
+    tabled per group picks, whose top bit is the pick); any other columns
+    after the pick pad the rest.  A group must hold a maximal set before
+    the next group opens.
 
     The last two levels take one keyed pass (last_two), the walk's own.
     With one column left to add after c1 the node holds two rows, so
@@ -413,15 +395,15 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
     rule, those of group i that complete a maximal set when no later group
     still needs one, and, once sel holds a maximal set, those of the groups
     that may open next whose single column is a maximal set of its own
-    when no group after them needs one.  The first dependent pair is c1
-    with the lowest bit of ends and the columns of c1's key or zero, and
-    the leaves are counted by bit_count.
+    when no group after them needs one.  A dependent pair is then any bit
+    shared by ends and the columns of c1's key or zero, and the leaves are
+    counted by bit_count.
 
     The walk is the parity route's own: it reads H, never G, tests
     containment of a maximal set rather than avoidance, and shares no
-    code or table with _first_dependent_subset, so a fault in one route's
-    walk cannot hide in the other's, and the subset-sweep oracle checks
-    each route on its own.
+    code or table with _coverable_leaves, so a fault in one route's walk
+    cannot hide in the other's, and the subset-sweep oracle checks each
+    route on its own.
     """
     ctx = h_mat.ctx
     mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
@@ -488,35 +470,32 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
             if i == gi:
                 s = sel | bit[c]
             elif (i - gi > 1 and least) or (gi >= 0 and miss[sel]):
-                return None  # a group left without a maximal set
+                return False  # a group left without a maximal set
             else:
                 s = bit[c]
             got = ends[i].get(s)
             if got is None:
                 got = fill_ends(i, s)
             if got:
-                hit = got & keyed[keys[c - start]]
-                if hit:
-                    hit &= -hit
-                    leaves += (got & (hit - 1)).bit_count() + 1
-                    return c, hit.bit_length() - 1
+                if got & keyed[keys[c - start]]:
+                    return True
                 leaves += got.bit_count()
-        return None
+        return False
 
     def walk(rows, start, j, gi, sel):
-        # rows[r][c - start] is the entry of row r in column c >= start, or
-        # None once the prefix is dependent and only its first completion is
-        # sought; sel holds the picks in group gi, the group of the last pick
+        # rows[r][c - start] is the entry of row r in column c >= start;
+        # sel holds the picks in group gi, the group of the last pick.
+        # True when some set below the node is dependent
         nonlocal leaves
         need = size - j - 1  # columns to add after this one
-        if need == 1 and rows is not None:
+        if need == 1:
             return last_two(rows, start, gi, sel)
         for c in range(start, n - need):
             i = grp[c]
             if i == gi:
                 s = sel | bit[c]
             elif (i - gi > 1 and least) or (gi >= 0 and miss[sel]):
-                return None  # a group left without a maximal set
+                return False  # a group left without a maximal set
             else:
                 s = bit[c]
             got = miss.get(s)
@@ -525,15 +504,11 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
             if got + later[i] > need:
                 continue
             x = c - start
-            if rows is not None:
-                for pr, prow in enumerate(rows):
-                    if prow[x]:
-                        break
-                else:
-                    leaves += 1
-                    rows = None  # prefix + c is dependent, so is each completion
-            if rows is None:
-                return (c,) + (walk(None, c + 1, j + 1, i, s) if need else ())
+            for pr, prow in enumerate(rows):
+                if prow[x]:
+                    break
+            else:
+                return True  # prefix + c is dependent, so is each completion
             if not need:
                 leaves += 1
                 continue
@@ -545,15 +520,13 @@ def _first_dependent_superset(h_mat: MatrixF, size: int, width: int,
                     y = row[x]
                     child.append(axpy(mul(f, y), row[x + 1:], tail) if y
                                  else row[x + 1:])
-            found = walk(child, c + 1, j + 1, i, s)
-            if found is not None:
-                return (c,) + found
-        return None
+            if walk(child, c + 1, j + 1, i, s):
+                return True
+        return False
 
     if size == 0:
-        return None, 1
-    found = walk([list(row) for row in h_mat.data], 0, 0, -1, 0)
-    return (None if found is None else tuple(c + 1 for c in found)), leaves
+        return 1
+    return None if walk([list(row) for row in h_mat.data], 0, 0, -1, 0) else leaves
 
 
 def _parity_sweep(code: MrLrcCode):
@@ -562,22 +535,23 @@ def _parity_sweep(code: MrLrcCode):
     pattern that has one, in enumerate_maximal_patterns order.
 
     One walk over the (|pattern| + h)-sets of H's columns that contain a
-    pattern settles the code (_first_dependent_superset): when none is
-    dependent the sweep yields nothing and eliminates no pattern.
-    Otherwise the product walk below names each failing pattern's witness.
-    It takes the product of the per-group sets one group at a time.
-    Choosing group i's set eliminates H on its columns below the pivots of
-    the earlier groups' choices, so each group prefix is eliminated once
-    and the pivots are those of one elimination on the pattern's columns
-    in order.  At a leaf the rows below the |E| pivots are zero on E; on
-    the complement they are the projection P, and rank(H|_(E u F)) = |E| +
-    rank(P|_F).  When H|_E is itself rank-deficient every F fails, the
-    first being the first h complement coordinates.
+    pattern settles the code (_containing_leaves): when none is dependent
+    the sweep yields nothing and eliminates no pattern.  Otherwise the
+    product walk below names each failing pattern's witness.  It takes
+    the product of the per-group sets one group at a time.  Choosing group
+    i's set eliminates H on its columns below the pivots of the earlier
+    groups' choices, so each group prefix is eliminated once and the
+    pivots are those of one elimination on the pattern's columns in
+    order.  At a leaf the rows below the |E| pivots are zero on E; on the
+    complement they are the projection P, and rank(H|_(E u F)) = |E| +
+    rank(P|_F), so elim.first_dependent on P names the witness.  When
+    H|_E is itself rank-deficient every F fails, the first being the first
+    h complement coordinates.
     """
     topo, ctx, h, e = code.topo, code.H.ctx, code.h, code.topo.local_parity_count()
     per_group = capped_group_sets(topo)
     width = topo.group_width
-    if _first_dependent_superset(code.H, e + h, width, per_group)[0] is None:
+    if _containing_leaves(code.H, e + h, width, per_group) is not None:
         return
 
     def walk(i, rows, rank, pat):

@@ -189,9 +189,8 @@ def test_gen_availability_parity_accounting():
     k = topo.g * topo.t
     assert topo.local_parity_count() == k * topo.N
     code = construct(topo, "gen", k=k)
-    placed = systematic_info_placement(code)
-    assert placed.info_pivots == tuple(sorted(c for core in topo.cores
-                                              for c in core))
+    _, pivots = systematic_info_placement(code)
+    assert pivots == tuple(sorted(c for core in topo.cores for c in core))
 
 
 def test_gen_duality_invariants():
@@ -306,9 +305,9 @@ def test_info_placement_requires_small_k():
 def test_info_placement_fig1():
     topo = make_topology(3, 3, 2, 8, 2)
     code = construct(topo, "gen", k=16)  # k = gt
-    placed = systematic_info_placement(code)
+    placed, pivots = systematic_info_placement(code)
     t_coords = tuple(sorted(c for core in topo.cores for c in core))
-    assert placed.info_pivots == t_coords
+    assert pivots == t_coords
     sub = placed.G.restrict_columns(t_coords)
     assert sub == MatrixF.identity(placed.G.ctx, 16)
 
@@ -354,8 +353,8 @@ INFO_CASES = [
     for kind, params, k in INFO_CASES])
 def test_info_placement_matches_greedy_oracle(kind, params, k):
     code = construct(make_topology(*params), kind, k=k)
-    placed = systematic_info_placement(code)
-    assert (placed.G, placed.info_pivots) == info_placement_oracle(code)
+    placed, pivots = systematic_info_placement(code)
+    assert (placed.G, pivots) == info_placement_oracle(code)
     assert placed.G.rows == k and placed.G.cols == code.n
 
 
@@ -418,13 +417,16 @@ def test_encode_shape_and_membership():
 
 def test_bundle_round_trip(tmp_path):
     topo = make_topology(2, 2, 1, 2, 2)
-    for code in (construct(topo, "gen", k=5), construct(topo, "pc1", h=2),
-                 construct(make_topology(2, 2, 1, 2, 1), "pc2", h=1)):
-        assert read_bundle(write_bundle(code, tmp_path / code.kind)) == code
+    placed, _ = systematic_info_placement(construct(topo, "gen", k=2))
+    for name, code in (("gen", construct(topo, "gen", k=5)),
+                       ("pc1", construct(topo, "pc1", h=2)),
+                       ("pc2", construct(make_topology(2, 2, 1, 2, 1), "pc2", h=1)),
+                       ("placed", placed)):
+        assert read_bundle(write_bundle(code, tmp_path / name)) == code
     # equality compares every field, and a code's fields are only what a
     # bundle cannot derive from its plan
     assert [f.name for f in dataclasses.fields(MrLrcCode)] == [
-        "topo", "plan", "G", "H", "info_pivots"]
+        "topo", "plan", "G", "H"]
 
 
 def test_bundle_bytes_deterministic(tmp_path):

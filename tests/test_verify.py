@@ -62,20 +62,23 @@ def oracle_report(code, side: str) -> str:
     every pattern from scratch: premise violations, then per pattern the
     first subset, in combinations order, that fails its own rank (k-subsets
     S of the complement with rank(G|_S) < k, or h-subsets F of the
-    complement with rank(H|_(pattern u F)) < |pattern| + h)."""
+    complement with rank(H|_(pattern u F)) < |pattern| + h).  A column
+    set that several patterns share is ranked once."""
     failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
+    rank = functools.lru_cache(maxsize=None)(
+        code.G.rank if side == "generator" else code.H.rank)
     checked = 0
     for pat in enumerate_maximal_patterns(code.topo):
         checked += 1
         comp = sorted(set(range(1, code.n + 1)) - set(pat))
         if side == "generator":
             found = next((sel for sel in itertools.combinations(comp, code.k)
-                          if code.G.rank(sel) < code.k), None)
+                          if rank(sel) < code.k), None)
             detail = "singular minor on surviving columns"
         else:
             need = len(pat) + code.h
             found = next((sel for sel in itertools.combinations(comp, code.h)
-                          if code.H.rank(sorted(pat + sel)) < need), None)
+                          if rank(tuple(sorted(pat + sel))) < need), None)
             detail = "rank defect after adding erasures"
         if found is not None:
             failures.append(MrFailure(pat, f"{detail} {list(found)}"))
@@ -92,11 +95,32 @@ ORACLE_CODES = tuple(bvs.REFERENCE_CODES) + (
 )
 
 
+def key_class_mutants(m: MatrixF):
+    """Copies of m with a later column j2 set, against an earlier column j,
+    to each column class the keyed pass tells apart: zero, equal to column
+    j, lam times column j, and zero in every row but the last, whose
+    residual keeps a zero first row while the last row is not a pivot."""
+    ctx, cols = m.ctx, list(zip(*m.data))
+    lam = ctx.primitive
+    assert lam != 1
+    for j, j2 in ((0, m.cols - 1), (m.cols // 2 - 1, m.cols // 2), (m.cols - 2, m.cols - 1)):
+        for col in ((0,) * m.rows, cols[j], tuple(ctx.mul(lam, v) for v in cols[j]),
+                    (0,) * (m.rows - 1) + (cols[j2][-1] or 1,)):
+            yield MatrixF(ctx, [row[:j2] + (v,) + row[j2 + 1:]
+                                for row, v in zip(m.data, col)])
+
+
 @pytest.mark.parametrize("spec", ORACLE_CODES,
                          ids=[f"{k}{p}{a}" for k, p, a in ORACLE_CODES])
 def test_exhaustive_routes_match_subset_sweep_oracle(spec):
+    # the key-class mutants send zero, equal and proportional column pairs
+    # through elim.first_dependent's pair pass on G's complements and on
+    # H's projections, and a zeroed H column inside a pattern through the
+    # product walk's rank-deficient branch
     code = bvs.build(*spec)
-    for copy in (code, *mutants(code)):
+    for copy in (code, *mutants(code),
+                 *(replace(code, G=g_mat) for g_mat in key_class_mutants(code.G)),
+                 *(replace(code, H=h_mat) for h_mat in key_class_mutants(code.H))):
         for side in ("generator", "parity"):
             assert (verify_mr_exhaustive(copy, side=side).to_json()
                     == oracle_report(copy, side)), side
@@ -215,16 +239,17 @@ def coverable_subsets(code) -> list:
             if any(comp.issuperset(sel) for comp in comps)]
 
 
-def first_singular(g_mat, subsets, k):
-    return next((sel for sel in subsets if g_mat.rank(sel) < k), None)
+def walk_verdict(subsets, dependent):
+    """What a walk over subsets returns: how many there are when dependent
+    holds on none of them, else None."""
+    return None if any(dependent(sel) for sel in subsets) else len(subsets)
 
 
 def coverable_walk(code, g_mat=None):
-    """The generator route's one walk over the coverable family."""
+    """The generator route's one walk over the coverable k-subsets."""
     topo = code.topo
-    family = verify._avoiding(topo, [topology.capped_group_sets(topo)] * topo.g)
-    return verify._first_dependent_subset(
-        code.G if g_mat is None else g_mat, code.k, topo.group_width, family)
+    return verify._coverable_leaves(code.G if g_mat is None else g_mat, code.k,
+                                    topo.group_width, topology.capped_group_sets(topo))
 
 
 # the coverable k-subsets of the reference codes, in bvs.REFERENCE_CODES order
@@ -234,17 +259,20 @@ REFERENCE_LEAVES = (160, 48, 760, 180, 18)
 def test_generator_walk_visits_every_coverable_subset_once():
     for spec, leaves in zip(bvs.REFERENCE_CODES, REFERENCE_LEAVES):
         assert len(coverable_subsets(bvs.build(*spec))) == leaves, spec
+    # k = 1 and n - k = 1: the walks count leaves one column at a time
     for spec in ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
-                                ("pc2", (2, 2, 1, 2, 1), {"k": 0})):
+                                ("pc2", (2, 2, 1, 2, 1), {"k": 0}),
+                                ("gen", (2, 2, 1, 2, 2), {"k": 1}),
+                                ("gen", (2, 1, 1, 2, 2), {"k": 5})):
         code = bvs.build(*spec)
         subsets = coverable_subsets(code)
-        assert coverable_walk(code) == (
-            first_singular(code.G, subsets, code.k), len(subsets)), spec
+        assert all(code.G.rank(sel) == code.k for sel in subsets), spec
+        assert coverable_walk(code) == len(subsets), spec
     # k = 0: the empty subset is the one leaf, and it is independent
-    assert coverable_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == (None, 1)
+    assert coverable_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == 1
     # h = 0: every coverable k-subset is a whole pattern complement
     h0 = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 6})
-    assert coverable_walk(h0) == (None, topology.count_maximal_patterns(h0.topo))
+    assert coverable_walk(h0) == topology.count_maximal_patterns(h0.topo)
 
 
 def singular_entry(g_mat, sel, rnd):
@@ -265,7 +293,7 @@ def test_generator_walk_on_mutants_matches_coverable_scan():
     # 52 one-entry G mutants per code, 364 in all: half change a random
     # entry to a random value, half make a random coverable k-subset
     # singular.  A family that is too narrow passes a mutant the scan
-    # fails; one that is too wide names a subset that no pattern's
+    # fails; one that is too wide fails on a subset that no pattern's
     # complement holds
     rnd = random.Random(19)
     outcomes = {True: 0, False: 0}
@@ -284,19 +312,47 @@ def test_generator_walk_on_mutants_matches_coverable_scan():
                 continue
             made += 1
             g_mat = code.G.with_entry(*entry)
-            found, _ = coverable_walk(code, g_mat)
-            assert found == first_singular(g_mat, coverable, code.k), (spec, entry)
-            outcomes[found is None] += 1
+            leaves = coverable_walk(code, g_mat)
+            assert leaves == walk_verdict(
+                coverable, lambda sel: g_mat.rank(sel) < code.k), (spec, entry)
+            outcomes[leaves is not None] += 1
     assert outcomes[True] + outcomes[False] == 52 * len(ORACLE_CODES)
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def other_matrix(m: MatrixF, rnd) -> MatrixF:
+    """A random matrix of m's shape over m's field."""
+    return MatrixF(m.ctx, [[rnd.randrange(m.ctx.order) for _ in range(m.cols)]
+                           for _ in range(m.rows)], cols=m.cols)
+
+
+def test_each_route_reads_only_its_own_matrix():
+    # the generator sweep is unchanged when H is swapped for a random
+    # matrix of its shape, and the parity sweep when G is, on every code
+    # and its mutants, failing ones included
+    rnd = random.Random(23)
+    failing = {"generator": 0, "parity": 0}
+    for spec in ORACLE_CODES:
+        code = bvs.build(*spec)
+        for copy in (code, *mutants(code)):
+            got = list(verify._generator_sweep(copy))
+            assert got == list(verify._generator_sweep(
+                replace(copy, H=other_matrix(copy.H, rnd)))), spec
+            failing["generator"] += bool(got)
+            got = list(verify._parity_sweep(copy))
+            assert got == list(verify._parity_sweep(
+                replace(copy, G=other_matrix(copy.G, rnd)))), spec
+            failing["parity"] += bool(got)
+    assert min(failing.values()) >= len(ORACLE_CODES), failing
 
 
 def test_generator_route_uses_neither_parity_mechanism(monkeypatch):
     def parity_only(*args, **kwargs):
         raise AssertionError("generator route used a parity-route mechanism")
 
-    monkeypatch.setattr(verify, "first_dependent", parity_only)
     monkeypatch.setattr(verify, "_parity_sweep", parity_only)
+    monkeypatch.setattr(verify, "_containing_leaves", parity_only)
+    monkeypatch.setattr(verify, "reduce_rows", parity_only)
     code = bvs.build("gen", (3, 2, 2, 2, 2), {"k": 6})
     assert verify_mr_exhaustive(code, side="generator").passed
     for m in mutants(code):
@@ -332,42 +388,41 @@ def containing_sets(code) -> list:
 def superset_walk(code, h_mat=None):
     """The parity route's one walk over the sets that contain a pattern."""
     topo = code.topo
-    return verify._first_dependent_superset(
+    return verify._containing_leaves(
         code.H if h_mat is None else h_mat, topo.local_parity_count() + code.h,
         topo.group_width, topology.capped_group_sets(topo))
-
-
-def first_dependent_set(h_mat, subsets):
-    return next((sel for sel in subsets if h_mat.rank(sel) < len(sel)), None)
 
 
 def test_parity_walk_visits_every_containing_set_once():
     # the complement of a set that contains a pattern is a coverable
     # k-subset, so the two walks of a passing code have as many leaves;
     # with delta = 1 the patterns are empty and a group may be skipped,
-    # and with h = 0 as well the empty set is the one leaf
+    # and with h = 0 as well the empty set is the one leaf; k = 1 and
+    # n - k = 1 count leaves one column at a time
     for spec in ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
                                 ("pc2", (2, 2, 1, 2, 1), {"k": 0}),
                                 ("gen", (2, 1, 1, 2, 2), {"k": 3}),
-                                ("gen", (2, 1, 1, 2, 2), {"k": 6})):
+                                ("gen", (2, 1, 1, 2, 2), {"k": 6}),
+                                ("gen", (2, 2, 1, 2, 2), {"k": 1}),
+                                ("gen", (2, 1, 1, 2, 2), {"k": 5})):
         code = bvs.build(*spec)
         subsets = containing_sets(code)
-        assert superset_walk(code) == (
-            first_dependent_set(code.H, subsets), len(subsets)), spec
-        assert coverable_walk(code)[1] == len(subsets), spec
+        assert all(code.H.rank(sel) == len(sel) for sel in subsets), spec
+        assert superset_walk(code) == len(subsets), spec
+        assert coverable_walk(code) == len(subsets), spec
     # k = 0: all n columns are the one leaf
-    assert superset_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == (None, 1)
+    assert superset_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == 1
     # h = 0: the leaves are the patterns themselves
     h0 = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 6})
-    assert superset_walk(h0) == (None, topology.count_maximal_patterns(h0.topo))
+    assert superset_walk(h0) == topology.count_maximal_patterns(h0.topo)
 
 
 def test_parity_walk_verdict_matches_product_walk(monkeypatch):
     # the product walk over the patterns, run on its own by making the walk
     # report a dependent set, is the oracle: on each code, its mutants, 40
     # random one-entry H mutants and a zeroed H column, the walk finds a
-    # dependent set iff the product walk names a failing pattern, and it
-    # is the first such set in combinations order
+    # dependent set iff the product walk names a failing pattern and a
+    # scan of the containing sets finds one, and counts them all otherwise
     rnd = random.Random(21)
     outcomes = {True: 0, False: 0}
     for spec in ORACLE_CODES:
@@ -384,12 +439,13 @@ def test_parity_walk_verdict_matches_product_walk(monkeypatch):
                 made += 1
                 copies.append(replace(code, H=code.H.with_entry(i, j, v)))
         for copy in copies:
-            found, _ = superset_walk(code, copy.H)
-            assert found == first_dependent_set(copy.H, subsets), spec
+            leaves = superset_walk(code, copy.H)
+            assert leaves == walk_verdict(
+                subsets, lambda sel: copy.H.rank(sel) < len(sel)), spec
             with monkeypatch.context() as m:
-                m.setattr(verify, "_first_dependent_superset", lambda *args: ((), 0))
-                assert (found is None) == (not list(verify._parity_sweep(copy))), spec
-            outcomes[found is None] += 1
+                m.setattr(verify, "_containing_leaves", lambda *args: None)
+                assert (leaves is None) == bool(list(verify._parity_sweep(copy))), spec
+            outcomes[leaves is not None] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
 
@@ -397,8 +453,7 @@ def test_parity_route_uses_no_generator_mechanism(monkeypatch):
     def generator_only(*args, **kwargs):
         raise AssertionError("parity route used a generator-route mechanism")
 
-    monkeypatch.setattr(verify, "_first_dependent_subset", generator_only)
-    monkeypatch.setattr(verify, "_avoiding", generator_only)
+    monkeypatch.setattr(verify, "_coverable_leaves", generator_only)
     monkeypatch.setattr(verify, "_generator_sweep", generator_only)
     code = bvs.build("gen", (3, 2, 2, 2, 2), {"k": 6})
     assert verify_mr_exhaustive(code, side="parity").passed
@@ -425,30 +480,6 @@ def test_passing_parity_sweep_enumerates_no_pattern(monkeypatch):
 # -- the keyed pass over each walk's last two columns
 
 
-def scan(subsets, dependent) -> tuple:
-    """The first subset, in the given order, for which dependent holds (or
-    None), and how many subsets a walk that stops there visits."""
-    for count, sel in enumerate(subsets, 1):
-        if dependent(sel):
-            return sel, count
-    return None, len(subsets)
-
-
-def key_class_mutants(m: MatrixF):
-    """Copies of m with a later column j2 set, against an earlier column j,
-    to each column class the keyed pass tells apart: zero, equal to column
-    j, lam times column j, and zero in every row but the last, whose
-    residual keeps a zero first row while the last row is not a pivot."""
-    ctx, cols = m.ctx, list(zip(*m.data))
-    lam = ctx.primitive
-    assert lam != 1
-    for j, j2 in ((0, m.cols - 1), (m.cols // 2 - 1, m.cols // 2), (m.cols - 2, m.cols - 1)):
-        for col in ((0,) * m.rows, cols[j], tuple(ctx.mul(lam, v) for v in cols[j]),
-                    (0,) * (m.rows - 1) + (cols[j2][-1] or 1,)):
-            yield MatrixF(ctx, [row[:j2] + (v,) + row[j2 + 1:]
-                                for row, v in zip(m.data, col)])
-
-
 # ORACLE_CODES, a k = 2 code and two n - k = 2 codes: with two rows at the
 # root, the walks run the keyed pass on their first pick.  The second n - k
 # = 2 code has delta = 1 and three groups, so a parity set may skip a group
@@ -460,22 +491,23 @@ KEYED_CODES = ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 2}),
 @pytest.mark.parametrize("spec", KEYED_CODES,
                          ids=[f"{k}{p}{a}" for k, p, a in KEYED_CODES])
 def test_keyed_pass_matches_brute_force_scans(spec):
-    # (found, leaves) of each walk equal a subset-by-subset scan on G and H
-    # mutants whose columns fall in every key class: a zero column matches
-    # every column, equal and proportional columns share a key, and a zero
-    # first row takes the key of its own
+    # each walk's verdict equals a subset-by-subset scan on G and H mutants
+    # whose columns fall in every key class: a zero column matches every
+    # column, equal and proportional columns share a key, and a zero first
+    # row takes the key of its own.  Which subset fails is the report
+    # oracle's to check (test_exhaustive_routes_match_subset_sweep_oracle)
     code = bvs.build(*spec)
     outcomes = {True: 0, False: 0}
     subsets = coverable_subsets(code)
     for g_mat in key_class_mutants(code.G):
         got = coverable_walk(code, g_mat)
-        assert got == scan(subsets, lambda sel: g_mat.rank(sel) < code.k), spec
-        outcomes[got[0] is None] += 1
+        assert got == walk_verdict(subsets, lambda sel: g_mat.rank(sel) < code.k), spec
+        outcomes[got is not None] += 1
     subsets = containing_sets(code)
     for h_mat in key_class_mutants(code.H):
         got = superset_walk(code, h_mat)
-        assert got == scan(subsets, lambda sel: h_mat.rank(sel) < len(sel)), spec
-        outcomes[got[0] is None] += 1
+        assert got == walk_verdict(subsets, lambda sel: h_mat.rank(sel) < len(sel)), spec
+        outcomes[got is not None] += 1
     assert outcomes[False] >= 12, outcomes
 
 
