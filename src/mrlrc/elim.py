@@ -13,11 +13,11 @@ field's kernel ``axpy(y, xs, ws)``, which returns a new list
 exp/log lists), so rows are replaced, never written into.
 
 reduce_rows pivots on a given sequence of columns, in that order (all of
-them by default).  They need not be a prefix, nor increasing: the parity
-sweep eliminates H on one group's erased columns at a time.  Its row
-updates therefore run over whole rows, and replace each changed row with
-a new list rather than writing into it, so callers may share row lists
-between several partly reduced copies of one matrix.
+them by default).  They need not be a prefix: the parity sweep
+eliminates H on a failing pattern's erased columns.  Its row updates
+therefore run over whole rows, and replace each changed row with a new
+list rather than writing into it, so a caller may reduce a shallow copy
+of a matrix's row list and leave the matrix as it was.
 
 first_dependent names the first dependent column subset of a matrix in
 itertools.combinations order.  Both exhaustive MR routes in verify name
@@ -146,36 +146,46 @@ def _first_dependent_pair(node: list, field) -> tuple | None:
     combinations order, whose two columns are linearly dependent, or None.
 
     Two columns are dependent iff one is zero or both scale to the same
-    column with a leading 1.  One right-to-left scan keys each nonzero
-    column by that scaling and finds for it the nearest later column that
-    is zero or has its key; the leftmost a that has one gives the pair,
-    and a zero column a pairs with a + 1.
+    column with a leading 1, so each nonzero column is keyed by that
+    scaling: with two rows, which is every caller's pair node when it
+    passes as many rows as size, (a, b) keys as b/a, or -1 when a = 0.
+    One right-to-left scan finds for each nonzero column the nearest later
+    column that is zero or has its key; the leftmost a that has one gives
+    the pair, and a zero column a pairs with a + 1.
     """
     mul, inv = field.mul, field.inv
-    cols = list(zip(*node))
-    n = len(cols)
+    if len(node) == 2:
+        keys = [mul(b, inv(a)) if a else -1 if b else None for a, b in zip(*node)]
+    else:
+        keys = []  # None for a zero column
+        for col in zip(*node):
+            for lead in col:
+                if lead:
+                    break
+            else:
+                keys.append(None)
+                continue
+            if lead != 1:
+                f = inv(lead)
+                col = tuple([mul(f, x) for x in col])
+            keys.append(col)
+    n = len(keys)
     nearest: dict = {}  # key -> leftmost position seen so far
     zero = n            # leftmost zero column seen so far
     found = None
     for a in range(n - 1, -1, -1):
-        col = cols[a]
-        for lead in col:
-            if lead:
-                break
-        else:
+        key = keys[a]
+        if key is None:
             if a + 1 < n:
                 found = (a, a + 1)
             zero = a
             continue
-        if lead != 1:
-            f = inv(lead)
-            col = tuple([mul(f, x) for x in col])
-        b = nearest.get(col, zero)
+        b = nearest.get(key, zero)
         if zero < b:
             b = zero
         if b < n:
             found = (a, b)
-        nearest[col] = a
+        nearest[key] = a
     return found
 
 

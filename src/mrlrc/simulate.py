@@ -55,6 +55,10 @@ class SimConfig:
         if self.model == "uniform_nodes" and (self.failures is None
                                               or self.failures < 0):
             raise ValueError("uniform_nodes needs failures >= 0")
+        if self.failures is not None and self.model != "uniform_nodes":
+            raise ValueError(f"failures applies to uniform_nodes only, not {self.model}")
+        if self.extra is not None and self.model != "adversarial_maximal":
+            raise ValueError(f"extra applies to adversarial_maximal only, not {self.model}")
         if self.extra is not None and self.extra < 0:
             raise ValueError(f"extra must be >= 0, got {self.extra}")
 

@@ -5,29 +5,36 @@ bound evaluators.
 A code is maximally recoverable iff for every maximal locally correctable
 pattern E the restriction of the code to the complement of E is MDS of
 dimension k and length k + h.  verify_mr_exhaustive checks exactly that
-on one of two independent routes, and each has one shape: the route's
-own walk over its own matrix only decides pass or fail, and one
-primitive, elim.first_dependent, names the failures on that matrix.
+on one of two independent routes, and both have one shape: the route's
+own walk over its own matrix decides pass or fail, and only when it
+fails does a loop over the patterns, in enumerate_maximal_patterns
+order, name each failing pattern's witness with one call of
+elim.first_dependent on that pattern's own matrix.
 
 Generator-side, every k x k minor of G on the complement must be
 invertible.  A k-subset lies in some pattern's complement iff its part
 in each group avoids one of that group's maximal sets, so one
-depth-first walk over G's columns, which eliminates each independent
-prefix once and cuts a prefix that leaves that family or cannot grow to
-k columns, visits each such subset once.  A passing sweep therefore
-enumerates no pattern; only when the walk meets a singular subset is
-elim.first_dependent run on G restricted to each pattern's complement.
+depth-first walk over G's columns visits each such subset once.  A
+failing pattern's matrix is G restricted to its complement.
 
 Parity-side, rank(H|_(E u F)) = |E| + h for every h-subset F of the
 complement.  The sets E u F are exactly the (|E| + h)-sets whose part in
 each group contains one of that group's maximal sets, so one depth-first
-walk over H's columns, which eliminates each independent prefix once and
-cuts a prefix that can no longer grow into such a set, ranks each of
-them once, and a passing sweep eliminates no pattern.  Only when that
-walk meets a dependent set does the product of the per-group sets run:
-it eliminates H on E one group at a time, each group prefix once for all
-patterns that share it, and elim.first_dependent is run on the h x
-(k + h) projection left over.
+walk over H's columns ranks each of them once.  A failing pattern's
+matrix is the h x (k + h) projection left over after one reduce_rows of
+H on the pattern's columns.
+
+Each walk eliminates each independent prefix once, cuts a prefix that
+can no longer grow into its family, and runs one column loop per node.
+A node with one column left to add after the next pick holds exactly
+two rows, so the prefix plus columns c1 < c2 is singular iff c1's
+residual 2-vector is zero, or c2's is, or the two are proportional.
+There the node keys each column once, on entry, by the ratio b/a of its
+residual (a, b), with one key for a = 0 and a mask of the zero columns,
+and each admissible c1 costs one AND of the columns that may end the
+set with the columns of its key or zero, and one bit count of the
+leaves; the last level's child rows are never built.  Every row update
+of the levels above is one call of the field's axpy kernel.
 
 elim.first_dependent names the first failing subset in
 itertools.combinations order, so both routes report what a
@@ -35,18 +42,6 @@ subset-by-subset rank sweep reports; either sweep yields only the
 failing patterns, and the report's pattern count is the closed form.
 The sweep also re-checks the local-distance premise on every repair set,
 so a mutilated bundle cannot pass by losing its locality.
-
-Each walk settles its last two levels in one keyed pass.  A node with
-one column left to add after the next pick holds exactly two rows, so
-the prefix plus columns c1 < c2 is singular iff c1's residual 2-vector
-is zero, or c2's is, or the two are proportional.  The pass keys each
-column once by the ratio b/a of its residual (a, b), with one key for
-a = 0 and a mask of the zero columns, and tables per group picks the
-columns that may end the subset.  Each admissible c1 then costs one AND
-of its end columns with the columns of its key or zero, which is nonzero
-iff some pair through c1 is singular, and one bit count of the leaves;
-the last level's child rows are never built.  Every row update of the
-levels above is one call of the field's axpy kernel.
 
 An erasure pattern E is recoverable iff rank(H|_E) = |E|.
 erasure_rank_defect, which sampled verification, the simulator's global
@@ -151,9 +146,8 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     complement; one prefix-tree walk over the (|E| + h)-sets of H's
     columns that contain a pattern ranks each of them once, and a passing
     sweep eliminates no pattern; only when the walk finds a dependent set
-    is H eliminated on each pattern, one group at a time, each group
-    prefix once for all patterns sharing it, and elim.first_dependent run
-    on the h x (k + h) projection left over, to name the failures.
+    is H eliminated on each pattern's columns, and elim.first_dependent
+    run on the h x (k + h) projection left over, to name the failures.
     Neither route uses the other's walk or matrix, so a fault in one does
     not hide in the other.
 
@@ -220,16 +214,17 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
     every later group.  When no row is nonzero in the column, the prefix
     plus it is singular, and so is each of its completions.
 
-    The last two levels take one keyed pass (last_two).  With one column
-    left to add after c1 the node holds two rows, so prefix + c1 + c2 is
-    singular iff c1's residual 2-vector is zero, or c2's is, or the two
-    are proportional.  Each column is keyed once by b/a for its residual
-    (a, b), -1 when a = 0, and -2 for (0, 0), which matches every column.
-    ends[i][sel] tables, for the picks sel of group i that end at c1, the
-    columns c2 that the room rules admit as the last pick; it is empty
-    when no mask holds sel, so it is also c1's admission.  A singular pair
-    is then any bit shared by ends and the columns of c1's key or zero,
-    and the leaves are counted by bit_count.
+    Each node runs one loop over its columns c1: the reach cut, then c1's
+    picks s in its group, then s's admission.  Below the last two levels
+    that is room[s]; with one column left to add after c1 the node holds
+    two rows, so prefix + c1 + c2 is singular iff c1's residual 2-vector
+    is zero, or c2's is, or the two are proportional, and the node keys
+    each column once, on entry, by b/a for its residual (a, b), -1 when a
+    = 0, and -2 for (0, 0), which matches every column.  There ends[i][s]
+    tables the columns c2 that the room rules admit as the last pick; it
+    is empty when no mask holds s, so it is also c1's admission.  A
+    singular pair is then any bit shared by ends and the columns of c1's
+    key or zero, and the leaves are counted by bit_count.
     """
     ctx = g_mat.ctx
     mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
@@ -258,7 +253,7 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
     room = {}
     # ends[i][sel]: for the picks sel of group i, the columns above sel's
     # top bit that complete a coverable subset (bit c for column c), 0 when
-    # no mask holds sel; filled in as the keyed pass reaches sel
+    # no mask holds sel; filled in as a two-row node reaches sel
     ends = [{} for _ in range(groups)]
     leaves = 0
 
@@ -278,48 +273,41 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
                               if held else 0)
         return got
 
-    def last_two(rows, start, gi, sel):
-        # keys[c - start]: column c's key; keyed[key]: the columns of that
-        # key and the zero columns, every column for key -2
-        nonlocal leaves
-        keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
-        keyed = dict.fromkeys(keys, 0)
-        if len(keyed) < len(keys) or -2 in keyed:
-            for c, key in enumerate(keys, start):
-                keyed[key] |= 1 << c
-            zero = keyed.get(-2, 0)
-            for key in keyed:
-                keyed[key] |= zero
-            keyed[-2] = -1
-        # else every key is distinct and nonzero, and a column never ends
-        # the pair it starts, so no column matches another
-        for c in range(start, n):
-            if reach[c] <= 1:
-                return False
-            i = grp[c]
-            s = (sel if i == gi else 0) | bit[c]
-            got = ends[i].get(s)
-            if got is None:
-                got = fill_ends(i, s)
-            if got:
-                if got & keyed[keys[c - start]]:
-                    return True
-                leaves += got.bit_count()
-        return False
-
     def walk(rows, start, j, gi, sel):
         # rows[r][c - start] is the entry of row r in column c >= start;
         # sel holds the picks in group gi, the group of the last pick.
         # True when some subset below the node is singular
         nonlocal leaves
         need = k - j - 1  # columns to add after this one
-        if need == 1:
-            return last_two(rows, start, gi, sel)
+        pair = need == 1
+        if pair:
+            # keys[c - start]: column c's key; keyed[key]: the columns of
+            # that key and the zero columns, every column for key -2
+            keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
+            keyed = dict.fromkeys(keys, 0)
+            if len(keyed) < len(keys) or -2 in keyed:
+                for c, key in enumerate(keys, start):
+                    keyed[key] |= 1 << c
+                zero = keyed.get(-2, 0)
+                for key in keyed:
+                    keyed[key] |= zero
+                keyed[-2] = -1
+            # else every key is distinct and nonzero, and a column never
+            # ends the pair it starts, so no column matches another
         for c in range(start, n):
             if reach[c] <= need:
                 return False
             i = grp[c]
             s = (sel if i == gi else 0) | bit[c]
+            if pair:
+                got = ends[i].get(s)
+                if got is None:
+                    got = fill_ends(i, s)
+                if got:
+                    if got & keyed[keys[c - start]]:
+                        return True
+                    leaves += got.bit_count()
+                continue
             got = room.get(s)
             if got is None:
                 got = fill(s)
@@ -385,19 +373,21 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
     after the pick pad the rest.  A group must hold a maximal set before
     the next group opens.
 
-    The last two levels take one keyed pass (last_two), the walk's own.
-    With one column left to add after c1 the node holds two rows, so
+    Each node runs one loop over its columns c1: the rule that a group
+    must hold a maximal set before the next opens, then c1's picks s in its
+    group, then s's admission.  Below the last two levels that is miss[s];
+    with one column left to add after c1 the node holds two rows, so
     prefix + c1 + c2 is dependent iff c1's residual 2-vector is zero, or
-    c2's is, or the two are proportional.  Each column is keyed once by
-    b/a for its residual (a, b), -1 when a = 0, and -2 for (0, 0), which
-    matches every column.  ends[i][sel] tables, for the picks sel of group
-    i that end at c1, the columns c2 that may end the set: by the miss
-    rule, those of group i that complete a maximal set when no later group
-    still needs one, and, once sel holds a maximal set, those of the groups
-    that may open next whose single column is a maximal set of its own
-    when no group after them needs one.  A dependent pair is then any bit
-    shared by ends and the columns of c1's key or zero, and the leaves are
-    counted by bit_count.
+    c2's is, or the two are proportional, and the node keys each column
+    once, on entry, by b/a for its residual (a, b), -1 when a = 0, and -2
+    for (0, 0), which matches every column.  There ends[i][s] tables the
+    columns c2 that may end the set: by the miss rule, those of group i
+    that complete a maximal set when no later group still needs one, and,
+    once s holds a maximal set, those of the groups that may open next
+    whose single column is a maximal set of its own when no group after
+    them needs one.  A dependent pair is then any bit shared by ends and
+    the columns of c1's key or zero, and the leaves are counted by
+    bit_count.
 
     The walk is the parity route's own: it reads H, never G, tests
     containment of a maximal set rather than avoidance, and shares no
@@ -420,8 +410,8 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
     # filled in as the walk reaches each sel
     miss = {}
     # ends[i][sel]: for the picks sel of group i, the columns after sel's
-    # top bit that may end the set (bit c for column c); filled in as the
-    # keyed pass reaches sel
+    # top bit that may end the set (bit c for column c); filled in as a
+    # two-row node reaches sel
     ends = [{} for _ in later]
     leaves = 0
 
@@ -450,46 +440,27 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
         ends[i][sel] = got
         return got
 
-    def last_two(rows, start, gi, sel):
-        # keys[c - start]: column c's key; keyed[key]: the columns of that
-        # key and the zero columns, every column for key -2
-        nonlocal leaves
-        keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
-        keyed = dict.fromkeys(keys, 0)
-        if len(keyed) < len(keys) or -2 in keyed:
-            for c, key in enumerate(keys, start):
-                keyed[key] |= 1 << c
-            zero = keyed.get(-2, 0)
-            for key in keyed:
-                keyed[key] |= zero
-            keyed[-2] = -1
-        # else every key is distinct and nonzero, and a column never ends
-        # the pair it starts, so no column matches another
-        for c in range(start, n - 1):
-            i = grp[c]
-            if i == gi:
-                s = sel | bit[c]
-            elif (i - gi > 1 and least) or (gi >= 0 and miss[sel]):
-                return False  # a group left without a maximal set
-            else:
-                s = bit[c]
-            got = ends[i].get(s)
-            if got is None:
-                got = fill_ends(i, s)
-            if got:
-                if got & keyed[keys[c - start]]:
-                    return True
-                leaves += got.bit_count()
-        return False
-
     def walk(rows, start, j, gi, sel):
         # rows[r][c - start] is the entry of row r in column c >= start;
         # sel holds the picks in group gi, the group of the last pick.
         # True when some set below the node is dependent
         nonlocal leaves
         need = size - j - 1  # columns to add after this one
-        if need == 1:
-            return last_two(rows, start, gi, sel)
+        pair = need == 1
+        if pair:
+            # keys[c - start]: column c's key; keyed[key]: the columns of
+            # that key and the zero columns, every column for key -2
+            keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
+            keyed = dict.fromkeys(keys, 0)
+            if len(keyed) < len(keys) or -2 in keyed:
+                for c, key in enumerate(keys, start):
+                    keyed[key] |= 1 << c
+                zero = keyed.get(-2, 0)
+                for key in keyed:
+                    keyed[key] |= zero
+                keyed[-2] = -1
+            # else every key is distinct and nonzero, and a column never
+            # ends the pair it starts, so no column matches another
         for c in range(start, n - need):
             i = grp[c]
             if i == gi:
@@ -498,6 +469,15 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
                 return False  # a group left without a maximal set
             else:
                 s = bit[c]
+            if pair:
+                got = ends[i].get(s)
+                if got is None:
+                    got = fill_ends(i, s)
+                if got:
+                    if got & keyed[keys[c - start]]:
+                        return True
+                    leaves += got.bit_count()
+                continue
             got = miss.get(s)
             if got is None:
                 got = fill(s)
@@ -536,39 +516,27 @@ def _parity_sweep(code: MrLrcCode):
 
     One walk over the (|pattern| + h)-sets of H's columns that contain a
     pattern settles the code (_containing_leaves): when none is dependent
-    the sweep yields nothing and eliminates no pattern.  Otherwise the
-    product walk below names each failing pattern's witness.  It takes
-    the product of the per-group sets one group at a time.  Choosing group
-    i's set eliminates H on its columns below the pivots of the earlier
-    groups' choices, so each group prefix is eliminated once and the
-    pivots are those of one elimination on the pattern's columns in
-    order.  At a leaf the rows below the |E| pivots are zero on E; on the
-    complement they are the projection P, and rank(H|_(E u F)) = |E| +
-    rank(P|_F), so elim.first_dependent on P names the witness.  When
-    H|_E is itself rank-deficient every F fails, the first being the first
-    h complement coordinates.
+    the sweep yields nothing and eliminates no pattern.  Otherwise each
+    pattern E is eliminated on its own: one reduce_rows on a copy of H,
+    pivoting on E's columns in increasing order.  The rows below the |E|
+    pivots are then zero on E; on the complement they are the projection
+    P, and rank(H|_(E u F)) = |E| + rank(P|_F), so elim.first_dependent on
+    P names the witness.  When H|_E is itself rank-deficient every F
+    fails, the first being the first h complement coordinates.
     """
     topo, ctx, h, e = code.topo, code.H.ctx, code.h, code.topo.local_parity_count()
-    per_group = capped_group_sets(topo)
-    width = topo.group_width
-    if _containing_leaves(code.H, e + h, width, per_group) is not None:
+    if _containing_leaves(code.H, e + h, topo.group_width,
+                          capped_group_sets(topo)) is not None:
         return
-
-    def walk(i, rows, rank, pat):
-        if i == topo.g:
-            comp = sorted(set(range(1, topo.n + 1)) - set(pat))
-            found = range(h) if rank < e else first_dependent(
-                [[row[c - 1] for c in comp] for row in rows[e:]], ctx, h)
-            if found is not None:
-                yield pat, tuple(comp[j] for j in found)
-            return
-        for cs in per_group:
-            grp = tuple(c + i * width for c in cs)
-            tail = rows[rank:]
-            pivots, _ = reduce_rows(tail, ctx, [c - 1 for c in grp])
-            yield from walk(i + 1, rows[:rank] + tail, rank + len(pivots), pat + grp)
-
-    yield from walk(0, [list(row) for row in code.H.data], 0, ())
+    coords = set(range(1, topo.n + 1))
+    for pat in enumerate_maximal_patterns(topo):
+        rows = list(code.H.data)
+        pivots, _ = reduce_rows(rows, ctx, [c - 1 for c in pat])
+        comp = sorted(coords - set(pat))
+        found = range(h) if len(pivots) < e else first_dependent(
+            [[row[c - 1] for c in comp] for row in rows[e:]], ctx, h)
+        if found is not None:
+            yield pat, tuple(comp[j] for j in found)
 
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:

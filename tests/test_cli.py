@@ -350,6 +350,20 @@ def test_simulate_failures_beyond_n_is_usage_error(bundle, capsys):
     assert err.startswith("error:") and "failures = 11 > n = 10" in err
 
 
+@pytest.mark.parametrize("model,flag", [("per_group_burst", "--failures"),
+                                        ("adversarial_maximal", "--failures"),
+                                        ("per_group_burst", "--extra"),
+                                        ("uniform_nodes", "--extra")])
+def test_simulate_flag_of_another_model_is_usage_error(bundle, capsys, model, flag):
+    extra = ["--failures", "2"] if model == "uniform_nodes" else []
+    rc = main(["simulate", str(bundle), "--trials", "5", "--model", model,
+               flag, "3", *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag[2:] + " applies to" in err
+
+
 def test_simulate_negative_extra_is_usage_error(bundle, capsys):
     rc = main(["simulate", str(bundle), "--trials", "5", "--model",
                "adversarial_maximal", "--extra", "-1"])

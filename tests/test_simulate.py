@@ -28,6 +28,17 @@ def test_config_validation():
     SimConfig(trials=5, model="adversarial_maximal", seed=1, extra=0)
 
 
+def test_config_refuses_a_flag_its_model_ignores():
+    # failures sizes uniform_nodes only and extra adversarial_maximal only;
+    # with any other model either would be read by nothing
+    for model in ("per_group_burst", "adversarial_maximal"):
+        with pytest.raises(ValueError, match="failures applies to uniform_nodes only"):
+            SimConfig(trials=5, model=model, seed=1, failures=3)
+    for model, failures in (("uniform_nodes", 3), ("per_group_burst", None)):
+        with pytest.raises(ValueError, match="extra applies to adversarial_maximal only"):
+            SimConfig(trials=5, model=model, seed=1, failures=failures, extra=0)
+
+
 def test_uniform_nodes_failures_beyond_n_rejected(code):
     # n = 10: all nodes may fail, one more is refused instead of clipped
     n = code.n

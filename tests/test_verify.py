@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrlrc.ff import field_ctx
 from mrlrc.matrix import MatrixF
 from mrlrc import topology, verify
-from mrlrc.constructions import construct, encode, premise_violations
+from mrlrc.constructions import construct, encode, plan_field, premise_violations
+from mrlrc.ff import ORDER_LIMIT, field_ctx
 from mrlrc.topology import (
     EnumerationCapExceeded, enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology,
 )
@@ -116,7 +116,7 @@ def test_exhaustive_routes_match_subset_sweep_oracle(spec):
     # the key-class mutants send zero, equal and proportional column pairs
     # through elim.first_dependent's pair pass on G's complements and on
     # H's projections, and a zeroed H column inside a pattern through the
-    # product walk's rank-deficient branch
+    # parity witness loop's rank-deficient branch
     code = bvs.build(*spec)
     for copy in (code, *mutants(code),
                  *(replace(code, G=g_mat) for g_mat in key_class_mutants(code.G)),
@@ -124,6 +124,37 @@ def test_exhaustive_routes_match_subset_sweep_oracle(spec):
         for side in ("generator", "parity"):
             assert (verify_mr_exhaustive(copy, side=side).to_json()
                     == oracle_report(copy, side)), side
+
+
+# every gen topology (r, delta, t, g, N) with n <= 12, N and delta at most 3
+# and t at most min(r, delta - 1), or t = 1 when delta = 1, whose field can
+# be built (two have gen fields past ff.ORDER_LIMIT)
+SMALL_GEN_TOPOLOGIES = tuple(
+    (r, delta, t, g, N) for N in range(1, 4) for delta in range(1, 4)
+    for t in range(1, max(1, delta - 1) + 1) for r in range(t, 13) for g in range(1, 13)
+    if g * (t + N * (r + delta - 1 - t)) <= 12
+    and plan_field(make_topology(r, delta, t, g, N), "gen", k=0).field_size <= ORDER_LIMIT)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.data())
+def test_exhaustive_routes_match_oracle_on_small_gen_topologies(data):
+    # topologies outside ORACLE_CODES, through both folded walks and both
+    # witness loops: one single-entry G mutant fails the generator route
+    # and leaves the parity route passing, one H mutant the other way round
+    params = data.draw(st.sampled_from(SMALL_GEN_TOPOLOGIES), label="(r, delta, t, g, N)")
+    topo = make_topology(*params)
+    code = construct(topo, "gen", k=data.draw(st.integers(0, topo.max_dimension()), label="k"))
+    ctx = code.G.ctx
+    for which in ("G", "H"):
+        m = getattr(code, which)
+        if not m.rows:
+            continue
+        i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+        step = data.draw(st.integers(1, ctx.order - 1), label=f"{which}[{i}, {j}] += ")
+        copy = replace(code, **{which: m.with_entry(i, j, ctx.add(m[i, j], step))})
+        for side in ("generator", "parity"):
+            assert verify_mr_exhaustive(copy, side=side).to_json() == oracle_report(copy, side)
 
 
 def test_h0_code_routes():
@@ -161,12 +192,13 @@ def test_parity_route_rank_deficient_on_pattern():
 
 
 def test_parity_route_group_prefixes_match_oracle():
-    # the parity route eliminates H once per group prefix of the pattern
-    # (g = 3 here): single-entry H mutants changing a column of the first,
-    # middle and last group, and a zeroed first-group column, which leaves
-    # H|_pat deficient on every pattern under the prefixes holding it.  On
-    # this code no single-entry change short of zeroing a column makes any
-    # H|_pat deficient, so the flips fail in the projection
+    # the parity route eliminates H on each failing pattern's columns, in
+    # increasing order across the groups (g = 3 here): single-entry H
+    # mutants changing a column of the first, middle and last group, and a
+    # zeroed first-group column, which leaves H|_pat deficient on every
+    # pattern holding it.  On this code no single-entry change short of
+    # zeroing a column makes any H|_pat deficient, so the flips fail in the
+    # projection
     code = bvs.build("gen", (2, 2, 1, 3, 2), {"k": 7})
     pats = list(enumerate_maximal_patterns(code.topo))
     flip = lambda i, j: code.H.with_entry(i, j, 0 if code.H[i, j] else 1)
@@ -417,11 +449,11 @@ def test_parity_walk_visits_every_containing_set_once():
     assert superset_walk(h0) == topology.count_maximal_patterns(h0.topo)
 
 
-def test_parity_walk_verdict_matches_product_walk(monkeypatch):
-    # the product walk over the patterns, run on its own by making the walk
+def test_parity_walk_verdict_matches_witness_loop(monkeypatch):
+    # the per-pattern witness loop, run on its own by making the walk
     # report a dependent set, is the oracle: on each code, its mutants, 40
     # random one-entry H mutants and a zeroed H column, the walk finds a
-    # dependent set iff the product walk names a failing pattern and a
+    # dependent set iff the witness loop names a failing pattern and a
     # scan of the containing sets finds one, and counts them all otherwise
     rnd = random.Random(21)
     outcomes = {True: 0, False: 0}
