@@ -495,13 +495,14 @@ def test_parity_route_uses_no_generator_mechanism(monkeypatch):
 
 def test_passing_parity_sweep_enumerates_no_pattern(monkeypatch):
     # the walk over the sets that contain a pattern settles a passing code
-    # on its own: no pattern is eliminated, no projection is checked, and
-    # the report still counts every pattern, by the closed form
+    # on its own: no pattern is enumerated or eliminated, no projection is
+    # checked, and the report still counts every pattern, by the closed form
     def no_pattern(*args, **kwargs):
-        raise AssertionError("a passing parity sweep eliminated a pattern")
+        raise AssertionError("a passing parity sweep enumerated or eliminated a pattern")
 
     monkeypatch.setattr(verify, "reduce_rows", no_pattern)
     monkeypatch.setattr(verify, "first_dependent", no_pattern)
+    monkeypatch.setattr(verify, "enumerate_maximal_patterns", no_pattern)
     for spec in ORACLE_CODES:
         code = bvs.build(*spec)
         rep = verify_mr_exhaustive(code, side="parity")
