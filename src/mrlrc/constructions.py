@@ -184,12 +184,20 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
         bound = bounded_power(target, ell)
     q = next_prime_power(q_raw)
     p, s = is_prime_power(q)
-    if kind != "pc2":
-        return FieldPlan(kind, k, h, p, s, m, bound)
-    sub_s = 1
-    while q ** sub_s < target:
-        sub_s += 1
-    return FieldPlan(kind, k, h, p, s, sub_s * ell, bound, ell=ell, sub_s=sub_s)
+    if kind == "pc2":
+        sub_s = 1
+        while q ** sub_s < target:
+            sub_s += 1
+        m = sub_s * ell
+    else:
+        sub_s = ell = None
+    # gen and pc1 refuse a realized field that no FieldCtx builds, as
+    # construct would (q^41 > 2^40 for every q >= 2, so a huge m never
+    # builds q^m); pc2 keeps its planned row past the limit, where the
+    # field-size comparison still reports its bound
+    if kind != "pc2" and q ** min(m, 41) > ORDER_LIMIT:
+        raise DegreeOverflow(f"p^e = {p}^{s * m} exceeds the {ORDER_LIMIT} limit")
+    return FieldPlan(kind, k, h, p, s, m, bound, ell=ell, sub_s=sub_s)
 
 
 @dataclass(frozen=True)

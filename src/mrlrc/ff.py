@@ -23,23 +23,40 @@ inverse, two GF(p) matrices computed once per tower.
 
 Fields of order at most 2^16 get exp/log tables, and Zech tables for odd
 p, built with the generic mul, which is what makes the exhaustive
-verification sweeps fast.  Every p = 2 field adds by XOR.  The one
-vector kernel, axpy(y, xs, ws) = [x + y w for x, w in zip(xs, ws)], is
-the row update of every elimination; on a table field it reads the
-exp/log lists itself (XOR for p = 2, the Zech table for odd p) instead
-of calling mul and add once per entry.
+verification sweeps fast.  Every p = 2 field adds by XOR.  Two vector
+kernels carry the bulk of the arithmetic:
+
+  * axpy(y, xs, ws) = [x + y w for x, w in zip(xs, ws)], the row update
+    of every elimination;
+  * dot(xs, ws) = the sum of x w over zip(xs, ws), every entry of a
+    matrix product and of a syndrome.
+
+On a table field both read the exp/log lists themselves (XOR for p = 2,
+the Zech table for odd p) instead of calling mul and add once per entry.
 Larger fields, up to order 2^40, compute on the integer encoding itself
 and keep no per-element state:
 
   * p = 2: the encoding packs one coefficient per bit.  add is XOR, mul a
     carry-less shift/XOR product whose bits at X^e and above are folded
-    down through the modulus, inv extended Euclid on the packed ints;
-  * odd p: mul and inv spread the digits into bit slots wide enough that
-    no carry crosses a slot, so one integer product forms every
-    coefficient of a product (Kronecker substitution) and Euclid's long
-    divisions run on whole ints, reducing mod p only at the end; add sums
-    k digits at a time through a table of digit-wise chunk sums whose
-    size, at most SUM_TABLE_LIMIT entries, depends on p alone.
+    down through the modulus, inv extended Euclid on the packed ints.
+    The fold is GF(2)-linear, so dot XORs the unreduced products and
+    folds once per sum;
+  * odd p: mul lifts both operands' digits into bit slots and forms every
+    coefficient of the product polynomial with one integer product
+    (Kronecker substitution); folding the slots at X^e and above into
+    the modulus's taps and taking each slot mod p reduces it.  Both steps
+    are linear, so dot adds the lifted products as plain integers and
+    reduces once per sum, and axpy reduces x + y w once per entry, its
+    add included.  One slot width serves every product: a slot holds
+    the coefficient of DOT_BLOCK summed products plus one element, at
+    most (DOT_BLOCK + 1) e (p - 1)^2, times 1 + the sum of the taps for
+    each fold round, so no carry ever crosses a slot; a longer dot
+    reduces once per DOT_BLOCK products.  A lift reads k digits at a
+    time from a table of lifted chunks, for the largest k with
+    p^k <= LIFT_TABLE_LIMIT.  inv runs Euclid's long divisions on whole
+    slot-packed ints, reducing mod p only at the end; add sums k digits
+    at a time through a table of digit-wise chunk sums of at most
+    SUM_TABLE_LIMIT entries.  Both tables are sized by p alone.
 
 Irreducibility is Ben-Or's test, gcd(X^(p^i) - X, f) = 1 for i <= e/2, on
 coefficient tuples for every p; the least modulus of any field up to
@@ -56,6 +73,8 @@ from .elim import inverse
 ORDER_LIMIT = 1 << 40
 LOG_TABLE_LIMIT = 1 << 16
 SUM_TABLE_LIMIT = 1 << 12
+LIFT_TABLE_LIMIT = 1 << 8  # entries of an odd-p field's table of lifted digit chunks
+DOT_BLOCK = 64  # products a generic odd-p dot sums between two reductions
 
 
 class NotPrime(ValueError):
@@ -214,6 +233,16 @@ def least_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
+def _clmul(a: int, b: int) -> int:
+    """The carry-less product of two packed GF(2) polynomials, unreduced."""
+    r = 0
+    while b:
+        low = b & -b
+        r ^= a * low  # a shifted up to b's lowest set bit
+        b ^= low
+    return r
+
+
 # ---------------------------------------------------------------------------
 # single field context
 
@@ -228,6 +257,7 @@ class FieldCtx:
     __slots__ = (
         "p", "e", "order", "modulus",
         "_taps", "_slot", "_inv_slot", "_inv_modulus", "_chunk", "_sums",
+        "_lift_chunk", "_lift_step", "_lifts",
         "_exp", "_log", "_zech", "_neg", "_primitive",
     )
 
@@ -256,10 +286,11 @@ class FieldCtx:
         # X^e = sum of m X^j over the taps (j, m), the modulus's nonzero
         # lower terms negated
         self._taps = tuple((j, -c % p) for j, c in enumerate(self.modulus[:-1]) if c)
-        # odd p multiplies in slots of _slot bits, wide enough for a product
-        # coefficient (at most e digit products) through every fold of the
-        # terms at X^e and above into the taps
-        bound, excess = e * (p - 1) ** 2, e - 1
+        # odd p multiplies in slots of _slot bits, wide enough for a
+        # coefficient of DOT_BLOCK products plus one element (at most
+        # (DOT_BLOCK + 1) e (p - 1)^2) through every fold of the terms at
+        # X^e and above into the taps
+        bound, excess = (DOT_BLOCK + 1) * e * (p - 1) ** 2, e - 1
         top_tap = max((j for j, _ in self._taps), default=0)
         while excess > 0:
             bound *= 1 + sum(m for _, m in self._taps)
@@ -275,14 +306,25 @@ class FieldCtx:
         # x and y, for the largest k whose table fits SUM_TABLE_LIMIT.  For
         # p > 64 not even k = 1 does; those fields add digit by digit.
         # add never comes here for p = 2 (XOR) or for a table field of odd
-        # p (its Zech table)
+        # p (its Zech table).  _lift spreads _lift_chunk = p^k at a time the
+        # same way: _lifts[x] is the k-digit chunk x spread into _slot-bit
+        # slots, for the largest k with p^k <= LIFT_TABLE_LIMIT; a p above
+        # the limit gets no table and lifts digit by digit
         self._chunk, self._sums = p, None
-        if p > 2 and self.order > LOG_TABLE_LIMIT and p * p <= SUM_TABLE_LIMIT:
-            while (self._chunk * p) ** 2 <= SUM_TABLE_LIMIT:
-                self._chunk *= p
-            digits = [self.coeffs(x) for x in range(self._chunk)]
-            self._sums = [self.from_coeffs(u + v for u, v in zip(dx, dy))
-                          for dx in digits for dy in digits]
+        self._lift_chunk, self._lift_step, self._lifts = p, self._slot, None
+        if p > 2 and self.order > LOG_TABLE_LIMIT:
+            if p * p <= SUM_TABLE_LIMIT:
+                while (self._chunk * p) ** 2 <= SUM_TABLE_LIMIT:
+                    self._chunk *= p
+                digits = [self.coeffs(x) for x in range(self._chunk)]
+                self._sums = [self.from_coeffs(u + v for u, v in zip(dx, dy))
+                              for dx in digits for dy in digits]
+            if p <= LIFT_TABLE_LIMIT:
+                while self._lift_chunk * p <= LIFT_TABLE_LIMIT:
+                    self._lift_chunk *= p
+                    self._lift_step += self._slot
+                self._lifts = [self._spread(x, self._slot)
+                               for x in range(self._lift_chunk)]
 
     # -- representation helpers
 
@@ -347,30 +389,49 @@ class FieldCtx:
             out = out * p + (v >> shift & mask) * scale % p
         return out
 
-    def _g_mul(self, a: int, b: int) -> int:
-        e, taps = self.e, self._taps
-        if self.p == 2:
-            r = 0
-            while b:
-                low = b & -b
-                r ^= a * low  # a shifted up to b's lowest set bit
-                b ^= low
-            while high := r >> e:
-                r ^= high << e
-                for j, _ in taps:
-                    r ^= high << j
-            return r
-        # Kronecker substitution: one integer product holds every
-        # coefficient of the product polynomial, and folding the slots at
-        # X^e and above into the taps reduces it; no slot ever overflows
-        w = self._slot
-        ew = e * w
-        prod = self._spread(a, w) * self._spread(b, w)
-        while high := prod >> ew:
-            prod ^= high << ew
+    def _lift(self, a: int) -> int:
+        """a spread into _slot-bit slots (odd p), a chunk of digits at a
+        time through _lifts when the field has that table."""
+        lifts = self._lifts
+        if lifts is None:
+            return self._spread(a, self._slot)
+        size, step = self._lift_chunk, self._lift_step
+        out = shift = 0
+        while a:
+            a, x = divmod(a, size)
+            out |= lifts[x] << shift
+            shift += step
+        return out
+
+    def _reduce(self, v: int) -> int:
+        """The element whose polynomial is v's _slot-bit slots (odd p):
+        the slots at X^e and above fold into the taps, then every slot is
+        taken mod p.  v may be a sum of up to DOT_BLOCK lifted products
+        plus one lifted element; no slot ever overflows."""
+        w, taps = self._slot, self._taps
+        ew = self.e * w
+        while high := v >> ew:
+            v ^= high << ew
             for j, m in taps:
-                prod += high * m << j * w
-        return self._unspread(prod, w, 1)
+                v += high * m << j * w
+        return self._unspread(v, w, 1)
+
+    def _fold(self, r: int) -> int:
+        """A carry-less packed polynomial (p = 2) reduced mod the modulus:
+        the bits at X^e and above fold down into the taps."""
+        e, taps = self.e, self._taps
+        while high := r >> e:
+            r ^= high << e
+            for j, _ in taps:
+                r ^= high << j
+        return r
+
+    def _g_mul(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return self._fold(_clmul(a, b))
+        # Kronecker substitution: one integer product holds every
+        # coefficient of the product polynomial
+        return self._reduce(self._lift(a) * self._lift(b))
 
     def _g_inv(self, a: int) -> int:
         # extended Euclid on a and the modulus
@@ -457,14 +518,21 @@ class FieldCtx:
 
         y = 0 returns a copy of xs, and a zero w leaves its x as it is.
         Table fields work on the exp/log lists directly: p = 2 adds by XOR,
-        odd p through the Zech table.  Other fields call mul and add.
+        odd p through the Zech table.  Generic p = 2 adds by XOR too;
+        generic odd p lifts y once and reduces x + y w once per entry, so
+        the add costs no digit loop of its own.
         """
         if not y:
             return list(xs)
         exp = self._exp
         if exp is None:
-            add, mul = self.add, self.mul
-            return [add(x, mul(y, w)) if w else x for x, w in zip(xs, ws)]
+            if self.p == 2:
+                mul = self._g_mul
+                return [x ^ mul(y, w) if w else x for x, w in zip(xs, ws)]
+            lift, reduce = self._lift, self._reduce
+            ly = lift(y)
+            return [reduce(lift(x) + ly * lift(w)) if w else x
+                    for x, w in zip(xs, ws)]
         log = self._log
         ly = log[y]
         if self.p == 2:
@@ -474,6 +542,55 @@ class FieldCtx:
         return [(exp[lx + z] if (z := zech[(ly + log[w] - lx) % om1]) >= 0 else 0)
                 if x and w else exp[ly + log[w]] if w else x
                 for x, w in zip(xs, ws) for lx in (log[x],)]
+
+    def dot(self, xs, ws) -> int:
+        """The sum of x w over zip(xs, ws), for sequences xs and ws: an
+        entry of a matrix product.
+
+        Table fields read the exp/log lists directly: p = 2 XORs the
+        products, odd p adds each to the running sum's log through the
+        Zech table.  Generic fields reduce once per sum, not once per
+        product: p = 2 XORs the unreduced carry-less products and folds
+        the sum once; odd p adds the lifted products as plain integers and
+        reduces once per DOT_BLOCK of them, each block starting from the
+        lifted sum of the blocks before it.
+        """
+        exp = self._exp
+        if exp is not None:
+            log = self._log
+            if self.p == 2:
+                acc = 0
+                for x, w in zip(xs, ws):
+                    if x and w:
+                        acc ^= exp[log[x] + log[w]]
+                return acc
+            zech, om1 = self._zech, self.order - 1
+            la = -1  # the log of the running sum, -1 while it is 0
+            for x, w in zip(xs, ws):
+                if x and w:
+                    lp = log[x] + log[w]
+                    if la < 0:
+                        la = lp
+                    elif (z := zech[(lp - la) % om1]) < 0:
+                        la = -1
+                    else:
+                        la = (la + z) % om1
+            return exp[la] if la >= 0 else 0
+        if self.p == 2:
+            acc = 0
+            for x, w in zip(xs, ws):
+                if x and w:
+                    acc ^= _clmul(x, w)
+            return self._fold(acc)
+        lift, reduce = self._lift, self._reduce
+        acc = 0
+        for i in range(0, len(xs), DOT_BLOCK):
+            v = lift(acc)
+            for x, w in zip(xs[i:i + DOT_BLOCK], ws[i:i + DOT_BLOCK]):
+                if x and w:
+                    v += lift(x) * lift(w)
+            acc = reduce(v)
+        return acc
 
     def inv(self, a: int) -> int:
         if a == 0:

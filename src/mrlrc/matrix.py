@@ -5,7 +5,8 @@ a new matrix.  Rank, det, solve and kernel run through
 elim.reduce_rows, which pivots on the first nonzero entry scanning
 top-to-bottom, so echelon forms are identical across runs;
 first_dependent walks column subsets as a prefix tree in
-elim.first_dependent, with the same pivot rule.
+elim.first_dependent, with the same pivot rule.  Every entry of a
+product is one call of the field's dot kernel.
 
 Index conventions: plain Python 0-based indexing for raw entry access,
 but the column-set operations (restrict_columns, rank, first_dependent)
@@ -105,19 +106,10 @@ class MatrixF:
         ctx = self.ctx
         if self.cols == 0:
             return MatrixF.zeros(ctx, self.rows, other.cols)
-        mul, add = ctx.mul, ctx.add
+        dot = ctx.dot
         ot = list(zip(*other.data))
-        out = []
-        for r in self.data:
-            out_r = []
-            for c in ot:
-                acc = 0
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                out_r.append(acc)
-            out.append(out_r)
-        return MatrixF(ctx, out, cols=other.cols)
+        return MatrixF(ctx, [[dot(r, c) for c in ot] for r in self.data],
+                       cols=other.cols)
 
     def vstack(self, other: "MatrixF") -> "MatrixF":
         if self.ctx != other.ctx:

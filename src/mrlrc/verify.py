@@ -583,6 +583,7 @@ def decode_erasures(code: MrLrcCode, word):
     pivots means the kept symbols are consistent with no codeword and
     raises InvalidInput; otherwise the last column of the pivot rows holds
     the erased symbols and the completed codeword tuple is returned.
+    Each entry of H w is one dot of an H row with w, which is built once.
     """
     word = list(word)
     if len(word) != code.n:
@@ -591,16 +592,12 @@ def decode_erasures(code: MrLrcCode, word):
     for v in word:
         if v is not None and not top.is_element(v):
             raise ValueError(f"{v} is not an element of {top!r}")
-    add, mul = top.add, top.mul
     erased = [j for j, v in enumerate(word) if v is None]
     e = len(erased)
-    rows = []
-    for h_row in code.H.data:
-        acc = 0
-        for v, x in zip(word, h_row):
-            if v and x:
-                acc = add(acc, mul(v, x))
-        rows.append([h_row[j] for j in erased] + [top.neg(acc)])
+    kept = [0 if v is None else v for v in word]
+    dot, neg = top.dot, top.neg
+    rows = [[h_row[j] for j in erased] + [neg(dot(kept, h_row))]
+            for h_row in code.H.data]
     pivots, _ = reduce_rows(rows, top, range(e), reduced=True)
     if len(pivots) < e:
         return None

@@ -226,6 +226,24 @@ def test_verify_rejects_bundle_with_huge_extension_degree(bundle, capsys):
     assert f"bundle m = {10 ** 12} differs from the plan's 3" in err
 
 
+@pytest.mark.parametrize("sizes,order", [
+    (("11", "2", "1", "1", "1"), "13^11"),
+    (("12", "1", "1", "1", "1"), "13^12"),
+], ids=["r11-delta2", "r12-delta1"])
+def test_gen_realized_past_the_order_limit_is_inapplicable(tmp_path, capsys, sizes, order):
+    # max(g+1, r+delta-1) = 12 fits, but gen's realized field 13^m does not:
+    # bounds marks gen inapplicable with the message construct exits 1 with
+    args = [f"--{name}={value}" for name, value in
+            zip(("r", "delta", "t", "g", "N"), sizes)] + ["--k", "5"]
+    refused = f"p^e = {order} exceeds the {1 << 40} limit"
+    assert main(["bounds", "--json"] + args) == 0
+    assert json.loads(capsys.readouterr().out)["gen"] == {"inapplicable": refused}
+    assert main(["bounds"] + args) == 0
+    assert f"  gen: inapplicable ({refused})" in capsys.readouterr().out.splitlines()
+    assert main(["construct", "--kind", "gen"] + args + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {refused}\n"
+
+
 def test_construct_beyond_the_order_limit_exits_1(tmp_path, capsys):
     # pc2 (3, 3, 1, 3, 2), h = 1 plans GF(5^32): the order bound is checked
     # before the field is sized

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlrc.ff import (
-    DegreeOverflow, DivisionByZero, FieldCtx, NotPrime, TooManyBlocks,
+    DOT_BLOCK, DegreeOverflow, DivisionByZero, FieldCtx, NotPrime, TooManyBlocks,
     ZeroNorm, field_ctx, is_irreducible, is_prime, is_prime_power,
     least_irreducible, make_tower, next_prime_power,
 )
@@ -256,6 +256,73 @@ def test_axpy_matches_add_and_mul_on_every_branch(p, e):
         y, w = rnd.randrange(1, ctx.order), rnd.randrange(1, ctx.order)
         assert ctx.axpy(y, [ctx.neg(ctx.mul(y, w)), 0], [w, 0]) == [0, 0]
     assert ctx.axpy(0, [0, 1, 2 % ctx.order], [1, 1, 1]) == [0, 1, 2 % ctx.order]
+
+
+def loop_dot(ctx, xs, ws):
+    acc = 0
+    for x, w in zip(xs, ws):
+        acc = ctx.add(acc, ctx.mul(x, w))
+    return acc
+
+
+# every branch of the two kernels: p = 2 and odd-p tables, generic p = 2,
+# generic odd p with a table of lifted chunks, and odd p too large for one
+KERNEL_FIELDS = [(2, 6), (3, 4), (2, 20), (3, 14), (5, 7), (4099, 2)]
+
+
+@pytest.mark.parametrize("p,e", KERNEL_FIELDS)
+def test_dot_and_axpy_match_add_and_mul_on_every_branch(p, e):
+    ctx = field_ctx(p, e)
+    assert (ctx._exp is not None) == (ctx.order <= 1 << 16)
+    assert (ctx._lifts is not None) == (ctx.order > 1 << 16 and 2 < p <= 256)
+    rnd = random.Random(p * 1000 + e)
+    top = ctx.order - 1   # every digit p - 1: the largest slot sums
+    edges = [0, 1, p - 1, top]
+
+    def entry():
+        return rnd.choice(edges) if rnd.random() < 0.4 else rnd.randrange(ctx.order)
+
+    # lengths 0 and 1, zeros in either operand, and dots longer than one
+    # block of DOT_BLOCK products
+    sizes = [0, 1, 2, 9, DOT_BLOCK - 1, DOT_BLOCK, DOT_BLOCK + 1, 2 * DOT_BLOCK + 3]
+    for size in sizes:
+        for _ in range(6):
+            xs = [entry() for _ in range(size)]
+            ws = [entry() for _ in range(size)]
+            assert ctx.dot(xs, ws) == loop_dot(ctx, xs, ws)
+            assert ctx.dot(tuple(xs), ws) == ctx.dot(ws, xs)
+            for y in (0, 1, top, entry()):
+                got = ctx.axpy(y, xs, ws)
+                assert got == [ctx.add(x, ctx.mul(y, w)) for x, w in zip(xs, ws)]
+        fulls = [top] * size
+        assert ctx.dot(fulls, fulls) == loop_dot(ctx, fulls, fulls)
+        assert ctx.axpy(top, fulls, fulls) == [ctx.add(top, ctx.mul(top, top))] * size
+        assert ctx.dot([0] * size, fulls) == ctx.dot(fulls, [0] * size) == 0
+    # a sum that cancels: x w + (-x w) = 0, also inside a longer dot
+    for _ in range(50):
+        x, w = rnd.randrange(1, ctx.order), rnd.randrange(1, ctx.order)
+        assert ctx.dot([x, ctx.neg(x)], [w, w]) == 0
+        assert ctx.dot([x, ctx.neg(x), 1], [w, w, w]) == w
+    # the ragged pair reads as zip does
+    assert ctx.dot([1, 1, 1], [top]) == top
+
+
+FIELDS = [(2, 1), (3, 1), (2, 5), (3, 3), (7, 2), (2, 17), (3, 11), (5, 9),
+          (13, 5), (257, 2), (4099, 2), (1000003, 1), (2, 33), (3, 24)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dot_and_axpy_match_add_and_mul_hypothesis(data):
+    ctx = field_ctx(*data.draw(st.sampled_from(FIELDS)))
+    element = st.one_of(st.sampled_from([0, 1, ctx.order - 1]),
+                        st.integers(0, ctx.order - 1))
+    size = data.draw(st.integers(0, 2 * DOT_BLOCK + 2))
+    xs = data.draw(st.lists(element, min_size=size, max_size=size))
+    ws = data.draw(st.lists(element, min_size=size, max_size=size))
+    y = data.draw(element)
+    assert ctx.dot(xs, ws) == loop_dot(ctx, xs, ws)
+    assert ctx.axpy(y, xs, ws) == [ctx.add(x, ctx.mul(y, w)) for x, w in zip(xs, ws)]
 
 
 @pytest.mark.parametrize("p,e", [(2, 20), (3, 14), (2, 8), (3, 4)])
