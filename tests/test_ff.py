@@ -307,14 +307,14 @@ def test_dot_and_axpy_match_add_and_mul_on_every_branch(p, e):
     assert ctx.dot([1, 1, 1], [top]) == top
 
 
-FIELDS = [(2, 1), (3, 1), (2, 5), (3, 3), (7, 2), (2, 17), (3, 11), (5, 9),
+PROPERTY_FIELDS = [(2, 1), (3, 1), (2, 5), (3, 3), (7, 2), (2, 17), (3, 11), (5, 9),
           (13, 5), (257, 2), (4099, 2), (1000003, 1), (2, 33), (3, 24)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_dot_and_axpy_match_add_and_mul_hypothesis(data):
-    ctx = field_ctx(*data.draw(st.sampled_from(FIELDS)))
+    ctx = field_ctx(*data.draw(st.sampled_from(PROPERTY_FIELDS)))
     element = st.one_of(st.sampled_from([0, 1, ctx.order - 1]),
                         st.integers(0, ctx.order - 1))
     size = data.draw(st.integers(0, 2 * DOT_BLOCK + 2))
