@@ -26,6 +26,9 @@ itertools.combinations order.  Both exhaustive MR routes in verify name
 their witnesses with it, once their own walk has found that the code
 fails: on the k rows of G restricted to a failing pattern's complement,
 and on the projection of H left over after eliminating the pattern.
+Its walk has the shape of theirs: one column loop per node, and a
+two-row node one column short of a leaf settles both of its last
+columns from one key per column.
 
 Pivots are the first nonzero entry at or below the current row, scanning
 top to bottom, so every result is identical across runs.
@@ -91,13 +94,21 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
 
     A depth-first walk over the columns keeps, for each independent prefix
     of j columns, the rows below its j pivots restricted to the columns
-    after the last chosen one; every other row is never read again.
-    Adding column c pivots on the first of those rows nonzero in c, as
-    reduce_rows does, and the child clears c in the others.  When no row
-    is nonzero in c, prefix + c and each of its completions is dependent,
-    so the first failing subset is prefix + c + the next size - j - 1
-    positions.  A leaf (j + 1 = size) needs only that nonzero test, and
-    the last two levels (j + 2 = size) take one pass, _first_dependent_pair.
+    after the last chosen one; every other row is never read again.  Each
+    node runs one loop over its columns c.  When no row is nonzero in c,
+    prefix + c and each of its completions is dependent, so the first
+    failing subset is prefix + c + the next size - j - 1 positions; that
+    is all the one-column level (j + 1 = size) tests.  Otherwise adding c
+    pivots on the first of those rows nonzero in c, as reduce_rows does,
+    and the child clears c in the others.
+
+    A node with one column left to add after c and exactly two rows (every
+    such node when rows has size rows) settles both, as verify's walks do:
+    prefix + c + c2 is dependent iff c's residual 2-vector is zero, or
+    c2's is, or the two are proportional.  It keys each column once, on
+    entry, by b/a for its residual (a, b), -1 when a = 0, and -2 for
+    (0, 0), which matches every column; the pair is c's lowest later
+    column of its key or zero.  With more rows it eliminates on down.
     """
     if size < 1:
         return None
@@ -108,87 +119,49 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
 
     def walk(node, start, j):
         # node[i][c - start] is the entry of row i in column c >= start
-        stop = ncols - start - (size - j - 1)
-        if j + 2 == size:
-            pair = _first_dependent_pair(node, field)
-            return None if pair is None else (start + pair[0], start + pair[1])
-        if j + 1 == size:
-            # the first column, in range, that is zero in every row
-            mask = node[0] if len(node) == 1 else [any(col) for col in zip(*node)]
-            try:
-                return (start + mask.index(0, 0, stop),)
-            except ValueError:
-                return None
-        for k in range(stop):
+        need = size - j - 1  # columns to add after c
+        keys = None
+        if need == 1 and len(node) == 2:
+            keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*node)]
+            keyed = dict.fromkeys(keys, 0)
+            if len(keyed) == len(keys) and -2 not in keyed:
+                return None  # no two columns match
+            # keyed[key]: the positions of that key and the zero columns,
+            # every position for key -2
+            for x, key in enumerate(keys):
+                keyed[key] |= 1 << x
+            zero = keyed.get(-2, 0)
+            for key in keyed:
+                keyed[key] |= zero
+            keyed[-2] = -1
+        for c in range(start, ncols - need):
+            x = c - start
+            if keys is not None:
+                later = keyed[keys[x]] >> x + 1
+                if later:
+                    return (c, c + (later & -later).bit_length())
+                continue
             for pr, prow in enumerate(node):
-                if prow[k]:
+                if prow[x]:
                     break
             else:
-                return tuple(range(start + k, start + k + size - j))
-            tail = prow[k + 1:]
-            f = neg(inv(prow[k]))
+                return tuple(range(c, c + need + 1))
+            if not need:
+                continue
+            tail = prow[x + 1:]
+            f = neg(inv(prow[x]))
             child = []
             for i, row in enumerate(node):
                 if i != pr:
-                    x = row[k]
-                    if x:
-                        child.append(axpy(mul(f, x), row[k + 1:], tail))
-                    else:
-                        child.append(row[k + 1:])
-            found = walk(child, start + k + 1, j + 1)
+                    y = row[x]
+                    child.append(axpy(mul(f, y), row[x + 1:], tail) if y
+                                 else row[x + 1:])
+            found = walk(child, c + 1, j + 1)
             if found is not None:
-                return (start + k,) + found
+                return (c,) + found
         return None
 
     return walk(rows, 0, 0)
-
-
-def _first_dependent_pair(node: list, field) -> tuple | None:
-    """The first pair (a, b), a < b, of column positions of node, in
-    combinations order, whose two columns are linearly dependent, or None.
-
-    Two columns are dependent iff one is zero or both scale to the same
-    column with a leading 1, so each nonzero column is keyed by that
-    scaling: with two rows, which is every caller's pair node when it
-    passes as many rows as size, (a, b) keys as b/a, or -1 when a = 0.
-    One right-to-left scan finds for each nonzero column the nearest later
-    column that is zero or has its key; the leftmost a that has one gives
-    the pair, and a zero column a pairs with a + 1.
-    """
-    mul, inv = field.mul, field.inv
-    if len(node) == 2:
-        keys = [mul(b, inv(a)) if a else -1 if b else None for a, b in zip(*node)]
-    else:
-        keys = []  # None for a zero column
-        for col in zip(*node):
-            for lead in col:
-                if lead:
-                    break
-            else:
-                keys.append(None)
-                continue
-            if lead != 1:
-                f = inv(lead)
-                col = tuple([mul(f, x) for x in col])
-            keys.append(col)
-    n = len(keys)
-    nearest: dict = {}  # key -> leftmost position seen so far
-    zero = n            # leftmost zero column seen so far
-    found = None
-    for a in range(n - 1, -1, -1):
-        key = keys[a]
-        if key is None:
-            if a + 1 < n:
-                found = (a, a + 1)
-            zero = a
-            continue
-        b = nearest.get(key, zero)
-        if zero < b:
-            b = zero
-        if b < n:
-            found = (a, b)
-        nearest[key] = a
-    return found
 
 
 def kernel_basis(rows: list, ncols: int, field) -> list[list[int]]:

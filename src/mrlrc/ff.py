@@ -22,9 +22,12 @@ X^(m-1) all read one GF(p)-linear bijection GF(q)^m -> GF(q^m) and its
 inverse, two GF(p) matrices computed once per tower.
 
 Fields of order at most 2^16 get exp/log tables, and Zech tables for odd
-p, built with the generic mul, which is what makes the exhaustive
-verification sweeps fast.  Every p = 2 field adds by XOR.  Two vector
-kernels carry the bulk of the arithmetic:
+p, built with the generic mul and add, which is what makes the exhaustive
+verification sweeps fast.  The scalar add, which only set-up calls (the
+tower's subfield-root search), has one path per characteristic, table
+field or not: XOR for p = 2, and digit by digit mod p for odd p.  The
+sums of elimination, matrix products and syndromes run through two
+vector kernels, which carry the bulk of the arithmetic:
 
   * axpy(y, xs, ws) = [x + y w for x, w in zip(xs, ws)], the row update
     of every elimination;
@@ -53,10 +56,9 @@ and keep no per-element state:
     each fold round, so no carry ever crosses a slot; a longer dot
     reduces once per DOT_BLOCK products.  A lift reads k digits at a
     time from a table of lifted chunks, for the largest k with
-    p^k <= LIFT_TABLE_LIMIT.  inv runs Euclid's long divisions on whole
-    slot-packed ints, reducing mod p only at the end; add sums k digits
-    at a time through a table of digit-wise chunk sums of at most
-    SUM_TABLE_LIMIT entries.  Both tables are sized by p alone.
+    p^k <= LIFT_TABLE_LIMIT, a table sized by p alone.  inv runs
+    Euclid's long divisions on whole slot-packed ints, reducing mod p
+    only at the end.
 
 Irreducibility is Ben-Or's test, gcd(X^(p^i) - X, f) = 1 for i <= e/2, on
 coefficient tuples for every p; the least modulus of any field up to
@@ -72,7 +74,6 @@ from .elim import inverse
 
 ORDER_LIMIT = 1 << 40
 LOG_TABLE_LIMIT = 1 << 16
-SUM_TABLE_LIMIT = 1 << 12
 LIFT_TABLE_LIMIT = 1 << 8  # entries of an odd-p field's table of lifted digit chunks
 DOT_BLOCK = 64  # products a generic odd-p dot sums between two reductions
 
@@ -256,7 +257,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "e", "order", "modulus",
-        "_taps", "_slot", "_inv_slot", "_inv_modulus", "_chunk", "_sums",
+        "_taps", "_slot", "_inv_slot", "_inv_modulus",
         "_lift_chunk", "_lift_step", "_lifts",
         "_exp", "_log", "_zech", "_neg", "_primitive",
     )
@@ -301,30 +302,17 @@ class FieldCtx:
         # and the spread modulus is the packed one
         self._inv_slot = 1 if p == 2 else (p ** (2 * e + 1)).bit_length()
         self._inv_modulus = self._spread(self.from_coeffs(self.modulus), self._inv_slot)
-        # odd p above the table limit adds _chunk = p^k at a time:
-        # _sums[x * _chunk + y] is the digit-wise sum of the k-digit chunks
-        # x and y, for the largest k whose table fits SUM_TABLE_LIMIT.  For
-        # p > 64 not even k = 1 does; those fields add digit by digit.
-        # add never comes here for p = 2 (XOR) or for a table field of odd
-        # p (its Zech table).  _lift spreads _lift_chunk = p^k at a time the
-        # same way: _lifts[x] is the k-digit chunk x spread into _slot-bit
-        # slots, for the largest k with p^k <= LIFT_TABLE_LIMIT; a p above
-        # the limit gets no table and lifts digit by digit
-        self._chunk, self._sums = p, None
+        # odd p above the table limit lifts _lift_chunk = p^k at a time:
+        # _lifts[x] is the k-digit chunk x spread into _slot-bit slots, for
+        # the largest k with p^k <= LIFT_TABLE_LIMIT; a p above the limit
+        # gets no table and lifts digit by digit
         self._lift_chunk, self._lift_step, self._lifts = p, self._slot, None
-        if p > 2 and self.order > LOG_TABLE_LIMIT:
-            if p * p <= SUM_TABLE_LIMIT:
-                while (self._chunk * p) ** 2 <= SUM_TABLE_LIMIT:
-                    self._chunk *= p
-                digits = [self.coeffs(x) for x in range(self._chunk)]
-                self._sums = [self.from_coeffs(u + v for u, v in zip(dx, dy))
-                              for dx in digits for dy in digits]
-            if p <= LIFT_TABLE_LIMIT:
-                while self._lift_chunk * p <= LIFT_TABLE_LIMIT:
-                    self._lift_chunk *= p
-                    self._lift_step += self._slot
-                self._lifts = [self._spread(x, self._slot)
-                               for x in range(self._lift_chunk)]
+        if 2 < p <= LIFT_TABLE_LIMIT and self.order > LOG_TABLE_LIMIT:
+            while self._lift_chunk * p <= LIFT_TABLE_LIMIT:
+                self._lift_chunk *= p
+                self._lift_step += self._slot
+            self._lifts = [self._spread(x, self._slot)
+                           for x in range(self._lift_chunk)]
 
     # -- representation helpers
 
@@ -352,13 +340,13 @@ class FieldCtx:
     # -- generic arithmetic (any order up to ORDER_LIMIT, on the encoding)
 
     def _g_add(self, a: int, b: int) -> int:
-        size, sums = self._chunk, self._sums
+        p = self.p
         out, shift = 0, 1
         while a or b:
-            a, x = divmod(a, size)
-            b, y = divmod(b, size)
-            out += (sums[x * size + y] if sums else (x + y) % size) * shift
-            shift *= size
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * shift
+            shift *= p
         return out
 
     def _g_neg(self, a: int) -> int:
@@ -483,21 +471,7 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._zech is None:
-            return self._g_add(a, b)
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        log, om1 = self._log, self.order - 1
-        la, lb = log[a], log[b]
-        d = lb - la
-        if d < 0:
-            d += om1
-        z = self._zech[d]
-        if z < 0:
-            return 0
-        return self._exp[la + z]
+        return self._g_add(a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:

@@ -164,34 +164,40 @@ def test_field_axioms_random(p, e):
 
 def test_generic_path_matches_tables():
     # table fields forced through the generic methods must agree with their
-    # tables operation by operation, and inverse by inverse
+    # tables operation by operation, and inverse by inverse; add has no
+    # table (test_add_is_digitwise_sum_mod_p)
     for p, e in [(2, 8), (3, 4), (5, 3)]:
         ctx = field_ctx(p, e)
         rnd = random.Random(7)
         for _ in range(500):
             x, y = rnd.randrange(ctx.order), rnd.randrange(ctx.order)
-            assert ctx._g_add(x, y) == ctx.add(x, y)
             assert ctx._g_neg(x) == ctx.neg(x)
             assert ctx._g_mul(x, y) == ctx.mul(x, y)
         for x in range(1, ctx.order):
             assert ctx._g_inv(x) == ctx.inv(x)
 
 
-def test_p2_table_add_is_digitwise_sum_mod_2():
-    # p = 2 table fields add by XOR, with no Zech table behind it
+def test_add_is_digitwise_sum_mod_p():
+    # add sums digit by digit mod p on every field: by XOR for p = 2, with
+    # no Zech table behind it, and with or without log tables for odd p
     def digit_sum(ctx, x, y):
         return ctx.from_coeffs(
-            (a + b) % 2 for a, b in zip(ctx.coeffs(x), ctx.coeffs(y)))
+            (a + b) % ctx.p for a, b in zip(ctx.coeffs(x), ctx.coeffs(y)))
 
-    gf16 = field_ctx(2, 4)
-    for x, y in itertools.product(gf16.elements(), repeat=2):
-        assert gf16.add(x, y) == digit_sum(gf16, x, y)
-    ctx = field_ctx(2, 14)
-    assert ctx._exp is not None and ctx._zech is None
-    rnd = random.Random(14)
-    for _ in range(10_000):
-        x, y = rnd.randrange(ctx.order), rnd.randrange(ctx.order)
-        assert ctx.add(x, y) == digit_sum(ctx, x, y)
+    for small in (field_ctx(2, 4), field_ctx(3, 4), field_ctx(5, 2)):
+        for x, y in itertools.product(small.elements(), repeat=2):
+            assert small.add(x, y) == digit_sum(small, x, y)
+    gf2_14 = field_ctx(2, 14)
+    assert gf2_14._exp is not None and gf2_14._zech is None
+    for p, e in [(2, 14), (3, 10), (5, 3), (2, 20), (3, 14), (5, 7), (4099, 2)]:
+        ctx = field_ctx(p, e)
+        rnd = random.Random(p * 100 + e)
+        top = ctx.order - 1   # every digit p - 1: each digit sum wraps
+        for x, y in [(top, top), (top, 1), (1, top), (0, top), (top, 0)]:
+            assert ctx.add(x, y) == digit_sum(ctx, x, y)
+        for _ in range(2_000):
+            x, y = rnd.randrange(ctx.order), rnd.randrange(ctx.order)
+            assert ctx.add(x, y) == digit_sum(ctx, x, y)
 
 
 def test_generic_path_matches_tuple_oracles():

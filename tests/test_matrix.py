@@ -21,6 +21,9 @@ F4 = field_ctx(2, 2)
 F5 = field_ctx(5)
 F9 = field_ctx(3, 2)
 F25 = field_ctx(5, 2)
+# above the log-table limit: the generic mul and inv key the two-row nodes
+F3_14 = field_ctx(3, 14)
+F2_20 = field_ctx(2, 20)
 
 
 def random_matrix(ctx, rows, cols, rnd):
@@ -205,7 +208,7 @@ def test_first_dependent_prefix_tree_matches_oracle(data):
     # the prefix-tree walk against the per-minor sweep, with a zero column,
     # a repeated column, a combination of two earlier pool columns and a
     # multiple c v of one, c not 0 or 1, planted at shuffled pool positions
-    ctx = data.draw(st.sampled_from([F2, F4, F3, F9, F5, F25]))
+    ctx = data.draw(st.sampled_from([F2, F4, F3, F9, F5, F25, F3_14, F2_20]))
     rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
     entry = st.integers(0, ctx.order - 1)
     columns = [data.draw(st.lists(entry, min_size=rows, max_size=rows))
@@ -239,11 +242,12 @@ def test_first_dependent_prefix_tree_matches_oracle(data):
 
 
 def test_first_dependent_pair_finds_scalar_multiples():
-    # the last two levels of the walk key each column by its scaling to a
-    # leading 1: a planted c v, c not in {0, 1}, must pair with v, also
-    # when an earlier column or a zero column comes first
+    # a two-row node keys each column by b/a for its residual (a, b): a
+    # planted c v, c not in {0, 1}, must pair with v, also when an earlier
+    # column or a zero column comes first; with three rows the walk
+    # eliminates on down instead
     rnd = random.Random(11)
-    for ctx in (F4, F3, F9, F5, F25):
+    for ctx in (F4, F3, F9, F5, F25, F3_14, F2_20):
         for _ in range(60):
             rows, cols = rnd.randrange(2, 4), rnd.randrange(3, 9)
             columns = [[rnd.randrange(ctx.order) for _ in range(rows)]

@@ -110,13 +110,21 @@ def key_class_mutants(m: MatrixF):
                                 for row, v in zip(m.data, col)])
 
 
-@pytest.mark.parametrize("spec", ORACLE_CODES,
-                         ids=[f"{k}{p}{a}" for k, p, a in ORACLE_CODES])
+# ORACLE_CODES and two codes whose top field has no log tables, so
+# first_dependent keys its two-row nodes through the generic inv: n = 9 and
+# h = 2 over GF(5^7), where both routes reach a two-row node, and h = 1
+# over GF(2^20)
+SWEEP_ORACLE_CODES = ORACLE_CODES + (("gen", (4, 2, 1, 1, 2), {"k": 5}),
+                                     ("pc2", (1, 2, 1, 3, 2), {"h": 1}))
+
+
+@pytest.mark.parametrize("spec", SWEEP_ORACLE_CODES,
+                         ids=[f"{k}{p}{a}" for k, p, a in SWEEP_ORACLE_CODES])
 def test_exhaustive_routes_match_subset_sweep_oracle(spec):
     # the key-class mutants send zero, equal and proportional column pairs
-    # through elim.first_dependent's pair pass on G's complements and on
-    # H's projections, and a zeroed H column inside a pattern through the
-    # parity witness loop's rank-deficient branch
+    # through elim.first_dependent's keyed two-row nodes on G's complements
+    # and on H's projections, and a zeroed H column inside a pattern through
+    # the parity witness loop's rank-deficient branch
     code = bvs.build(*spec)
     for copy in (code, *mutants(code),
                  *(replace(code, G=g_mat) for g_mat in key_class_mutants(code.G)),
