@@ -111,13 +111,13 @@ def _bounds_text(row, as_json: bool = False) -> str:
         if as_json:
             return json.dumps(row, indent=2, sort_keys=False)
         lines = [f"field sizes for k={row['k']}, h={row['h']} (ascending):"]
-        applicable = [(kind, row[kind]) for kind in ("gen", "pc1", "pc2")
+        applicable = [(kind, row[kind]) for kind in constructions.KINDS
                       if "inapplicable" not in row[kind]]
         for kind, cell in sorted(applicable, key=lambda kc: kc[1]["bound_value"]):
             star = "" if cell["exact"] else f" (realized {cell['field_size']})"
             lines.append(f"  {kind}: q={cell['q']} m={cell['m']} "
                          f"bound={cell['bound_value']}{star}")
-        for kind in ("gen", "pc1", "pc2"):
+        for kind in constructions.KINDS:
             if "inapplicable" in row[kind]:
                 lines.append(f"  {kind}: inapplicable ({row[kind]['inapplicable']})")
         lo, hi = row["ell_bounds"]

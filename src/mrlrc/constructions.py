@@ -58,7 +58,7 @@ from .ff import (
     ORDER_LIMIT, DegreeOverflow, FieldTower, make_tower, is_prime_power, next_prime_power,
 )
 from .matrix import MatrixF, RankDeficient, block_diag, map_entries, read_srmat, write_srmat
-from .localmds import MdsSpec, structured_mds, vandermonde_columns
+from .localmds import structured_mds, vandermonde_columns
 from .sumrank import frobenius_rows
 from .topology import Topology, make_topology
 
@@ -248,12 +248,12 @@ def local_generator(topo: Topology, kind: str, ctx) -> MatrixF:
         raise ValueError(f"local generator of kind {kind!r}: "
                          "only 'gen' and 'pc2' have one")
     k_loc = topo.r if kind == "gen" else topo.delta - 1
-    return structured_mds(MdsSpec(ctx, topo.r + topo.delta - 1, k_loc), topo.t)
+    return structured_mds(ctx, topo.r + topo.delta - 1, k_loc, topo.t)
 
 
 def _pc1_local(topo: Topology, h: int, ctx) -> MatrixF:
     r, delta, t = topo.r, topo.delta, topo.t
-    return structured_mds(MdsSpec(ctx, r + delta - 1, h + delta - 1), t,
+    return structured_mds(ctx, r + delta - 1, h + delta - 1, t,
                           check_prefix=delta - 1)
 
 

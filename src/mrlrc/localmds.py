@@ -17,7 +17,6 @@ banded generator span an MDS code on their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .elim import reduce_rows
@@ -38,22 +37,6 @@ class APrimeNotMds(ValueError):
 
 class ColumnCapExceeded(ValueError):
     """is_mds refused beyond IS_MDS_COLUMN_CAP column subsets."""
-
-
-@dataclass(frozen=True)
-class MdsSpec:
-    """Parameters of a local MDS code over GF(q): length n_loc, dimension k_loc."""
-
-    ctx: FieldCtx
-    n_loc: int
-    k_loc: int
-
-    def __post_init__(self):
-        if not 0 <= self.k_loc <= self.n_loc:
-            raise ValueError(f"need 0 <= k <= n, got k={self.k_loc}, n={self.n_loc}")
-        if self.n_loc > self.ctx.order + 1:
-            raise LengthExceedsField(
-                f"length {self.n_loc} exceeds q + 1 = {self.ctx.order + 1}")
 
 
 def vandermonde_columns(ctx: FieldCtx, rows: int, cols: int) -> MatrixF:
@@ -78,11 +61,6 @@ def vandermonde_columns(ctx: FieldCtx, rows: int, cols: int) -> MatrixF:
     return MatrixF(ctx, data, cols=cols)
 
 
-def extended_rs_generator(spec: MdsSpec) -> MatrixF:
-    """Canonical generator of the (n_loc, k_loc) extended RS code."""
-    return vandermonde_columns(spec.ctx, spec.k_loc, spec.n_loc)
-
-
 def is_mds(g: MatrixF) -> bool:
     """True iff every k x k column submatrix of the k x n generator is invertible.
 
@@ -101,11 +79,11 @@ def is_mds(g: MatrixF) -> bool:
     return g.first_dependent(g.rows) is None
 
 
-def structured_mds(spec: MdsSpec, t: int,
+def structured_mds(ctx: FieldCtx, n: int, k: int, t: int,
                    check_prefix: int | None = None) -> MatrixF:
-    """Generator of the canonical (n_loc, k_loc) RS code in banded form.
+    """Generator of the canonical (n, k) extended RS code in banded form.
 
-    The result is row-equivalent to extended_rs_generator(spec) and has
+    The result is row-equivalent to vandermonde_columns(ctx, k, n) and has
     first t columns equal to [I_t; 0]; the rows below the first t are the
     C / D bands of the global constructions.
 
@@ -114,16 +92,15 @@ def structured_mds(spec: MdsSpec, t: int,
     check_prefix is given, the first check_prefix rows are additionally
     verified to span an MDS code (raising APrimeNotMds otherwise).
     """
-    k, n = spec.k_loc, spec.n_loc
-    if t > k:
-        raise ValueError(f"t = {t} exceeds k = {k}")
+    if not 0 <= t <= k <= n:
+        raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
     # the leading minors of the Vandermonde block on the first t columns
     # are nonzero, so the pivots of the first t columns are the first t rows
-    rows = [list(r) for r in extended_rs_generator(spec).data]
-    reduce_rows(rows, spec.ctx, range(t), reduced=True)
-    a = MatrixF(spec.ctx, rows, cols=n)
+    rows = [list(r) for r in vandermonde_columns(ctx, k, n).data]
+    reduce_rows(rows, ctx, range(t), reduced=True)
+    a = MatrixF(ctx, rows, cols=n)
     if check_prefix is not None:
-        prefix = MatrixF(spec.ctx, a.data[:check_prefix], cols=n)
+        prefix = MatrixF(ctx, a.data[:check_prefix], cols=n)
         if not is_mds(prefix):
             raise APrimeNotMds(
                 f"top {check_prefix} rows do not span an MDS code")

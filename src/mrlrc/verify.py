@@ -214,17 +214,19 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
     every later group.  When no row is nonzero in the column, the prefix
     plus it is singular, and so is each of its completions.
 
-    Each node runs one loop over its columns c1: the reach cut, then c1's
-    picks s in its group, then s's admission.  Below the last two levels
-    that is room[s]; with one column left to add after c1 the node holds
-    two rows, so prefix + c1 + c2 is singular iff c1's residual 2-vector
-    is zero, or c2's is, or the two are proportional, and the node keys
-    each column once, on entry, by b/a for its residual (a, b), -1 when a
-    = 0, and -2 for (0, 0), which matches every column.  There ends[i][s]
-    tables the columns c2 that the room rules admit as the last pick; it
-    is empty when no mask holds s, so it is also c1's admission.  A
-    singular pair is then any bit shared by ends and the columns of c1's
-    key or zero, and the leaves are counted by bit_count.
+    Each node runs one loop over the columns c1 with enough columns after
+    them to finish: c1's picks s in its group, then s's admission.  Below
+    the last two levels that is room[s], which also refuses every c1
+    whose group and later groups cannot hold the rest; with one column
+    left to add after c1 the node holds two rows, so prefix + c1 + c2 is
+    singular iff c1's residual 2-vector is zero, or c2's is, or the two
+    are proportional, and the node keys each column once, on entry, by
+    b/a for its residual (a, b), -1 when a = 0, and -2 for (0, 0), which
+    matches every column.  There ends[i][s] tables the columns c2 that the
+    room rules admit as the last pick; it is empty when no mask holds s,
+    so it is also c1's admission.  A singular pair is then any bit shared
+    by ends and the columns of c1's key or zero, and the leaves are
+    counted by bit_count.
     """
     ctx = g_mat.ctx
     mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
@@ -244,9 +246,6 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
              for i in range(groups)]
     after = [sum(union << i2 * width for i2 in range(i + 1, groups))
              for i in range(groups)]
-    # reach[c]: the most columns >= c any coverable subset holds
-    reach = [max((m >> c % width).bit_count() for m in masks) + later[grp[c]]
-             for c in range(n)]
     # room[sel]: for the picks sel of one group (a local bitmask), the most
     # columns above sel's top bit that a mask holding sel has, or -1 when
     # none holds it; filled in as the walk reaches each sel
@@ -294,9 +293,7 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
                 keyed[-2] = -1
             # else every key is distinct and nonzero, and a column never
             # ends the pair it starts, so no column matches another
-        for c in range(start, n):
-            if reach[c] <= need:
-                return False
+        for c in range(start, n - need):
             i = grp[c]
             s = (sel if i == gi else 0) | bit[c]
             if pair:
@@ -700,7 +697,7 @@ def lower_bound_field(topo: Topology, h: int) -> LowerBound:
         e = (h - 2) // N
         binom = comb(topo.r + e - topo.t, e)
         regime = "B"
-    value = Fraction(topo.t) * (Fraction(g, h - 1) - 1) * binom ** N - 4
+    value = Fraction(topo.t) * (Fraction(g, h - 1) - 1) * bounded_power(binom, N) - 4
     fl = floor(value)
     return LowerBound(regime, value, fl, fl < 2, _asymptotic(topo, h))
 
@@ -725,12 +722,11 @@ def table1_row(topo: Topology, k: int | None = None, h: int | None = None) -> di
     for kind in KINDS:
         try:
             plan = plan_field(topo, kind, h=h)
-            size = plan.field_size
             row[kind] = {
                 "q": plan.q, "m": plan.m,
                 "bound_value": plan.bound_value,
-                "field_size": size,
-                "exact": size == plan.bound_value,
+                "field_size": plan.field_size,
+                "exact": plan.exact,
             }
             if kind == "pc2":
                 row[kind]["ell"] = plan.ell

@@ -157,6 +157,22 @@ def test_bounds_asymptotic_too_long_exits_1(capsys, json_flag):
                             "the limit for writing an integer\n")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("h", ["200000002", "100000002"], ids=["regime_A", "regime_B"])
+def test_bounds_lower_bound_too_long_exits_1(capsys, h, json_flag):
+    # the lower bound's binomial power is 6^(10^8) in regime A and 3^(10^8)
+    # in regime B: it is refused before it is taken, as every bound is
+    argv = ["bounds", "--r", "3", "--delta", "3", "--t", "1", "--g", "1099511627776",
+            "--N", "100000000", "--h", h]
+    start = time.monotonic()
+    assert main(argv + json_flag) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound has more than 4300 decimal digits, "
+                            "the limit for writing an integer\n")
+
+
 @pytest.mark.parametrize("size", [[], ["--k", "4", "--h", "2"]],
                          ids=["neither", "both"])
 @pytest.mark.parametrize("command", ["construct", "bounds"])
