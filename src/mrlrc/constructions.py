@@ -424,12 +424,17 @@ def construct(topo: Topology, kind: str, k: int | None = None,
 
 
 def encode(code: MrLrcCode, message) -> tuple:
-    """Codeword x G for a length-k message over GF(q^m)."""
+    """Codeword x G for a length-k message over GF(q^m): one dots call of
+    the message against G's columns, n of them even when k = 0."""
     msg = tuple(message)
     if len(msg) != code.k:
         raise ValueError(f"message length must be k = {code.k}")
-    row = MatrixF(code.tower.top, [msg], cols=code.k)
-    return row.mul(code.G).data[0]
+    top = code.tower.top
+    for v in msg:
+        if not top.is_element(v):
+            raise ValueError(f"{v} is not an element of {top!r}")
+    cols = zip(*code.G.data) if code.k else [()] * code.n
+    return tuple(top.dots(msg, cols))
 
 
 def systematic_info_placement(code: MrLrcCode) -> tuple[MrLrcCode, tuple]:

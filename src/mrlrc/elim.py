@@ -11,8 +11,9 @@ Every row update, here and in verify's two walks, is one call of the
 field's row-update kernel ``axpy(y, xs, ws)``, which returns a new list
 [x + y w for x, w in zip(xs, ws)] (on table fields straight from the
 exp/log lists, on generic fields with one reduction per entry), so rows
-are replaced, never written into.  The field's other kernel, ``dot``,
-forms matrix products and syndromes; elimination does not need it.
+are replaced, never written into.  The field's other kernel,
+``dots(xs, cols)``, forms a row of a matrix product, a codeword and a
+syndrome; elimination does not need it.
 
 reduce_rows pivots on a given sequence of columns, in that order (all of
 them by default).  They need not be a prefix: the parity sweep

@@ -31,8 +31,10 @@ vector kernels, which carry the bulk of the arithmetic:
 
   * axpy(y, xs, ws) = [x + y w for x, w in zip(xs, ws)], the row update
     of every elimination;
-  * dot(xs, ws) = the sum of x w over zip(xs, ws), every entry of a
-    matrix product and of a syndrome.
+  * dots(xs, cols) = [the sum of x w over zip(xs, ws) for ws in cols],
+    every row of a matrix product, every codeword of encode and every
+    syndrome; it reads xs once per call, not once per column, and
+    dot(xs, ws) is dots with the one column ws.
 
 On a table field both read the exp/log lists themselves (XOR for p = 2,
 the Zech table for odd p) instead of calling mul and add once per entry.
@@ -42,18 +44,18 @@ and keep no per-element state:
   * p = 2: the encoding packs one coefficient per bit.  add is XOR, mul a
     carry-less shift/XOR product whose bits at X^e and above are folded
     down through the modulus, inv extended Euclid on the packed ints.
-    The fold is GF(2)-linear, so dot XORs the unreduced products and
+    The fold is GF(2)-linear, so dots XORs the unreduced products and
     folds once per sum;
   * odd p: mul lifts both operands' digits into bit slots and forms every
     coefficient of the product polynomial with one integer product
     (Kronecker substitution); folding the slots at X^e and above into
     the modulus's taps and taking each slot mod p reduces it.  Both steps
-    are linear, so dot adds the lifted products as plain integers and
+    are linear, so dots adds the lifted products as plain integers and
     reduces once per sum, and axpy reduces x + y w once per entry, its
     add included.  One slot width serves every product: a slot holds
     the coefficient of DOT_BLOCK summed products plus one element, at
     most (DOT_BLOCK + 1) e (p - 1)^2, times 1 + the sum of the taps for
-    each fold round, so no carry ever crosses a slot; a longer dot
+    each fold round, so no carry ever crosses a slot; a longer sum
     reduces once per DOT_BLOCK products.  A lift reads k digits at a
     time from a table of lifted chunks, for the largest k with
     p^k <= LIFT_TABLE_LIMIT, a table sized by p alone.  inv runs
@@ -75,7 +77,7 @@ from .elim import inverse
 ORDER_LIMIT = 1 << 40
 LOG_TABLE_LIMIT = 1 << 16
 LIFT_TABLE_LIMIT = 1 << 8  # entries of an odd-p field's table of lifted digit chunks
-DOT_BLOCK = 64  # products a generic odd-p dot sums between two reductions
+DOT_BLOCK = 64  # products a generic odd-p sum in dots adds between two reductions
 
 
 class NotPrime(ValueError):
@@ -518,53 +520,76 @@ class FieldCtx:
                 for x, w in zip(xs, ws) for lx in (log[x],)]
 
     def dot(self, xs, ws) -> int:
-        """The sum of x w over zip(xs, ws), for sequences xs and ws: an
-        entry of a matrix product.
+        """The sum of x w over zip(xs, ws): dots with the one column ws,
+        xs cut to its length."""
+        return self.dots(xs[:len(ws)], (ws,))[0]
 
-        Table fields read the exp/log lists directly: p = 2 XORs the
+    def dots(self, xs, cols) -> list[int]:
+        """[the sum of x w over zip(xs, ws) for ws in cols], for a sequence
+        xs and an iterable cols of sequences at least as long as xs: a row
+        of a matrix product, a codeword or a syndrome.
+
+        xs is read once per call, not once per column: the nonzero xs are
+        kept with their positions, and each column reads only the w at
+        those.  Table fields keep the logs of the xs: p = 2 XORs the
         products, odd p adds each to the running sum's log through the
         Zech table.  Generic fields reduce once per sum, not once per
         product: p = 2 XORs the unreduced carry-less products and folds
-        the sum once; odd p adds the lifted products as plain integers and
-        reduces once per DOT_BLOCK of them, each block starting from the
-        lifted sum of the blocks before it.
+        the sum once; odd p keeps the xs lifted, adds the lifted products
+        as plain integers and reduces once per DOT_BLOCK of them, each
+        block starting from the lifted sum of the blocks before it.
         """
         exp = self._exp
         if exp is not None:
             log = self._log
+            nz = [(i, log[x]) for i, x in enumerate(xs) if x]
+            out = []
             if self.p == 2:
-                acc = 0
-                for x, w in zip(xs, ws):
-                    if x and w:
-                        acc ^= exp[log[x] + log[w]]
-                return acc
+                for ws in cols:
+                    acc = 0
+                    for i, lx in nz:
+                        if w := ws[i]:
+                            acc ^= exp[lx + log[w]]
+                    out.append(acc)
+                return out
             zech, om1 = self._zech, self.order - 1
-            la = -1  # the log of the running sum, -1 while it is 0
-            for x, w in zip(xs, ws):
-                if x and w:
-                    lp = log[x] + log[w]
-                    if la < 0:
-                        la = lp
-                    elif (z := zech[(lp - la) % om1]) < 0:
-                        la = -1
-                    else:
-                        la = (la + z) % om1
-            return exp[la] if la >= 0 else 0
+            for ws in cols:
+                la = -1  # the log of the running sum, -1 while it is 0
+                for i, lx in nz:
+                    if w := ws[i]:
+                        lp = lx + log[w]
+                        if la < 0:
+                            la = lp
+                        elif (z := zech[(lp - la) % om1]) < 0:
+                            la = -1
+                        else:
+                            la = (la + z) % om1
+                out.append(exp[la] if la >= 0 else 0)
+            return out
+        out = []
         if self.p == 2:
-            acc = 0
-            for x, w in zip(xs, ws):
-                if x and w:
-                    acc ^= _clmul(x, w)
-            return self._fold(acc)
+            fold = self._fold
+            nz = [(i, x) for i, x in enumerate(xs) if x]
+            for ws in cols:
+                acc = 0
+                for i, x in nz:
+                    if w := ws[i]:
+                        acc ^= _clmul(x, w)
+                out.append(fold(acc))
+            return out
         lift, reduce = self._lift, self._reduce
-        acc = 0
-        for i in range(0, len(xs), DOT_BLOCK):
-            v = lift(acc)
-            for x, w in zip(xs[i:i + DOT_BLOCK], ws[i:i + DOT_BLOCK]):
-                if x and w:
-                    v += lift(x) * lift(w)
-            acc = reduce(v)
-        return acc
+        nz = [(i, lift(x)) for i, x in enumerate(xs) if x]
+        blocks = [nz[b:b + DOT_BLOCK] for b in range(0, len(nz), DOT_BLOCK)]
+        for ws in cols:
+            acc = 0
+            for block in blocks:
+                v = lift(acc)
+                for i, lx in block:
+                    if w := ws[i]:
+                        v += lx * lift(w)
+                acc = reduce(v)
+            out.append(acc)
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:

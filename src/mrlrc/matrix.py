@@ -5,8 +5,9 @@ a new matrix.  Rank, det, solve and kernel run through
 elim.reduce_rows, which pivots on the first nonzero entry scanning
 top-to-bottom, so echelon forms are identical across runs;
 first_dependent walks column subsets as a prefix tree in
-elim.first_dependent, with the same pivot rule.  Every entry of a
-product is one call of the field's dot kernel.
+elim.first_dependent, with the same pivot rule.  Every row of a
+product is one call of the field's dots kernel against the right
+factor's columns.
 
 Index conventions: plain Python 0-based indexing for raw entry access,
 but the column-set operations (restrict_columns, rank, first_dependent)
@@ -106,10 +107,9 @@ class MatrixF:
         ctx = self.ctx
         if self.cols == 0:
             return MatrixF.zeros(ctx, self.rows, other.cols)
-        dot = ctx.dot
+        dots = ctx.dots
         ot = list(zip(*other.data))
-        return MatrixF(ctx, [[dot(r, c) for c in ot] for r in self.data],
-                       cols=other.cols)
+        return MatrixF(ctx, [dots(r, ot) for r in self.data], cols=other.cols)
 
     def vstack(self, other: "MatrixF") -> "MatrixF":
         if self.ctx != other.ctx:
@@ -241,17 +241,21 @@ def srmat_loads(text: str) -> MatrixF:
     if not lines or not lines[0].startswith("srmat "):
         raise ValueError("not an SRMAT v1 payload")
     fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
+    for name in ("p", "e", "rows", "cols"):
+        if name not in fields:
+            raise ValueError(f"SRMAT header has no {name}= field")
     p, e = int(fields["p"]), int(fields["e"])
     rows, cols = int(fields["rows"]), int(fields["cols"])
+    if len(lines) - 1 != rows:
+        raise ValueError(f"SRMAT row count mismatch: the header says {rows} rows, "
+                         f"the payload has {len(lines) - 1}")
     ctx = field_ctx(p, e)
     data = []
-    for ln in lines[1:1 + rows]:
+    for ln in lines[1:]:
         row = [int(tok) for tok in ln.split()]
         if len(row) != cols:
             raise ValueError("SRMAT row width mismatch")
         data.append(row)
-    if len(data) != rows:
-        raise ValueError("SRMAT row count mismatch")
     if rows == 0:
         return MatrixF.zeros(ctx, 0, cols)
     return MatrixF(ctx, data)

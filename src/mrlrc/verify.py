@@ -580,7 +580,7 @@ def decode_erasures(code: MrLrcCode, word):
     pivots means the kept symbols are consistent with no codeword and
     raises InvalidInput; otherwise the last column of the pivot rows holds
     the erased symbols and the completed codeword tuple is returned.
-    Each entry of H w is one dot of an H row with w, which is built once.
+    H w is one dots call of w, which is built once, against H's rows.
     """
     word = list(word)
     if len(word) != code.n:
@@ -592,9 +592,9 @@ def decode_erasures(code: MrLrcCode, word):
     erased = [j for j, v in enumerate(word) if v is None]
     e = len(erased)
     kept = [0 if v is None else v for v in word]
-    dot, neg = top.dot, top.neg
-    rows = [[h_row[j] for j in erased] + [neg(dot(kept, h_row))]
-            for h_row in code.H.data]
+    neg = top.neg
+    rows = [[h_row[j] for j in erased] + [neg(s)]
+            for h_row, s in zip(code.H.data, top.dots(kept, code.H.data))]
     pivots, _ = reduce_rows(rows, top, range(e), reduced=True)
     if len(pivots) < e:
         return None

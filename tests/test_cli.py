@@ -220,6 +220,27 @@ def test_verify_corrupted_srmat_fails(bundle, capsys):
     assert "FAIL" in out and "witness" in out
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda head, rows: [head] + rows + rows[:1],
+     "SRMAT row count mismatch: the header says 5 rows, the payload has 6"),
+    (lambda head, rows: [head.replace("rows=5", "rows=0")] + rows,
+     "SRMAT row count mismatch: the header says 0 rows, the payload has 5"),
+    (lambda head, rows: [head.replace(" cols=10", "")] + rows,
+     "SRMAT header has no cols= field"),
+], ids=["surplus-row", "rows-0-with-data", "no-cols"])
+def test_verify_rejects_malformed_srmat(bundle, capsys, edit, message):
+    doc = json.loads(bundle.read_text())
+    gpath = bundle.parent / doc["matrices"]["G"]
+    head, *rows = gpath.read_text().splitlines()
+    assert head.endswith(" rows=5 cols=10")
+    gpath.write_text("\n".join(edit(head, rows)) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(bundle)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot load bundle {bundle}: {message}\n"
+    assert captured.out == ""
+
+
 def test_verify_rejects_bundle_with_wrong_h(bundle, capsys):
     doc = json.loads(bundle.read_text())
     for bad in ({**doc, "h": 0}, {**doc, "h": "x"}, [1, 2]):
@@ -339,6 +360,16 @@ def test_encode_message_length_checked(bundle, tmp_path):
     msg = tmp_path / "short.txt"
     msg.write_text("1 2\n")
     assert main(["encode", str(bundle), str(msg)]) == 1
+
+
+def test_encode_refusals_print_one_error_line(bundle, tmp_path, capsys):
+    # GF(27), k = 5
+    msg = tmp_path / "msg.txt"
+    for text, err in (("1 2", "error: message length must be k = 5\n"),
+                      ("1 2 27 4 5", "error: 27 is not an element of GF(3^3)\n")):
+        msg.write_text(text + "\n")
+        assert main(["encode", str(bundle), str(msg)]) == 1
+        assert capsys.readouterr().err == err
 
 
 def test_encode_non_integer_symbol_is_usage_error(bundle, tmp_path, capsys):

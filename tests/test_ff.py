@@ -313,6 +313,32 @@ def test_dot_and_axpy_match_add_and_mul_on_every_branch(p, e):
     assert ctx.dot([1, 1, 1], [top]) == top
 
 
+@pytest.mark.parametrize("p,e", KERNEL_FIELDS)
+def test_dots_matches_dot_and_add_mul_on_every_branch(p, e):
+    # one row against many columns, xs read once: zeros in the row and in
+    # the columns, and an all-(p^e - 1) row of 150 entries, whose product
+    # with the all-(p^e - 1) column needs every DOT_BLOCK reduction on
+    # generic odd p
+    ctx = field_ctx(p, e)
+    rnd = random.Random(p * 100 + e)
+    top = ctx.order - 1
+
+    def entry():
+        return 0 if rnd.random() < 0.3 else rnd.randrange(1, ctx.order)
+
+    for size in (1, 7, 2 * DOT_BLOCK + 22):
+        xs = [entry() for _ in range(size)]
+        cols = [tuple(entry() for _ in range(size)) for _ in range(4)]
+        cols += [(0,) * size, (top,) * size]
+        for row in (xs, [0] * size, [top] * size):
+            got = ctx.dots(row, cols)
+            assert got == [loop_dot(ctx, row, ws) for ws in cols]
+            assert got == [ctx.dot(row, ws) for ws in cols]
+            assert ctx.dots(tuple(row), iter(cols)) == got
+        assert ctx.dots(xs, []) == []
+    assert ctx.dots([], [(), (), ()]) == [0, 0, 0]
+
+
 PROPERTY_FIELDS = [(2, 1), (3, 1), (2, 5), (3, 3), (7, 2), (2, 17), (3, 11), (5, 9),
           (13, 5), (257, 2), (4099, 2), (1000003, 1), (2, 33), (3, 24)]
 

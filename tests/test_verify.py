@@ -707,6 +707,31 @@ def bump(word, coord, order):
     return out
 
 
+ENCODE_CODES = ORACLE_CODES + GENERIC_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),)
+
+
+@pytest.mark.parametrize("spec", ENCODE_CODES,
+                         ids=[f"{k}{p}{a}" for k, p, a in ENCODE_CODES])
+def test_encode_is_the_message_row_times_g(spec):
+    code = bvs.build(*spec)
+    top = code.tower.top
+    rnd = random.Random(28)
+    for msg in ([0] * code.k, [top.order - 1] * code.k,
+                *([rnd.randrange(top.order) for _ in range(code.k)] for _ in range(5))):
+        cw = encode(code, msg)
+        assert cw == MatrixF(top, [msg], cols=code.k).mul(code.G).data[0]
+        assert isinstance(cw, tuple) and len(cw) == code.n
+
+
+def test_encode_refusals_keep_their_texts(gen_code):
+    # gen_code lives over GF(3^3)
+    with pytest.raises(ValueError, match=r"^message length must be k = 5$"):
+        encode(gen_code, (1, 2))
+    for bad in (27, -1, 2.0, None):
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(3\^3\)$"):
+            encode(gen_code, (1, 2, bad, 4, 5))
+
+
 DECODE_CODES = tuple(bvs.REFERENCE_CODES) + (GENERIC_CODES[0],)
 
 
