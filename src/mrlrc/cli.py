@@ -61,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
     p.add_argument("--side", choices=("generator", "parity"),
-                   default="generator")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+                   help="exhaustive route (default generator)")
+    p.add_argument("--trials", type=int, help="sampled trials (default 1000)")
+    p.add_argument("--seed", type=int, help="sampled seed (default 0)")
     p.add_argument("--report", help="write the JSON report here")
 
     p = subs.add_parser("encode", help="encode a length-k message file")
@@ -148,11 +148,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, mode in (("side", "exhaustive"), ("trials", "sampled"), ("seed", "sampled")):
+        if getattr(args, flag) is not None and args.mode != mode:
+            raise ValueError(f"--{flag} applies to --mode {mode} only, not {args.mode}")
     code = _load_bundle(args.bundle)
     if args.mode == "exhaustive":
-        report = verify.verify_mr_exhaustive(code, side=args.side)
+        report = verify.verify_mr_exhaustive(code, side=args.side or "generator")
     else:
-        report = verify.verify_mr_sampled(code, args.trials, args.seed)
+        report = verify.verify_mr_sampled(
+            code, 1000 if args.trials is None else args.trials, args.seed or 0)
     if args.report:
         with open(args.report, "w", encoding="ascii", newline="\n") as fh:
             fh.write(report.to_json())

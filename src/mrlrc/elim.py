@@ -7,8 +7,8 @@ Every rank, determinant, solve, inverse and kernel in mrlrc runs through
 reduce_rows.  This module imports nothing from mrlrc, so ff can use it
 without importing matrix and the layering stays one-way.
 
-Every row update, here and in verify's two walks, is one call of the
-field's row-update kernel ``axpy(y, xs, ws)``, which returns a new list
+Every row update is one call of the field's row-update kernel
+``axpy(y, xs, ws)``, which returns a new list
 [x + y w for x, w in zip(xs, ws)] (on table fields straight from the
 exp/log lists, on generic fields with one reduction per entry), so rows
 are replaced, never written into.  The field's other kernel,
@@ -22,14 +22,20 @@ therefore run over whole rows, and replace each changed row with a new
 list rather than writing into it, so a caller may reduce a shallow copy
 of a matrix's row list and leave the matrix as it was.
 
+Three depth-first walks over column subsets share two node helpers:
+first_dependent here and verify's two exhaustive MR walks.  A walk keeps,
+for each independent prefix, the rows below its pivots cut to the
+columns after its last pick; node_step adds one column to such a node
+(None when the column is zero there), and pair_masks keys the columns
+of a two-row node, so that each pair of last columns costs one AND.
+Each walk keeps its own column loop, and verify's two keep their own
+family rules and tables.
+
 first_dependent names the first dependent column subset of a matrix in
 itertools.combinations order.  Both exhaustive MR routes in verify name
 their witnesses with it, once their own walk has found that the code
 fails: on the k rows of G restricted to a failing pattern's complement,
 and on the projection of H left over after eliminating the pattern.
-Its walk has the shape of theirs: one column loop per node, and a
-two-row node one column short of a leaf settles both of its last
-columns from one key per column.
 
 Pivots are the first nonzero entry at or below the current row, scanning
 top to bottom, so every result is identical across runs.
@@ -88,6 +94,60 @@ def reduce_rows(rows: list, field, cols=None,
     return pivots, factor
 
 
+def node_step(rows: list, x: int, mul, neg, inv, axpy) -> list | None:
+    """The child of a prefix-tree node that adds its column x, or None
+    when no row is nonzero in x.
+
+    rows holds a node's rows, cut to the columns from some start on, and x
+    is a position in them.  Adding x pivots on the first row nonzero in x,
+    as reduce_rows does; every other row is cleared in x by one axpy with
+    the pivot row, and the child is those rows, cut to the columns after
+    x.  rows is not modified.  The field ops are the caller's, bound once
+    per walk rather than looked up per node.
+    """
+    for pr, prow in enumerate(rows):
+        if prow[x]:
+            break
+    else:
+        return None
+    tail = prow[x + 1:]
+    f = neg(inv(prow[x]))
+    child = []
+    for i, row in enumerate(rows):
+        if i != pr:
+            y = row[x]
+            child.append(axpy(mul(f, y), row[x + 1:], tail) if y else row[x + 1:])
+    return child
+
+
+def pair_masks(rows: list, start: int, mul, inv) -> list | None:
+    """For each column c of a two-row prefix-tree node, the columns that
+    make a singular pair with it, or None when no pair is singular.
+
+    rows holds the node's two rows, cut to the columns c >= start: the
+    residual of each column c after the node's independent prefix P, the
+    2-vector (a, b) left once P's pivots are cleared from it.  So P + c1 +
+    c2 (c1 < c2) is singular iff the two residuals are dependent, that is
+    iff c1's is zero, or c2's is, or the two are proportional.  Each
+    column is keyed once, by b/a, -1 when a = 0, and -2 for (0, 0), and
+    masks[c - start] is the bitmask (bit c2 for column c2) of the columns
+    with c's key or a zero column, every column when c is zero: P + c1 +
+    c2 is singular iff bit c2 of masks[c1 - start] is set.  Every walk
+    that settles a pair of last columns reads this one rule.
+    """
+    keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
+    keyed = dict.fromkeys(keys, 0)
+    if len(keyed) == len(keys) and -2 not in keyed:
+        return None
+    for c, key in enumerate(keys, start):
+        keyed[key] |= 1 << c
+    zero = keyed.get(-2, 0)
+    for key in keyed:
+        keyed[key] |= zero
+    keyed[-2] = -1
+    return [keyed[key] for key in keys]
+
+
 def first_dependent(rows: list, field, size: int) -> tuple | None:
     """The first size-subset of column positions, in itertools.combinations
     order, whose columns are linearly dependent, or None.  rows must have
@@ -95,21 +155,17 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
 
     A depth-first walk over the columns keeps, for each independent prefix
     of j columns, the rows below its j pivots restricted to the columns
-    after the last chosen one; every other row is never read again.  Each
-    node runs one loop over its columns c.  When no row is nonzero in c,
-    prefix + c and each of its completions is dependent, so the first
-    failing subset is prefix + c + the next size - j - 1 positions; that
-    is all the one-column level (j + 1 = size) tests.  Otherwise adding c
-    pivots on the first of those rows nonzero in c, as reduce_rows does,
-    and the child clears c in the others.
+    after the last chosen one (node_step); every other row is never read
+    again.  Each node runs one loop over its columns c.  When no row is
+    nonzero in c, prefix + c and each of its completions is dependent, so
+    the first failing subset is prefix + c + the next size - j - 1
+    positions; that is all the one-column level (j + 1 = size) tests.
 
     A node with one column left to add after c and exactly two rows (every
-    such node when rows has size rows) settles both, as verify's walks do:
-    prefix + c + c2 is dependent iff c's residual 2-vector is zero, or
-    c2's is, or the two are proportional.  It keys each column once, on
-    entry, by b/a for its residual (a, b), -1 when a = 0, and -2 for
-    (0, 0), which matches every column; the pair is c's lowest later
-    column of its key or zero.  With more rows it eliminates on down.
+    such node when rows has size rows) settles both from pair_masks: the
+    pair is c's lowest later column in its mask, and there is none when
+    pair_masks finds no singular pair.  With more rows it eliminates on
+    down.
     """
     if size < 1:
         return None
@@ -121,45 +177,24 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
     def walk(node, start, j):
         # node[i][c - start] is the entry of row i in column c >= start
         need = size - j - 1  # columns to add after c
-        keys = None
-        if need == 1 and len(node) == 2:
-            keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*node)]
-            keyed = dict.fromkeys(keys, 0)
-            if len(keyed) == len(keys) and -2 not in keyed:
-                return None  # no two columns match
-            # keyed[key]: the positions of that key and the zero columns,
-            # every position for key -2
-            for x, key in enumerate(keys):
-                keyed[key] |= 1 << x
-            zero = keyed.get(-2, 0)
-            for key in keyed:
-                keyed[key] |= zero
-            keyed[-2] = -1
+        pair = need == 1 and len(node) == 2
+        if pair:
+            masks = pair_masks(node, start, mul, inv)
+            if masks is None:
+                return None
         for c in range(start, ncols - need):
-            x = c - start
-            if keys is not None:
-                later = keyed[keys[x]] >> x + 1
+            if pair:
+                later = masks[c - start] >> c + 1
                 if later:
                     return (c, c + (later & -later).bit_length())
                 continue
-            for pr, prow in enumerate(node):
-                if prow[x]:
-                    break
-            else:
+            child = node_step(node, c - start, mul, neg, inv, axpy)
+            if child is None:
                 return tuple(range(c, c + need + 1))
-            if not need:
-                continue
-            tail = prow[x + 1:]
-            f = neg(inv(prow[x]))
-            child = []
-            for i, row in enumerate(node):
-                if i != pr:
-                    y = row[x]
-                    child.append(axpy(mul(f, y), row[x + 1:], tail) if y
-                                 else row[x + 1:])
-            found = walk(child, c + 1, j + 1)
-            if found is not None:
-                return (c,) + found
+            if need:
+                found = walk(child, c + 1, j + 1)
+                if found is not None:
+                    return (c,) + found
         return None
 
     return walk(rows, 0, 0)

@@ -33,8 +33,7 @@ vector kernels, which carry the bulk of the arithmetic:
     of every elimination;
   * dots(xs, cols) = [the sum of x w over zip(xs, ws) for ws in cols],
     every row of a matrix product, every codeword of encode and every
-    syndrome; it reads xs once per call, not once per column, and
-    dot(xs, ws) is dots with the one column ws.
+    syndrome; it reads xs once per call, not once per column.
 
 On a table field both read the exp/log lists themselves (XOR for p = 2,
 the Zech table for odd p) instead of calling mul and add once per entry.
@@ -518,11 +517,6 @@ class FieldCtx:
         return [(exp[lx + z] if (z := zech[(ly + log[w] - lx) % om1]) >= 0 else 0)
                 if x and w else exp[ly + log[w]] if w else x
                 for x, w in zip(xs, ws) for lx in (log[x],)]
-
-    def dot(self, xs, ws) -> int:
-        """The sum of x w over zip(xs, ws): dots with the one column ws,
-        xs cut to its length."""
-        return self.dots(xs[:len(ws)], (ws,))[0]
 
     def dots(self, xs, cols) -> list[int]:
         """[the sum of x w over zip(xs, ws) for ws in cols], for a sequence

@@ -26,15 +26,13 @@ H on the pattern's columns.
 
 Each walk eliminates each independent prefix once, cuts a prefix that
 can no longer grow into its family, and runs one column loop per node.
-A node with one column left to add after the next pick holds exactly
-two rows, so the prefix plus columns c1 < c2 is singular iff c1's
-residual 2-vector is zero, or c2's is, or the two are proportional.
-There the node keys each column once, on entry, by the ratio b/a of its
-residual (a, b), with one key for a = 0 and a mask of the zero columns,
-and each admissible c1 costs one AND of the columns that may end the
-set with the columns of its key or zero, and one bit count of the
-leaves; the last level's child rows are never built.  Every row update
-of the levels above is one call of the field's axpy kernel.
+Both walks take their elimination from elim: a child node is
+elim.node_step, and a node with one column left to add after the next
+pick holds exactly two rows and keys its columns with elim.pair_masks
+(where the pair rule is argued), so each admissible c1 costs one AND of
+the columns that may end the set with the columns of its key or zero,
+and one bit count of the leaves; the last level's child rows are never
+built.  The family rules and their tables are each walk's own.
 
 elim.first_dependent names the first failing subset in
 itertools.combinations order, so both routes report what a
@@ -61,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
-from .elim import first_dependent, reduce_rows
+from .elim import first_dependent, node_step, pair_masks, reduce_rows
 from .matrix import MatrixF
 from .constructions import (
     KINDS, BoundTooLong, MrLrcCode, bounded_power, plan_field, premise_violations,
@@ -148,8 +146,9 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     sweep eliminates no pattern; only when the walk finds a dependent set
     is H eliminated on each pattern's columns, and elim.first_dependent
     run on the h x (k + h) projection left over, to name the failures.
-    Neither route uses the other's walk or matrix, so a fault in one does
-    not hide in the other.
+    Neither route uses the other's walk, family rule or matrix (they
+    share only elim's elimination), so a fault in one does not hide in the
+    other.
 
     The failures are the violations of the local-distance premise (d >=
     delta on every repair set; the pattern criterion certifies maximal
@@ -206,8 +205,8 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
 
     A depth-first walk over the columns in increasing order keeps, for
     each independent prefix of j columns, the rows below its j pivots
-    restricted to the columns after its last pick, as elim.first_dependent
-    does for all subsets.  A column is a child only when the prefix plus
+    restricted to the columns after its last pick (elim.node_step, as in
+    elim.first_dependent).  A column is a child only when the prefix plus
     it still avoids a maximal set in each group and can still grow to k
     columns: the most it can grow by is the largest of the masks that hold
     its group's picks, counted above the column, plus the largest mask of
@@ -218,11 +217,8 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
     them to finish: c1's picks s in its group, then s's admission.  Below
     the last two levels that is room[s], which also refuses every c1
     whose group and later groups cannot hold the rest; with one column
-    left to add after c1 the node holds two rows, so prefix + c1 + c2 is
-    singular iff c1's residual 2-vector is zero, or c2's is, or the two
-    are proportional, and the node keys each column once, on entry, by
-    b/a for its residual (a, b), -1 when a = 0, and -2 for (0, 0), which
-    matches every column.  There ends[i][s] tables the columns c2 that the
+    left to add after c1 the node holds two rows and keys its columns
+    with elim.pair_masks.  There ends[i][s] tables the columns c2 that the
     room rules admit as the last pick; it is empty when no mask holds s,
     so it is also c1's admission.  A singular pair is then any bit shared
     by ends and the columns of c1's key or zero, and the leaves are
@@ -280,19 +276,7 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
         need = k - j - 1  # columns to add after this one
         pair = need == 1
         if pair:
-            # keys[c - start]: column c's key; keyed[key]: the columns of
-            # that key and the zero columns, every column for key -2
-            keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
-            keyed = dict.fromkeys(keys, 0)
-            if len(keyed) < len(keys) or -2 in keyed:
-                for c, key in enumerate(keys, start):
-                    keyed[key] |= 1 << c
-                zero = keyed.get(-2, 0)
-                for key in keyed:
-                    keyed[key] |= zero
-                keyed[-2] = -1
-            # else every key is distinct and nonzero, and a column never
-            # ends the pair it starts, so no column matches another
+            pairs = pair_masks(rows, start, mul, inv)
         for c in range(start, n - need):
             i = grp[c]
             s = (sel if i == gi else 0) | bit[c]
@@ -301,7 +285,7 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
                 if got is None:
                     got = fill_ends(i, s)
                 if got:
-                    if got & keyed[keys[c - start]]:
+                    if pairs is not None and got & pairs[c - start]:
                         return True
                     leaves += got.bit_count()
                 continue
@@ -310,23 +294,12 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
                 got = fill(s)
             if got < 0 or got + later[i] < need:
                 continue
-            x = c - start
-            for pr, prow in enumerate(rows):
-                if prow[x]:
-                    break
-            else:
+            child = node_step(rows, c - start, mul, neg, inv, axpy)
+            if child is None:
                 return True  # prefix + c is singular, so is each completion
             if not need:
                 leaves += 1
                 continue
-            tail = prow[x + 1:]
-            f = neg(inv(prow[x]))
-            child = []
-            for r, row in enumerate(rows):
-                if r != pr:
-                    y = row[x]
-                    child.append(axpy(mul(f, y), row[x + 1:], tail) if y
-                                 else row[x + 1:])
             if walk(child, c + 1, j + 1, i, s):
                 return True
         return False
@@ -360,24 +333,21 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
 
     A depth-first walk over the columns in increasing order keeps, for
     each independent prefix of j columns, the rows below its j pivots
-    restricted to the columns after its last pick.  When no row is nonzero
-    in a column, the prefix plus it is dependent, and so is each of its
-    completions.  The family is upward closed, so a column is a child iff
-    some maximal set M of its group can still be held: M's bits at or
-    below the pick are all picked, and M's missing bits plus the smallest
-    maximal set of each later group fit into the picks left (miss below,
-    tabled per group picks, whose top bit is the pick); any other columns
-    after the pick pad the rest.  A group must hold a maximal set before
-    the next group opens.
+    restricted to the columns after its last pick (elim.node_step).
+    When no row is nonzero in a column, the prefix plus it is dependent,
+    and so is each of its completions.  The family is upward closed, so a
+    column is a child iff some maximal set M of its group can still be
+    held: M's bits at or below the pick are all picked, and M's missing
+    bits plus the smallest maximal set of each later group fit into the
+    picks left (miss below, tabled per group picks, whose top bit is the
+    pick); any other columns after the pick pad the rest.  A group must
+    hold a maximal set before the next group opens.
 
     Each node runs one loop over its columns c1: the rule that a group
     must hold a maximal set before the next opens, then c1's picks s in its
     group, then s's admission.  Below the last two levels that is miss[s];
-    with one column left to add after c1 the node holds two rows, so
-    prefix + c1 + c2 is dependent iff c1's residual 2-vector is zero, or
-    c2's is, or the two are proportional, and the node keys each column
-    once, on entry, by b/a for its residual (a, b), -1 when a = 0, and -2
-    for (0, 0), which matches every column.  There ends[i][s] tables the
+    with one column left to add after c1 the node holds two rows and keys
+    its columns with elim.pair_masks.  There ends[i][s] tables the
     columns c2 that may end the set: by the miss rule, those of group i
     that complete a maximal set when no later group still needs one, and,
     once s holds a maximal set, those of the groups that may open next
@@ -386,11 +356,13 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
     the columns of c1's key or zero, and the leaves are counted by
     bit_count.
 
-    The walk is the parity route's own: it reads H, never G, tests
-    containment of a maximal set rather than avoidance, and shares no
-    code or table with _coverable_leaves, so a fault in one route's walk
-    cannot hide in the other's, and the subset-sweep oracle checks each
-    route on its own.
+    The routes share elimination only (axpy, elim.node_step,
+    elim.pair_masks and elim.first_dependent).  The walk is the parity
+    route's own: it reads H, never G, tests containment of a maximal set
+    rather than avoidance, and keeps its own family rule and its own miss
+    and ends tables, so a fault in one route's family logic cannot hide in
+    the other's.  The subset-sweep oracle, which ranks through reduce_rows
+    and not node_step, checks each route on its own.
     """
     ctx = h_mat.ctx
     mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
@@ -445,19 +417,7 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
         need = size - j - 1  # columns to add after this one
         pair = need == 1
         if pair:
-            # keys[c - start]: column c's key; keyed[key]: the columns of
-            # that key and the zero columns, every column for key -2
-            keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
-            keyed = dict.fromkeys(keys, 0)
-            if len(keyed) < len(keys) or -2 in keyed:
-                for c, key in enumerate(keys, start):
-                    keyed[key] |= 1 << c
-                zero = keyed.get(-2, 0)
-                for key in keyed:
-                    keyed[key] |= zero
-                keyed[-2] = -1
-            # else every key is distinct and nonzero, and a column never
-            # ends the pair it starts, so no column matches another
+            pairs = pair_masks(rows, start, mul, inv)
         for c in range(start, n - need):
             i = grp[c]
             if i == gi:
@@ -471,7 +431,7 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
                 if got is None:
                     got = fill_ends(i, s)
                 if got:
-                    if got & keyed[keys[c - start]]:
+                    if pairs is not None and got & pairs[c - start]:
                         return True
                     leaves += got.bit_count()
                 continue
@@ -480,23 +440,12 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
                 got = fill(s)
             if got + later[i] > need:
                 continue
-            x = c - start
-            for pr, prow in enumerate(rows):
-                if prow[x]:
-                    break
-            else:
+            child = node_step(rows, c - start, mul, neg, inv, axpy)
+            if child is None:
                 return True  # prefix + c is dependent, so is each completion
             if not need:
                 leaves += 1
                 continue
-            tail = prow[x + 1:]
-            f = neg(inv(prow[x]))
-            child = []
-            for r, row in enumerate(rows):
-                if r != pr:
-                    y = row[x]
-                    child.append(axpy(mul(f, y), row[x + 1:], tail) if y
-                                 else row[x + 1:])
             if walk(child, c + 1, j + 1, i, s):
                 return True
         return False

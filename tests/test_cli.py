@@ -207,6 +207,36 @@ def test_verify_sampled_deterministic(bundle, tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--trials", "5"], "--trials applies to --mode sampled only, not exhaustive"),
+    (["--seed", "3"], "--seed applies to --mode sampled only, not exhaustive"),
+    (["--mode", "exhaustive", "--seed", "0"],
+     "--seed applies to --mode sampled only, not exhaustive"),
+    (["--mode", "sampled", "--side", "parity"],
+     "--side applies to --mode exhaustive only, not sampled"),
+    (["--mode", "sampled", "--side", "generator", "--trials", "5"],
+     "--side applies to --mode exhaustive only, not sampled"),
+], ids=["trials", "seed", "explicit-exhaustive", "side", "side-default-value"])
+def test_verify_refuses_a_flag_its_mode_ignores(bundle, tmp_path, capsys, flags, message):
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert main(["verify", str(bundle), "--report", str(report)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not report.exists()
+
+
+def test_verify_defaults_are_the_documented_values(bundle, tmp_path):
+    def report(*flags):
+        path = tmp_path / "rep.json"
+        assert main(["verify", str(bundle), "--report", str(path), *flags]) == 0
+        return path.read_bytes()
+
+    assert report() == report("--side", "generator")
+    assert (report("--mode", "sampled")
+            == report("--mode", "sampled", "--trials", "1000", "--seed", "0"))
+
+
 def test_verify_corrupted_srmat_fails(bundle, capsys):
     doc = json.loads(bundle.read_text())
     gpath = bundle.parent / doc["matrices"]["G"]

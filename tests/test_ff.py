@@ -295,22 +295,20 @@ def test_dot_and_axpy_match_add_and_mul_on_every_branch(p, e):
         for _ in range(6):
             xs = [entry() for _ in range(size)]
             ws = [entry() for _ in range(size)]
-            assert ctx.dot(xs, ws) == loop_dot(ctx, xs, ws)
-            assert ctx.dot(tuple(xs), ws) == ctx.dot(ws, xs)
+            assert ctx.dots(xs, (ws,))[0] == loop_dot(ctx, xs, ws)
+            assert ctx.dots(tuple(xs), (ws,)) == ctx.dots(ws, (xs,))
             for y in (0, 1, top, entry()):
                 got = ctx.axpy(y, xs, ws)
                 assert got == [ctx.add(x, ctx.mul(y, w)) for x, w in zip(xs, ws)]
         fulls = [top] * size
-        assert ctx.dot(fulls, fulls) == loop_dot(ctx, fulls, fulls)
+        assert ctx.dots(fulls, (fulls,))[0] == loop_dot(ctx, fulls, fulls)
         assert ctx.axpy(top, fulls, fulls) == [ctx.add(top, ctx.mul(top, top))] * size
-        assert ctx.dot([0] * size, fulls) == ctx.dot(fulls, [0] * size) == 0
+        assert ctx.dots([0] * size, (fulls,)) == ctx.dots(fulls, ([0] * size,)) == [0]
     # a sum that cancels: x w + (-x w) = 0, also inside a longer dot
     for _ in range(50):
         x, w = rnd.randrange(1, ctx.order), rnd.randrange(1, ctx.order)
-        assert ctx.dot([x, ctx.neg(x)], [w, w]) == 0
-        assert ctx.dot([x, ctx.neg(x), 1], [w, w, w]) == w
-    # the ragged pair reads as zip does
-    assert ctx.dot([1, 1, 1], [top]) == top
+        assert ctx.dots([x, ctx.neg(x)], ([w, w],)) == [0]
+        assert ctx.dots([x, ctx.neg(x), 1], ([w, w, w],)) == [w]
 
 
 @pytest.mark.parametrize("p,e", KERNEL_FIELDS)
@@ -333,7 +331,7 @@ def test_dots_matches_dot_and_add_mul_on_every_branch(p, e):
         for row in (xs, [0] * size, [top] * size):
             got = ctx.dots(row, cols)
             assert got == [loop_dot(ctx, row, ws) for ws in cols]
-            assert got == [ctx.dot(row, ws) for ws in cols]
+            assert got == [ctx.dots(row, (ws,))[0] for ws in cols]
             assert ctx.dots(tuple(row), iter(cols)) == got
         assert ctx.dots(xs, []) == []
     assert ctx.dots([], [(), (), ()]) == [0, 0, 0]
@@ -353,7 +351,7 @@ def test_dot_and_axpy_match_add_and_mul_hypothesis(data):
     xs = data.draw(st.lists(element, min_size=size, max_size=size))
     ws = data.draw(st.lists(element, min_size=size, max_size=size))
     y = data.draw(element)
-    assert ctx.dot(xs, ws) == loop_dot(ctx, xs, ws)
+    assert ctx.dots(xs, (ws,))[0] == loop_dot(ctx, xs, ws)
     assert ctx.axpy(y, xs, ws) == [ctx.add(x, ctx.mul(y, w)) for x, w in zip(xs, ws)]
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrlrc.elim import inverse
+from mrlrc.elim import inverse, node_step, pair_masks, reduce_rows
 from mrlrc.ff import field_ctx
 from mrlrc.matrix import (
     DimensionMismatch, IndexOutOfRange, MatrixF, MixedFields,
@@ -271,6 +271,84 @@ def test_first_dependent_pair_finds_scalar_multiples():
     # the keys (1, 2), (1, 4) and (1, 3) differ
     assert MatrixF(F5, [[1, 2, 3], [2, 3, 4]]).first_dependent(2) is None
 
+
+# the fields of the first_dependent tests, tables and generic arithmetic
+HELPER_FIELDS = (F4, F3, F9, F25, F3_14, F2_20)
+
+
+def test_pair_masks_match_the_two_by_two_determinant():
+    # a pair of columns (a1, b1), (a2, b2) of a two-row node is singular iff
+    # a1 b2 = a2 b1: the masks must say so for every pair, with zero
+    # columns, a = 0 columns and planted multiples of earlier columns, and
+    # use the caller's column offset
+    rnd = random.Random(13)
+    for ctx in HELPER_FIELDS:
+        for _ in range(80):
+            columns = []
+            for _ in range(rnd.randrange(1, 9)):
+                kind = rnd.random()
+                if kind < 0.15:
+                    col = [0, 0]
+                elif kind < 0.3:
+                    col = [0, rnd.randrange(1, ctx.order)]
+                elif kind < 0.5 and columns:
+                    c = rnd.randrange(1, ctx.order)
+                    col = [ctx.mul(c, x) for x in rnd.choice(columns)]
+                else:
+                    col = [rnd.randrange(ctx.order) for _ in range(2)]
+                columns.append(col)
+            rows = [list(r) for r in zip(*columns)]
+            start = rnd.choice((0, 5))
+            masks = pair_masks(rows, start, ctx.mul, ctx.inv)
+            assert rows == [list(r) for r in zip(*columns)]
+            for c1, c2 in itertools.combinations(range(len(columns)), 2):
+                (a1, b1), (a2, b2) = columns[c1], columns[c2]
+                singular = ctx.mul(a1, b2) == ctx.mul(a2, b1)
+                found = masks is not None and (masks[c1] >> start + c2) & 1
+                assert found == singular, (ctx, columns)
+    # in GF(5): keys 2, 2 and 4, then a zero column and an a = 0 column
+    masks = pair_masks([[1, 2, 1, 0, 0], [2, 4, 4, 0, 3]], 0, F5.mul, F5.inv)
+    assert masks == [0b01011, 0b01011, 0b01100, -1, 0b11000]
+    # the keys 2, 4 and 3 differ, and no column is zero
+    assert pair_masks([[1, 1, 1], [2, 4, 3]], 0, F5.mul, F5.inv) is None
+
+
+def test_node_step_keeps_the_rank_of_every_later_column_set():
+    # adding column x to a node: None when x is zero in every row; otherwise
+    # one row fewer, cut to the columns after x, and for every set S of
+    # those columns rank(node on x + S) = 1 + rank(child on S), by
+    # reduce_rows on fresh copies
+    rnd = random.Random(17)
+
+    def rank(rows, cols):
+        return len(reduce_rows([[row[c] for c in cols] for row in rows], F)[0])
+
+    for F in HELPER_FIELDS:
+        for _ in range(40):
+            nrows, ncols = rnd.randrange(1, 5), rnd.randrange(1, 7)
+            rows = [[rnd.randrange(F.order) if rnd.random() < 0.7 else 0
+                     for _ in range(ncols)] for _ in range(nrows)]
+            if rnd.random() < 0.3:
+                for row in rows:
+                    row[rnd.randrange(ncols)] = 0
+            before = [list(row) for row in rows]
+            for x in range(ncols):
+                child = node_step(rows, x, F.mul, F.neg, F.inv, F.axpy)
+                assert rows == before
+                if child is None:
+                    assert not any(row[x] for row in rows)
+                    continue
+                assert len(child) == nrows - 1
+                assert all(len(row) == ncols - x - 1 for row in child)
+                later = range(x + 1, ncols)
+                for size in range(len(later) + 1):
+                    for cols in itertools.combinations(later, size):
+                        assert (rank(rows, (x,) + cols)
+                                == 1 + rank(child, [c - x - 1 for c in cols]))
+    # the pivot is the first row nonzero in x; each other row is cleared
+    # in x by it, in GF(3): [0, 1, 2] stays, [1, 0, 1] - 2 [2, 1, 1]
+    assert (node_step([[0, 1, 2], [2, 1, 1], [1, 0, 1]], 0, F3.mul, F3.neg,
+                      F3.inv, F3.axpy) == [[1, 2], [1, 2]])
 
 def test_det_matches_rank():
     rnd = random.Random(41)
