@@ -543,7 +543,10 @@ def read_bundle(path) -> MrLrcCode:
     bundle still loads and then fails verification with a concrete witness.
     """
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to parse") from None
     _check_bundle_fields(doc)
     topo = make_topology(doc["r"], doc["delta"], doc["t"], doc["g"], doc["N"])
     plan = plan_field(topo, doc["kind"], h=doc["h"])

@@ -22,18 +22,18 @@ therefore run over whole rows, and replace each changed row with a new
 list rather than writing into it, so a caller may reduce a shallow copy
 of a matrix's row list and leave the matrix as it was.
 
-Three depth-first walks over column subsets share two node helpers:
-first_dependent here and verify's two exhaustive MR walks.  A walk keeps,
-for each independent prefix, the rows below its pivots cut to the
-columns after its last pick; node_step adds one column to such a node
-(None when the column is zero there), and pair_masks keys the columns
-of a two-row node, so that each pair of last columns costs one AND.
-Each walk keeps its own column loop, and verify's two keep their own
-family rules and tables.
+Two depth-first walks over column subsets share two node helpers:
+first_dependent here and verify's family walk, which both exhaustive MR
+routes run, each with its own family rule.  A walk keeps, for each
+independent prefix, the rows below its pivots cut to the columns after
+its last pick; node_step adds one column to such a node (None when the
+column is zero there), and pair_masks keys the columns of a two-row
+node, so that each pair of last columns costs one AND.  Each walk keeps
+its own column loop.
 
 first_dependent names the first dependent column subset of a matrix in
 itertools.combinations order.  Both exhaustive MR routes in verify name
-their witnesses with it, once their own walk has found that the code
+their witnesses with it, once the family walk has found that the code
 fails: on the k rows of G restricted to a failing pattern's complement,
 and on the projection of H left over after eliminating the pattern.
 

@@ -5,11 +5,11 @@ bound evaluators.
 A code is maximally recoverable iff for every maximal locally correctable
 pattern E the restriction of the code to the complement of E is MDS of
 dimension k and length k + h.  verify_mr_exhaustive checks exactly that
-on one of two independent routes, and both have one shape: the route's
-own walk over its own matrix decides pass or fail, and only when it
-fails does a loop over the patterns, in enumerate_maximal_patterns
-order, name each failing pattern's witness with one call of
-elim.first_dependent on that pattern's own matrix.
+on one of two routes, and both have one shape: one walk over the route's
+own matrix decides pass or fail, and only when it fails does a loop over
+the patterns, in enumerate_maximal_patterns order, name each failing
+pattern's witness with one call of elim.first_dependent on that
+pattern's own matrix.
 
 Generator-side, every k x k minor of G on the complement must be
 invertible.  A k-subset lies in some pattern's complement iff its part
@@ -24,15 +24,15 @@ walk over H's columns ranks each of them once.  A failing pattern's
 matrix is the h x (k + h) projection left over after one reduce_rows of
 H on the pattern's columns.
 
-Each walk eliminates each independent prefix once, cuts a prefix that
-can no longer grow into its family, and runs one column loop per node.
-Both walks take their elimination from elim: a child node is
-elim.node_step, and a node with one column left to add after the next
-pick holds exactly two rows and keys its columns with elim.pair_masks
-(where the pair rule is argued), so each admissible c1 costs one AND of
-the columns that may end the set with the columns of its key or zero,
-and one bit count of the leaves; the last level's child rows are never
-built.  The family rules and their tables are each walk's own.
+Both walks are one engine, _family_leaves, which takes its elimination
+from elim (elim.node_step for a child node, elim.pair_masks for a node
+with two rows, where the pair rule is argued) and everything it knows of
+a family from one per-group rule: for a group's picks, the fewest and
+the most further columns that make the group's part a member.  The
+routes share the engine and elim; what stays each route's own is its
+matrix, its family rule (_coverable_leaves avoids a maximal set,
+_containing_leaves contains one), its criterion and its failure path
+(_generator_sweep, _parity_sweep).
 
 elim.first_dependent names the first failing subset in
 itertools.combinations order, so both routes report what a
@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, floor
 
 from .elim import first_dependent, node_step, pair_masks, reduce_rows
@@ -146,9 +147,9 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     sweep eliminates no pattern; only when the walk finds a dependent set
     is H eliminated on each pattern's columns, and elim.first_dependent
     run on the h x (k + h) projection left over, to name the failures.
-    Neither route uses the other's walk, family rule or matrix (they
-    share only elim's elimination), so a fault in one does not hide in the
-    other.
+    The routes share the family walk (_family_leaves) and elim's
+    elimination; each keeps its own matrix, family rule, criterion and
+    failure path, so a fault in one of those does not hide in the other.
 
     The failures are the violations of the local-distance premise (d >=
     delta on every repair set; the pattern criterion certifies maximal
@@ -195,126 +196,170 @@ def _generator_sweep(code: MrLrcCode):
             yield pat, tuple(comp[j] for j in found)
 
 
-def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
-    """How many k-subsets S of G's columns lie in some pattern's
-    complement, when rank(G|_S) = k on every one of them, or None when one
-    is singular.  sets lists one group's maximal sets, the same in every
-    group, as tuples of 1-based group-local coordinates; S lies in some
-    pattern's complement iff its part in every group avoids one of them,
-    that is lies inside one of their complements in the group (masks).
+def _family_leaves(mat: MatrixF, size: int, width: int, span) -> int | None:
+    """How many size-subsets U of mat's columns lie in a family, when
+    rank(mat|_U) = size on every one of them, or None when one is
+    dependent.  mat has size rows, and its columns fall into groups of
+    width columns.
+
+    U is in the family iff its part in every group is a member of one
+    per-group family, the same in every group, and span is that family's
+    one rule: for a group's picks sel (a local bitmask), span(sel) is (lo,
+    hi), the fewest and the most further columns above sel's top bit that
+    make the group's part a member (every count in between makes one), or
+    None when no member fits.  So sel is a member iff span(sel)[0] == 0, a
+    group may hold no pick iff span(0)[0] == 0, and span(0) bounds what
+    each group after the last pick adds.  The walk reads nothing else of
+    the family, and nothing of which route called it.
 
     A depth-first walk over the columns in increasing order keeps, for
     each independent prefix of j columns, the rows below its j pivots
     restricted to the columns after its last pick (elim.node_step, as in
-    elim.first_dependent).  A column is a child only when the prefix plus
-    it still avoids a maximal set in each group and can still grow to k
-    columns: the most it can grow by is the largest of the masks that hold
-    its group's picks, counted above the column, plus the largest mask of
-    every later group.  When no row is nonzero in the column, the prefix
-    plus it is singular, and so is each of its completions.
+    elim.first_dependent).  The picks s of a column c are those of its
+    group i so far, held as columns, so s also names i.  c is a child iff
+    the need = size - j - 1 columns still to add after it fit: need lies
+    in the span of s's group-local picks plus span(0) for each later
+    group, tabled as one bitmask of the admissible needs per s (admit).  The next pick may leave group i
+    only when s is a member, and may pass over a group only when a group
+    may hold no pick, so each child's column loop ends at reach[s], tabled
+    with admit.  Admission is exact, so every admitted prefix has a
+    completion in the family: when no row is nonzero in c, the prefix plus
+    c is dependent, and so is each of its completions.
 
-    Each node runs one loop over the columns c1 with enough columns after
-    them to finish: c1's picks s in its group, then s's admission.  Below
-    the last two levels that is room[s], which also refuses every c1
-    whose group and later groups cannot hold the rest; with one column
-    left to add after c1 the node holds two rows and keys its columns
-    with elim.pair_masks.  There ends[i][s] tables the columns c2 that the
-    room rules admit as the last pick; it is empty when no mask holds s,
-    so it is also c1's admission.  A singular pair is then any bit shared
-    by ends and the columns of c1's key or zero, and the leaves are
-    counted by bit_count.
+    A node with one column left to add after c1 holds two rows and keys
+    its columns with elim.pair_masks (where the pair rule is argued).
+    There ends[s] tables the columns c2 that end a member: those of group
+    i after c1 with s plus c2 a member, when every later group may hold
+    no pick, and once s is a member, the columns b of a later group with
+    {b} a member, when every other group after i may hold no pick.  ends
+    is empty when c1 has no completion, so it is also c1's admission; a
+    dependent pair is any bit shared by ends and the columns of c1's key
+    or zero, the leaves are counted by bit_count, and the last level's
+    child rows are never built.
     """
-    ctx = g_mat.ctx
+    ctx = mat.ctx
     mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
-    n = g_mat.cols
+    n = mat.cols
     groups = n // width
-    grp = [c // width for c in range(n)]
-    bit = [1 << c % width for c in range(n)]
-    full = (1 << width) - 1
-    masks = [full ^ sum(1 << (c - 1) for c in cs) for cs in sets]
-    union = 0
-    for m in masks:
-        union |= m
-    # later[i]: the most columns the groups after group i can add;
-    # after[i]: those columns, as a bitmask over all columns (bit c for
-    # column c), each in some mask of its group
-    later = [max(m.bit_count() for m in masks) * (groups - 1 - i)
-             for i in range(groups)]
-    after = [sum(union << i2 * width for i2 in range(i + 1, groups))
-             for i in range(groups)]
-    # room[sel]: for the picks sel of one group (a local bitmask), the most
-    # columns above sel's top bit that a mask holding sel has, or -1 when
-    # none holds it; filled in as the walk reaches each sel
-    room = {}
-    # ends[i][sel]: for the picks sel of group i, the columns above sel's
-    # top bit that complete a coverable subset (bit c for column c), 0 when
-    # no mask holds sel; filled in as a two-row node reaches sel
-    ends = [{} for _ in range(groups)]
+    # low[c]: the columns of c's group before c (bit c for column c)
+    low = [(1 << c) - (1 << c - c % width) for c in range(n)]
+    span = cache(span)  # each group's picks are looked up in several tables
+
+    def member(sel):
+        got = span(sel)
+        return got is not None and not got[0]
+
+    lo0, hi0 = span(0)
+    skip = not lo0  # a group may hold no pick
+    if not size:
+        return int(skip)
+    # after[i]: the columns b of the groups after group i that may end the
+    # set alone ({b} a member, every other group after i empty)
+    singles = sum(1 << b for b in range(width) if member(1 << b))
+    after = [sum(singles << i2 * width for i2 in range(i + 1, groups)
+                 if skip or i2 == i + 1 == groups - 1) for i in range(groups)]
+    # for the picks s in the last pick's group, as columns, each filled in
+    # as the walk reaches s: admit[s], bit d set iff d more columns after
+    # the last pick can finish the set; reach[s], the column before which
+    # the next pick must fall; ends[s], the columns after the last pick
+    # that may end the set
+    admit, reach, ends = {}, {}, {}
     leaves = 0
 
-    def fill(sel):
-        top = sel.bit_length()
-        room[sel] = got = max(((m >> top).bit_count() for m in masks
-                               if m & sel == sel), default=-1)
+    def fill(s):
+        i = (s.bit_length() - 1) // width
+        got = span(s >> i * width)
+        rest = groups - 1 - i
+        admit[s] = need = 0 if got is None else (
+            (2 << got[1] + hi0 * rest) - (1 << got[0] + lo0 * rest))
+        reach[s] = ((i + 1) * width if got is None or got[0]
+                    else n if skip else (i + 2) * width)
+        return need
+
+    def fill_ends(s):
+        i = (s.bit_length() - 1) // width
+        sel = s >> i * width
+        got = after[i] if member(sel) else 0
+        if skip or i == groups - 1:
+            for b in range(sel.bit_length(), width):
+                if member(sel | 1 << b):
+                    got |= 1 << i * width + b
+        ends[s] = got
         return got
 
-    def fill_ends(i, sel):
-        held = 0  # the columns of the masks that hold sel
-        for m in masks:
-            if m & sel == sel:
-                held |= m
-        top = sel.bit_length()
-        ends[i][sel] = got = ((held >> top << top + i * width) | after[i]
-                              if held else 0)
-        return got
-
-    def walk(rows, start, j, gi, sel):
+    def walk(rows, start, j, sel, stop):
         # rows[r][c - start] is the entry of row r in column c >= start;
-        # sel holds the picks in group gi, the group of the last pick.
-        # True when some subset below the node is singular
+        # sel holds the picks in the last pick's group, and the next pick
+        # falls before column stop.  True when some set below the node is
+        # dependent
         nonlocal leaves
-        need = k - j - 1  # columns to add after this one
+        need = size - j - 1  # columns to add after this one
         pair = need == 1
         if pair:
             pairs = pair_masks(rows, start, mul, inv)
-        for c in range(start, n - need):
-            i = grp[c]
-            s = (sel if i == gi else 0) | bit[c]
+        end = n - need
+        for c in range(start, stop if stop < end else end):
+            s = sel & low[c] | 1 << c
             if pair:
-                got = ends[i].get(s)
+                got = ends.get(s)
                 if got is None:
-                    got = fill_ends(i, s)
+                    got = fill_ends(s)
                 if got:
                     if pairs is not None and got & pairs[c - start]:
                         return True
                     leaves += got.bit_count()
                 continue
-            got = room.get(s)
+            got = admit.get(s)
             if got is None:
                 got = fill(s)
-            if got < 0 or got + later[i] < need:
+            if not got >> need & 1:
                 continue
             child = node_step(rows, c - start, mul, neg, inv, axpy)
             if child is None:
-                return True  # prefix + c is singular, so is each completion
+                return True  # prefix + c is dependent, so is each completion
             if not need:
                 leaves += 1
                 continue
-            if walk(child, c + 1, j + 1, i, s):
+            if walk(child, c + 1, j + 1, s, reach[s]):
                 return True
         return False
 
-    if k == 0:
-        return 1
-    return None if walk([list(row) for row in g_mat.data], 0, 0, -1, 0) else leaves
+    rows = [list(row) for row in mat.data]
+    return None if walk(rows, 0, 0, 0, n if skip else width) else leaves
+
+
+def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
+    """How many k-subsets S of G's columns lie in some pattern's
+    complement, when rank(G|_S) = k on every one of them, or None when one
+    is singular (_family_leaves).  sets lists one group's maximal sets, the
+    same in every group, as tuples of 1-based group-local coordinates; S
+    lies in some pattern's complement iff its part in every group avoids
+    one of them, that is lies inside one of their complements in the group
+    (masks).  So a group's picks are a member iff a mask holds them, and
+    may gain up to as many columns above their top bit as the largest such
+    mask has there.
+    """
+    full = (1 << width) - 1
+    masks = [full ^ sum(1 << (c - 1) for c in cs) for cs in sets]
+
+    def span(sel):
+        top = sel.bit_length()
+        room = [(m >> top).bit_count() for m in masks if m & sel == sel]
+        return (0, max(room)) if room else None
+
+    return _family_leaves(g_mat, k, width, span)
 
 
 def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | None:
     """How many size-subsets U of H's columns contain a maximal pattern,
     when rank(H|_U) = size on every one of them, or None when one is
-    dependent.  sets lists one group's maximal sets, the same in every
-    group, as tuples of 1-based group-local coordinates; U contains a
-    pattern iff its part in every group contains one of them.
+    dependent (_family_leaves).  sets lists one group's maximal sets, the
+    same in every group, as tuples of 1-based group-local coordinates; U
+    contains a pattern iff its part in every group contains one of them.
+    So a group's picks can grow into a member iff some maximal set has all
+    its bits below their top bit among them; the fewest further columns
+    are the least number of bits such a set has above the top bit, and
+    the most are every column above it.
 
     Why it decides the parity criterion.  Every maximal pattern has e =
     gN(delta-1) coordinates, and the patterns are the product of the
@@ -326,133 +371,20 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
     |U|; with n - k = e + h rows in H that is H|_U invertible, the
     parity-check form of erasure recovery (Gopalan, Huang, Jenkins and
     Yekhanin, IEEE T-IT 2014).  So the criterion fails on some (E, F) iff
-    this walk finds a dependent U, and each U is ranked once however many
+    the walk finds a dependent U, and each U is ranked once however many
     patterns it contains.  U's complement is a k-set that avoids a maximal
     set in each group, so a passing walk has as many leaves as the
     generator route's walk over the coverable k-subsets.
-
-    A depth-first walk over the columns in increasing order keeps, for
-    each independent prefix of j columns, the rows below its j pivots
-    restricted to the columns after its last pick (elim.node_step).
-    When no row is nonzero in a column, the prefix plus it is dependent,
-    and so is each of its completions.  The family is upward closed, so a
-    column is a child iff some maximal set M of its group can still be
-    held: M's bits at or below the pick are all picked, and M's missing
-    bits plus the smallest maximal set of each later group fit into the
-    picks left (miss below, tabled per group picks, whose top bit is the
-    pick); any other columns after the pick pad the rest.  A group must
-    hold a maximal set before the next group opens.
-
-    Each node runs one loop over its columns c1: the rule that a group
-    must hold a maximal set before the next opens, then c1's picks s in its
-    group, then s's admission.  Below the last two levels that is miss[s];
-    with one column left to add after c1 the node holds two rows and keys
-    its columns with elim.pair_masks.  There ends[i][s] tables the
-    columns c2 that may end the set: by the miss rule, those of group i
-    that complete a maximal set when no later group still needs one, and,
-    once s holds a maximal set, those of the groups that may open next
-    whose single column is a maximal set of its own when no group after
-    them needs one.  A dependent pair is then any bit shared by ends and
-    the columns of c1's key or zero, and the leaves are counted by
-    bit_count.
-
-    The routes share elimination only (axpy, elim.node_step,
-    elim.pair_masks and elim.first_dependent).  The walk is the parity
-    route's own: it reads H, never G, tests containment of a maximal set
-    rather than avoidance, and keeps its own family rule and its own miss
-    and ends tables, so a fault in one route's family logic cannot hide in
-    the other's.  The subset-sweep oracle, which ranks through reduce_rows
-    and not node_step, checks each route on its own.
     """
-    ctx = h_mat.ctx
-    mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
-    n = h_mat.cols
-    grp = [c // width for c in range(n)]
-    bit = [1 << c % width for c in range(n)]
     masks = [sum(1 << (c - 1) for c in cs) for cs in sets]
-    least = min(m.bit_count() for m in masks)
-    # later[i]: the fewest columns the groups after group i must add
-    later = [least * (n // width - 1 - i) for i in range(n // width)]
-    # miss[sel]: for the picks sel of one group (a local bitmask), the fewest
-    # bits above sel's top bit that a maximal set with every lower bit in
-    # sel still lacks (0: sel holds a maximal set), or n when none fits;
-    # filled in as the walk reaches each sel
-    miss = {}
-    # ends[i][sel]: for the picks sel of group i, the columns after sel's
-    # top bit that may end the set (bit c for column c); filled in as a
-    # two-row node reaches sel
-    ends = [{} for _ in later]
-    leaves = 0
 
-    def fill(sel):
+    def span(sel):
         top = sel.bit_length()
-        miss[sel] = got = min(((m >> top).bit_count() for m in masks
-                               if not m & ~sel & ((1 << top) - 1)), default=n)
-        return got
+        below = (1 << top) - 1
+        lack = [(m >> top).bit_count() for m in masks if not m & ~sel & below]
+        return (min(lack), width - top) if lack else None
 
-    def missing(sel):
-        got = miss.get(sel)
-        return fill(sel) if got is None else got
-
-    def fill_ends(i, sel):
-        got = 0
-        if not later[i]:
-            for b in range(sel.bit_length(), width):
-                if not missing(sel | 1 << b):
-                    got |= 1 << i * width + b
-        if not missing(sel):
-            for i2 in range(i + 1, min(i + 2, len(later)) if least else len(later)):
-                if not later[i2]:
-                    for b in range(width):
-                        if not missing(1 << b):
-                            got |= 1 << i2 * width + b
-        ends[i][sel] = got
-        return got
-
-    def walk(rows, start, j, gi, sel):
-        # rows[r][c - start] is the entry of row r in column c >= start;
-        # sel holds the picks in group gi, the group of the last pick.
-        # True when some set below the node is dependent
-        nonlocal leaves
-        need = size - j - 1  # columns to add after this one
-        pair = need == 1
-        if pair:
-            pairs = pair_masks(rows, start, mul, inv)
-        for c in range(start, n - need):
-            i = grp[c]
-            if i == gi:
-                s = sel | bit[c]
-            elif (i - gi > 1 and least) or (gi >= 0 and miss[sel]):
-                return False  # a group left without a maximal set
-            else:
-                s = bit[c]
-            if pair:
-                got = ends[i].get(s)
-                if got is None:
-                    got = fill_ends(i, s)
-                if got:
-                    if pairs is not None and got & pairs[c - start]:
-                        return True
-                    leaves += got.bit_count()
-                continue
-            got = miss.get(s)
-            if got is None:
-                got = fill(s)
-            if got + later[i] > need:
-                continue
-            child = node_step(rows, c - start, mul, neg, inv, axpy)
-            if child is None:
-                return True  # prefix + c is dependent, so is each completion
-            if not need:
-                leaves += 1
-                continue
-            if walk(child, c + 1, j + 1, i, s):
-                return True
-        return False
-
-    if size == 0:
-        return 1
-    return None if walk([list(row) for row in h_mat.data], 0, 0, -1, 0) else leaves
+    return _family_leaves(h_mat, size, width, span)
 
 
 def _parity_sweep(code: MrLrcCode):

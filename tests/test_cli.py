@@ -337,6 +337,24 @@ def test_verify_rejects_bundle_with_mistyped_field(bundle, capsys, edit):
     assert next(iter(edit)) in err
 
 
+@pytest.mark.parametrize("args", [["verify"], ["encode", "msg.txt"], ["decode", "msg.txt"],
+                                  ["simulate", "--trials", "1", "--model", "uniform_nodes"]],
+                         ids=["verify", "encode", "decode", "simulate"])
+def test_deeply_nested_bundle_exits_1_without_a_traceback(tmp_path, capsys, args):
+    # json.load recurses once per bracket, so the nesting ends in a
+    # RecursionError, which read_bundle reports as a ValueError
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    (tmp_path / "msg.txt").write_text("1 2 3 4 5\n")
+    command, *rest = args
+    rest = [str(tmp_path / a) if a.endswith(".txt") else a for a in rest]
+    assert main([command, str(nested), *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot load bundle {nested}: "
+                            "JSON nested too deeply to parse\n")
+    assert captured.out == ""
+
+
 def test_verify_rejects_bundle_with_unknown_kind(bundle, capsys):
     doc = json.loads(bundle.read_text())
     bundle.write_text(json.dumps({**doc, "kind": "pc3"}))

@@ -396,6 +396,10 @@ def test_each_route_reads_only_its_own_matrix():
 
 
 def test_generator_route_uses_neither_parity_mechanism(monkeypatch):
+    # the routes share the family walk (_family_leaves) and elim; this pins
+    # what stays the generator route's own: its avoid rule, never the
+    # parity route's contain rule, and its failure path, which neither
+    # eliminates H on a pattern nor runs the parity sweep
     def parity_only(*args, **kwargs):
         raise AssertionError("generator route used a parity-route mechanism")
 
@@ -499,6 +503,10 @@ def test_parity_walk_verdict_matches_witness_loop(monkeypatch):
 
 
 def test_parity_route_uses_no_generator_mechanism(monkeypatch):
+    # the routes share the family walk (_family_leaves) and elim; this pins
+    # what stays the parity route's own: its contain rule, never the
+    # generator route's avoid rule, and its failure path, which never runs
+    # the generator sweep
     def generator_only(*args, **kwargs):
         raise AssertionError("parity route used a generator-route mechanism")
 
@@ -559,6 +567,49 @@ def test_keyed_pass_matches_brute_force_scans(spec):
         assert got == walk_verdict(subsets, lambda sel: h_mat.rank(sel) < len(sel)), spec
         outcomes[got is not None] += 1
     assert outcomes[False] >= 12, outcomes
+
+
+# -- the family walk on per-group set systems that no topology gives
+
+
+def test_family_walk_matches_a_scan_on_random_set_systems():
+    # every topology's maximal sets have one size, N(delta - 1); here each
+    # group's sets have mixed sizes, the empty set among them, so both
+    # family rules meet unequal fewest and most counts, groups that may or
+    # may not hold no pick, and the two-row ends of every kind.  Each rule
+    # must count the size-subsets whose every group part avoids (contains)
+    # one of the sets, or answer None iff one of them is dependent
+    rnd = random.Random(30)
+    fields = [field_ctx(2, 3), field_ctx(3), field_ctx(5), field_ctx(2, 2), field_ctx(7)]
+    rules = {"avoid": (verify._coverable_leaves, lambda part, cs: not part & cs),
+             "contain": (verify._containing_leaves, lambda part, cs: cs <= part)}
+    outcomes = {(rule, passed): 0 for rule in rules for passed in (True, False)}
+    for _ in range(450):
+        width, groups = rnd.randint(1, 4), rnd.randint(1, 3)
+        n = width * groups
+        sets = list({tuple(sorted(rnd.sample(range(1, width + 1), rnd.randint(0, width))))
+                     for _ in range(rnd.randint(1, 3))})
+        size = rnd.randint(1, n)
+        ctx = rnd.choice(fields)
+        rows = [[rnd.randrange(ctx.order) for _ in range(n)] for _ in range(size)]
+        if rnd.random() < 0.3:
+            zeroed = rnd.randrange(n)
+            for row in rows:
+                row[zeroed] = 0
+        mat = MatrixF(ctx, rows)
+        for rule, (walk, holds) in rules.items():
+            family = [sel for sel in itertools.combinations(range(1, n + 1), size)
+                      if all(any(holds({c - i * width for c in sel
+                                        if i * width < c <= (i + 1) * width}, set(cs))
+                                 for cs in sets)
+                             for i in range(groups))]
+            if not family:
+                continue
+            got = walk(mat, size, width, sets)
+            assert got == walk_verdict(family, lambda sel: mat.rank(sel) < size), (
+                rule, width, groups, sets, size, rows)
+            outcomes[rule, got is not None] += 1
+    assert min(outcomes.values()) >= 60, outcomes
 
 
 def test_report_json_is_seed_stable(gen_code):
