@@ -3,7 +3,8 @@
 A field here is any object whose ``mul``, ``neg``, ``inv`` and ``axpy``
 methods act on its elements, with zero and one encoded as the integers 0
 and 1: a ff.FieldCtx, including GF(p) for the tower coordinate maps.
-Every rank, determinant, solve, inverse and kernel in mrlrc runs through
+first_dependent also reads the field's ``child_keys`` (below).  Every
+rank, determinant, solve, inverse and kernel in mrlrc runs through
 reduce_rows.  This module imports nothing from mrlrc, so ff can use it
 without importing matrix and the layering stays one-way.
 
@@ -11,8 +12,8 @@ Every row update is one call of the field's row-update kernel
 ``axpy(y, xs, ws)``, which returns a new list
 [x + y w for x, w in zip(xs, ws)] (on table fields straight from the
 exp/log lists, on generic fields with one reduction per entry), so rows
-are replaced, never written into.  The field's other kernel,
-``dots(xs, cols)``, forms a row of a matrix product, a codeword and a
+are replaced, never written into.  The field's kernel
+``dots(xs, cols)`` forms a row of a matrix product, a codeword and a
 syndrome; elimination does not need it.
 
 reduce_rows pivots on a given sequence of columns, in that order (all of
@@ -22,14 +23,35 @@ therefore run over whole rows, and replace each changed row with a new
 list rather than writing into it, so a caller may reduce a shallow copy
 of a matrix's row list and leave the matrix as it was.
 
-Two depth-first walks over column subsets share two node helpers:
+Two depth-first walks over column subsets share these node helpers:
 first_dependent here and verify's family walk, which both exhaustive MR
 routes run, each with its own family rule.  A walk keeps, for each
 independent prefix, the rows below its pivots cut to the columns after
 its last pick; node_step adds one column to such a node (None when the
-column is zero there), and pair_masks keys the columns of a two-row
-node, so that each pair of last columns costs one AND.  Each walk keeps
-its own column loop.
+column is zero there).  The last two picks are settled by keys, never by
+building the nodes they make.  Each walk keeps its own column loop.
+
+  * Two rows: a column's residual is the 2-vector (a, b) it has there,
+    and a key names its class, equal for two nonzero residuals iff they
+    are proportional (-2 for zero).  key_masks turns the keys into one
+    bitmask per column, so that each pair of last columns costs one AND;
+    its docstring argues the pair rule.  pair_keys keys a two-row node
+    that was built, by b/a.
+  * Three rows: the field's child_keys(rows, xs) gives, for each pick x,
+    the keys of the two-row child node_step(rows, x) would build, without
+    building it.  The rule it computes is this.  Scaling a column by a
+    unit changes the rank of no column set, and scales the column's
+    residual in every child by the same unit, which keeps its key; so
+    every column with a nonzero entry e in x's pivot row r may be scaled
+    to 1 there.  Write (y, z) for a column's entries in the other two
+    rows, in order, after that scaling.  Pivoting on r subtracts y_x and
+    z_x times row r from those rows, so a scaled column keeps the
+    residual (y - y_x, z - z_x): its key is the slope
+    (z - z_x)/(y - y_x), -1 when only y = y_x, 0 when only z = z_x, and
+    -2 when both.  A column that is zero in r is untouched by the pivot:
+    its residual is its own (y, z), and its key z/y at every x that
+    pivots on r.  The scaling is done once per node and pivot row, and
+    each x costs one pass over the later columns.
 
 first_dependent names the first dependent column subset of a matrix in
 itertools.combinations order.  Both exhaustive MR routes in verify name
@@ -120,22 +142,30 @@ def node_step(rows: list, x: int, mul, neg, inv, axpy) -> list | None:
     return child
 
 
-def pair_masks(rows: list, start: int, mul, inv) -> list | None:
+def pair_keys(rows: list, mul, inv) -> list:
+    """The keys of a two-row node's columns: b/a for a residual (a, b)
+    with a != 0, -1 when a = 0 and b != 0, and -2 for (0, 0) (see
+    key_masks)."""
+    return [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
+
+
+def key_masks(keys: list, start: int) -> list | None:
     """For each column c of a two-row prefix-tree node, the columns that
     make a singular pair with it, or None when no pair is singular.
 
-    rows holds the node's two rows, cut to the columns c >= start: the
-    residual of each column c after the node's independent prefix P, the
-    2-vector (a, b) left once P's pivots are cleared from it.  So P + c1 +
-    c2 (c1 < c2) is singular iff the two residuals are dependent, that is
-    iff c1's is zero, or c2's is, or the two are proportional.  Each
-    column is keyed once, by b/a, -1 when a = 0, and -2 for (0, 0), and
-    masks[c - start] is the bitmask (bit c2 for column c2) of the columns
-    with c's key or a zero column, every column when c is zero: P + c1 +
-    c2 is singular iff bit c2 of masks[c1 - start] is set.  Every walk
-    that settles a pair of last columns reads this one rule.
+    keys[c - start] keys column c >= start of the node.  Each column's
+    residual is the 2-vector (a, b) left of it once the node's independent
+    prefix P has its pivots cleared from it, so P + c1 + c2 (c1 < c2) is
+    singular iff c1's residual is zero, or c2's is, or the two are
+    proportional.  A key names a residual's class: two nonzero residuals
+    share a key iff they are proportional, and -2 is the key of the zero
+    residual and of nothing else.  masks[c - start] is the bitmask (bit c2
+    for column c2) of the columns with c's key or the zero key, every
+    column when c's key is zero: P + c1 + c2 is singular iff bit c2 of
+    masks[c1 - start] is set.  Every walk that settles a pair of last
+    columns reads this one rule, whoever formed the keys (pair_keys, or a
+    field's child_keys).
     """
-    keys = [mul(b, inv(a)) if a else -1 if b else -2 for a, b in zip(*rows)]
     keyed = dict.fromkeys(keys, 0)
     if len(keyed) == len(keys) and -2 not in keyed:
         return None
@@ -146,6 +176,23 @@ def pair_masks(rows: list, start: int, mul, inv) -> list | None:
         keyed[key] |= zero
     keyed[-2] = -1
     return [keyed[key] for key in keys]
+
+
+def pair_masks(rows: list, start: int, mul, inv) -> list | None:
+    """key_masks of a two-row node whose rows hold its columns c >= start,
+    keyed by pair_keys."""
+    return key_masks(pair_keys(rows, mul, inv), start)
+
+
+def first_pair(masks: list | None, start: int, stop: int) -> tuple | None:
+    """The first singular pair (c1, c2), start <= c1 < c2 < stop, of a
+    two-row node whose columns c >= start have key_masks masks, or None."""
+    if masks is not None:
+        for c in range(start, stop - 1):
+            later = masks[c - start] >> c + 1
+            if later:
+                return (c, c + (later & -later).bit_length())
+    return None
 
 
 def first_dependent(rows: list, field, size: int) -> tuple | None:
@@ -161,11 +208,14 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
     the first failing subset is prefix + c + the next size - j - 1
     positions; that is all the one-column level (j + 1 = size) tests.
 
-    A node with one column left to add after c and exactly two rows (every
-    such node when rows has size rows) settles both from pair_masks: the
-    pair is c's lowest later column in its mask, and there is none when
-    pair_masks finds no singular pair.  With more rows it eliminates on
-    down.
+    A node with two columns left to add, c and one after it, and exactly
+    three rows (every such node when rows has size rows) settles all its
+    pairs in one keyed pass: field.child_keys keys, for each c, the
+    columns of the two-row child that adding c makes, without building
+    it, and the child's first singular pair is the first column with a
+    later column in its key_masks mask (first_pair).  A two-row root
+    settles its pairs from pair_masks the same way.  With more rows a node
+    eliminates on down.
     """
     if size < 1:
         return None
@@ -177,17 +227,18 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
     def walk(node, start, j):
         # node[i][c - start] is the entry of row i in column c >= start
         need = size - j - 1  # columns to add after c
-        pair = need == 1 and len(node) == 2
-        if pair:
-            masks = pair_masks(node, start, mul, inv)
-            if masks is None:
-                return None
+        if need == 1 and len(node) == 2:
+            return first_pair(pair_masks(node, start, mul, inv), start, ncols)
+        if need == 2 and len(node) == 3:
+            for c, keys in zip(range(start, ncols - 2),
+                               field.child_keys(node, range(ncols - 2 - start))):
+                if keys is None:
+                    return (c, c + 1, c + 2)
+                found = first_pair(key_masks(keys, c + 1), c + 1, ncols)
+                if found is not None:
+                    return (c,) + found
+            return None
         for c in range(start, ncols - need):
-            if pair:
-                later = masks[c - start] >> c + 1
-                if later:
-                    return (c, c + (later & -later).bit_length())
-                continue
             child = node_step(node, c - start, mul, neg, inv, axpy)
             if child is None:
                 return tuple(range(c, c + need + 1))

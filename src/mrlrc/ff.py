@@ -26,17 +26,25 @@ p, built with the generic mul and add, which is what makes the exhaustive
 verification sweeps fast.  The scalar add, which only set-up calls (the
 tower's subfield-root search), has one path per characteristic, table
 field or not: XOR for p = 2, and digit by digit mod p for odd p.  The
-sums of elimination, matrix products and syndromes run through two
-vector kernels, which carry the bulk of the arithmetic:
+sums of elimination, matrix products and syndromes, and the last two
+levels of every prefix-tree walk, run through three vector kernels,
+which carry the bulk of the arithmetic:
 
   * axpy(y, xs, ws) = [x + y w for x, w in zip(xs, ws)], the row update
     of every elimination;
   * dots(xs, cols) = [the sum of x w over zip(xs, ws) for ws in cols],
     every row of a matrix product, every codeword of encode and every
-    syndrome; it reads xs once per call, not once per column.
+    syndrome; it reads xs once per call, not once per column;
+  * child_keys(rows, xs), for a three-row node of a walk and each pick x
+    in xs, the keys of the columns after x in the two-row child that
+    adding x makes (elim argues the rule), without building the child.
 
-On a table field both read the exp/log lists themselves (XOR for p = 2,
-the Zech table for odd p) instead of calling mul and add once per entry.
+On a table field all three read the exp/log lists themselves instead of
+calling mul and add once per entry: axpy and dots add by XOR for p = 2
+and through the Zech table for odd p, and child_keys scales each column
+once per node and takes each key as a log difference, of XORed values
+for p = 2 and of Zech logs for odd p.  On a generic field child_keys is
+the elimination itself, elim.node_step and elim.pair_keys per pick.
 Larger fields, up to order 2^40, compute on the integer encoding itself
 and keep no per-element state:
 
@@ -71,7 +79,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .elim import inverse
+from .elim import inverse, node_step, pair_keys
 
 ORDER_LIMIT = 1 << 40
 LOG_TABLE_LIMIT = 1 << 16
@@ -584,6 +592,79 @@ class FieldCtx:
                 acc = reduce(v)
             out.append(acc)
         return out
+
+    def child_keys(self, rows, xs):
+        """For each position x in xs, the keys of the columns after x in
+        the two-row child that elim.node_step(rows, x) builds from the
+        three-row node rows, or None when the column at x is zero there.
+        Keys are only compared (elim.key_masks): two nonzero residuals
+        share one iff they are proportional, and -2 keys the zero residual.
+        Yields them one x at a time, so a walk that stops early computes no
+        more; rows are not modified.
+
+        Table fields build no child (elim's docstring has the rule): x
+        pivots on its first row r nonzero at x, and _chart scales the
+        columns once per node and r.  A later column's key is the slope
+        (z - z_x)/(y - y_x) as an element, -1 when only y = y_x, 0 when
+        only z = z_x and -2 when both, or z/y, fixed, for a column that
+        is zero in r.  p = 2 subtracts by XOR and divides by log
+        difference.  Odd p keeps the scaled entries as logs and reads
+        log(y - y_x) off the Zech table.  Generic fields, and rows that are
+        not three, run node_step and elim.pair_keys per pick.
+        """
+        exp = self._exp
+        if exp is None or len(rows) != 3:
+            mul, neg, inv, axpy = self.mul, self.neg, self.inv, self.axpy
+            for x in xs:
+                child = node_step(rows, x, mul, neg, inv, axpy)
+                yield None if child is None else pair_keys(child, mul, inv)
+            return
+        log, zech, om1 = self._log, self._zech, self.order - 1
+        half = om1 // 2  # -1 = gamma^half for odd p
+        charts = [None, None, None]
+        for x in xs:
+            r = 0 if rows[0][x] else 1 if rows[1][x] else 2 if rows[2][x] else -1
+            if r < 0:
+                yield None
+                continue
+            chart = charts[r]
+            if chart is None:
+                chart = charts[r] = self._chart(rows[r], *rows[:r], *rows[r + 1:])
+            yx, zx, _ = chart[x]
+            if zech is None:
+                yield [f if f is not None
+                       else (exp[om1 + log[dz] - log[dy]] if (dz := z ^ zx) else 0)
+                       if (dy := y ^ yx) else -1 if z != zx else -2
+                       for y, z, f in chart[x + 1:]]
+                continue
+            # y and z are logs, -1 for 0, and ny = log(-y_x): dy = log(y -
+            # y_x) = y + zech[ny - y], -1 when y = y_x; ny when y = 0; y
+            # when y_x = 0 (ny = -1).  dz alike
+            ny = (yx + half) % om1 if yx >= 0 else -1
+            nz = (zx + half) % om1 if zx >= 0 else -1
+            yield [f if f is not None
+                   else (exp[(dz - dy) % om1] if (dy := (
+                       (y + t if (t := zech[ny - y]) >= 0 else -1) if y >= 0 <= ny
+                       else ny if y < 0 else y)) >= 0 else -1)
+                   if (dz := ((z + t if (t := zech[nz - z]) >= 0 else -1) if z >= 0 <= nz
+                              else nz if z < 0 else z)) >= 0
+                   else 0 if y != yx else -2
+                   for y, z, f in chart[x + 1:]]
+
+    def _chart(self, es, ys, zs):
+        """child_keys' chart of a three-row node pivoting on the row es,
+        with ys and zs its other two rows: per column, (y / e, z / e, None)
+        when its entry e in es is nonzero, as values for p = 2 and as logs,
+        -1 for 0, for odd p; and (0, 0, the key of z / y) when e = 0."""
+        exp, log, om1 = self._exp, self._log, self.order - 1
+        if self.p == 2:
+            return [(exp[le + log[y]] if y else 0, exp[le + log[z]] if z else 0, None) if e
+                    else (0, 0, (exp[om1 + log[z] - log[y]] if z else 0) if y
+                          else -1 if z else -2)
+                    for e, y, z in zip(es, ys, zs) for le in (om1 - log[e],)]
+        return [((log[y] - le) % om1 if y else -1, (log[z] - le) % om1 if z else -1, None) if e
+                else (0, 0, (exp[om1 + log[z] - log[y]] if z else 0) if y else -1 if z else -2)
+                for e, y, z in zip(es, ys, zs) for le in (log[e],)]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -25,14 +25,15 @@ matrix is the h x (k + h) projection left over after one reduce_rows of
 H on the pattern's columns.
 
 Both walks are one engine, _family_leaves, which takes its elimination
-from elim (elim.node_step for a child node, elim.pair_masks for a node
-with two rows, where the pair rule is argued) and everything it knows of
-a family from one per-group rule: for a group's picks, the fewest and
-the most further columns that make the group's part a member.  The
-routes share the engine and elim; what stays each route's own is its
-matrix, its family rule (_coverable_leaves avoids a maximal set,
-_containing_leaves contains one), its criterion and its failure path
-(_generator_sweep, _parity_sweep).
+from elim and the field (elim.node_step for a child node, the field's
+child_keys for the children of a node with three rows, elim.key_masks
+for the pairs of a node with two, where the pair rule is argued) and
+everything it knows of a family from one per-group rule: for a group's
+picks, the fewest and the most further columns that make the group's
+part a member.  The routes share the engine and elim; what stays each
+route's own is its matrix, its family rule (_coverable_leaves avoids a
+maximal set, _containing_leaves contains one), its criterion and its
+failure path (_generator_sweep, _parity_sweep).
 
 elim.first_dependent names the first failing subset in
 itertools.combinations order, so both routes report what a
@@ -57,10 +58,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import comb, floor
 
-from .elim import first_dependent, node_step, pair_masks, reduce_rows
+from .elim import first_dependent, key_masks, node_step, pair_masks, reduce_rows
 from .matrix import MatrixF
 from .constructions import (
     KINDS, BoundTooLong, MrLrcCode, bounded_power, plan_field, premise_violations,
@@ -196,6 +196,18 @@ def _generator_sweep(code: MrLrcCode):
             yield pat, tuple(comp[j] for j in found)
 
 
+class _Table(dict):
+    """A dict that fills a missing key k with fill(k), once."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
+
+
 def _family_leaves(mat: MatrixF, size: int, width: int, span) -> int | None:
     """How many size-subsets U of mat's columns lie in a family, when
     rank(mat|_U) = size on every one of them, or None when one is
@@ -215,41 +227,53 @@ def _family_leaves(mat: MatrixF, size: int, width: int, span) -> int | None:
     A depth-first walk over the columns in increasing order keeps, for
     each independent prefix of j columns, the rows below its j pivots
     restricted to the columns after its last pick (elim.node_step, as in
-    elim.first_dependent).  The picks s of a column c are those of its
-    group i so far, held as columns, so s also names i.  c is a child iff
-    the need = size - j - 1 columns still to add after it fit: need lies
-    in the span of s's group-local picks plus span(0) for each later
-    group, tabled as one bitmask of the admissible needs per s (admit).  The next pick may leave group i
-    only when s is a member, and may pass over a group only when a group
-    may hold no pick, so each child's column loop ends at reach[s], tabled
-    with admit.  Admission is exact, so every admitted prefix has a
+    elim.first_dependent).  A node's picks sel are those of its last
+    pick's group, held as columns, so sel names the group and the node's
+    first column, sel.bit_length(); with need, the columns still to add
+    after the next pick, it fixes the node's children.  A column c is a
+    child iff need fits: need lies in the span of c's picks s = sel &
+    low[c] | 1 << c plus span(0) for each later group (admit).  The next
+    pick may leave a group only when its picks are a member, and may pass
+    over a group only when a group may hold no pick, which ends a node's
+    columns.  Admission is exact, so every admitted prefix has a
     completion in the family: when no row is nonzero in c, the prefix plus
     c is dependent, and so is each of its completions.
 
-    A node with one column left to add after c1 holds two rows and keys
-    its columns with elim.pair_masks (where the pair rule is argued).
-    There ends[s] tables the columns c2 that end a member: those of group
-    i after c1 with s plus c2 a member, when every later group may hold
-    no pick, and once s is a member, the columns b of a later group with
-    {b} a member, when every other group after i may hold no pick.  ends
-    is empty when c1 has no completion, so it is also c1's admission; a
-    dependent pair is any bit shared by ends and the columns of c1's key
-    or zero, the leaves are counted by bit_count, and the last level's
-    child rows are never built.
+    A node with one column left to add after c1 holds two rows.  There
+    ends(s) holds the columns c2 that end a member: those of group i after
+    c1 with s plus c2 a member, when every later group may hold no pick,
+    and once s is a member, the columns b of a later group with {b} a
+    member, when every other group after i may hold no pick.  ends is
+    empty when c1 has no completion, so it is also c1's admission; a
+    dependent pair is any bit shared by ends(s) and c1's elim.key_masks
+    mask, and the node has as many leaves as its ends have bits.  Such a
+    node is never built unless it is the root: its three-row parent
+    settles all its children at once from the keys the field's
+    child_keys gives each pick, in one pass over the parent's columns.
+
+    The children of a node depend on (sel, need) alone, and a two-row
+    node's columns, ends and leaf count on its sel alone, so the walk
+    tables both, per call, as it first meets them: kids[sel, need] lists
+    the admitted (c, s), with each two-row child's closes[s] and the
+    positions child_keys reads at a three-row node; closes[sel] lists the
+    two-row node's (c1, ends) and its leaf count.  A two-row node whose
+    keys are all distinct and none zero (key_masks gives None) adds its
+    count with no column loop.
     """
     ctx = mat.ctx
     mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
+    child_keys = ctx.child_keys
     n = mat.cols
     groups = n // width
     # low[c]: the columns of c's group before c (bit c for column c)
     low = [(1 << c) - (1 << c - c % width) for c in range(n)]
-    span = cache(span)  # each group's picks are looked up in several tables
+    span = _Table(span)  # each group's picks are looked up in several tables
 
     def member(sel):
-        got = span(sel)
+        got = span[sel]
         return got is not None and not got[0]
 
-    lo0, hi0 = span(0)
+    lo0, hi0 = span[0]
     skip = not lo0  # a group may hold no pick
     if not size:
         return int(skip)
@@ -258,25 +282,18 @@ def _family_leaves(mat: MatrixF, size: int, width: int, span) -> int | None:
     singles = sum(1 << b for b in range(width) if member(1 << b))
     after = [sum(singles << i2 * width for i2 in range(i + 1, groups)
                  if skip or i2 == i + 1 == groups - 1) for i in range(groups)]
-    # for the picks s in the last pick's group, as columns, each filled in
-    # as the walk reaches s: admit[s], bit d set iff d more columns after
-    # the last pick can finish the set; reach[s], the column before which
-    # the next pick must fall; ends[s], the columns after the last pick
-    # that may end the set
-    admit, reach, ends = {}, {}, {}
-    leaves = 0
 
-    def fill(s):
+    @_Table
+    def admit(s):
+        # bit d set iff d more columns after s's top bit can finish the set
         i = (s.bit_length() - 1) // width
-        got = span(s >> i * width)
+        got = span[s >> i * width]
         rest = groups - 1 - i
-        admit[s] = need = 0 if got is None else (
-            (2 << got[1] + hi0 * rest) - (1 << got[0] + lo0 * rest))
-        reach[s] = ((i + 1) * width if got is None or got[0]
-                    else n if skip else (i + 2) * width)
-        return need
+        return 0 if got is None else (2 << got[1] + hi0 * rest) - (1 << got[0] + lo0 * rest)
 
-    def fill_ends(s):
+    @_Table
+    def ends(s):
+        # the columns after s's top bit that may end the set
         i = (s.bit_length() - 1) // width
         sel = s >> i * width
         got = after[i] if member(sel) else 0
@@ -284,48 +301,77 @@ def _family_leaves(mat: MatrixF, size: int, width: int, span) -> int | None:
             for b in range(sel.bit_length(), width):
                 if member(sel | 1 << b):
                     got |= 1 << i * width + b
-        ends[s] = got
         return got
 
-    def walk(rows, start, j, sel, stop):
-        # rows[r][c - start] is the entry of row r in column c >= start;
-        # sel holds the picks in the last pick's group, and the next pick
-        # falls before column stop.  True when some set below the node is
-        # dependent
+    def stop(sel):
+        # the column before which a node with picks sel makes its next pick
+        if not sel:
+            return n if skip else width
+        i = (sel.bit_length() - 1) // width
+        return ((i + 1) * width if not member(sel >> i * width)
+                else n if skip else (i + 2) * width)
+
+    @_Table
+    def closes(sel):
+        # the two-row node with picks sel: its columns with their ends,
+        # and its leaf count
+        pairs = [(c, e) for c in range(sel.bit_length(), min(stop(sel), n - 1))
+                 if (e := ends[sel & low[c] | 1 << c])]
+        return pairs, sum([e.bit_count() for _, e in pairs])
+
+    @_Table
+    def kids(key):
+        # the children (c, s) of a node with picks sel and need; a
+        # three-row node's carry their two-row node's closes, and the
+        # positions child_keys reads
+        sel, need = key
+        start = sel.bit_length()
+        got = [(c, s) for c in range(start, min(stop(sel), n - need))
+               if admit[s := sel & low[c] | 1 << c] >> need & 1]
+        if need == 2:
+            got = [(c, *closes[s]) for c, s in got], [c - start for c, _ in got]
+        return got
+
+    leaves = 0
+
+    def walk(rows, sel, need):
+        # rows[r][c - start] is the entry of row r in column c >= start =
+        # sel.bit_length(); need columns are still to add after the next
+        # pick.  True when some set below the node is dependent
         nonlocal leaves
-        need = size - j - 1  # columns to add after this one
-        pair = need == 1
-        if pair:
-            pairs = pair_masks(rows, start, mul, inv)
-        end = n - need
-        for c in range(start, stop if stop < end else end):
-            s = sel & low[c] | 1 << c
-            if pair:
-                got = ends.get(s)
-                if got is None:
-                    got = fill_ends(s)
-                if got:
-                    if pairs is not None and got & pairs[c - start]:
-                        return True
-                    leaves += got.bit_count()
-                continue
-            got = admit.get(s)
-            if got is None:
-                got = fill(s)
-            if not got >> need & 1:
-                continue
+        start = sel.bit_length()
+        if need == 1:  # a two-row root
+            pairs, count = closes[sel]
+            masks = pair_masks(rows, start, mul, inv)
+            if masks is not None and any(e & masks[c - start] for c, e in pairs):
+                return True
+            leaves += count
+            return False
+        got = kids[sel, need]
+        if need == 2:
+            cols, xs = got
+            for (c, pairs, count), keys in zip(cols, child_keys(rows, xs)):
+                if keys is None:
+                    return True  # prefix + c is dependent, so is each completion
+                masks = key_masks(keys, c + 1)
+                if masks is not None:
+                    for c1, e in pairs:
+                        if e & masks[c1 - c - 1]:
+                            return True
+                leaves += count
+            return False
+        for c, s in got:
             child = node_step(rows, c - start, mul, neg, inv, axpy)
             if child is None:
-                return True  # prefix + c is dependent, so is each completion
+                return True
             if not need:
                 leaves += 1
-                continue
-            if walk(child, c + 1, j + 1, s, reach[s]):
+            elif walk(child, s, need - 1):
                 return True
         return False
 
     rows = [list(row) for row in mat.data]
-    return None if walk(rows, 0, 0, 0, n if skip else width) else leaves
+    return None if walk(rows, 0, size - 1) else leaves
 
 
 def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:

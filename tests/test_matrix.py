@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrlrc.elim import inverse, node_step, pair_masks, reduce_rows
+from mrlrc.elim import inverse, key_masks, node_step, pair_masks, reduce_rows
 from mrlrc.ff import field_ctx
 from mrlrc.matrix import (
     DimensionMismatch, IndexOutOfRange, MatrixF, MixedFields,
@@ -311,6 +311,56 @@ def test_pair_masks_match_the_two_by_two_determinant():
     assert masks == [0b01011, 0b01011, 0b01100, -1, 0b11000]
     # the keys 2, 4 and 3 differ, and no column is zero
     assert pair_masks([[1, 1, 1], [2, 4, 3]], 0, F5.mul, F5.inv) is None
+
+
+# the branches of FieldCtx.child_keys: log tables for p = 2, the Zech
+# table for odd p, and generic arithmetic for p = 2 and odd p; GF(4) and
+# GF(9) make equal keys, and so wrong ones, likely
+KERNEL_FIELDS = (field_ctx(2, 6), field_ctx(7, 3), F2_20, F3_14, F4, F9)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_child_keys_give_the_masks_of_node_step(data):
+    # for each pick x of a three-row node, the masks of the keys the
+    # field's child_keys gives equal pair_masks of the child node_step
+    # builds, and child_keys gives None exactly where node_step does.  The
+    # columns are random, or have a zero first entry (x pivots on a later
+    # row, and a later column keeps a fixed key), or are sparse (zero
+    # scaled entries), zero, or equal or proportional to an earlier one
+    ctx = data.draw(st.sampled_from(KERNEL_FIELDS), label="field")
+    entry = st.integers(0, ctx.order - 1)
+    kinds = st.sampled_from(["random", "zero first", "sparse", "zero", "equal", "multiple"])
+    columns = []
+    for _ in range(data.draw(st.integers(1, 9), label="columns")):
+        kind = data.draw(kinds)
+        if kind in ("equal", "multiple") and columns:
+            lam = 1 if kind == "equal" else data.draw(st.integers(1, ctx.order - 1))
+            col = [ctx.mul(lam, v) for v in data.draw(st.sampled_from(columns))]
+        elif kind == "zero":
+            col = [0, 0, 0]
+        elif kind == "sparse":
+            col = [data.draw(st.sampled_from([0, v])) for v in data.draw(
+                st.lists(entry, min_size=3, max_size=3))]
+        else:
+            col = data.draw(st.lists(entry, min_size=3, max_size=3))
+            if kind == "zero first":
+                col[0] = 0
+        columns.append(col)
+    rows = [list(r) for r in zip(*columns)]
+    before = [list(r) for r in rows]
+    xs = [x for x in range(len(columns)) if data.draw(st.booleans())]
+    got = list(ctx.child_keys(rows, xs))
+    assert rows == before
+    assert len(got) == len(xs)
+    for x, keys in zip(xs, got):
+        child = node_step(rows, x, ctx.mul, ctx.neg, ctx.inv, ctx.axpy)
+        if child is None:
+            assert keys is None
+            continue
+        assert len(keys) == len(columns) - x - 1
+        for start in (0, x + 1):
+            assert key_masks(keys, start) == pair_masks(child, start, ctx.mul, ctx.inv)
 
 
 def test_node_step_keeps_the_rank_of_every_later_column_set():

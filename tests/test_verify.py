@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mrlrc.matrix import MatrixF
 from mrlrc import topology, verify
 from mrlrc.constructions import construct, encode, plan_field, premise_violations
-from mrlrc.ff import DegreeOverflow, field_ctx
+from mrlrc.ff import LOG_TABLE_LIMIT, DegreeOverflow, field_ctx
 from mrlrc.topology import (
     EnumerationCapExceeded, enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology,
 )
@@ -110,12 +110,25 @@ def key_class_mutants(m: MatrixF):
                                 for row, v in zip(m.data, col)])
 
 
-# ORACLE_CODES and two codes whose top field has no log tables, so
-# first_dependent keys its two-row nodes through the generic inv: n = 9 and
-# h = 2 over GF(5^7), where both routes reach a two-row node, and h = 1
-# over GF(2^20)
-SWEEP_ORACLE_CODES = ORACLE_CODES + (("gen", (4, 2, 1, 1, 2), {"k": 5}),
-                                     ("pc2", (1, 2, 1, 3, 2), {"h": 1}))
+# codes whose walks start at a two-row root (k = 2 or n - k = 2), where
+# the walk keys its first pick's pair with pair_masks, and at a three-row
+# root (k = 3 or n - k = 3), where the root itself runs the field's
+# child_keys: over GF(2^6) and GF(2^4), where child_keys reads the log
+# tables, over GF(3^3), where it reads the Zech table, and over GF(5^7),
+# where it runs the generic elimination
+ENTRY_CODES = (("gen", (3, 2, 1, 1, 1), {"k": 2}),   # both routes two-row
+               ("gen", (2, 1, 1, 3, 1), {"k": 3}),   # both routes three-row
+               ("gen", (2, 2, 1, 1, 2), {"k": 2}),   # G two-row, H three-row
+               ("gen", (2, 2, 1, 1, 2), {"k": 3}),   # G three-row, H two-row
+               ("gen", (4, 2, 1, 1, 2), {"k": 2}),
+               ("gen", (4, 2, 1, 1, 2), {"k": 3}))
+
+# ORACLE_CODES, ENTRY_CODES and two codes whose top field has no log
+# tables, so first_dependent keys its two-row nodes through the generic
+# inv: n = 9 and h = 2 over GF(5^7), where both routes reach a two-row
+# node, and h = 1 over GF(2^20)
+SWEEP_ORACLE_CODES = ORACLE_CODES + ENTRY_CODES + (("gen", (4, 2, 1, 1, 2), {"k": 5}),
+                                                   ("pc2", (1, 2, 1, 3, 2), {"h": 1}))
 
 
 @pytest.mark.parametrize("spec", SWEEP_ORACLE_CODES,
@@ -132,6 +145,20 @@ def test_exhaustive_routes_match_subset_sweep_oracle(spec):
         for side in ("generator", "parity"):
             assert (verify_mr_exhaustive(copy, side=side).to_json()
                     == oracle_report(copy, side)), side
+
+
+def test_entry_codes_start_at_two_and_three_rows():
+    # ENTRY_CODES cover each root row count on each route and each of
+    # child_keys' branches: log tables for p = 2, Zech tables for odd p,
+    # and generic arithmetic
+    roots = set()
+    for spec in ENTRY_CODES:
+        code = bvs.build(*spec)
+        ctx = code.G.ctx
+        branch = "generic" if ctx.order > LOG_TABLE_LIMIT else "p2" if ctx.p == 2 else "odd"
+        roots |= {(branch, "G", code.k), (branch, "H", code.n - code.k)}
+    assert {(b, m, r) for b in ("p2", "odd", "generic") for m in "GH" for r in (2, 3)
+            if (b, m) != ("generic", "H")} <= roots, roots
 
 
 def _gen_field_fits(topo) -> bool:
@@ -308,11 +335,13 @@ REFERENCE_LEAVES = (160, 48, 760, 180, 18)
 def test_generator_walk_visits_every_coverable_subset_once():
     for spec, leaves in zip(bvs.REFERENCE_CODES, REFERENCE_LEAVES):
         assert len(coverable_subsets(bvs.build(*spec))) == leaves, spec
-    # k = 1 and n - k = 1: the walks count leaves one column at a time
-    for spec in ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
-                                ("pc2", (2, 2, 1, 2, 1), {"k": 0}),
-                                ("gen", (2, 2, 1, 2, 2), {"k": 1}),
-                                ("gen", (2, 1, 1, 2, 2), {"k": 5})):
+    # k = 1 and n - k = 1: the walks count leaves one column at a time;
+    # SWEEP_ORACLE_CODES start walks at two- and three-row roots over every
+    # branch of the field's child_keys
+    for spec in SWEEP_ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
+                                      ("pc2", (2, 2, 1, 2, 1), {"k": 0}),
+                                      ("gen", (2, 2, 1, 2, 2), {"k": 1}),
+                                      ("gen", (2, 1, 1, 2, 2), {"k": 5})):
         code = bvs.build(*spec)
         subsets = coverable_subsets(code)
         assert all(code.G.rank(sel) == code.k for sel in subsets), spec
@@ -451,13 +480,14 @@ def test_parity_walk_visits_every_containing_set_once():
     # k-subset, so the two walks of a passing code have as many leaves;
     # with delta = 1 the patterns are empty and a group may be skipped,
     # and with h = 0 as well the empty set is the one leaf; k = 1 and
-    # n - k = 1 count leaves one column at a time
-    for spec in ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
-                                ("pc2", (2, 2, 1, 2, 1), {"k": 0}),
-                                ("gen", (2, 1, 1, 2, 2), {"k": 3}),
-                                ("gen", (2, 1, 1, 2, 2), {"k": 6}),
-                                ("gen", (2, 2, 1, 2, 2), {"k": 1}),
-                                ("gen", (2, 1, 1, 2, 2), {"k": 5})):
+    # n - k = 1 count leaves one column at a time; SWEEP_ORACLE_CODES as
+    # in the generator walk's test
+    for spec in SWEEP_ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 0}),
+                                      ("pc2", (2, 2, 1, 2, 1), {"k": 0}),
+                                      ("gen", (2, 1, 1, 2, 2), {"k": 3}),
+                                      ("gen", (2, 1, 1, 2, 2), {"k": 6}),
+                                      ("gen", (2, 2, 1, 2, 2), {"k": 1}),
+                                      ("gen", (2, 1, 1, 2, 2), {"k": 5})):
         code = bvs.build(*spec)
         subsets = containing_sets(code)
         assert all(code.H.rank(sel) == len(sel) for sel in subsets), spec
