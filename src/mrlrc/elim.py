@@ -3,7 +3,7 @@
 A field here is any object whose ``mul``, ``neg``, ``inv`` and ``axpy``
 methods act on its elements, with zero and one encoded as the integers 0
 and 1: a ff.FieldCtx, including GF(p) for the tower coordinate maps.
-first_dependent also reads the field's ``child_keys`` (below).  Every
+family_walk also reads the field's ``child_keys`` (below).  Every
 rank, determinant, solve, inverse and kernel in mrlrc runs through
 reduce_rows.  This module imports nothing from mrlrc, so ff can use it
 without importing matrix and the layering stays one-way.
@@ -23,13 +23,18 @@ therefore run over whole rows, and replace each changed row with a new
 list rather than writing into it, so a caller may reduce a shallow copy
 of a matrix's row list and leave the matrix as it was.
 
-Two depth-first walks over column subsets share these node helpers:
-first_dependent here and verify's family walk, which both exhaustive MR
-routes run, each with its own family rule.  A walk keeps, for each
+One depth-first walk over column subsets, family_walk, holds the only
+column loop over subsets in mrlrc.  Both exhaustive MR routes in verify
+run it over their own family (a per-group rule, span), and
+first_dependent runs it over every subset.  It keeps, for each
 independent prefix, the rows below its pivots cut to the columns after
 its last pick; node_step adds one column to such a node (None when the
-column is zero there).  The last two picks are settled by keys, never by
-building the nodes they make.  Each walk keeps its own column loop.
+column is zero there).  When the root has exactly as many rows as the
+subsets have columns, the last two picks are settled by keys, never by
+building the nodes they make.  The walk stops at its first dependent
+record, a prefix all of whose completions are dependent, and the first
+record is a prefix of the first dependent member in
+itertools.combinations order (family_walk argues this).
 
   * Two rows: a column's residual is the 2-vector (a, b) it has there,
     and a key names its class, equal for two nonzero residuals iff they
@@ -54,16 +59,20 @@ building the nodes they make.  Each walk keeps its own column loop.
     each x costs one pass over the later columns.
 
 first_dependent names the first dependent column subset of a matrix in
-itertools.combinations order.  Both exhaustive MR routes in verify name
-their witnesses with it, once the family walk has found that the code
-fails: on the k rows of G restricted to a failing pattern's complement,
-and on the projection of H left over after eliminating the pattern.
+itertools.combinations order: the first record completed by the next
+positions.  Both exhaustive MR routes in verify name their witnesses the
+same way (subset_walk, whose tables serve every pattern of a sweep),
+once their family walk has found that the code fails: on the k rows of G
+restricted to a failing pattern's complement, and on the projection of H
+left over after eliminating the pattern.
 
 Pivots are the first nonzero entry at or below the current row, scanning
 top to bottom, so every result is identical across runs.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 
 def reduce_rows(rows: list, field, cols=None,
@@ -184,15 +193,212 @@ def pair_masks(rows: list, start: int, mul, inv) -> list | None:
     return key_masks(pair_keys(rows, mul, inv), start)
 
 
-def first_pair(masks: list | None, start: int, stop: int) -> tuple | None:
-    """The first singular pair (c1, c2), start <= c1 < c2 < stop, of a
-    two-row node whose columns c >= start have key_masks masks, or None."""
-    if masks is not None:
-        for c in range(start, stop - 1):
-            later = masks[c - start] >> c + 1
-            if later:
-                return (c, c + (later & -later).bit_length())
-    return None
+def family_walk(ncols: int, size: int, width: int, span):
+    """The depth-first walk over the size-subsets U of ncols columns that
+    lie in a family, as a function walk(rows, field) of a matrix with
+    those columns.  It returns (leaves, None) when every U has rank size,
+    leaves being how many there are, and otherwise (None, record), where
+    record is the first dependent record it meets (below).  The tables
+    depend on the family alone, so one walk serves every matrix of its
+    shape.
+
+    The columns fall into groups of width columns, and U is in the family
+    iff its part in every group is a member of one per-group family, the
+    same in every group.  span is that family's one rule: for a group's
+    picks sel (a local bitmask), span(sel) is (lo, hi), the fewest and the
+    most further columns above sel's top bit that make the group's part a
+    member (every count in between makes one), or None when no member
+    fits.  So sel is a member iff span(sel)[0] == 0, a group may hold no
+    pick iff span(0)[0] == 0, and span(0) bounds what each group after
+    the last pick adds.  The walk reads nothing else of the family.
+    first_dependent's family is every subset: width-1 groups with
+    span(sel) = (0, 1 - sel).
+
+    The walk visits the columns in increasing order and keeps, for each
+    independent prefix of j columns, the rows below its j pivots
+    restricted to the columns after its last pick (node_step).  A node's
+    picks sel are those of its last pick's group, held as columns, so sel
+    names the group and the node's first column, sel.bit_length(); with
+    need, the columns still to add after the next pick, it fixes the
+    node's children.  A column c is a child iff need fits: need lies in
+    the span of c's picks s = sel & low[c] | 1 << c plus span(0) for each
+    later group (admit).  The next pick may leave a group only when its
+    picks are a member, and may pass over a group only when a group may
+    hold no pick, which ends a node's columns.
+
+    Records.  A record is prefix + c when no row is nonzero in c, and
+    prefix + c1 + c2 for a dependent pair at a two-row node.  A record is
+    dependent, so all its completions are.  Admission is exact, so every
+    admitted prefix has a completion in the family, and the walk meets
+    the admitted prefixes in itertools.combinations order and stops at
+    its first record R.  Let M be a member before R's first completion in
+    that order.  M cannot extend R, so it departs from that completion,
+    before R ends, at a smaller column: in a subtree the walk finished
+    with no record, so M is independent.  The first dependent member is
+    therefore R completed by its first completion, and R is its prefix.
+
+    The last two picks are never built when the root has exactly size
+    rows; otherwise, as in pc2's l-wise check, whose matrices have more
+    rows than picks, every node runs node_step.  A node with one column
+    left to add after c1 then holds two rows.  There ends(s) holds the
+    columns c2 that end a member: those of group i after c1 with s plus c2
+    a member, when every later group may hold no pick, and once s is a
+    member, the columns b of a later group with {b} a member, when every
+    other group after i may hold no pick.  ends is empty when c1 has no
+    completion, so it is also c1's admission; a dependent pair is any bit
+    shared by ends(s) and c1's key_masks mask, and the node has as many
+    leaves as its ends have bits.  Such a node is never built unless it is
+    the root: its three-row parent settles all its children at once from
+    the keys the field's child_keys gives each pick.
+
+    The children of a node depend on (sel, need) alone, and a two-row
+    node's columns, ends and leaf count on its sel alone, so the walk
+    tables them as it first meets them: kids(sel, need) lists the
+    admitted (c, s); threes(sel) the same for need = 2 with each child's
+    closes(s), and the positions child_keys reads; closes(sel) lists the
+    two-row node's (c1, ends) and its leaf count.  A two-row node whose
+    keys are all distinct and none zero (key_masks gives None) adds its
+    count with no column loop.
+    """
+    groups = ncols // width
+    # low[c]: the columns of c's group before c (bit c for column c)
+    low = [(1 << c) - (1 << c - c % width) for c in range(ncols)]
+    span = cache(span)
+
+    def member(sel):
+        got = span(sel)
+        return got is not None and not got[0]
+
+    lo0, hi0 = span(0)
+    skip = not lo0  # a group may hold no pick
+    # after[i]: the columns b of the groups after group i that may end the
+    # set alone ({b} a member, every other group after i empty)
+    singles = sum(1 << b for b in range(width) if member(1 << b))
+    after = [sum(singles << i2 * width for i2 in range(i + 1, groups)
+                 if skip or i2 == i + 1 == groups - 1) for i in range(groups)]
+
+    @cache
+    def admit(s):
+        # bit d set iff d more columns after s's top bit can finish the set
+        i = (s.bit_length() - 1) // width
+        got = span(s >> i * width)
+        rest = groups - 1 - i
+        return 0 if got is None else (2 << got[1] + hi0 * rest) - (1 << got[0] + lo0 * rest)
+
+    @cache
+    def ends(s):
+        # the columns after s's top bit that may end the set
+        i = (s.bit_length() - 1) // width
+        sel = s >> i * width
+        got = after[i] if member(sel) else 0
+        if skip or i == groups - 1:
+            for b in range(sel.bit_length(), width):
+                if member(sel | 1 << b):
+                    got |= 1 << i * width + b
+        return got
+
+    def stop(sel):
+        # the column before which a node with picks sel makes its next pick
+        if not sel:
+            return ncols if skip else width
+        i = (sel.bit_length() - 1) // width
+        return ((i + 1) * width if not member(sel >> i * width)
+                else ncols if skip else (i + 2) * width)
+
+    @cache
+    def closes(sel):
+        # the two-row node with picks sel: its columns with their ends,
+        # and its leaf count
+        pairs = [(c, e) for c in range(sel.bit_length(), min(stop(sel), ncols - 1))
+                 if (e := ends(sel & low[c] | 1 << c))]
+        return pairs, sum([e.bit_count() for _, e in pairs])
+
+    @cache
+    def kids(sel, need):
+        # the children (c, s) of a node with picks sel and need
+        return [(c, s) for c in range(sel.bit_length(), min(stop(sel), ncols - need))
+                if admit(s := sel & low[c] | 1 << c) >> need & 1]
+
+    @cache
+    def threes(sel):
+        # the children of a three-row node with their two-row closes, and
+        # the positions child_keys reads
+        start = sel.bit_length()
+        got = kids(sel, 2)
+        return [(c, *closes(s)) for c, s in got], [c - start for c, _ in got]
+
+    def dependent_pair(pairs, masks, start):
+        # the first dependent pair (c1, c2) of a two-row node, or None
+        for c1, e in pairs:
+            if e & masks[c1 - start]:
+                e &= masks[c1 - start]
+                return c1, (e & -e).bit_length() - 1
+        return None
+
+    def walk(rows, field):
+        if not size:
+            return int(skip), None
+        mul, neg, inv, axpy = field.mul, field.neg, field.inv, field.axpy
+        child_keys = field.child_keys
+        keyed = len(rows) == size
+        leaves = 0
+
+        def node(rows, sel, need):
+            # rows[r][c - start] is the entry of row r in column c >= start
+            # = sel.bit_length(); need columns are still to add after the
+            # next pick.  The rest of the first record below it, or None
+            nonlocal leaves
+            start = sel.bit_length()
+            if keyed and need == 1:  # a two-row root
+                pairs, count = closes(sel)
+                masks = pair_masks(rows, start, mul, inv)
+                if masks is not None and (found := dependent_pair(pairs, masks, start)):
+                    return found
+                leaves += count
+                return None
+            if keyed and need == 2:
+                cols, xs = threes(sel)
+                for (c, pairs, count), keys in zip(cols, child_keys(rows, xs)):
+                    if keys is None:
+                        return (c,)
+                    masks = key_masks(keys, c + 1)
+                    if masks is not None and (found := dependent_pair(pairs, masks, c + 1)):
+                        return (c, *found)
+                    leaves += count
+                return None
+            for c, s in kids(sel, need):
+                child = node_step(rows, c - start, mul, neg, inv, axpy)
+                if child is None:
+                    return (c,)
+                if not need:
+                    leaves += 1
+                else:
+                    found = node(child, s, need - 1)
+                    if found is not None:
+                        return (c, *found)
+            return None
+
+        record = node([list(row) for row in rows], 0, size - 1)
+        return (leaves if record is None else None), record
+
+    return walk
+
+
+def subset_walk(ncols: int, size: int):
+    """first_dependent on matrices of ncols columns, as one function
+    first(rows, field) whose walk tables are built once for all of them."""
+    walk = family_walk(ncols, size, 1, lambda sel: (0, 1 - sel))
+
+    def first(rows, field):
+        if size > len(rows):
+            return tuple(range(size))
+        record = walk(rows, field)[1]
+        if record is None:
+            return None
+        top = record[-1] + 1
+        return record + tuple(range(top, top + size - len(record)))
+
+    return first
 
 
 def first_dependent(rows: list, field, size: int) -> tuple | None:
@@ -200,55 +406,10 @@ def first_dependent(rows: list, field, size: int) -> tuple | None:
     order, whose columns are linearly dependent, or None.  rows must have
     at least size columns; they are not modified.
 
-    A depth-first walk over the columns keeps, for each independent prefix
-    of j columns, the rows below its j pivots restricted to the columns
-    after the last chosen one (node_step); every other row is never read
-    again.  Each node runs one loop over its columns c.  When no row is
-    nonzero in c, prefix + c and each of its completions is dependent, so
-    the first failing subset is prefix + c + the next size - j - 1
-    positions; that is all the one-column level (j + 1 = size) tests.
-
-    A node with two columns left to add, c and one after it, and exactly
-    three rows (every such node when rows has size rows) settles all its
-    pairs in one keyed pass: field.child_keys keys, for each c, the
-    columns of the two-row child that adding c makes, without building
-    it, and the child's first singular pair is the first column with a
-    later column in its key_masks mask (first_pair).  A two-row root
-    settles its pairs from pair_masks the same way.  With more rows a node
-    eliminates on down.
+    This is family_walk over every subset: its first record is a prefix
+    of the first dependent subset, completed by the next positions.
     """
-    if size < 1:
-        return None
-    if size > len(rows):
-        return tuple(range(size))
-    mul, neg, inv, axpy = field.mul, field.neg, field.inv, field.axpy
-    ncols = len(rows[0])
-
-    def walk(node, start, j):
-        # node[i][c - start] is the entry of row i in column c >= start
-        need = size - j - 1  # columns to add after c
-        if need == 1 and len(node) == 2:
-            return first_pair(pair_masks(node, start, mul, inv), start, ncols)
-        if need == 2 and len(node) == 3:
-            for c, keys in zip(range(start, ncols - 2),
-                               field.child_keys(node, range(ncols - 2 - start))):
-                if keys is None:
-                    return (c, c + 1, c + 2)
-                found = first_pair(key_masks(keys, c + 1), c + 1, ncols)
-                if found is not None:
-                    return (c,) + found
-            return None
-        for c in range(start, ncols - need):
-            child = node_step(node, c - start, mul, neg, inv, axpy)
-            if child is None:
-                return tuple(range(c, c + need + 1))
-            if need:
-                found = walk(child, c + 1, j + 1)
-                if found is not None:
-                    return (c,) + found
-        return None
-
-    return walk(rows, 0, 0)
+    return subset_walk(len(rows[0]) if rows else 0, size)(rows, field)
 
 
 def kernel_basis(rows: list, ncols: int, field) -> list[list[int]]:

@@ -4,10 +4,10 @@ Matrices are immutable (tuple-of-tuples storage); every operation returns
 a new matrix.  Rank, det, solve and kernel run through
 elim.reduce_rows, which pivots on the first nonzero entry scanning
 top-to-bottom, so echelon forms are identical across runs;
-first_dependent walks column subsets as a prefix tree in
-elim.first_dependent, with the same pivot rule.  Every row of a
-product is one call of the field's dots kernel against the right
-factor's columns.
+first_dependent runs elim.first_dependent, the one prefix-tree walk over
+column subsets (elim.family_walk) taken over every subset, with the same
+pivot rule.  Every row of a product is one call of the field's dots
+kernel against the right factor's columns.
 
 Index conventions: plain Python 0-based indexing for raw entry access,
 but the column-set operations (restrict_columns, rank, first_dependent)
@@ -140,7 +140,8 @@ class MatrixF:
         """The first size-subset F of the 1-based columns, in
         itertools.combinations order, with rank(F) < size, or None: the
         subset-independence sweep of is_mds and the l-wise check, walked
-        as a prefix tree by elim.first_dependent."""
+        as a prefix tree by elim.first_dependent (elim.family_walk over
+        every subset)."""
         if size > self.cols:
             return None
         found = first_dependent(self.data, self.ctx, size)

@@ -3,7 +3,9 @@
 All randomness in this package flows through xoshiro256** seeded from a
 single 64-bit value via splitmix64.  Both algorithms are fully specified
 public designs, so a report that records (algorithm, seed) can be
-reproduced bit-for-bit by any implementation in any language.  Integer
+reproduced bit-for-bit by any implementation in any language.  A seed
+outside [0, 2^64) is refused with ValueError rather than reduced mod
+2^64, so two different recorded seeds never name one stream.  Integer
 draws use rejection sampling, never floating point.
 """
 
@@ -34,7 +36,9 @@ class Xoshiro256:
     __slots__ = ("seed", "_s")
 
     def __init__(self, seed: int):
-        self.seed = seed & MASK64
+        if not 0 <= seed <= MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        self.seed = seed
         sm = _splitmix64_stream(self.seed)
         self._s = [next(sm) for _ in range(4)]
         if not any(self._s):  # all-zero state is invalid for xoshiro

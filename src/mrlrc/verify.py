@@ -8,8 +8,9 @@ dimension k and length k + h.  verify_mr_exhaustive checks exactly that
 on one of two routes, and both have one shape: one walk over the route's
 own matrix decides pass or fail, and only when it fails does a loop over
 the patterns, in enumerate_maximal_patterns order, name each failing
-pattern's witness with one call of elim.first_dependent on that
-pattern's own matrix.
+pattern's witness by the same walk over every subset of that pattern's
+own matrix (elim.subset_walk, the walk of elim.first_dependent, its
+tables built once per sweep).
 
 Generator-side, every k x k minor of G on the complement must be
 invertible.  A k-subset lies in some pattern's complement iff its part
@@ -24,18 +25,15 @@ walk over H's columns ranks each of them once.  A failing pattern's
 matrix is the h x (k + h) projection left over after one reduce_rows of
 H on the pattern's columns.
 
-Both walks are one engine, _family_leaves, which takes its elimination
-from elim and the field (elim.node_step for a child node, the field's
-child_keys for the children of a node with three rows, elim.key_masks
-for the pairs of a node with two, where the pair rule is argued) and
-everything it knows of a family from one per-group rule: for a group's
+Every one of these walks is elim.family_walk, the one column loop over
+subsets, which knows a family only by one per-group rule: for a group's
 picks, the fewest and the most further columns that make the group's
-part a member.  The routes share the engine and elim; what stays each
-route's own is its matrix, its family rule (_coverable_leaves avoids a
-maximal set, _containing_leaves contains one), its criterion and its
-failure path (_generator_sweep, _parity_sweep).
+part a member.  What stays each route's own is its matrix, its family
+rule (_coverable_leaves avoids a maximal set, _containing_leaves
+contains one), its criterion and its failure path (_generator_sweep,
+_parity_sweep).
 
-elim.first_dependent names the first failing subset in
+The walk over every subset names the first failing subset in
 itertools.combinations order, so both routes report what a
 subset-by-subset rank sweep reports; either sweep yields only the
 failing patterns, and the report's pattern count is the closed form.
@@ -60,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
-from .elim import first_dependent, key_masks, node_step, pair_masks, reduce_rows
+from .elim import family_walk, reduce_rows, subset_walk
 from .matrix import MatrixF
 from .constructions import (
     KINDS, BoundTooLong, MrLrcCode, bounded_power, plan_field, premise_violations,
@@ -139,17 +137,18 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     be MDS of dimension k (every k x k minor invertible); one prefix-tree
     walk over the k-subsets that lie in some pattern's complement ranks
     each of them once, and a passing sweep enumerates no pattern; only
-    when the walk finds a singular subset does elim.first_dependent run
-    on G restricted to each pattern's complement, to name the failures.
+    when the walk finds a singular subset does the walk over every subset
+    run on G restricted to each pattern's complement, to name the
+    failures.
     side "parity": rank(H|_(E u F)) = |E| + h for every h-subset F of the
     complement; one prefix-tree walk over the (|E| + h)-sets of H's
     columns that contain a pattern ranks each of them once, and a passing
     sweep eliminates no pattern; only when the walk finds a dependent set
-    is H eliminated on each pattern's columns, and elim.first_dependent
-    run on the h x (k + h) projection left over, to name the failures.
-    The routes share the family walk (_family_leaves) and elim's
-    elimination; each keeps its own matrix, family rule, criterion and
-    failure path, so a fault in one of those does not hide in the other.
+    is H eliminated on each pattern's columns, and the walk over every
+    subset run on the h x (k + h) projection left over, to name the
+    failures.  The routes share elim.family_walk and elim's elimination;
+    each keeps its own matrix, family rule, criterion and failure path,
+    so a fault in one of those does not hide in the other.
 
     The failures are the violations of the local-distance premise (d >=
     delta on every repair set; the pattern criterion certifies maximal
@@ -180,210 +179,33 @@ def _generator_sweep(code: MrLrcCode):
 
     One walk over the k-subsets that lie in some pattern's complement
     settles the code (_coverable_leaves): when none is singular the sweep
-    yields nothing and enumerates no pattern.  Otherwise
-    elim.first_dependent names each failing pattern's witness on the k
-    rows of G restricted to its complement.
+    yields nothing and enumerates no pattern.  Otherwise the walk over
+    every subset (elim.subset_walk, as in elim.first_dependent, its
+    tables built once for the sweep) names each failing pattern's witness
+    on the k rows of G restricted to its complement.
     """
     topo, g_mat, k = code.topo, code.G, code.k
-    if _coverable_leaves(g_mat, k, topo.group_width, capped_group_sets(topo)) is not None:
+    if _coverable_leaves(g_mat, k, topo.group_width, capped_group_sets(topo))[1] is None:
         return
     coords = set(range(1, topo.n + 1))
+    first = subset_walk(topo.n - topo.local_parity_count(), k)
     for pat in enumerate_maximal_patterns(topo):
         comp = sorted(coords - set(pat))
-        found = first_dependent([[row[c - 1] for c in comp] for row in g_mat.data],
-                                g_mat.ctx, k)
+        found = first([[row[c - 1] for c in comp] for row in g_mat.data], g_mat.ctx)
         if found is not None:
             yield pat, tuple(comp[j] for j in found)
 
 
-class _Table(dict):
-    """A dict that fills a missing key k with fill(k), once."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        got = self[key] = self.fill(key)
-        return got
-
-
-def _family_leaves(mat: MatrixF, size: int, width: int, span) -> int | None:
-    """How many size-subsets U of mat's columns lie in a family, when
-    rank(mat|_U) = size on every one of them, or None when one is
-    dependent.  mat has size rows, and its columns fall into groups of
-    width columns.
-
-    U is in the family iff its part in every group is a member of one
-    per-group family, the same in every group, and span is that family's
-    one rule: for a group's picks sel (a local bitmask), span(sel) is (lo,
-    hi), the fewest and the most further columns above sel's top bit that
-    make the group's part a member (every count in between makes one), or
-    None when no member fits.  So sel is a member iff span(sel)[0] == 0, a
-    group may hold no pick iff span(0)[0] == 0, and span(0) bounds what
-    each group after the last pick adds.  The walk reads nothing else of
-    the family, and nothing of which route called it.
-
-    A depth-first walk over the columns in increasing order keeps, for
-    each independent prefix of j columns, the rows below its j pivots
-    restricted to the columns after its last pick (elim.node_step, as in
-    elim.first_dependent).  A node's picks sel are those of its last
-    pick's group, held as columns, so sel names the group and the node's
-    first column, sel.bit_length(); with need, the columns still to add
-    after the next pick, it fixes the node's children.  A column c is a
-    child iff need fits: need lies in the span of c's picks s = sel &
-    low[c] | 1 << c plus span(0) for each later group (admit).  The next
-    pick may leave a group only when its picks are a member, and may pass
-    over a group only when a group may hold no pick, which ends a node's
-    columns.  Admission is exact, so every admitted prefix has a
-    completion in the family: when no row is nonzero in c, the prefix plus
-    c is dependent, and so is each of its completions.
-
-    A node with one column left to add after c1 holds two rows.  There
-    ends(s) holds the columns c2 that end a member: those of group i after
-    c1 with s plus c2 a member, when every later group may hold no pick,
-    and once s is a member, the columns b of a later group with {b} a
-    member, when every other group after i may hold no pick.  ends is
-    empty when c1 has no completion, so it is also c1's admission; a
-    dependent pair is any bit shared by ends(s) and c1's elim.key_masks
-    mask, and the node has as many leaves as its ends have bits.  Such a
-    node is never built unless it is the root: its three-row parent
-    settles all its children at once from the keys the field's
-    child_keys gives each pick, in one pass over the parent's columns.
-
-    The children of a node depend on (sel, need) alone, and a two-row
-    node's columns, ends and leaf count on its sel alone, so the walk
-    tables both, per call, as it first meets them: kids[sel, need] lists
-    the admitted (c, s), with each two-row child's closes[s] and the
-    positions child_keys reads at a three-row node; closes[sel] lists the
-    two-row node's (c1, ends) and its leaf count.  A two-row node whose
-    keys are all distinct and none zero (key_masks gives None) adds its
-    count with no column loop.
-    """
-    ctx = mat.ctx
-    mul, neg, inv, axpy = ctx.mul, ctx.neg, ctx.inv, ctx.axpy
-    child_keys = ctx.child_keys
-    n = mat.cols
-    groups = n // width
-    # low[c]: the columns of c's group before c (bit c for column c)
-    low = [(1 << c) - (1 << c - c % width) for c in range(n)]
-    span = _Table(span)  # each group's picks are looked up in several tables
-
-    def member(sel):
-        got = span[sel]
-        return got is not None and not got[0]
-
-    lo0, hi0 = span[0]
-    skip = not lo0  # a group may hold no pick
-    if not size:
-        return int(skip)
-    # after[i]: the columns b of the groups after group i that may end the
-    # set alone ({b} a member, every other group after i empty)
-    singles = sum(1 << b for b in range(width) if member(1 << b))
-    after = [sum(singles << i2 * width for i2 in range(i + 1, groups)
-                 if skip or i2 == i + 1 == groups - 1) for i in range(groups)]
-
-    @_Table
-    def admit(s):
-        # bit d set iff d more columns after s's top bit can finish the set
-        i = (s.bit_length() - 1) // width
-        got = span[s >> i * width]
-        rest = groups - 1 - i
-        return 0 if got is None else (2 << got[1] + hi0 * rest) - (1 << got[0] + lo0 * rest)
-
-    @_Table
-    def ends(s):
-        # the columns after s's top bit that may end the set
-        i = (s.bit_length() - 1) // width
-        sel = s >> i * width
-        got = after[i] if member(sel) else 0
-        if skip or i == groups - 1:
-            for b in range(sel.bit_length(), width):
-                if member(sel | 1 << b):
-                    got |= 1 << i * width + b
-        return got
-
-    def stop(sel):
-        # the column before which a node with picks sel makes its next pick
-        if not sel:
-            return n if skip else width
-        i = (sel.bit_length() - 1) // width
-        return ((i + 1) * width if not member(sel >> i * width)
-                else n if skip else (i + 2) * width)
-
-    @_Table
-    def closes(sel):
-        # the two-row node with picks sel: its columns with their ends,
-        # and its leaf count
-        pairs = [(c, e) for c in range(sel.bit_length(), min(stop(sel), n - 1))
-                 if (e := ends[sel & low[c] | 1 << c])]
-        return pairs, sum([e.bit_count() for _, e in pairs])
-
-    @_Table
-    def kids(key):
-        # the children (c, s) of a node with picks sel and need; a
-        # three-row node's carry their two-row node's closes, and the
-        # positions child_keys reads
-        sel, need = key
-        start = sel.bit_length()
-        got = [(c, s) for c in range(start, min(stop(sel), n - need))
-               if admit[s := sel & low[c] | 1 << c] >> need & 1]
-        if need == 2:
-            got = [(c, *closes[s]) for c, s in got], [c - start for c, _ in got]
-        return got
-
-    leaves = 0
-
-    def walk(rows, sel, need):
-        # rows[r][c - start] is the entry of row r in column c >= start =
-        # sel.bit_length(); need columns are still to add after the next
-        # pick.  True when some set below the node is dependent
-        nonlocal leaves
-        start = sel.bit_length()
-        if need == 1:  # a two-row root
-            pairs, count = closes[sel]
-            masks = pair_masks(rows, start, mul, inv)
-            if masks is not None and any(e & masks[c - start] for c, e in pairs):
-                return True
-            leaves += count
-            return False
-        got = kids[sel, need]
-        if need == 2:
-            cols, xs = got
-            for (c, pairs, count), keys in zip(cols, child_keys(rows, xs)):
-                if keys is None:
-                    return True  # prefix + c is dependent, so is each completion
-                masks = key_masks(keys, c + 1)
-                if masks is not None:
-                    for c1, e in pairs:
-                        if e & masks[c1 - c - 1]:
-                            return True
-                leaves += count
-            return False
-        for c, s in got:
-            child = node_step(rows, c - start, mul, neg, inv, axpy)
-            if child is None:
-                return True
-            if not need:
-                leaves += 1
-            elif walk(child, s, need - 1):
-                return True
-        return False
-
-    rows = [list(row) for row in mat.data]
-    return None if walk(rows, 0, size - 1) else leaves
-
-
-def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
-    """How many k-subsets S of G's columns lie in some pattern's
-    complement, when rank(G|_S) = k on every one of them, or None when one
-    is singular (_family_leaves).  sets lists one group's maximal sets, the
-    same in every group, as tuples of 1-based group-local coordinates; S
-    lies in some pattern's complement iff its part in every group avoids
-    one of them, that is lies inside one of their complements in the group
-    (masks).  So a group's picks are a member iff a mask holds them, and
-    may gain up to as many columns above their top bit as the largest such
-    mask has there.
+def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> tuple:
+    """elim.family_walk on G over the k-subsets S of its columns that lie
+    in some pattern's complement: (how many, None) when rank(G|_S) = k on
+    every one of them, else (None, the first singular record).  sets lists
+    one group's maximal sets, the same in every group, as tuples of 1-based
+    group-local coordinates; S lies in some pattern's complement iff its
+    part in every group avoids one of them, that is lies inside one of
+    their complements in the group (masks).  So a group's picks are a
+    member iff a mask holds them, and may gain up to as many columns above
+    their top bit as the largest such mask has there.
     """
     full = (1 << width) - 1
     masks = [full ^ sum(1 << (c - 1) for c in cs) for cs in sets]
@@ -393,19 +215,20 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> int | None:
         room = [(m >> top).bit_count() for m in masks if m & sel == sel]
         return (0, max(room)) if room else None
 
-    return _family_leaves(g_mat, k, width, span)
+    return family_walk(g_mat.cols, k, width, span)(g_mat.data, g_mat.ctx)
 
 
-def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | None:
-    """How many size-subsets U of H's columns contain a maximal pattern,
-    when rank(H|_U) = size on every one of them, or None when one is
-    dependent (_family_leaves).  sets lists one group's maximal sets, the
-    same in every group, as tuples of 1-based group-local coordinates; U
-    contains a pattern iff its part in every group contains one of them.
-    So a group's picks can grow into a member iff some maximal set has all
-    its bits below their top bit among them; the fewest further columns
-    are the least number of bits such a set has above the top bit, and
-    the most are every column above it.
+def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> tuple:
+    """elim.family_walk on H over the size-subsets U of its columns that
+    contain a maximal pattern: (how many, None) when rank(H|_U) = size on
+    every one of them, else (None, the first dependent record).  sets
+    lists one group's maximal sets, the same in every group, as tuples of
+    1-based group-local coordinates; U contains a pattern iff its part in
+    every group contains one of them.  So a group's picks can grow into a
+    member iff some maximal set has all its bits below their top bit
+    among them; the fewest further columns are the least number of bits
+    such a set has above the top bit, and the most are every column above
+    it.
 
     Why it decides the parity criterion.  Every maximal pattern has e =
     gN(delta-1) coordinates, and the patterns are the product of the
@@ -430,7 +253,7 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> int | Non
         lack = [(m >> top).bit_count() for m in masks if not m & ~sel & below]
         return (min(lack), width - top) if lack else None
 
-    return _family_leaves(h_mat, size, width, span)
+    return family_walk(h_mat.cols, size, width, span)(h_mat.data, h_mat.ctx)
 
 
 def _parity_sweep(code: MrLrcCode):
@@ -444,21 +267,23 @@ def _parity_sweep(code: MrLrcCode):
     pattern E is eliminated on its own: one reduce_rows on a copy of H,
     pivoting on E's columns in increasing order.  The rows below the |E|
     pivots are then zero on E; on the complement they are the projection
-    P, and rank(H|_(E u F)) = |E| + rank(P|_F), so elim.first_dependent on
-    P names the witness.  When H|_E is itself rank-deficient every F
+    P, and rank(H|_(E u F)) = |E| + rank(P|_F), so the walk over every
+    subset of P (elim.subset_walk, its tables built once for the sweep)
+    names the witness.  When H|_E is itself rank-deficient every F
     fails, the first being the first h complement coordinates.
     """
     topo, ctx, h, e = code.topo, code.H.ctx, code.h, code.topo.local_parity_count()
     if _containing_leaves(code.H, e + h, topo.group_width,
-                          capped_group_sets(topo)) is not None:
+                          capped_group_sets(topo))[1] is None:
         return
     coords = set(range(1, topo.n + 1))
+    first = subset_walk(topo.n - e, h)
     for pat in enumerate_maximal_patterns(topo):
         rows = list(code.H.data)
         pivots, _ = reduce_rows(rows, ctx, [c - 1 for c in pat])
         comp = sorted(coords - set(pat))
-        found = range(h) if len(pivots) < e else first_dependent(
-            [[row[c - 1] for c in comp] for row in rows[e:]], ctx, h)
+        found = range(h) if len(pivots) < e else first(
+            [[row[c - 1] for c in comp] for row in rows[e:]], ctx)
         if found is not None:
             yield pat, tuple(comp[j] for j in found)
 

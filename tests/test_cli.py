@@ -226,6 +226,23 @@ def test_verify_refuses_a_flag_its_mode_ignores(bundle, tmp_path, capsys, flags,
     assert not report.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("command", [
+    ["verify", "--mode", "sampled", "--trials", "3"],
+    ["simulate", "--trials", "3", "--model", "per_group_burst"],
+], ids=["verify", "simulate"])
+def test_seed_outside_64_bits_exits_1(bundle, tmp_path, capsys, command, seed):
+    # the report records the seed as given, so one the generator would
+    # reduce mod 2^64 is refused before any report is written
+    report = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert main([command[0], str(bundle), *command[1:], "--seed", seed,
+                 "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: seed must be in [0, 2^64), got {seed}\n"
+    assert captured.out == "" and not report.exists()
+
+
 def test_verify_defaults_are_the_documented_values(bundle, tmp_path):
     def report(*flags):
         path = tmp_path / "rep.json"

@@ -45,6 +45,16 @@ def test_sample_distinct():
         rng.sample(range(3), 4)
 
 
+def test_seeds_outside_64_bits_are_refused():
+    # a seed is recorded in reports as given, so one reduced mod 2^64
+    # would record a number that differs from the stream's
+    top = Xoshiro256((1 << 64) - 1)
+    assert top.seed == (1 << 64) - 1 and any(top.next_u64() for _ in range(4))
+    for seed in (-1, 1 << 64, -(1 << 64) - 5, (1 << 64) + 7):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            Xoshiro256(seed)
+
+
 def test_zero_seed_is_valid():
     rng = Xoshiro256(0)
     vals = [rng.next_u64() for _ in range(16)]

@@ -124,7 +124,7 @@ ENTRY_CODES = (("gen", (3, 2, 1, 1, 1), {"k": 2}),   # both routes two-row
                ("gen", (4, 2, 1, 1, 2), {"k": 3}))
 
 # ORACLE_CODES, ENTRY_CODES and two codes whose top field has no log
-# tables, so first_dependent keys its two-row nodes through the generic
+# tables, so the witness walks key their two-row nodes through the generic
 # inv: n = 9 and h = 2 over GF(5^7), where both routes reach a two-row
 # node, and h = 1 over GF(2^20)
 SWEEP_ORACLE_CODES = ORACLE_CODES + ENTRY_CODES + (("gen", (4, 2, 1, 1, 2), {"k": 5}),
@@ -135,7 +135,7 @@ SWEEP_ORACLE_CODES = ORACLE_CODES + ENTRY_CODES + (("gen", (4, 2, 1, 1, 2), {"k"
                          ids=[f"{k}{p}{a}" for k, p, a in SWEEP_ORACLE_CODES])
 def test_exhaustive_routes_match_subset_sweep_oracle(spec):
     # the key-class mutants send zero, equal and proportional column pairs
-    # through elim.first_dependent's keyed two-row nodes on G's complements
+    # through the witness walks' keyed two-row nodes on G's complements
     # and on H's projections, and a zeroed H column inside a pattern through
     # the parity witness loop's rank-deficient branch
     code = bvs.build(*spec)
@@ -322,7 +322,8 @@ def walk_verdict(subsets, dependent):
 
 
 def coverable_walk(code, g_mat=None):
-    """The generator route's one walk over the coverable k-subsets."""
+    """The generator route's one walk over the coverable k-subsets:
+    (leaves, None) when it passes, (None, record) when it fails."""
     topo = code.topo
     return verify._coverable_leaves(code.G if g_mat is None else g_mat, code.k,
                                     topo.group_width, topology.capped_group_sets(topo))
@@ -345,12 +346,12 @@ def test_generator_walk_visits_every_coverable_subset_once():
         code = bvs.build(*spec)
         subsets = coverable_subsets(code)
         assert all(code.G.rank(sel) == code.k for sel in subsets), spec
-        assert coverable_walk(code) == len(subsets), spec
+        assert coverable_walk(code) == (len(subsets), None), spec
     # k = 0: the empty subset is the one leaf, and it is independent
-    assert coverable_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == 1
+    assert coverable_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == (1, None)
     # h = 0: every coverable k-subset is a whole pattern complement
     h0 = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 6})
-    assert coverable_walk(h0) == topology.count_maximal_patterns(h0.topo)
+    assert coverable_walk(h0) == (topology.count_maximal_patterns(h0.topo), None)
 
 
 def singular_entry(g_mat, sel, rnd):
@@ -390,7 +391,7 @@ def test_generator_walk_on_mutants_matches_coverable_scan():
                 continue
             made += 1
             g_mat = code.G.with_entry(*entry)
-            leaves = coverable_walk(code, g_mat)
+            leaves = coverable_walk(code, g_mat)[0]
             assert leaves == walk_verdict(
                 coverable, lambda sel: g_mat.rank(sel) < code.k), (spec, entry)
             outcomes[leaves is not None] += 1
@@ -425,7 +426,7 @@ def test_each_route_reads_only_its_own_matrix():
 
 
 def test_generator_route_uses_neither_parity_mechanism(monkeypatch):
-    # the routes share the family walk (_family_leaves) and elim; this pins
+    # the routes share elim's family walk and elimination; this pins
     # what stays the generator route's own: its avoid rule, never the
     # parity route's contain rule, and its failure path, which neither
     # eliminates H on a pattern nor runs the parity sweep
@@ -468,7 +469,8 @@ def containing_sets(code) -> list:
 
 
 def superset_walk(code, h_mat=None):
-    """The parity route's one walk over the sets that contain a pattern."""
+    """The parity route's one walk over the sets that contain a pattern:
+    (leaves, None) when it passes, (None, record) when it fails."""
     topo = code.topo
     return verify._containing_leaves(
         code.H if h_mat is None else h_mat, topo.local_parity_count() + code.h,
@@ -491,13 +493,13 @@ def test_parity_walk_visits_every_containing_set_once():
         code = bvs.build(*spec)
         subsets = containing_sets(code)
         assert all(code.H.rank(sel) == len(sel) for sel in subsets), spec
-        assert superset_walk(code) == len(subsets), spec
-        assert coverable_walk(code) == len(subsets), spec
+        assert superset_walk(code) == (len(subsets), None), spec
+        assert coverable_walk(code) == (len(subsets), None), spec
     # k = 0: all n columns are the one leaf
-    assert superset_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == 1
+    assert superset_walk(bvs.build("gen", (2, 2, 1, 2, 2), {"k": 0})) == (1, None)
     # h = 0: the leaves are the patterns themselves
     h0 = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 6})
-    assert superset_walk(h0) == topology.count_maximal_patterns(h0.topo)
+    assert superset_walk(h0) == (topology.count_maximal_patterns(h0.topo), None)
 
 
 def test_parity_walk_verdict_matches_witness_loop(monkeypatch):
@@ -522,18 +524,18 @@ def test_parity_walk_verdict_matches_witness_loop(monkeypatch):
                 made += 1
                 copies.append(replace(code, H=code.H.with_entry(i, j, v)))
         for copy in copies:
-            leaves = superset_walk(code, copy.H)
+            leaves = superset_walk(code, copy.H)[0]
             assert leaves == walk_verdict(
                 subsets, lambda sel: copy.H.rank(sel) < len(sel)), spec
             with monkeypatch.context() as m:
-                m.setattr(verify, "_containing_leaves", lambda *args: None)
+                m.setattr(verify, "_containing_leaves", lambda *args: (None, ()))
                 assert (leaves is None) == bool(list(verify._parity_sweep(copy))), spec
             outcomes[leaves is not None] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_parity_route_uses_no_generator_mechanism(monkeypatch):
-    # the routes share the family walk (_family_leaves) and elim; this pins
+    # the routes share elim's family walk and elimination; this pins
     # what stays the parity route's own: its contain rule, never the
     # generator route's avoid rule, and its failure path, which never runs
     # the generator sweep
@@ -556,7 +558,7 @@ def test_passing_parity_sweep_enumerates_no_pattern(monkeypatch):
         raise AssertionError("a passing parity sweep enumerated or eliminated a pattern")
 
     monkeypatch.setattr(verify, "reduce_rows", no_pattern)
-    monkeypatch.setattr(verify, "first_dependent", no_pattern)
+    monkeypatch.setattr(verify, "subset_walk", no_pattern)
     monkeypatch.setattr(verify, "enumerate_maximal_patterns", no_pattern)
     for spec in ORACLE_CODES:
         code = bvs.build(*spec)
@@ -579,23 +581,28 @@ KEYED_CODES = ORACLE_CODES + (("gen", (2, 2, 1, 2, 2), {"k": 2}),
 @pytest.mark.parametrize("spec", KEYED_CODES,
                          ids=[f"{k}{p}{a}" for k, p, a in KEYED_CODES])
 def test_keyed_pass_matches_brute_force_scans(spec):
-    # each walk's verdict equals a subset-by-subset scan on G and H mutants
+    # each walk's answer equals a subset-by-subset scan on G and H mutants
     # whose columns fall in every key class: a zero column matches every
     # column, equal and proportional columns share a key, and a zero first
-    # row takes the key of its own.  Which subset fails is the report
-    # oracle's to check (test_exhaustive_routes_match_subset_sweep_oracle)
+    # row takes the key of its own.  A passing walk counts every subset; a
+    # failing one names a dependent record that is a prefix of the first
+    # dependent subset in combinations order
     code = bvs.build(*spec)
     outcomes = {True: 0, False: 0}
-    subsets = coverable_subsets(code)
-    for g_mat in key_class_mutants(code.G):
-        got = coverable_walk(code, g_mat)
-        assert got == walk_verdict(subsets, lambda sel: g_mat.rank(sel) < code.k), spec
-        outcomes[got is not None] += 1
-    subsets = containing_sets(code)
-    for h_mat in key_class_mutants(code.H):
-        got = superset_walk(code, h_mat)
-        assert got == walk_verdict(subsets, lambda sel: h_mat.rank(sel) < len(sel)), spec
-        outcomes[got is not None] += 1
+    for walk, mats, subsets in ((coverable_walk, key_class_mutants(code.G),
+                                 coverable_subsets(code)),
+                                (superset_walk, key_class_mutants(code.H),
+                                 containing_sets(code))):
+        for mat in mats:
+            leaves, record = walk(code, mat)
+            first = next((sel for sel in subsets if mat.rank(sel) < len(sel)), None)
+            if first is None:
+                assert (leaves, record) == (len(subsets), None), spec
+            else:
+                named = tuple(c + 1 for c in record)
+                assert leaves is None and first[:len(named)] == named, (spec, first, named)
+                assert mat.rank(named) < len(named), (spec, named)
+            outcomes[first is None] += 1
     assert outcomes[False] >= 12, outcomes
 
 
@@ -608,7 +615,8 @@ def test_family_walk_matches_a_scan_on_random_set_systems():
     # family rules meet unequal fewest and most counts, groups that may or
     # may not hold no pick, and the two-row ends of every kind.  Each rule
     # must count the size-subsets whose every group part avoids (contains)
-    # one of the sets, or answer None iff one of them is dependent
+    # one of the sets, or answer None iff one of them is dependent, with a
+    # record that is a dependent prefix of the first dependent one
     rnd = random.Random(30)
     fields = [field_ctx(2, 3), field_ctx(3), field_ctx(5), field_ctx(2, 2), field_ctx(7)]
     rules = {"avoid": (verify._coverable_leaves, lambda part, cs: not part & cs),
@@ -635,9 +643,14 @@ def test_family_walk_matches_a_scan_on_random_set_systems():
                              for i in range(groups))]
             if not family:
                 continue
-            got = walk(mat, size, width, sets)
+            got, record = walk(mat, size, width, sets)
             assert got == walk_verdict(family, lambda sel: mat.rank(sel) < size), (
                 rule, width, groups, sets, size, rows)
+            if got is None:
+                first = next(sel for sel in family if mat.rank(sel) < size)
+                named = tuple(c + 1 for c in record)
+                assert first[:len(named)] == named and mat.rank(named) < len(named), (
+                    rule, width, groups, sets, size, rows, record)
             outcomes[rule, got is not None] += 1
     assert min(outcomes.values()) >= 60, outcomes
 
