@@ -58,6 +58,13 @@ itertools.combinations order (family_walk argues this).
     pivots on r.  The scaling is done once per node and pivot row, and
     each x costs one pass over the later columns.
 
+dependent_sets ranks a given list of column sets on one matrix: it sorts
+them and keeps one path of node_step children along the current set, so
+a prefix the sets share is eliminated once.  It is not a family walk: it
+has no column loop over subsets and follows only the sets it is given.
+Sampled verify and the simulator's global path rank a block of drawn
+erasure patterns on H through it.
+
 first_dependent names the first dependent column subset of a matrix in
 itertools.combinations order: the first record completed by the next
 positions.  Both exhaustive MR routes in verify name their witnesses the
@@ -149,6 +156,54 @@ def node_step(rows: list, x: int, mul, neg, inv, axpy) -> list | None:
             y = row[x]
             child.append(axpy(mul(f, y), row[x + 1:], tail) if y else row[x + 1:])
     return child
+
+
+def dependent_sets(rows: list, field, sets) -> set:
+    """The sets among sets on whose columns rows are linearly dependent.
+
+    Each set is a tuple of increasing column positions; the empty set is
+    independent, and a set repeated is ranked once.  This walk follows
+    only the sets it is given, in sorted order, and keeps the path of
+    node_step children along the current set, one node per independent
+    prefix.  Each next set pops back to the prefix it shares with that
+    path and steps its remaining columns, so a prefix shared by many sets
+    is eliminated once, and each step works on rows cut after the last
+    pick.  A set is dependent exactly when some step finds no row nonzero
+    in its column, which includes running out of rows.  A set's last
+    column is only tested, not stepped, unless the next set extends the
+    set.  rows is not modified.
+    """
+    mul, neg, inv, axpy = field.mul, field.neg, field.inv, field.axpy
+    order = sorted(set(sets))
+    dependent = set()
+    nodes = [rows]  # nodes[j]: the node of the independent prefix picks[:j]
+    picks = []
+    for i, s in enumerate(order):
+        j = 0
+        for a, b in zip(s, picks):
+            if a != b:
+                break
+            j += 1
+        del nodes[j + 1:], picks[j:]
+        # how many of s's columns to step: all when the next set extends s
+        steps = len(s) - (i + 1 == len(order) or order[i + 1][:len(s)] != s)
+        node, top = nodes[-1], picks[-1] + 1 if picks else 0
+        for x in s[j:]:
+            if len(picks) == steps:
+                for row in node:
+                    if row[x - top]:
+                        break
+                else:
+                    dependent.add(s)
+                break
+            node = node_step(node, x - top, mul, neg, inv, axpy)
+            if node is None:
+                dependent.add(s)
+                break
+            nodes.append(node)
+            picks.append(x)
+            top = x + 1
+    return dependent
 
 
 def pair_keys(rows: list, mul, inv) -> list:

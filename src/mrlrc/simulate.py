@@ -6,9 +6,15 @@ decode it from r survivors, then the remaining sets of the group, which
 are disjoint outside the core and can be read in parallel); if any group
 resists local repair the full word goes to the global erasure decoder,
 which succeeds exactly when H restricted to the erased coordinates has
-full column rank (verify.erasure_rank_defect is zero).  Trials carry no
-data: both phases are decided from the topology and the rank of H, and
-no symbol is computed.
+full column rank.  Trials carry no data: both phases are decided from
+the topology and the rank of H, and no symbol is computed.
+
+Trials run in blocks of verify.BLOCK.  A block draws its trials and
+repairs each locally, in the order of a trial-at-a-time run, then ranks
+the patterns of its trials that went global on H together
+(verify.unrecoverable, one walk that eliminates each shared prefix
+once); outcomes are counted in trial order, so the report does not
+depend on the block size, and memory holds one block.
 
 Cost accounting: every engaged repair set reads r symbols (the locality
 promise of an (r+delta-1, r) local MDS code); a global decode reads all
@@ -34,7 +40,7 @@ from fractions import Fraction
 from .constructions import MrLrcCode
 from .rng import ALGORITHM, Xoshiro256
 from .topology import draw_maximal_pattern, group_witnesses, per_group_maximal_sets
-from .verify import erasure_rank_defect
+from .verify import BLOCK, unrecoverable
 
 MODELS = ("uniform_nodes", "per_group_burst", "adversarial_maximal")
 
@@ -166,24 +172,28 @@ def run_simulation(code: MrLrcCode, cfg: SimConfig) -> SimReport:
     total_reads = total_repaired = 0
     max_reads = max_width = 0
     n = code.topo.n
-    for _ in range(cfg.trials):
-        erased = _draw_pattern(code, cfg, rng, per_group)
-        ok, reads, repaired, width = _local_repair(code, erased)
-        if ok:
-            local += 1
-        else:
-            # global decode works on the original pattern, reading every survivor
-            reads = n - len(erased)
-            if erasure_rank_defect(code, erased):
-                loss += 1
-                repaired = 0
+    for start in range(0, cfg.trials, BLOCK):
+        block = []
+        for _ in range(min(BLOCK, cfg.trials - start)):
+            erased = _draw_pattern(code, cfg, rng, per_group)
+            block.append((tuple(sorted(erased)), _local_repair(code, erased)))
+        lost = unrecoverable(code, [erased for erased, (ok, *_) in block if not ok])
+        for erased, (ok, reads, repaired, width) in block:
+            if ok:
+                local += 1
             else:
-                glob += 1
-                repaired = len(erased)
-        total_reads += reads
-        total_repaired += repaired
-        max_reads = max(max_reads, reads)
-        max_width = max(max_width, width)
+                # global decode works on the original pattern, reading every survivor
+                reads = n - len(erased)
+                if erased in lost:
+                    loss += 1
+                    repaired = 0
+                else:
+                    glob += 1
+                    repaired = len(erased)
+            total_reads += reads
+            total_repaired += repaired
+            max_reads = max(max_reads, reads)
+            max_width = max(max_width, width)
     topo = code.topo
     return SimReport(model=cfg.model, seed=cfg.seed, trials=cfg.trials,
                      local_repair=local, global_repair=glob, data_loss=loss,

@@ -40,12 +40,17 @@ failing patterns, and the report's pattern count is the closed form.
 The sweep also re-checks the local-distance premise on every repair set,
 so a mutilated bundle cannot pass by losing its locality.
 
-An erasure pattern E is recoverable iff rank(H|_E) = |E|.
-erasure_rank_defect, which sampled verification, the simulator's global
-path and the decode command's unrecoverable message read, ranks H|_E
-alone; decode_erasures reduces H|_E augmented by the syndrome of the kept
-symbols once, and reads off unrecoverable, inconsistent or the completed
-word from that one elimination.
+An erasure pattern E is recoverable iff rank(H|_E) = |E|.  Sampled
+verification and the simulator's global path draw their trials BLOCK at
+a time and rank a block's patterns together: unrecoverable runs one
+elim.dependent_sets walk on H over them, which eliminates each prefix
+that the sorted patterns share once.  Failures and outcomes are then
+read in trial order, so a report does not depend on the block size.
+erasure_rank_defect ranks one H|_E alone, for the decode command's
+unrecoverable message, which needs the defect count; decode_erasures
+reduces H|_E augmented by the syndrome of the kept symbols once, and
+reads off unrecoverable, inconsistent or the completed word from that one
+elimination.
 
 Reports serialize to JSON without timing fields, so two runs with the
 same seed produce byte-identical documents.
@@ -58,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor
 
-from .elim import family_walk, reduce_rows, subset_walk
+from .elim import dependent_sets, family_walk, reduce_rows, subset_walk
 from .matrix import MatrixF
 from .constructions import (
     KINDS, BoundTooLong, MrLrcCode, bounded_power, plan_field, premise_violations,
@@ -71,6 +76,10 @@ from .topology import (
 from .rng import ALGORITHM, Xoshiro256
 
 SCHEMA_VERSION = 1
+
+# sampled verify and the simulator draw this many trials, then rank the
+# patterns of the block together (unrecoverable), so memory holds one block
+BLOCK = 4096
 
 
 class WrongKind(ValueError):
@@ -290,7 +299,9 @@ def _parity_sweep(code: MrLrcCode):
 
 def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     """Seeded random sweep: maximal pattern (uniform per group) plus at
-    most h extra erasures; checks rank(H|_E) = |E|.  Codes with more
+    most h extra erasures; checks rank(H|_E) = |E| on each block of
+    trials at once (unrecoverable) and lists the failures in trial order,
+    so the report is that of a trial-at-a-time sweep.  Codes with more
     maximal patterns per group than topology.DEFAULT_PATTERN_CAP raise
     EnumerationCapExceeded."""
     if trials < 1:
@@ -299,10 +310,11 @@ def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     rng = Xoshiro256(seed)
     per_group = per_group_maximal_sets(topo)
     failures = []
-    for _ in range(trials):
-        coords = draw_maximal_pattern(topo, per_group, code.h, rng)
-        if erasure_rank_defect(code, coords):
-            failures.append(MrFailure(tuple(sorted(coords)), "rank defect"))
+    for start in range(0, trials, BLOCK):
+        drawn = [tuple(sorted(draw_maximal_pattern(topo, per_group, code.h, rng)))
+                 for _ in range(min(BLOCK, trials - start))]
+        lost = unrecoverable(code, drawn)
+        failures += [MrFailure(pat, "rank defect") for pat in drawn if pat in lost]
     return MrReport(code_id=code_id(code), mode="sampled",
                     patterns_checked=trials, failures=failures,
                     bound_values=_bound_row(code),
@@ -358,8 +370,21 @@ def decode_erasures(code: MrLrcCode, word):
     return tuple(word)
 
 
+def unrecoverable(code: MrLrcCode, patterns) -> set:
+    """The patterns E among patterns, each an increasing tuple of 1-based
+    coordinates, with rank(H|_E) < |E|: one elim.dependent_sets walk on H
+    ranks them all, eliminating each prefix they share once.  A zero
+    column put in front of H makes each coordinate its own position."""
+    return dependent_sets([(0, *row) for row in code.H.data], code.H.ctx, patterns)
+
+
 def erasure_rank_defect(code: MrLrcCode, coords) -> int:
-    """|E| - rank(H|_E): zero iff the pattern is uniquely decodable."""
+    """|E| - rank(H|_E): zero iff the pattern is uniquely decodable.
+
+    One MatrixF.rank of H|_E, for the decode command's unrecoverable
+    message; sampled verify and the simulator decide the same condition
+    for a whole block of patterns through unrecoverable, and this
+    per-pattern rank is its test oracle."""
     coords = sorted(set(coords))
     if not coords:
         return 0

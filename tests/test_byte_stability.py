@@ -249,6 +249,66 @@ def test_mutant_failure_reports_match_recorded_digests(spec):
     assert got == MUTANT_DIGESTS[code_id(code)]
 
 
+
+# the sampled and simulator reports, concatenated in the order of
+# `mutants`, of the four copies of each reference code with one entry of H
+# changed, most of which fail: "sampled" is verify_mr_sampled(copy, 300,
+# 2024), and the three simulator models run as in
+# test_reference_artifacts_match_recorded_digests
+MUTANT_H_DIGESTS = {
+    "gen-r2-d2-t1-g2-N2-k5-h1": {
+        "sampled": "8392b7899550890fb2504d4a3be44438071cb9ebcb20d09190db1456740da79b",
+        "simulate": "bbe82c30bec8e749cccf0e3690bba62e1ad9167e068399a09d2a4d57f4d6f67c",
+        "uniform_nodes": "a30f14c5d3cdab4b8ca50621869da46cc9cd37db006c92becfaedddce150bcc3",
+        "per_group_burst": "734b59c574a6451d8617e685930a3efcc3864fc882d99a63cf6da8bb9987d1e8",
+    },
+    "gen-r2-d3-t1-g2-N1-k3-h1": {
+        "sampled": "6e60220ce3c5ae03005f5a92d6dc81a68d9ce945d5475a24f49b61c8c918c792",
+        "simulate": "d1729c6452366abfe0ace4a9a9e1c9a7fba8a470447204d1dee4d4e3b245d768",
+        "uniform_nodes": "3e8b82957cd355940531797f7312e8aea6cbaaf1af52ab9fd0a06633b61fd84b",
+        "per_group_burst": "ea4602d3cc6427e82659a7ad5ef34045abc8725a8847fd4b06ab09d1020fd98c",
+    },
+    "gen-r3-d2-t2-g2-N2-k6-h2": {
+        "sampled": "586833d7a3939dab0a8156aea420acf7e1dbe29809b77ff5c76e256173c70835",
+        "simulate": "d5436208b7cce033a8d52418be1a7edca3ceb4d3a2bdaa114b19dd594210770c",
+        "uniform_nodes": "bd055d77aca7a289e673f637d85c7a158d00ae32a6861f4d9fb7ba9a6a33ba80",
+        "per_group_burst": "33d4bf4c09613d94c4ca1dc234dbd60834e6e5d51b2e8975591e646031d50a67",
+    },
+    "pc1-r2-d2-t1-g2-N2-k4-h2": {
+        "sampled": "7b3de6162c11d5d63603391d26d6df8137dcc333e563349333e2f510b1a3f04e",
+        "simulate": "a4bae1b8bfedda6d81108648d07e3ee54582e95a398319ff4fa51cf59dcfa61a",
+        "uniform_nodes": "05b865caada5026fd028938af344409926d41a03e9e0141d4b20e18d92c9c668",
+        "per_group_burst": "d763ae1ead18f9b508baa8506ad32a67c92a0811a544ce96b6b46c914c7b66fd",
+    },
+    "pc2-r2-d2-t1-g2-N1-k3-h1": {
+        "sampled": "9bc961d7118e4684b317da499a19139b9c86f3f91403f6e5da89a7c465bd4474",
+        "simulate": "5ba3c0dafc7026a5e5a756a3cb382af39210752c9ca1f598c7bdafe0224a5519",
+        "uniform_nodes": "c6fa09237ab4f98ce50f9bffbb93c732d166db12f7e51e67783b880576a46634",
+        "per_group_burst": "a7f58aa76acc7084a49a09c47df40d58ac0c11b0d948054067d521cdd266f67d",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", bvs.REFERENCE_CODES,
+                         ids=[f"{k}{p}" for k, p, _ in bvs.REFERENCE_CODES])
+def test_mutant_sampled_and_simulator_reports_match_recorded_digests(spec):
+    code = bvs.build(*spec)
+    muts = list(mutants(code))[4:]
+
+    def digest(reports):
+        return sha256("".join(r.to_json() for r in reports).encode())
+
+    got = {
+        "sampled": digest(verify_mr_sampled(m, 300, 2024) for m in muts),
+        "simulate": digest(run_simulation(m, SimConfig(
+            trials=1000, model="adversarial_maximal", seed=2024)) for m in muts),
+    }
+    for model in ("uniform_nodes", "per_group_burst"):
+        failures = code.h + code.topo.delta - 1 if model == "uniform_nodes" else None
+        got[model] = digest(run_simulation(m, SimConfig(
+            trials=300, model=model, seed=2024, failures=failures)) for m in muts)
+    assert got == MUTANT_H_DIGESTS[code_id(code)]
+
 # table1_row JSON, one line per setting, over the grid that
 # field_size_comparison.py walks with its defaults (delta = 2) and with
 # --delta 1: 330 settings each

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlrc.matrix import MatrixF
-from mrlrc import topology, verify
+from mrlrc import simulate, topology, verify
 from mrlrc.constructions import construct, encode, plan_field, premise_violations
+from mrlrc.simulate import SimConfig, run_simulation
 from mrlrc.ff import LOG_TABLE_LIMIT, DegreeOverflow, field_ctx
 from mrlrc.topology import (
     EnumerationCapExceeded, enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology,
@@ -671,6 +672,67 @@ def test_sampled_catches_corruption(gen_code):
     # corrupting H breaks G H^T = 0; the rank sweep sees defects instead
     rep = verify_mr_sampled(bad, trials=200, seed=5)
     assert isinstance(rep.patterns_checked, int)
+
+
+def column_copies(code):
+    """Copies of code whose H has its middle column zeroed, and its last
+    column made equal to its first."""
+    data = [list(row) for row in code.H.data]
+    mid, last = code.n // 2, code.n - 1
+    zeroed = [row[:mid] + [0] + row[mid + 1:] for row in data]
+    repeated = [row[:last] + [row[0]] for row in data]
+    return [replace(code, H=MatrixF(code.H.ctx, rows)) for rows in (zeroed, repeated)]
+
+
+@functools.cache
+def walk_copies() -> list:
+    # every reference code, its G and H mutants and its two H column copies
+    return [c for spec in bvs.REFERENCE_CODES for code in [bvs.build(*spec)]
+            for c in [code, *mutants(code), *column_copies(code)]]
+
+
+def rank_oracle(code, sets) -> set:
+    return {s for s in sets if erasure_rank_defect(code, s) > 0}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_unrecoverable_matches_rank_oracle(data):
+    code = data.draw(st.sampled_from(walk_copies()))
+    n, h_rows = code.n, code.H.rows
+    sets = data.draw(st.lists(st.sets(st.integers(1, n)).map(lambda e: tuple(sorted(e))),
+                              max_size=40))
+    # the empty set, a duplicate of each set and one set too large to be independent
+    sets += [(), *sets, tuple(range(1, min(n, h_rows + 1) + 1))]
+    assert verify.unrecoverable(code, sets) == rank_oracle(code, sets)
+
+
+def test_unrecoverable_on_every_small_set_of_a_copy():
+    # every set of at most four coordinates, duplicates included, in a shuffled order
+    rnd = random.Random(3)
+    for code in walk_copies()[:11]:
+        sets = [e for size in range(5)
+                for e in itertools.combinations(range(1, code.n + 1), size)]
+        sets += rnd.sample(sets, 50)
+        rnd.shuffle(sets)
+        assert verify.unrecoverable(code, sets) == rank_oracle(code, sets)
+
+
+def test_blocks_report_what_one_trial_at_a_time_reports(monkeypatch):
+    # trials cross a block boundary; the one-at-a-time run ranks each
+    # pattern alone, with erasure_rank_defect
+    code = list(mutants(bvs.build(*bvs.REFERENCE_CODES[0])))[-1]
+    trials = verify.BLOCK + 300
+    cfg = SimConfig(trials=trials, model="adversarial_maximal", seed=11)
+    blocked = (verify_mr_sampled(code, trials, 11).to_json(),
+               run_simulation(code, cfg).to_json())
+    for mod in (verify, simulate):
+        monkeypatch.setattr(mod, "BLOCK", 1)
+        monkeypatch.setattr(mod, "unrecoverable", rank_oracle)
+    single = (verify_mr_sampled(code, trials, 11).to_json(),
+              run_simulation(code, cfg).to_json())
+    assert blocked == single
+    assert '"verdict": "fail"' in single[0] and '"data_loss": 0' not in single[1]
 
 
 # -- decoding
