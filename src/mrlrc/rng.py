@@ -6,12 +6,14 @@ public designs, so a report that records (algorithm, seed) can be
 reproduced bit-for-bit by any implementation in any language.  A seed
 outside [0, 2^64) is refused with ValueError rather than reduced mod
 2^64, so two different recorded seeds never name one stream.  Integer
-draws use rejection sampling, never floating point.
+draws use rejection sampling, never floating point, over ranges of at
+most 2^64 values; a larger range is refused with ValueError.
 """
 
 from __future__ import annotations
 
 MASK64 = (1 << 64) - 1
+TWO64 = 1 << 64
 
 ALGORITHM = "xoshiro256** (seeded via splitmix64)"
 
@@ -24,10 +26,6 @@ def _splitmix64_stream(seed: int):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         yield z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
 
 
 class Xoshiro256:
@@ -45,27 +43,33 @@ class Xoshiro256:
             self._s[0] = 1
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
-        t = (s1 << 17) & MASK64
+        """One xoshiro256** step: the output is rotl(s1 * 5, 7) * 9 and the
+        state list moves on in place, both rotations written out.  A
+        rotation or product is reduced to 64 bits once, at its end, which
+        gives the same value mod 2^64."""
+        s = self._s
+        s0, s1, s2, s3 = s
         s2 ^= s0
         s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        s[0] = s0 ^ s3
+        s[1] = s1 ^ s2
+        s[2] = s2 ^ ((s1 << 17) & MASK64)
+        s[3] = ((s3 << 45) | (s3 >> 19)) & MASK64
+        x = (s1 * 5) & MASK64
+        return ((x << 7) | (x >> 57)) * 9 & MASK64
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
-        limit = MASK64 + 1 - (MASK64 + 1) % n
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
+        """Uniform integer in [0, n) by rejection sampling, for
+        1 <= n <= 2^64: an output at or above 2^64 - (2^64 mod n), the
+        largest multiple of n up to 2^64, is drawn again."""
+        if not 1 <= n <= TWO64:
+            raise ValueError(f"randrange needs 1 <= n <= 2^64, got {n}")
+        limit = TWO64 - TWO64 % n
+        step = self.next_u64
+        x = step()
+        while x >= limit:
+            x = step()
+        return x % n
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
@@ -75,7 +79,8 @@ class Xoshiro256:
         pool = list(seq)
         if k > len(pool):
             raise ValueError("sample size exceeds population")
+        randrange = self.randrange
         for i in range(k):
-            j = i + self.randrange(len(pool) - i)
+            j = i + randrange(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

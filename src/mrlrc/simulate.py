@@ -16,6 +16,15 @@ the patterns of its trials that went global on H together
 once); outcomes are counted in trial order, so the report does not
 depend on the block size, and memory holds one block.
 
+What a trial costs: its draws, each one xoshiro256** step unless
+rejected; building its erasure tuple, by concatenating the groups' drawn
+maximal sets or by sorting samples of repair sets that are sorted once
+per run; one part_counts pass over the erasures, after which each
+group's local outcome is one dict lookup keyed by its part-count tuple,
+filled from group_witnesses the first time a run meets that tuple; and,
+for a trial that goes global, its share of the block's rank walk.  No
+table outlives a run_simulation call.
+
 Cost accounting: every engaged repair set reads r symbols (the locality
 promise of an (r+delta-1, r) local MDS code); a global decode reads all
 surviving symbols.  The parallel width of a trial is the largest number
@@ -25,7 +34,8 @@ Failure models:
   uniform_nodes       f distinct coordinates, uniform
   per_group_burst     per group: delta-1 erasures inside one repair set
   adversarial_maximal a maximal locally correctable pattern (uniform per
-                      group) plus up to `extra` additional coordinates
+                      group) plus up to `extra` additional coordinates,
+                      0 <= extra < 2^64
 
 All randomness flows from one 64-bit seed through xoshiro256**; reports
 are byte-identical across runs with the same seed.
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import MrLrcCode
-from .rng import ALGORITHM, Xoshiro256
+from .rng import ALGORITHM, MASK64, Xoshiro256
 from .topology import draw_maximal_pattern, group_witnesses, per_group_maximal_sets
 from .verify import BLOCK, unrecoverable
 
@@ -65,8 +75,9 @@ class SimConfig:
             raise ValueError(f"failures applies to uniform_nodes only, not {self.model}")
         if self.extra is not None and self.model != "adversarial_maximal":
             raise ValueError(f"extra applies to adversarial_maximal only, not {self.model}")
-        if self.extra is not None and self.extra < 0:
-            raise ValueError(f"extra must be >= 0, got {self.extra}")
+        if self.extra is not None and not 0 <= self.extra <= MASK64:
+            # each trial draws randrange(extra + 1), defined up to 2^64
+            raise ValueError(f"extra must be in [0, 2^64), got {self.extra}")
 
 
 @dataclass
@@ -117,45 +128,71 @@ class SimReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
 
 
-def _draw_pattern(code: MrLrcCode, cfg: SimConfig, rng: Xoshiro256,
-                  per_group) -> set:
+def _drawer(code: MrLrcCode, cfg: SimConfig, rng: Xoshiro256):
+    """A function that draws one trial's erasures as an increasing tuple.
+    What a model draws from is built here, once per run: each repair set
+    sorted (per_group_burst) or group 1's maximal sets
+    (adversarial_maximal)."""
     topo = code.topo
     if cfg.model == "uniform_nodes":
-        return set(rng.sample(range(1, topo.n + 1), cfg.failures))
+        coords, failures = range(1, topo.n + 1), cfg.failures
+        return lambda: tuple(sorted(rng.sample(coords, failures)))
     if cfg.model == "per_group_burst":
-        out = set()
-        for i in range(topo.g):
-            j = rng.randrange(topo.N)
-            out.update(rng.sample(sorted(topo.repair[i][j]), topo.delta - 1))
-        return out
+        bursts = [[sorted(rs) for rs in sets] for sets in topo.repair]
+        N, d1 = topo.N, topo.delta - 1
+
+        def draw():
+            out = []
+            for group in bursts:
+                out += rng.sample(group[rng.randrange(N)], d1)
+            return tuple(sorted(out))
+        return draw
+    per_group = per_group_maximal_sets(topo)
     cap = code.h if cfg.extra is None else cfg.extra
-    return draw_maximal_pattern(topo, per_group, cap, rng)
+    return lambda: draw_maximal_pattern(topo, per_group, cap, rng)
 
 
-def _local_repair(code: MrLrcCode, erased: set):
-    """(fully_repaired, reads, repaired, parallel_width) of the local phase.
+def _group_repair(topo, counts):
+    """(reads, repaired, parallel_width) of one group's local phase, or
+    None when the group has no witness.
 
     A group with erasures and a witness j spends r reads on the c_0 + c_j
     erasures of R_(i,j), when there are any, then r reads on each other
     segment holding erasures, and repairs them all; a group without a
     witness leaves its erasures to the global decoder."""
-    topo = code.topo
-    r = topo.r
+    if not any(counts):
+        return 0, 0, 0
+    witnesses, _tight = group_witnesses(topo, counts)
+    if not witnesses:
+        return None
+    segs = counts[1:]
+    in_witness = segs[witnesses[0] - 1]
+    parallel = len(segs) - segs.count(0) - bool(in_witness)
+    return (topo.r * (bool(counts[0] + in_witness) + parallel), sum(counts),
+            parallel)
+
+
+def _local_repair(topo, erased, outcomes: dict):
+    """(fully_repaired, reads, repaired, parallel_width) of the local phase.
+
+    Each group's outcome depends on its part counts alone, so it is read
+    from outcomes, keyed by the part-count tuple and filled by
+    _group_repair on first use."""
     ok = True
     reads = repaired = width = 0
     for counts in topo.part_counts(erased):
-        if not any(counts):
-            continue
-        witnesses, _tight = group_witnesses(topo, counts)
-        if not witnesses:
+        key = tuple(counts)
+        try:
+            group = outcomes[key]
+        except KeyError:
+            group = outcomes[key] = _group_repair(topo, counts)
+        if group is None:
             ok = False
             continue
-        segs = counts[1:]
-        in_witness = segs[witnesses[0] - 1]
-        parallel = len(segs) - segs.count(0) - bool(in_witness)
-        reads += r * (bool(counts[0] + in_witness) + parallel)
-        repaired += sum(counts)
-        width = max(width, parallel)
+        reads += group[0]
+        repaired += group[1]
+        if group[2] > width:
+            width = group[2]
     return ok, reads, repaired, width
 
 
@@ -165,18 +202,18 @@ def run_simulation(code: MrLrcCode, cfg: SimConfig) -> SimReport:
     if cfg.model == "uniform_nodes" and cfg.failures > code.n:
         raise ValueError(f"uniform_nodes needs failures <= n: "
                          f"failures = {cfg.failures} > n = {code.n}")
-    rng = Xoshiro256(cfg.seed)
-    per_group = (per_group_maximal_sets(code.topo)
-                 if cfg.model == "adversarial_maximal" else None)
+    topo = code.topo
+    draw = _drawer(code, cfg, Xoshiro256(cfg.seed))
+    outcomes = {}
     local = glob = loss = 0
     total_reads = total_repaired = 0
     max_reads = max_width = 0
-    n = code.topo.n
+    n = topo.n
     for start in range(0, cfg.trials, BLOCK):
         block = []
         for _ in range(min(BLOCK, cfg.trials - start)):
-            erased = _draw_pattern(code, cfg, rng, per_group)
-            block.append((tuple(sorted(erased)), _local_repair(code, erased)))
+            erased = draw()
+            block.append((erased, _local_repair(topo, erased, outcomes)))
         lost = unrecoverable(code, [erased for erased, (ok, *_) in block if not ok])
         for erased, (ok, reads, repaired, width) in block:
             if ok:
@@ -194,7 +231,6 @@ def run_simulation(code: MrLrcCode, cfg: SimConfig) -> SimReport:
             total_repaired += repaired
             max_reads = max(max_reads, reads)
             max_width = max(max_width, width)
-    topo = code.topo
     return SimReport(model=cfg.model, seed=cfg.seed, trials=cfg.trials,
                      local_repair=local, global_repair=glob, data_loss=loss,
                      symbols_read=total_reads, symbols_repaired=total_repaired,

@@ -216,22 +216,25 @@ def per_group_maximal_sets(topo: Topology):
     return sorted(found)
 
 
-def draw_maximal_pattern(topo: Topology, per_group, cap: int, rng) -> set:
-    """A seeded maximal pattern plus up to cap extra erasures.
+def draw_maximal_pattern(topo: Topology, per_group, cap: int, rng) -> tuple:
+    """A seeded maximal pattern plus up to cap extra erasures, as an
+    increasing tuple of coordinates.
 
     Each group takes an entry of per_group (per_group_maximal_sets(topo))
-    by rng.randrange; then rng.randrange(cap + 1) extra coordinates are
-    sampled from the rest of [n]."""
-    out = set()
+    by rng.randrange; the groups are disjoint and in order, so their
+    shifted entries concatenate to an increasing tuple.  Then
+    rng.randrange(cap + 1) extra coordinates are sampled from the rest of
+    [n] and sorted in with them."""
     width = topo.group_width
-    for i in range(topo.g):
-        cs = per_group[rng.randrange(len(per_group))]
-        out.update(c + i * width for c in cs)
+    out = per_group[rng.randrange(len(per_group))]
+    for off in range(width, topo.n, width):
+        out += tuple([c + off for c in per_group[rng.randrange(len(per_group))]])
     extra = rng.randrange(cap + 1)
-    if extra:
-        rest = [c for c in range(1, topo.n + 1) if c not in out]
-        out.update(rng.sample(rest, min(extra, len(rest))))
-    return out
+    if not extra:
+        return out
+    taken = set(out)
+    rest = [c for c in range(1, topo.n + 1) if c not in taken]
+    return tuple(sorted(out + tuple(rng.sample(rest, min(extra, len(rest))))))
 
 
 def _per_group_count(topo: Topology) -> int:

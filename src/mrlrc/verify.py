@@ -311,7 +311,7 @@ def verify_mr_sampled(code: MrLrcCode, trials: int, seed: int) -> MrReport:
     per_group = per_group_maximal_sets(topo)
     failures = []
     for start in range(0, trials, BLOCK):
-        drawn = [tuple(sorted(draw_maximal_pattern(topo, per_group, code.h, rng)))
+        drawn = [draw_maximal_pattern(topo, per_group, code.h, rng)
                  for _ in range(min(BLOCK, trials - start))]
         lost = unrecoverable(code, drawn)
         failures += [MrFailure(pat, "rank defect") for pat in drawn if pat in lost]

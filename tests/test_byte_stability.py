@@ -309,6 +309,81 @@ def test_mutant_sampled_and_simulator_reports_match_recorded_digests(spec):
             trials=300, model=model, seed=2024, failures=failures)) for m in muts)
     assert got == MUTANT_H_DIGESTS[code_id(code)]
 
+
+# simulator reports at the edges of their models, recorded before the draw
+# and the local phase were rewritten: on each reference code, 300
+# adversarial_maximal trials at seed 2024 with extra = 0 and with
+# extra = 10^6 (more than n, so every survivor may be drawn), and 300
+# uniform_nodes trials with no failure and with every node failed
+EDGE_DIGESTS = {
+    "gen-r2-d2-t1-g2-N2-k5-h1": {
+        "extra=0": "800b78a12250740c4f4c7d4c430a1027fb053b97f1db44c0d40b4546b977437b",
+        "extra=1000000": "d0c59a589a11ddba87a79ec0668507ed0a14308037c7c66f8f003f82c20ffeb4",
+        "failures=0": "af712a6fb3062b59a83afd242ee2218e5d15cc3ff0ce35ecf772ecf10081d4f5",
+        "failures=n": "e43f88ad9883df7597194c29020cf05c0558c68cf15d4f71501af0b513838bc6",
+    },
+    "gen-r2-d3-t1-g2-N1-k3-h1": {
+        "extra=0": "964d370b7314e6f0224dc79d3f51d7a8894dde093ea148d43c9af87c39485f69",
+        "extra=1000000": "31fb52d567c93cd8cb9704abc463b5b0ae95834e3f5236d553f9f026f39a0681",
+        "failures=0": "062436b171f6ff87378b3cb8ebd8551b77814aa13e0f10483cefe6121baadbeb",
+        "failures=n": "8e3f037dc9825b71e6359613b5581edeadca4627ff3320428259468dc6e18b58",
+    },
+    "gen-r3-d2-t2-g2-N2-k6-h2": {
+        "extra=0": "da804a2697760708a288d35451f238edf685d0fb96847faf0c5612f9187cf932",
+        "extra=1000000": "810a5e08e6bebfe2fb9a58aea22a2f2d0c96e6fae2c302806de0ddad5a61ffc0",
+        "failures=0": "33a782dd2ffa290b200e002eb0816dc80f03b43243bbc2265fe406885ff46c2b",
+        "failures=n": "62f7f44651b3f763aaf4b0740e840c6cba757826e86be7f4e58177bc29797d45",
+    },
+    "pc1-r2-d2-t1-g2-N2-k4-h2": {
+        "extra=0": "d16e491b1522c12dbe3c46d7a81a60c38580fee69cb3d5a5f47370b75202414d",
+        "extra=1000000": "804b32f08b7cb1de833eb110fade0c817f2e9ca67df5d73992ef1417c4ad5e86",
+        "failures=0": "fc3af1044675eb8d037369306053d33e3c935a57624ae989e2cc32747b0e0d56",
+        "failures=n": "d628cfa146a01bf6ab18f0e75c3f52ceafa63f22b698c0859fc45ca809064e9b",
+    },
+    "pc2-r2-d2-t1-g2-N1-k3-h1": {
+        "extra=0": "8e5f5b1fba8c3b68fddd3d4e011357fde4ab3e6f1eb8877d1a550de7d5c84535",
+        "extra=1000000": "ff343bb30118587220ba91aeaddbb33b6f4a6adf5e5c2dd841d5b09d48831059",
+        "failures=0": "7dd175f6cbf84ed9266434efb8fbca7d4719a887ece5d3e37b66a99335dcf138",
+        "failures=n": "1cc84fe2602917cf33a721b8bf9be017487878608bb061112ae6a80e05474694",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", bvs.REFERENCE_CODES,
+                         ids=[f"{k}{p}" for k, p, _ in bvs.REFERENCE_CODES])
+def test_simulator_edge_reports_match_recorded_digests(spec):
+    code = bvs.build(*spec)
+    got = {}
+    for extra in (0, 10 ** 6):
+        got[f"extra={extra}"] = sha256(run_simulation(code, SimConfig(
+            trials=300, model="adversarial_maximal", seed=2024, extra=extra)).to_json().encode())
+    for name, failures in (("failures=0", 0), ("failures=n", code.n)):
+        got[name] = sha256(run_simulation(code, SimConfig(
+            trials=300, model="uniform_nodes", seed=2024, failures=failures)).to_json().encode())
+    assert got == EDGE_DIGESTS[code_id(code)]
+
+
+# gen (3,2,1,3,2) k=10, the n = 21 code: 5,000 trials at seed 2024 of each
+# model, sized as in test_reference_artifacts_match_recorded_digests; the
+# run crosses the block boundary of verify.BLOCK trials
+N21 = ("gen", (3, 2, 1, 3, 2), {"k": 10})
+N21_DIGESTS = {
+    "uniform_nodes": "1da260e33d174d75ed0ddd6c79fb47cedfc4e01849f635c41d288f3d1a77afd9",
+    "per_group_burst": "858456839c90e3d5deb0b09f8fafb68b8d59dd2285028da45bca9d59b30d3da4",
+    "adversarial_maximal": "071eee4cf6f4e2fe783229f229f68ceb3ad270419044fca527d059f6af919e96",
+}
+
+
+def test_n21_simulator_reports_match_recorded_digests():
+    code = bvs.build(*N21)
+    got = {}
+    for model in N21_DIGESTS:
+        failures = code.h + code.topo.delta - 1 if model == "uniform_nodes" else None
+        got[model] = sha256(run_simulation(code, SimConfig(
+            trials=5000, model=model, seed=2024, failures=failures)).to_json().encode())
+    assert got == N21_DIGESTS
+
+
 # table1_row JSON, one line per setting, over the grid that
 # field_size_comparison.py walks with its defaults (delta = 2) and with
 # --delta 1: 330 settings each

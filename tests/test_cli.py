@@ -502,6 +502,21 @@ def test_simulate_negative_extra_is_usage_error(bundle, capsys):
     assert err.startswith("error:") and "extra" in err
 
 
+@pytest.mark.parametrize("extra,rc", [("18446744073709551615", 0),
+                                       ("18446744073709551616", 1)])
+def test_simulate_extra_at_the_64_bit_edge(bundle, capsys, extra, rc):
+    # 2^64 - 1 is the largest extra a trial can draw up to; one more used to
+    # hang the rejection loop and now ends with one error line, before any trial
+    assert main(["simulate", str(bundle), "--trials", "1", "--seed", "1", "--model",
+                 "adversarial_maximal", "--extra", extra]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert out == ""
+        assert err == f"error: extra must be in [0, 2^64), got {extra}\n"
+    else:
+        assert out.startswith("adversarial_maximal: trials=1 local=0 global=0 loss=1")
+
+
 def test_bounds_fig1(capsys):
     rc = main(["bounds", "--r", "3", "--delta", "3", "--t", "2", "--g", "8",
                "--N", "2", "--k", "16"])

@@ -1,7 +1,7 @@
 """Failure simulator: outcome envelopes, cost accounting, determinism."""
 
+import hashlib
 import itertools
-from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +37,24 @@ def test_config_refuses_a_flag_its_model_ignores():
     for model, failures in (("uniform_nodes", 3), ("per_group_burst", None)):
         with pytest.raises(ValueError, match="extra applies to adversarial_maximal only"):
             SimConfig(trials=5, model=model, seed=1, failures=failures, extra=0)
+
+
+# recorded before the generator refused randrange above 2^64: 50 trials
+# that erase every coordinate, since extra is drawn far above n
+EXTRA_TOP_DIGEST = "e1a5029e6d0bd93a0c4693839bb54aab56f712133cb66f510ad11af9cde8c1b0"
+
+
+def test_extra_is_refused_above_two_to_the_64_minus_one(code):
+    # each trial draws randrange(extra + 1), which is defined up to 2^64
+    top = (1 << 64) - 1
+    rep = run_simulation(code, SimConfig(trials=50, model="adversarial_maximal",
+                                         seed=1, extra=top))
+    assert rep.data_loss == 50
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == EXTRA_TOP_DIGEST
+    for extra in (top + 1, 1 << 70):
+        with pytest.raises(ValueError, match=r"extra must be in \[0, 2\^64\), got "
+                                             + str(extra)):
+            SimConfig(trials=1, model="adversarial_maximal", seed=1, extra=extra)
 
 
 def test_uniform_nodes_failures_beyond_n_rejected(code):
@@ -164,10 +182,13 @@ def set_local_repair(topo, erased):
     (1, 3, 1, 1, 3), (2, 3, 1, 1, 2), (3, 2, 2, 2, 1), (1, 2, 1, 2, 3),
 ])
 def test_local_repair_matches_set_oracle(params):
-    # every subset of [n]: the part-count arithmetic against set algebra
+    # every subset of [n]: the part-count arithmetic against set algebra,
+    # through one outcome table shared by all of them, as a run shares it
+    # across its trials, so that two part-count vectors sharing a key show
     topo = make_topology(*params)
-    code = SimpleNamespace(topo=topo)
+    outcomes = {}
     for size in range(topo.n + 1):
         for erased in itertools.combinations(topo.coords, size):
-            assert simulate._local_repair(code, set(erased)) == \
+            assert simulate._local_repair(topo, erased, outcomes) == \
                 set_local_repair(topo, erased), erased
+    assert outcomes

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mrlrc import topology
 from mrlrc.constructions import ConstraintViolated, split_size
+from mrlrc.rng import Xoshiro256
 from mrlrc.topology import (
     BadParams, EnumerationCapExceeded, IndexOutOfRange,
     classify_pattern, count_maximal_patterns, enumerate_maximal_patterns,
@@ -332,6 +333,24 @@ def test_part_counts_match_set_intersections(r, delta, t, g, n_avail, data):
     assert topo.part_counts(e) == [
         [len(e & core)] + [len(e & (rs - core)) for rs in sets]
         for core, sets in zip(topo.cores, topo.repair)]
+
+
+@pytest.mark.parametrize("params", [(2, 2, 1, 3, 2), (2, 3, 1, 2, 1), (3, 2, 2, 2, 2),
+                                    (2, 1, 1, 3, 1)])
+def test_draw_maximal_pattern_is_an_increasing_maximal_pattern(params):
+    # the groups' drawn sets concatenate to an increasing maximal pattern;
+    # the extras are drawn after them, so a draw with cap 0 from the same
+    # seed is that pattern, and the extras are sorted in
+    topo = make_topology(*params)
+    per_group = per_group_maximal_sets(topo)
+    for cap in (0, 2, topo.n):
+        for seed in range(40):
+            base = topology.draw_maximal_pattern(topo, per_group, 0, Xoshiro256(seed))
+            drawn = topology.draw_maximal_pattern(topo, per_group, cap, Xoshiro256(seed))
+            assert classify_pattern(topo, base).maximal
+            assert list(drawn) == sorted(set(drawn)) and set(base) <= set(drawn)
+            assert 1 <= min(drawn, default=1) and max(drawn, default=topo.n) <= topo.n
+            assert len(drawn) - len(base) <= cap
 
 
 def test_huge_topology_is_arithmetic():
