@@ -50,14 +50,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, log10
 from operator import attrgetter
 
-from .elim import reduce_rows
+from .elim import WALKS, reduce_rows
 from .ff import (
     ORDER_LIMIT, DegreeOverflow, FieldTower, make_tower, is_prime_power, next_prime_power,
 )
-from .matrix import MatrixF, RankDeficient, block_diag, map_entries, read_srmat, write_srmat
+from .matrix import MatrixF, RankDeficient, block_diag, read_srmat, write_srmat
 from .localmds import structured_mds, vandermonde_columns
 from .sumrank import frobenius_rows
 from .topology import Topology, make_topology
@@ -295,38 +296,60 @@ def _check_code(code: MrLrcCode) -> None:
 def premise_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
     """(pattern, detail) for every broken premise of the pattern criterion
     for maximal recoverability: G H^T = 0, rank(G) = k, rank(H) = n - k
-    (each with pattern ()), then the local property on every repair set."""
-    out = []
-    if not code.G.mul(code.H.transpose()).is_zero():
-        out.append(((), "G H^T != 0"))
+    (each with pattern ()), then the local property on every repair set R
+    (with R's coordinates): no codeword leaves the distance->=delta local
+    MDS code there, G|_R Pi^T = 0 for the local parity rows Pi.
+
+    One product settles G H^T and every G|_R Pi^T: each row of G is
+    dotted once against H's rows followed by Pi placed on each repair set
+    in turn (_placed_local_rows), and the entries of each block of the
+    result are read off in that order.
+    """
+    checks, placed = _placed_local_rows(code.topo, code.kind, code.tower)
+    dots, cols = code.G.ctx.dots, code.H.data + placed
+    nonzero = [any(col) for col in zip(*[dots(row, cols) for row in code.G.data])]
+    lo = code.H.rows
+    out = [((), "G H^T != 0")] if any(nonzero[:lo]) else []
     if code.G.rank() != code.k:
         out.append(((), f"rank(G) != k = {code.k}"))
     if code.H.rank() != code.n - code.k:
         out.append(((), f"rank(H) != n - k = {code.n - code.k}"))
-    return out + local_property_violations(code)
+    per = len(placed) // len(checks)
+    for check in checks:
+        if any(nonzero[lo:lo + per]):
+            out.append(check)
+        lo += per
+    return out
 
 
-def local_property_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
-    """(repair set, detail) for every repair set R on which a codeword can
-    leave the distance->=delta local MDS code: G|_R Pi^T != 0 for the local
-    parity rows Pi, the dual of gen's local generator or the top delta-1
-    band rows of the parity-check kinds, embedded once per code."""
-    topo = code.topo
-    tower = code.tower
-    if code.kind == "gen":
+@lru_cache(maxsize=WALKS)
+def _placed_local_rows(topo: Topology, kind: str, tower: FieldTower) -> tuple:
+    """(checks, rows) for premise_violations: per repair set R_(i,j), in
+    order, its sorted coordinates and the detail a violation names; and
+    the local parity rows Pi, embedded in the top field, placed on each
+    repair set in the same order (Pi's column c on R's c-th coordinate,
+    zero off R).  Pi is the dual of gen's local generator, or the top
+    delta-1 band rows of the parity-check kinds.  They depend on the
+    topology, kind and tower alone, so the last WALKS are kept."""
+    if kind == "gen":
         pi = dual_matrix(local_generator(topo, "gen", tower.base))
         detail = "restriction to R_({},{}) leaves the local MDS code"
     else:
         pi = local_generator(topo, "pc2", tower.base)  # A' = [I_t B; 0 C]
         detail = "local parities violated on R_({},{})"
-    pi_t = map_entries(pi, tower.top, tower.embed).transpose()
-    out = []
+    embed = tower.embed
+    pi_rows = [[embed(v) for v in row] for row in pi.data]
+    checks, rows = [], []
     for i, sets in enumerate(topo.repair, start=1):
         for j, rs in enumerate(sets, start=1):
             rs = tuple(sorted(rs))
-            if not code.G.restrict_columns(rs).mul(pi_t).is_zero():
-                out.append((rs, detail.format(i, j)))
-    return out
+            checks.append((rs, detail.format(i, j)))
+            for src in pi_rows:
+                row = [0] * topo.n
+                for c, v in zip(rs, src):
+                    row[c - 1] = v
+                rows.append(tuple(row))
+    return tuple(checks), tuple(rows)
 
 
 def multipliers(topo: Topology, plan: FieldPlan) -> tuple[tuple, tuple]:

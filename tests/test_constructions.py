@@ -18,10 +18,12 @@ from mrlrc.matrix import MatrixF, RankDeficient, map_entries, read_srmat, write_
 from mrlrc.constructions import (
     KINDS, BoundTooLong, ConstraintViolated, MrLrcCode, NotInformationAvailable,
     bounded_power, construct, dual_matrix, encode, local_generator, multipliers,
-    plan_field, read_bundle, split_size, systematic_info_placement, write_bundle,
+    plan_field, premise_violations, read_bundle, split_size, systematic_info_placement,
+    write_bundle,
 )
 from mrlrc.topology import make_topology
 from mrlrc.verify import verify_mr_exhaustive, verify_mr_sampled
+from test_byte_stability import bvs, mutants
 
 
 # -- planner
@@ -529,6 +531,67 @@ def test_gen_delta_one_has_no_local_parities():
     assert dual_matrix(local_generator(code.topo, "gen", code.tower.base)).rows == 0
     for side in ("generator", "parity"):
         assert verify_mr_exhaustive(code, side=side).passed
+
+
+def premise_oracle(code):
+    """premise_violations as one matrix product per check: G H^T, the two
+    ranks, then G|_R Pi^T for each repair set R in turn, Pi embedded
+    once per code."""
+    out = []
+    if not code.G.mul(code.H.transpose()).is_zero():
+        out.append(((), "G H^T != 0"))
+    if code.G.rank() != code.k:
+        out.append(((), f"rank(G) != k = {code.k}"))
+    if code.H.rank() != code.n - code.k:
+        out.append(((), f"rank(H) != n - k = {code.n - code.k}"))
+    topo, tower = code.topo, code.tower
+    if code.kind == "gen":
+        pi = dual_matrix(local_generator(topo, "gen", tower.base))
+        detail = "restriction to R_({},{}) leaves the local MDS code"
+    else:
+        pi = local_generator(topo, "pc2", tower.base)
+        detail = "local parities violated on R_({},{})"
+    pi_t = map_entries(pi, tower.top, tower.embed).transpose()
+    for i, sets in enumerate(topo.repair, start=1):
+        for j, rs in enumerate(sets, start=1):
+            rs = tuple(sorted(rs))
+            if not code.G.restrict_columns(rs).mul(pi_t).is_zero():
+                out.append((rs, detail.format(i, j)))
+    return out
+
+
+# the reference codes (pc1 and pc2 among them), a delta = 1 gen code,
+# whose local code has no parity rows, a k = 0 code, whose G has no rows,
+# and a pc2 code over GF(3^14), whose products run the generic dots
+PREMISE_CODES = tuple(bvs.REFERENCE_CODES) + (
+    ("gen", (2, 1, 1, 2, 1), {"k": 3}),
+    ("gen", (2, 2, 1, 2, 1), {"k": 0}),
+    ("pc2", (2, 2, 1, 2, 2), {"h": 1}),
+)
+
+
+@pytest.mark.parametrize("spec", PREMISE_CODES,
+                         ids=[f"{k}{p}{a}" for k, p, a in PREMISE_CODES])
+def test_premise_product_matches_per_check_oracle(spec):
+    # the code, its one-entry G and H mutants (with k = 0, H zeroed at
+    # (0, 0), which leaves rank(H) < n), and per repair set a G mutant
+    # changed on a coordinate of that set alone, which leaves the local
+    # code there whenever it has parity rows (delta >= 2)
+    code = bvs.build(*spec)
+    ctx = code.G.ctx
+    assert premise_violations(code) == premise_oracle(code) == []
+    for copy in (mutants(code) if code.k
+                 else [dataclasses.replace(code, H=code.H.with_entry(0, 0, 0))]):
+        got = premise_violations(copy)
+        assert got and got == premise_oracle(copy), spec
+    for sets in code.topo.repair if code.k else ():
+        for rs in sets:
+            c = max(rs) - 1
+            copy = dataclasses.replace(code, G=code.G.with_entry(0, c, ctx.add(code.G[0, c], 1)))
+            got = premise_violations(copy)
+            assert got == premise_oracle(copy), (spec, rs)
+            flagged = tuple(sorted(rs)) in [pat for pat, _ in got]
+            assert flagged == (code.topo.delta >= 2), (spec, rs)
 
 
 def test_gen_zero_dimension_edge():
