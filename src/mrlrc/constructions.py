@@ -50,11 +50,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import comb, log10
 from operator import attrgetter
 
-from .elim import WALKS, reduce_rows
+from .elim import reduce_rows
 from .ff import (
     ORDER_LIMIT, DegreeOverflow, FieldTower, make_tower, is_prime_power, next_prime_power,
 )
@@ -300,14 +299,15 @@ def premise_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
     (with R's coordinates): no codeword leaves the distance->=delta local
     MDS code there, G|_R Pi^T = 0 for the local parity rows Pi.
 
-    One product settles G H^T and every G|_R Pi^T: each row of G is
-    dotted once against H's rows followed by Pi placed on each repair set
-    in turn (_placed_local_rows), and the entries of each block of the
-    result are read off in that order.
+    One product settles G H^T and every G|_R Pi^T: each row of H, then
+    of Pi placed on each repair set in turn (_placed_local_rows), is
+    dotted once against G's rows, and each block of the result is read
+    off in that order.  A placed row is zero off its repair set, so its
+    dots read only its repair set's coordinates of G.
     """
     checks, placed = _placed_local_rows(code.topo, code.kind, code.tower)
-    dots, cols = code.G.ctx.dots, code.H.data + placed
-    nonzero = [any(col) for col in zip(*[dots(row, cols) for row in code.G.data])]
+    dots, g_rows = code.G.ctx.dots, code.G.data
+    nonzero = [any(dots(row, g_rows)) for row in (*code.H.data, *placed)]
     lo = code.H.rows
     out = [((), "G H^T != 0")] if any(nonzero[:lo]) else []
     if code.G.rank() != code.k:
@@ -322,15 +322,13 @@ def premise_violations(code: MrLrcCode) -> list[tuple[tuple, str]]:
     return out
 
 
-@lru_cache(maxsize=WALKS)
-def _placed_local_rows(topo: Topology, kind: str, tower: FieldTower) -> tuple:
+def _placed_local_rows(topo: Topology, kind: str, tower: FieldTower) -> tuple[list, list]:
     """(checks, rows) for premise_violations: per repair set R_(i,j), in
     order, its sorted coordinates and the detail a violation names; and
     the local parity rows Pi, embedded in the top field, placed on each
     repair set in the same order (Pi's column c on R's c-th coordinate,
     zero off R).  Pi is the dual of gen's local generator, or the top
-    delta-1 band rows of the parity-check kinds.  They depend on the
-    topology, kind and tower alone, so the last WALKS are kept."""
+    delta-1 band rows of the parity-check kinds."""
     if kind == "gen":
         pi = dual_matrix(local_generator(topo, "gen", tower.base))
         detail = "restriction to R_({},{}) leaves the local MDS code"
@@ -348,8 +346,8 @@ def _placed_local_rows(topo: Topology, kind: str, tower: FieldTower) -> tuple:
                 row = [0] * topo.n
                 for c, v in zip(rs, src):
                     row[c - 1] = v
-                rows.append(tuple(row))
-    return tuple(checks), tuple(rows)
+                rows.append(row)
+    return checks, rows
 
 
 def multipliers(topo: Topology, plan: FieldPlan) -> tuple[tuple, tuple]:

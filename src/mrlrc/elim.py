@@ -68,15 +68,10 @@ erasure patterns on H through it.
 first_dependent names the first dependent column subset of a matrix in
 itertools.combinations order: the first record completed by the next
 positions.  Both exhaustive MR routes in verify name their witnesses the
-same way (subset_walk), once their family walk has found that the code
-fails: on the k rows of G restricted to a failing pattern's complement,
-and on the projection of H left over after eliminating the pattern.
-
-A walk's tables depend on its family alone, never on a matrix or a
-field, so walks are cached by family: subset_walk keeps the last WALKS
-(ncols, size) walks, and verify keeps its routes' walks the same way.
-A cached walk binds no field method; it reads the field's methods again
-on every call.
+same way (subset_walk, whose tables serve every pattern of a sweep),
+once their family walk has found that the code fails: on the k rows of G
+restricted to a failing pattern's complement, and on the projection of H
+left over after eliminating the pattern.
 
 Pivots are the first nonzero entry at or below the current row, scanning
 top to bottom, so every result is identical across runs.
@@ -84,12 +79,7 @@ top to bottom, so every result is identical across runs.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
-
-# the walks kept by family (subset_walk's here, verify's route walks):
-# more than the 10 families one perfbench round sweeps on five codes, so
-# a topology swept again builds no table
-WALKS = 32
+from functools import cache
 
 
 def reduce_rows(rows: list, field, cols=None,
@@ -264,10 +254,8 @@ def family_walk(ncols: int, size: int, width: int, span):
     those columns.  It returns (leaves, None) when every U has rank size,
     leaves being how many there are, and otherwise (None, record), where
     record is the first dependent record it meets (below).  The tables
-    depend on the family alone, and the walk binds the field's methods
-    afresh on each call, so one walk serves every matrix and field of its
-    shape: subset_walk and verify keep the last WALKS walks by family,
-    and a sweep of a topology met before costs only its walk.
+    depend on the family alone, so one walk serves every matrix of its
+    shape.
 
     The columns fall into groups of width columns, and U is in the family
     iff its part in every group is a member of one per-group family, the
@@ -321,14 +309,11 @@ def family_walk(ncols: int, size: int, width: int, span):
     The children of a node depend on (sel, need) alone, and a two-row
     node's columns, ends and leaf count on its sel alone, so the walk
     tables them as it first meets them: kids(sel, need) lists the
-    admitted columns c, the child's picks being s = sel & low[c] | 1 << c;
-    threes(sel) lists, for need = 2, each child's closes(s) and the
-    positions child_keys reads; closes(sel) lists the two-row node's
-    columns c1 with ends, their ends, and its leaf count.  A two-row node
-    whose keys are all distinct and none zero (key_masks gives None) adds
-    its count with no column loop.  The tables hold column numbers and
-    bitmasks only, as tuples, so a walk kept across sweeps stays small;
-    admit and ends, read only while a table is filled, are not kept.
+    admitted (c, s); threes(sel) the same for need = 2 with each child's
+    closes(s), and the positions child_keys reads; closes(sel) lists the
+    two-row node's (c1, ends) and its leaf count.  A two-row node whose
+    keys are all distinct and none zero (key_masks gives None) adds its
+    count with no column loop.
     """
     groups = ncols // width
     # low[c]: the columns of c's group before c (bit c for column c)
@@ -347,6 +332,7 @@ def family_walk(ncols: int, size: int, width: int, span):
     after = [sum(singles << i2 * width for i2 in range(i + 1, groups)
                  if skip or i2 == i + 1 == groups - 1) for i in range(groups)]
 
+    @cache
     def admit(s):
         # bit d set iff d more columns after s's top bit can finish the set
         i = (s.bit_length() - 1) // width
@@ -354,6 +340,7 @@ def family_walk(ncols: int, size: int, width: int, span):
         rest = groups - 1 - i
         return 0 if got is None else (2 << got[1] + hi0 * rest) - (1 << got[0] + lo0 * rest)
 
+    @cache
     def ends(s):
         # the columns after s's top bit that may end the set
         i = (s.bit_length() - 1) // width
@@ -375,30 +362,29 @@ def family_walk(ncols: int, size: int, width: int, span):
 
     @cache
     def closes(sel):
-        # the two-row node with picks sel: its columns c1 that have ends,
-        # those ends, and its leaf count
+        # the two-row node with picks sel: its columns with their ends,
+        # and its leaf count
         pairs = [(c, e) for c in range(sel.bit_length(), min(stop(sel), ncols - 1))
                  if (e := ends(sel & low[c] | 1 << c))]
-        es = tuple([e for _, e in pairs])
-        return tuple([c for c, _ in pairs]), es, sum([e.bit_count() for e in es])
+        return pairs, sum([e.bit_count() for _, e in pairs])
 
     @cache
     def kids(sel, need):
-        # the children c of a node with picks sel and need
-        return tuple([c for c in range(sel.bit_length(), min(stop(sel), ncols - need))
-                      if admit(sel & low[c] | 1 << c) >> need & 1])
+        # the children (c, s) of a node with picks sel and need
+        return [(c, s) for c in range(sel.bit_length(), min(stop(sel), ncols - need))
+                if admit(s := sel & low[c] | 1 << c) >> need & 1]
 
     @cache
     def threes(sel):
-        # the closes of a three-row node's two-row children, and the
-        # positions child_keys reads
+        # the children of a three-row node with their two-row closes, and
+        # the positions child_keys reads
         start = sel.bit_length()
         got = kids(sel, 2)
-        return tuple([closes(sel & low[c] | 1 << c) for c in got]), tuple([c - start for c in got])
+        return [(c, *closes(s)) for c, s in got], [c - start for c, _ in got]
 
-    def dependent_pair(cs, es, masks, start):
+    def dependent_pair(pairs, masks, start):
         # the first dependent pair (c1, c2) of a two-row node, or None
-        for c1, e in zip(cs, es):
+        for c1, e in pairs:
             if e & masks[c1 - start]:
                 e &= masks[c1 - start]
                 return c1, (e & -e).bit_length() - 1
@@ -419,31 +405,30 @@ def family_walk(ncols: int, size: int, width: int, span):
             nonlocal leaves
             start = sel.bit_length()
             if keyed and need == 1:  # a two-row root
-                cs, es, count = closes(sel)
+                pairs, count = closes(sel)
                 masks = pair_masks(rows, start, mul, inv)
-                if masks is not None and (found := dependent_pair(cs, es, masks, start)):
+                if masks is not None and (found := dependent_pair(pairs, masks, start)):
                     return found
                 leaves += count
                 return None
             if keyed and need == 2:
-                two_rows, xs = threes(sel)
-                for x, (cs, es, count), keys in zip(xs, two_rows, child_keys(rows, xs)):
-                    c = start + x
+                cols, xs = threes(sel)
+                for (c, pairs, count), keys in zip(cols, child_keys(rows, xs)):
                     if keys is None:
                         return (c,)
                     masks = key_masks(keys, c + 1)
-                    if masks is not None and (found := dependent_pair(cs, es, masks, c + 1)):
+                    if masks is not None and (found := dependent_pair(pairs, masks, c + 1)):
                         return (c, *found)
                     leaves += count
                 return None
-            for c in kids(sel, need):
+            for c, s in kids(sel, need):
                 child = node_step(rows, c - start, mul, neg, inv, axpy)
                 if child is None:
                     return (c,)
                 if not need:
                     leaves += 1
                 else:
-                    found = node(child, sel & low[c] | 1 << c, need - 1)
+                    found = node(child, s, need - 1)
                     if found is not None:
                         return (c, *found)
             return None
@@ -454,12 +439,9 @@ def family_walk(ncols: int, size: int, width: int, span):
     return walk
 
 
-@lru_cache(maxsize=WALKS)
 def subset_walk(ncols: int, size: int):
     """first_dependent on matrices of ncols columns, as one function
-    first(rows, field) whose walk tables are built once for all of them;
-    the last WALKS of these are kept, so every call of first_dependent
-    with that shape shares them."""
+    first(rows, field) whose walk tables are built once for all of them."""
     walk = family_walk(ncols, size, 1, lambda sel: (0, 1 - sel))
 
     def first(rows, field):

@@ -9,7 +9,8 @@ on one of two routes, and both have one shape: one walk over the route's
 own matrix decides pass or fail, and only when it fails does a loop over
 the patterns, in enumerate_maximal_patterns order, name each failing
 pattern's witness by the same walk over every subset of that pattern's
-own matrix (elim.subset_walk, the walk of elim.first_dependent).
+own matrix (elim.subset_walk, the walk of elim.first_dependent, its
+tables built once per sweep).
 
 Generator-side, every k x k minor of G on the complement must be
 invertible.  A k-subset lies in some pattern's complement iff its part
@@ -32,23 +33,15 @@ rule (_coverable_leaves avoids a maximal set, _containing_leaves
 contains one), its criterion and its failure path (_generator_sweep,
 _parity_sweep).
 
-A walk's tables depend on its family alone, so the walks are shared
-across sweeps: the route walks come from one cache (_walk) keyed by the
-family, that is the route's rule, the column count, the subset size, the
-group width and the per-group sets, and the witness walks from
-elim.subset_walk's cache, keyed by shape; each keeps the last elim.WALKS.
-Every code and mutant of one topology thus shares its walks, and a
-sweep of a topology met before costs only its walk.  The cap on the
-pattern count is checked before any of it is read.
-
 The walk over every subset names the first failing subset in
 itertools.combinations order, so both routes report what a
 subset-by-subset rank sweep reports; either sweep yields only the
 failing patterns, and the report's pattern count is the closed form.
 The sweep also re-checks the local-distance premise on every repair set,
 so a mutilated bundle cannot pass by losing its locality: one product of
-G against H's rows and the local parity rows placed on every repair set
-(constructions.premise_violations).
+H's rows and the local parity rows placed on every repair set against G
+(constructions.premise_violations).  A sweep builds its walk tables
+afresh; nothing is kept from one sweep to the next.
 
 An erasure pattern E is recoverable iff rank(H|_E) = |E|.  Sampled
 verification and the simulator's global path draw their trials BLOCK at
@@ -71,10 +64,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, floor
 
-from .elim import WALKS, dependent_sets, family_walk, reduce_rows, subset_walk
+from .elim import dependent_sets, family_walk, reduce_rows, subset_walk
 from .matrix import MatrixF
 from .constructions import (
     KINDS, BoundTooLong, MrLrcCode, bounded_power, plan_field, premise_violations,
@@ -176,39 +168,36 @@ def verify_mr_exhaustive(code: MrLrcCode, side: str = "generator") -> MrReport:
     pattern with its first failing subset in itertools.combinations order,
     as a subset-by-subset rank sweep would name it.  patterns_checked is
     the closed-form pattern count.  Codes with more maximal patterns than
-    topology.DEFAULT_PATTERN_CAP raise EnumerationCapExceeded, before the
-    premise is checked or any walk is read.
+    topology.DEFAULT_PATTERN_CAP raise EnumerationCapExceeded.
     """
     if side not in ("generator", "parity"):
         raise ValueError("side must be 'generator' or 'parity'")
     checked = count_maximal_patterns(code.topo)
-    sets = capped_group_sets(code.topo)
     failures = [MrFailure(pat, detail) for pat, detail in premise_violations(code)]
     if side == "generator":
-        sweep, detail = _generator_sweep(code, sets), "singular minor on surviving columns"
+        sweep, detail = _generator_sweep(code), "singular minor on surviving columns"
     else:
-        sweep, detail = _parity_sweep(code, sets), "rank defect after adding erasures"
+        sweep, detail = _parity_sweep(code), "rank defect after adding erasures"
     failures += [MrFailure(pat, f"{detail} {list(found)}") for pat, found in sweep]
     return MrReport(code_id=code_id(code), mode="exhaustive",
                     patterns_checked=checked, failures=failures,
                     bound_values=_bound_row(code))
 
 
-def _generator_sweep(code: MrLrcCode, sets):
+def _generator_sweep(code: MrLrcCode):
     """Yield (pattern, first singular k-subset of its complement, in
     combinations order) for each maximal pattern that has one, in
     enumerate_maximal_patterns order.
 
-    sets lists one group's maximal sets (capped_group_sets).  One walk
-    over the k-subsets that lie in some pattern's complement settles the
-    code (_coverable_leaves): when none is singular the sweep yields
-    nothing and enumerates no pattern.  Otherwise the walk over every
-    subset (elim.subset_walk, as in elim.first_dependent) names each
-    failing pattern's witness on the k rows of G restricted to its
-    complement.
+    One walk over the k-subsets that lie in some pattern's complement
+    settles the code (_coverable_leaves): when none is singular the sweep
+    yields nothing and enumerates no pattern.  Otherwise the walk over
+    every subset (elim.subset_walk, as in elim.first_dependent, its
+    tables built once for the sweep) names each failing pattern's witness
+    on the k rows of G restricted to its complement.
     """
     topo, g_mat, k = code.topo, code.G, code.k
-    if _coverable_leaves(g_mat, k, topo.group_width, sets)[1] is None:
+    if _coverable_leaves(g_mat, k, topo.group_width, capped_group_sets(topo))[1] is None:
         return
     coords = set(range(1, topo.n + 1))
     first = subset_walk(topo.n - topo.local_parity_count(), k)
@@ -228,9 +217,17 @@ def _coverable_leaves(g_mat: MatrixF, k: int, width: int, sets) -> tuple:
     part in every group avoids one of them, that is lies inside one of
     their complements in the group (masks).  So a group's picks are a
     member iff a mask holds them, and may gain up to as many columns above
-    their top bit as the largest such mask has there (_avoiding).
+    their top bit as the largest such mask has there.
     """
-    return _walk(_avoiding, g_mat.cols, k, width, tuple(sets))(g_mat.data, g_mat.ctx)
+    full = (1 << width) - 1
+    masks = [full ^ sum(1 << (c - 1) for c in cs) for cs in sets]
+
+    def span(sel):
+        top = sel.bit_length()
+        room = [(m >> top).bit_count() for m in masks if m & sel == sel]
+        return (0, max(room)) if room else None
+
+    return family_walk(g_mat.cols, k, width, span)(g_mat.data, g_mat.ctx)
 
 
 def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> tuple:
@@ -260,36 +257,6 @@ def _containing_leaves(h_mat: MatrixF, size: int, width: int, sets) -> tuple:
     set in each group, so a passing walk has as many leaves as the
     generator route's walk over the coverable k-subsets.
     """
-    return _walk(_containing, h_mat.cols, size, width, tuple(sets))(h_mat.data, h_mat.ctx)
-
-
-@lru_cache(maxsize=WALKS)
-def _walk(rule, ncols: int, size: int, width: int, sets: tuple):
-    """elim.family_walk over the family whose per-group span is
-    rule(width, sets).  The walk depends on the family alone, so it is
-    keyed by the family (the rule and the per-group sets with the
-    shape), never by a code or a matrix: every code and mutant of one
-    topology shares it, and the last WALKS families are kept."""
-    return family_walk(ncols, size, width, rule(width, sets))
-
-
-def _avoiding(width: int, sets: tuple):
-    """The span of _coverable_leaves' family: a group's part avoids one
-    of sets."""
-    full = (1 << width) - 1
-    masks = [full ^ sum(1 << (c - 1) for c in cs) for cs in sets]
-
-    def span(sel):
-        top = sel.bit_length()
-        room = [(m >> top).bit_count() for m in masks if m & sel == sel]
-        return (0, max(room)) if room else None
-
-    return span
-
-
-def _containing(width: int, sets: tuple):
-    """The span of _containing_leaves' family: a group's part contains one
-    of sets."""
     masks = [sum(1 << (c - 1) for c in cs) for cs in sets]
 
     def span(sel):
@@ -298,28 +265,28 @@ def _containing(width: int, sets: tuple):
         lack = [(m >> top).bit_count() for m in masks if not m & ~sel & below]
         return (min(lack), width - top) if lack else None
 
-    return span
+    return family_walk(h_mat.cols, size, width, span)(h_mat.data, h_mat.ctx)
 
 
-def _parity_sweep(code: MrLrcCode, sets):
+def _parity_sweep(code: MrLrcCode):
     """Yield (pattern, first h-subset F of its complement, in combinations
     order, with rank(H|_(pattern u F)) < |pattern| + h) for each maximal
     pattern that has one, in enumerate_maximal_patterns order.
 
-    sets lists one group's maximal sets (capped_group_sets).  One walk
-    over the (|pattern| + h)-sets of H's columns that contain a pattern
-    settles the code (_containing_leaves): when none is dependent
+    One walk over the (|pattern| + h)-sets of H's columns that contain a
+    pattern settles the code (_containing_leaves): when none is dependent
     the sweep yields nothing and eliminates no pattern.  Otherwise each
     pattern E is eliminated on its own: one reduce_rows on a copy of H,
     pivoting on E's columns in increasing order.  The rows below the |E|
     pivots are then zero on E; on the complement they are the projection
     P, and rank(H|_(E u F)) = |E| + rank(P|_F), so the walk over every
-    subset of P (elim.subset_walk) names the witness.  When H|_E is
-    itself rank-deficient every F fails, the first being the first h
-    complement coordinates.
+    subset of P (elim.subset_walk, its tables built once for the sweep)
+    names the witness.  When H|_E is itself rank-deficient every F
+    fails, the first being the first h complement coordinates.
     """
     topo, ctx, h, e = code.topo, code.H.ctx, code.h, code.topo.local_parity_count()
-    if _containing_leaves(code.H, e + h, topo.group_width, sets)[1] is None:
+    if _containing_leaves(code.H, e + h, topo.group_width,
+                          capped_group_sets(topo))[1] is None:
         return
     coords = set(range(1, topo.n + 1))
     first = subset_walk(topo.n - e, h)

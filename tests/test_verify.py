@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrlrc.matrix import MatrixF
-from mrlrc import constructions, simulate, topology, verify
-from mrlrc.elim import WALKS, first_dependent, subset_walk
+from mrlrc import simulate, topology, verify
 from mrlrc.constructions import construct, encode, plan_field, premise_violations
 from mrlrc.simulate import SimConfig, run_simulation
-from mrlrc.ff import LOG_TABLE_LIMIT, DegreeOverflow, field_ctx, make_tower
+from mrlrc.ff import LOG_TABLE_LIMIT, DegreeOverflow, field_ctx
 from mrlrc.topology import (
     EnumerationCapExceeded, enumerate_maximal_patterns, is_mr_correctable_pattern, make_topology,
 )
@@ -273,15 +272,13 @@ def test_parity_route_group_prefixes_match_oracle():
 
 
 def test_both_routes_check_the_pattern_cap_first(gen_code, monkeypatch):
-    # both routes refuse an over-cap code before checking the premise,
-    # reading a cached walk or eliminating anything
+    # the parity walk refuses an over-cap code before eliminating anything
     monkeypatch.setattr(topology, "DEFAULT_PATTERN_CAP", 10)
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work done before the cap check")
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("reduce_rows called before the cap check")
 
-    for name in ("reduce_rows", "premise_violations", "_walk", "subset_walk"):
-        monkeypatch.setattr(verify, name, no_work)
+    monkeypatch.setattr(verify, "reduce_rows", no_elimination)
     messages = set()
     for side in ("generator", "parity"):
         with pytest.raises(EnumerationCapExceeded) as exc:
@@ -417,15 +414,14 @@ def test_each_route_reads_only_its_own_matrix():
     failing = {"generator": 0, "parity": 0}
     for spec in ORACLE_CODES:
         code = bvs.build(*spec)
-        sets = topology.capped_group_sets(code.topo)
         for copy in (code, *mutants(code)):
-            got = list(verify._generator_sweep(copy, sets))
+            got = list(verify._generator_sweep(copy))
             assert got == list(verify._generator_sweep(
-                replace(copy, H=other_matrix(copy.H, rnd)), sets)), spec
+                replace(copy, H=other_matrix(copy.H, rnd)))), spec
             failing["generator"] += bool(got)
-            got = list(verify._parity_sweep(copy, sets))
+            got = list(verify._parity_sweep(copy))
             assert got == list(verify._parity_sweep(
-                replace(copy, G=other_matrix(copy.G, rnd)), sets)), spec
+                replace(copy, G=other_matrix(copy.G, rnd)))), spec
             failing["parity"] += bool(got)
     assert min(failing.values()) >= len(ORACLE_CODES), failing
 
@@ -534,8 +530,7 @@ def test_parity_walk_verdict_matches_witness_loop(monkeypatch):
                 subsets, lambda sel: copy.H.rank(sel) < len(sel)), spec
             with monkeypatch.context() as m:
                 m.setattr(verify, "_containing_leaves", lambda *args: (None, ()))
-                assert (leaves is None) == bool(list(verify._parity_sweep(
-                    copy, topology.capped_group_sets(copy.topo)))), spec
+                assert (leaves is None) == bool(list(verify._parity_sweep(copy))), spec
             outcomes[leaves is not None] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -571,99 +566,6 @@ def test_passing_parity_sweep_enumerates_no_pattern(monkeypatch):
         rep = verify_mr_exhaustive(code, side="parity")
         assert rep.passed, spec
         assert rep.patterns_checked == topology.count_maximal_patterns(code.topo), spec
-
-
-# -- the walks cached by family
-
-
-def clear_walks():
-    verify._walk.cache_clear()
-    subset_walk.cache_clear()
-
-
-def test_cached_walks_equal_fresh_ones():
-    # every SWEEP_ORACLE_CODES code and mutant through both routes, first
-    # each with the caches cleared, then all warm, codes in reverse order
-    # and routes alternating, so each walk serves copies it was not built
-    # for: reports, leaf counts and records must not change
-    copies = []
-    for spec in SWEEP_ORACLE_CODES:
-        code = bvs.build(*spec)
-        copies += [code, *mutants(code)]
-    walks = {"generator": coverable_walk, "parity": superset_walk}
-
-    def run(copy, side):
-        return verify_mr_exhaustive(copy, side=side).to_json(), walks[side](copy)
-
-    fresh = {}
-    for i, copy in enumerate(copies):
-        for side in walks:
-            clear_walks()
-            fresh[i, side] = run(copy, side)
-    assert any(out[1][0] is None for out in fresh.values())
-    clear_walks()
-    for i in reversed(range(len(copies))):
-        for side in (("parity", "generator") if i % 2 else ("generator", "parity")):
-            assert run(copies[i], side) == fresh[i, side], (i, side)
-    families = {(side, code.n, code.k if side == "generator" else code.n - code.k,
-                 code.topo.group_width, tuple(topology.per_group_maximal_sets(code.topo)))
-                for code in copies for side in walks}
-    info = verify._walk.cache_info()
-    assert info.misses == len(families) < info.hits, info
-    # two families of one shape, (ncols, size, width) = (6, 3, 3), that
-    # differ only in their per-group sets: a key without the sets would
-    # hand the second the first's walk
-    rnd = random.Random(35)
-    mat = other_matrix(MatrixF.zeros(field_ctx(7), 3, 6), rnd)
-    sets = {"one": [(1,)], "two": [(1,), (2,)]}
-    got = {}
-    for name, group in sets.items():
-        clear_walks()
-        got[name] = verify._coverable_leaves(mat, 3, 3, group)
-    assert got == {"one": (4, None), "two": (12, None)}
-    for name in ("one", "two", "one", "two"):
-        assert verify._coverable_leaves(mat, 3, 3, sets[name]) == got[name], name
-
-
-def test_walk_caches_stay_bounded():
-    # more families than the bound, per rule and per witness-walk shape,
-    # and more topologies, leave each cache holding the last WALKS of them
-    rnd = random.Random(36)
-    mat = other_matrix(MatrixF.zeros(field_ctx(7), 2, 8), rnd)
-    groups = [[(c,)] for c in range(1, 9)] + [[pair] for pair in
-                                              itertools.combinations(range(1, 9), 2)]
-    assert len(groups) > WALKS
-    for group in groups:
-        verify._coverable_leaves(mat, 2, 8, group)
-        verify._containing_leaves(mat, 2, 8, group)
-    for ncols in range(2, WALKS + 4):
-        first_dependent([[1] * ncols, list(range(ncols))], field_ctx(2, 6), 2)
-    # and the local parity rows premise_violations places, per topology
-    tower = make_tower(5, 2, 1)
-    for r, g in itertools.product(range(1, 9), range(1, 6)):
-        constructions._placed_local_rows(make_topology(r, 2, 1, g, 1), "gen", tower)
-    for cached in (verify._walk, subset_walk, constructions._placed_local_rows):
-        info = cached.cache_info()
-        assert info.maxsize == WALKS and info.currsize == WALKS, info
-
-
-def test_patched_walks_take_effect(monkeypatch):
-    # a route whose family walk is made to report a dependent set runs its
-    # witness loop, which reads verify.subset_walk at the time of the sweep
-    code = bvs.build("gen", (2, 2, 1, 2, 2), {"k": 5})
-    shapes = []
-
-    def counted(ncols, size):
-        shapes.append((ncols, size))
-        return subset_walk(ncols, size)
-
-    monkeypatch.setattr(verify, "subset_walk", counted)
-    for name in ("_coverable_leaves", "_containing_leaves"):
-        monkeypatch.setattr(verify, name, lambda *args: (None, ()))
-    for side in ("generator", "parity"):
-        assert verify_mr_exhaustive(code, side=side).passed
-    assert shapes == [(code.n - code.topo.local_parity_count(), code.k),
-                      (code.n - code.topo.local_parity_count(), code.h)]
 
 
 # -- the keyed pass over each walk's last two columns
