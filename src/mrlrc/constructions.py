@@ -42,6 +42,10 @@ power >= max{g+1, r+delta-1}, so for "gen"/"pc1" the realized size equals
 the bound whenever that max is a prime power, while for "pc2" it also
 needs n/g - 1 to be a power of q.  FieldPlan.exact records whether the
 realized size equals the bound.
+
+construct asserts the independence claim each parity-check kind rests on
+(pc1's top delta-1 band rows span an MDS code, pc2's beta are l-wise
+independent) with _check_independent, then the premises of the code.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ from .sumrank import frobenius_rows
 from .topology import Topology, make_topology
 
 KINDS = ("gen", "pc1", "pc2")
+# column subsets _check_independent may walk: of pc2's beta, and of pc1's
+# top delta-1 local rows (C(24, 12), the most any 24 columns have)
 ELL_WISE_SUBSET_CAP = 2000
+LOCAL_MDS_SUBSET_CAP = comb(24, 12)
 
 
 class ConstraintViolated(ValueError):
@@ -169,9 +176,6 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
     if kind == "pc1" and h > r:
         raise ConstraintViolated(f"h <= r violated: h = {h} > r = {r}")
     q_raw = max(g + 1, r + delta - 1)
-    if q_raw > ORDER_LIMIT:  # no such field is built; refused before any search
-        raise DegreeOverflow(f"q >= max(g+1, r+delta-1) = {q_raw} exceeds the "
-                             f"field order limit {ORDER_LIMIT}")
     if kind == "gen":
         m = t + N * (r - t)
         bound = bounded_power(q_raw, m)
@@ -182,6 +186,11 @@ def plan_field(topo: Topology, kind: str, k: int | None = None,
         ell = g * (N * (delta - 1) + t) + h
         target = topo.group_width - 1  # n/g - 1
         bound = bounded_power(target, ell)
+    # no such field is built: refused before any search, but after the
+    # bound, which is too long to write on either side of the limit alike
+    if q_raw > ORDER_LIMIT:
+        raise DegreeOverflow(f"q >= max(g+1, r+delta-1) = {q_raw} exceeds the "
+                             f"field order limit {ORDER_LIMIT}")
     q = next_prime_power(q_raw)
     p, s = is_prime_power(q)
     if kind == "pc2":
@@ -252,9 +261,13 @@ def local_generator(topo: Topology, kind: str, ctx) -> MatrixF:
 
 
 def _pc1_local(topo: Topology, h: int, ctx) -> MatrixF:
+    """pc1's band A = [I_t B; 0 C; 0 D], whose top delta-1 rows must span
+    an MDS code: since t <= delta-1 they span an RS subcode, asserted."""
     r, delta, t = topo.r, topo.delta, topo.t
-    return structured_mds(ctx, r + delta - 1, h + delta - 1, t,
-                          check_prefix=delta - 1)
+    band = structured_mds(ctx, r + delta - 1, h + delta - 1, t)
+    _check_independent(MatrixF(ctx, band.data[:delta - 1], cols=band.cols),
+                       delta - 1, LOCAL_MDS_SUBSET_CAP, "pc1's top delta-1 local rows")
+    return band
 
 
 def _place(topo: Topology, band, segment_sets) -> list[list[int]]:
@@ -405,29 +418,33 @@ def _build_pc1(topo: Topology, plan: FieldPlan, tower: FieldTower):
 
 def _build_pc2(topo: Topology, plan: FieldPlan, tower: FieldTower):
     """Second parity-check construction: the heavy rows are the Frobenius
-    rows of the l-wise independent beta (see multipliers)."""
+    rows of the l-wise independent beta (see multipliers), asserted on
+    their GF(q) coordinates."""
     a, beta = multipliers(topo, plan)
-    _check_ell_wise_independent(tower, beta, plan.ell)
+    coords = [tower.base_coords(x) for x in beta]
+    _check_independent(MatrixF(tower.base, list(zip(*coords)), cols=len(coords)),
+                       min(plan.ell, len(coords)), ELL_WISE_SUBSET_CAP,
+                       "the beta multipliers' GF(q) coordinates")
     return _parity_check_code(topo, plan, tower,
                               local_generator(topo, "pc2", tower.base).data, beta, a)
 
 
-def _check_ell_wise_independent(tower: FieldTower, beta, ell: int) -> None:
-    """Any min(ell, n/g) of the beta multipliers must be GF(q)-independent.
+def _check_independent(mat: MatrixF, size: int, cap: int, what: str) -> None:
+    """Assert that any size columns of mat are linearly independent.
 
-    Guaranteed by the RS expansion; asserted anyway.  Exhausts all subsets
-    of size min(ell, n/g) when there are at most ELL_WISE_SUBSET_CAP of
-    them, and always checks that the full set has the maximal possible
-    rank."""
-    cols = [tower.base_coords(x) for x in beta]
-    full = MatrixF(tower.base, list(zip(*cols)), cols=len(cols))
-    size = min(ell, len(cols))
-    if full.rank() < size:
-        raise AssertionError("beta multipliers are not ell-wise independent")
-    if comb(len(cols), size) <= ELL_WISE_SUBSET_CAP:
-        sel = full.first_dependent(size)
-        if sel is not None:
-            raise AssertionError(f"beta subset {sel} is GF(q)-linearly dependent")
+    The constructions guarantee it; construct asserts it anyway.  Always
+    checks rank(mat) >= size, and walks every size-subset of the columns
+    (MatrixF.first_dependent) when there are at most cap of them.  A
+    failure names the first dependent subset (1-based), which is the first
+    size columns when the rank falls short."""
+    if mat.rank() < size:
+        sel = tuple(range(1, size + 1))
+    elif comb(mat.cols, size) <= cap:
+        sel = mat.first_dependent(size)
+    else:
+        return
+    if sel is not None:
+        raise AssertionError(f"columns {sel} of {what} are linearly dependent")
 
 
 _BUILDERS = {"gen": _build_gen, "pc1": _build_pc1, "pc2": _build_pc2}

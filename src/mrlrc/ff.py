@@ -609,11 +609,11 @@ class FieldCtx:
         only z = z_x and -2 when both, or z/y, fixed, for a column that
         is zero in r.  p = 2 subtracts by XOR and divides by log
         difference.  Odd p keeps the scaled entries as logs and reads
-        log(y - y_x) off the Zech table.  Generic fields, and rows that are
-        not three, run node_step and elim.pair_keys per pick.
+        log(y - y_x) off the Zech table.  Generic fields run node_step and
+        elim.pair_keys per pick.
         """
         exp = self._exp
-        if exp is None or len(rows) != 3:
+        if exp is None:
             mul, neg, inv, axpy = self.mul, self.neg, self.inv, self.axpy
             for x in xs:
                 child = node_step(rows, x, mul, neg, inv, axpy)

@@ -139,7 +139,7 @@ class MatrixF:
     def first_dependent(self, size: int) -> tuple | None:
         """The first size-subset F of the 1-based columns, in
         itertools.combinations order, with rank(F) < size, or None: the
-        subset-independence sweep of is_mds and the l-wise check, walked
+        subset-independence sweep of construct's self-checks, walked
         as a prefix tree by elim.first_dependent (elim.family_walk over
         every subset)."""
         if size > self.cols:

@@ -14,14 +14,15 @@ weight is scalar-invariant and one codeword per projective class
 suffices.  The enumeration cap is still expressed in terms of the full
 codebook size (q^m)^k.
 
-Each check takes an `LrsCode` or a bare generator `MatrixF`.
+Each check takes an `LrsCode` or a bare generator `MatrixF`.  is_mds, the
+MDS property the projection criterion asks of each projected generator,
+is also the oracle of the local MDS codes in `tests/test_localmds.py`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from mrlrc import localmds
 from mrlrc.ff import FieldCtx
 from mrlrc.matrix import MatrixF, block_diag, map_entries
 from mrlrc.rng import Xoshiro256
@@ -38,6 +39,16 @@ class TooLargeToEnumerate(ValueError):
 
 DEFAULT_CODEWORD_CAP = 10 ** 6
 DEFAULT_TUPLE_CAP = 10 ** 4
+
+
+def is_mds(g: MatrixF) -> bool:
+    """True iff every k x k column submatrix of the k x n generator is invertible.
+
+    MatrixF.first_dependent walks the C(n, k) choices as a prefix tree,
+    so choices that share leading columns share their elimination."""
+    if g.rows > g.cols:
+        raise ValueError("is_mds needs rows <= cols")
+    return g.first_dependent(g.rows) is None
 
 
 def sum_rank_weight(v, part: SumRankPartition) -> int:
@@ -156,7 +167,7 @@ def msrd_mds_projection_check(code, part: SumRankPartition, *,
         )
     for pairs in tuples:
         projected = gmat.mul(block_diag([emb for _, emb in pairs]))
-        if not localmds.is_mds(projected):
+        if not is_mds(projected):
             blocks = tuple(b for b, _ in pairs)
             return (False, blocks) if witness else False
     return (True, None) if witness else True

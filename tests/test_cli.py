@@ -7,6 +7,7 @@ import time
 import pytest
 
 from mrlrc.cli import main
+from mrlrc.constructions import KINDS
 
 GEN_ARGS = ["construct", "--kind", "gen", "--r", "2", "--delta", "2",
             "--t", "1", "--N", "2", "--g", "2", "--k", "5"]
@@ -117,9 +118,12 @@ def test_bounds_too_long_is_refused_before_any_power(capsys, json_flag):
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_bounds_field_order_over_the_limit_is_inapplicable(tmp_path, capsys, json_flag):
     # g = 10^18 asks for a base field of order at least g + 1 > 2^40, which
-    # no FieldCtx builds: each kind is refused before any prime-power search
-    sizes = ["--r", "2", "--delta", "2", "--t", "1", "--g", "1000000000000000000",
-             "--N", "1", "--k", "1"]
+    # no FieldCtx builds; with r = t = 1 every bound is short (pc2's is
+    # (n/g - 1)^ell = 0), so each kind is refused before any prime-power
+    # search
+    g = 10 ** 18
+    sizes = ["--r", "1", "--delta", "2", "--t", "1", "--g", str(g),
+             "--N", "1", "--k", str(g - 1)]
     start = time.monotonic()
     assert main(["bounds"] + sizes + json_flag) == 0
     assert time.monotonic() - start < 1
@@ -128,17 +132,39 @@ def test_bounds_field_order_over_the_limit_is_inapplicable(tmp_path, capsys, jso
                "field order limit 1099511627776")
     if json_flag:
         row = json.loads(out)
-        assert row["gen"] == row["pc2"] == {"inapplicable": refused}
-        assert "inapplicable" in row["pc1"]
+        assert row["gen"] == row["pc1"] == row["pc2"] == {"inapplicable": refused}
     else:
-        assert f"  gen: inapplicable ({refused})" in out.splitlines()
-        assert f"  pc2: inapplicable ({refused})" in out.splitlines()
-        assert "  pc1: inapplicable (h <= r violated" in out
+        for kind in KINDS:
+            assert f"  {kind}: inapplicable ({refused})" in out.splitlines()
     start = time.monotonic()
     assert main(["construct", "--kind", "gen"] + sizes + ["--out", str(tmp_path)]) == 1
     assert time.monotonic() - start < 1
     assert capsys.readouterr().err == f"error: {refused}\n"
     assert not (tmp_path / "bundle.json").exists()
+    # with r = 2 pc2's bound 2^ell, ell about 2 * 10^18, is too long to
+    # write, which ends the command first
+    argv = ["bounds", "--r", "2", "--delta", "2", "--t", "1", "--g", str(g),
+            "--N", "1", "--k", "1"]
+    assert main(argv + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound has more than 4300 decimal digits, "
+                            "the limit for writing an integer\n")
+
+
+@pytest.mark.parametrize("g", [2 ** 40 - 1, 2 ** 40])
+def test_bounds_too_long_exits_1_on_both_sides_of_the_field_order_limit(capsys, g):
+    # q >= g + 1 is 2^40, the limit, or one past it; pc2's bound 2^ell is
+    # too long to write either way, and the answer does not change with it
+    argv = ["bounds", "--r", "2", "--delta", "2", "--t", "1", "--g", str(g),
+            "--N", "1", "--k", "1"]
+    start = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound has more than 4300 decimal digits, "
+                            "the limit for writing an integer\n")
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrlrc import constructions
 from mrlrc.elim import inverse
 from mrlrc.cli import main
 from mrlrc.ff import make_tower
@@ -22,7 +23,7 @@ from mrlrc.constructions import (
     write_bundle,
 )
 from mrlrc.topology import make_topology
-from mrlrc.verify import verify_mr_exhaustive, verify_mr_sampled
+from mrlrc.verify import table1_row, verify_mr_exhaustive, verify_mr_sampled
 from test_byte_stability import bvs, mutants
 
 
@@ -261,6 +262,86 @@ def test_pc2_h0():
     code = construct(topo, "pc2", h=0)
     assert code.k == topo.max_dimension()
     assert verify_mr_exhaustive(code).passed
+
+
+# pc1 (2,3,1,1,1) h=1: a band of 2 + 3 - 1 = 4 columns over GF(4), whose
+# top delta-1 = 2 rows have C(4, 2) = 6 column pairs to walk
+PC1_SMALL = (2, 3, 1, 1, 1)
+
+
+def _plant_in_band(monkeypatch, edit):
+    # every band structured_mds builds in constructions, its rows edited
+    real = constructions.structured_mds
+
+    def planted(ctx, n, k, t):
+        rows = [list(row) for row in real(ctx, n, k, t).data]
+        edit(rows)
+        return MatrixF(ctx, rows, cols=n)
+
+    monkeypatch.setattr(constructions, "structured_mds", planted)
+
+
+def _copy_column(src, dst):
+    def edit(rows):
+        for row in rows:
+            row[dst] = row[src]
+    return edit
+
+
+def _zero_top_row(rows):
+    rows[0] = [0] * len(rows[0])
+
+
+def test_pc1_past_its_walk_cap_builds_on_the_rank_check(monkeypatch):
+    # C(26, 9) = 3,124,550 subsets of the top delta-1 = 9 rows exceed
+    # LOCAL_MDS_SUBSET_CAP, so only the rank is checked; bounds lists the
+    # same sizes as realized
+    topo = make_topology(17, 10, 1, 1, 1)
+    walks = []
+    real = MatrixF.first_dependent
+    monkeypatch.setattr(MatrixF, "first_dependent",
+                        lambda mat, size: walks.append(size) or real(mat, size))
+    code = construct(topo, "pc1", h=1)
+    assert (code.n, code.k, code.tower.top.order) == (26, 16, 27)
+    assert walks == []
+    assert table1_row(topo, h=1)["pc1"]["field_size"] == 27
+
+
+def test_pc1_planted_dependency_within_the_cap_is_named(monkeypatch):
+    _plant_in_band(monkeypatch, _copy_column(2, 3))
+    with pytest.raises(AssertionError, match=r"^columns \(3, 4\) of pc1's top "
+                       r"delta-1 local rows are linearly dependent$"):
+        construct(make_topology(*PC1_SMALL), "pc1", h=1)
+
+
+def test_pc1_past_the_cap_checks_rank_only(monkeypatch):
+    # with the cap below the 6 pairs, a planted dependency of full rank
+    # builds, and a zero top row, which drops the rank, is still refused
+    monkeypatch.setattr(constructions, "LOCAL_MDS_SUBSET_CAP", 5)
+    _plant_in_band(monkeypatch, _copy_column(2, 3))
+    code = construct(make_topology(*PC1_SMALL), "pc1", h=1)
+    assert code.H.column(2) == code.H.column(3)
+    monkeypatch.undo()
+    monkeypatch.setattr(constructions, "LOCAL_MDS_SUBSET_CAP", 5)
+    _plant_in_band(monkeypatch, _zero_top_row)
+    with pytest.raises(AssertionError, match=r"^columns \(1, 2\) of pc1's top"):
+        construct(make_topology(*PC1_SMALL), "pc1", h=1)
+
+
+def test_pc2_planted_dependent_beta_is_named(monkeypatch):
+    # pc2 (6,2,1,1,1) h=1: 7 beta multipliers, any ell = 3 independent,
+    # C(7, 3) = 35 subsets walked; equal beta_6 and beta_7 keep full rank,
+    # and the first dependent subset is (1, 6, 7)
+    real = constructions.multipliers
+
+    def planted(topo, plan):
+        a, beta = real(topo, plan)
+        return a, beta[:6] + beta[5:6]
+
+    monkeypatch.setattr(constructions, "multipliers", planted)
+    with pytest.raises(AssertionError, match=r"^columns \(1, 6, 7\) of the beta "
+                       r"multipliers' GF\(q\) coordinates are linearly dependent$"):
+        construct(make_topology(6, 2, 1, 1, 1), "pc2", h=1)
 
 
 def test_gen_vs_pc1_same_verification_suite():

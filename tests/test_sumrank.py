@@ -9,7 +9,7 @@ from mrlrc.matrix import MatrixF
 from mrlrc.sumrank import BadParams, SumRankPartition, lrs_generator
 from msrd_oracle import (
     LengthMismatch, TooLargeToEnumerate, gl_order, invertible_matrices,
-    is_msrd, min_sum_rank_distance, msrd_mds_projection_check,
+    is_mds, is_msrd, min_sum_rank_distance, msrd_mds_projection_check,
     sum_rank_weight,
 )
 
@@ -135,7 +135,6 @@ def test_projection_check_agrees_with_msrd():
     code = lrs_generator(part, 2)
     assert msrd_mds_projection_check(code, part, cap=48 ** 2)
     # identity tuple reduces to is_mds of the code itself
-    from mrlrc.localmds import is_mds
     assert is_mds(code.generator)
 
 
